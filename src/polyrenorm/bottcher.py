@@ -1,18 +1,29 @@
 """External rays, equipotentials and spiral arcs via Boettcher continuation.
 
-A point at potential G and angle theta (turns) in the basin of infinity is
-computed by a pullback chain: the top node sits at potential G*d^m large
-enough that z = exp(G' + 2pi*i*theta') approximates the Boettcher inverse to
-high accuracy, and each lower node Newton-solves P(z) = parent with the
-neighbouring trace's node as initial guess.  Angles are carried as an exact
-rational part plus a float offset that scales with the potential, so deep
-tails lose no angular precision.
+Rays and carrot-side spirals are traced on an orbit ladder: the curves
+through an angle orbit share one geometric potential ladder, level k at
+g_top*d^(-k/s).  P maps the curve through theta at level k onto the curve
+through d*theta one degree step (s levels) higher, so each point is a single
+Newton solve of P(z) = parent, seeded by the point one level up on the same
+curve; a ray to potential t costs O(levels) instead of O(levels*depth).
+Ladders are cached per polynomial, slope, top potential and substeps, and
+land_ray deepens a ray by extending its ladder in place.
+
+Single points, equipotentials and external angles use a pullback chain: the
+top node sits at potential G*d^m large enough that z = exp(G' + 2pi*i*theta')
+approximates the Boettcher inverse to high accuracy, and each lower node
+Newton-solves P(z) = parent with the neighbouring trace's node as initial
+guess.  Angles are carried as an exact rational part plus a float offset that
+scales with the potential, so deep tails lose no angular precision.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -34,6 +45,7 @@ DIRECT_SEED_SAFE = 4.0
 # exceeds the spacing by orders of magnitude, so a factor slightly above 1
 # separates the two regimes cleanly.
 SAFETY = 1.25
+EPS = sys.float_info.epsilon
 MAX_SUBDIV = 20
 LAND_POTENTIAL = 1e-9
 DEFAULT_SUBSTEPS = 8
@@ -86,16 +98,19 @@ def _chain_solve(P: Polynomial, t: float, frac: Fraction, off: float, slope: int
     m = 0
     while t * d**m < anchor:
         m += 1
-    fr = [frac % 1]
+    # the rational part as integer numerators over q: num/q rounds exactly
+    # as float(Fraction(num, q)) does
+    q = frac.denominator
+    nums = [frac.numerator % q]
     for _ in range(m):
-        fr.append((fr[-1] * d) % 1)
+        nums.append(nums[-1] * d % q)
     pts: list[complex] = [0j] * (m + 1)
     t_top = t * d**m
-    a_top = float(fr[m]) + off * d**m + slope * t_top
+    a_top = nums[m] / q + off * d**m + slope * t_top
     pts[m] = cmath.rect(math.exp(t_top), 2.0 * math.pi * a_top)
     for j in range(m - 1, -1, -1):
         tj = t * d**j
-        aj = float(fr[j]) + off * d**j + slope * tj
+        aj = nums[j] / q + off * d**j + slope * tj
         if tj < DIRECT_SEED_SAFE and prev is not None and j < len(prev.points):
             seed = prev.points[j]
         else:
@@ -259,14 +274,144 @@ class RayPolyline:
         return RayPolyline(self.angle, self.points[keep], self.potentials[keep], self.landing)
 
 
+class _OrbitLadder:
+    """Curves through an angle orbit, traced together on one potential ladder.
+
+    Level k sits at potential g_top*r^k, r = d^(-1/s), the potentials built by
+    repeated multiplication so that a deeper ladder keeps the same floats.  P
+    maps the curve through theta (angle theta + slope*potential) at level k
+    onto the curve through d*theta at level k - s, so every point is a single
+    Newton solve of P(z) = parent, seeded by the point one level up on the
+    same curve.  Members of the orbit are traced on demand, each only as deep
+    as the requested curves need, and the ladder only ever grows.
+    """
+
+    def __init__(self, P: Polynomial, slope: int, g_top: float, s: int):
+        self.P = P
+        self.slope = slope
+        self.s = s
+        self.r = P.degree ** (-1.0 / s)
+        self.potentials = [g_top]
+        self.points: dict[Angle, list[complex]] = {}
+
+    def levels_above(self, g: float) -> int:
+        """Number of levels above potential g (the top level always counts)."""
+        pots = self.potentials
+        thr = g * (1.0 + 1e-12)
+        while pots[-1] * self.r > thr:
+            pots.append(pots[-1] * self.r)
+        return max(1, bisect.bisect_left(pots, -thr, key=operator.neg))
+
+    def curve(self, theta: Angle, n: int) -> list[complex]:
+        """The first n levels of theta's curve, tracing what is missing."""
+        d = self.P.degree
+        want: dict[Angle, int] = {}
+        a, m = theta, n
+        # level k of a needs level k - s of d*a; members already as deep as
+        # needed have all their images too
+        while m > max(want.get(a, 0), len(self.points.get(a, ()))):
+            want[a] = m
+            a, m = a.times(d), m - self.s
+        image = {a: a.times(d) for a in want}
+        start = min(len(self.points.setdefault(a, [])) for a in want) if want else n
+        for k in range(start, n):
+            for a, m in want.items():
+                col = self.points[a]
+                if len(col) == k < m:
+                    col.append(self._solve(a, image[a], k))
+        return self.points[theta]
+
+    def _solve(self, a: Angle, img: Angle, k: int) -> complex:
+        t = self.potentials[k]
+        if k == 0:
+            return bottcher_point(self.P, t, a.fraction(), slope=self.slope)
+        if k >= self.s:
+            parent = self.points[img][k - self.s]
+        else:
+            # parents above the ladder top come from the descent evaluator
+            parent = bottcher_point(self.P, t * self.P.degree, img.fraction(),
+                                    slope=self.slope)
+        return self._pull(a, t, parent, k)
+
+    def _pull(self, a: Angle, t: float, parent: complex, k: int) -> complex:
+        """Preimage of parent at potential t seeded by level k-1 of a's curve;
+        a step much longer than the last one is a jump to a sibling branch."""
+        col = self.points[a]
+        seed = col[k - 1]
+        z = _newton_preimage(self.P, parent, seed)
+        if k >= 2:
+            # spacings at noise level carry no branch information: Newton
+            # noise, and the parent's few ulps of rounding, which the solve
+            # amplifies by 1/|P'(z)| next to a critical point
+            spacing = abs(col[k - 1] - col[k - 2])
+            dp = abs(self.P.deriv(z))
+            floor = 1e-9 * max(1.0, abs(z)) + (
+                math.inf if dp == 0 else 4.0 * EPS * max(1.0, abs(parent)) / dp)
+            if spacing > floor and abs(z - seed) > SAFETY * spacing + floor:
+                raise BranchJump(f"continuation step rejected at potential {t:.3e} "
+                                 f"(angle {a}, slope {self.slope:+d})")
+        return z
+
+    def endpoint(self, theta: Angle, g: float, n: int) -> complex:
+        """Point of theta's curve at a potential g between level n-1 and n.
+
+        Its parents g*d^j lie between levels too; they are pulled back along
+        their own chain from the first one above the ladder, each link seeded
+        by the nearest level above it on the same member's curve.
+        """
+        d = self.P.degree
+        links: list[tuple[Angle, float, int]] = []
+        a, t, k = theta, g, n
+        while k > 0:
+            links.append((a, t, k))
+            a, t, k = a.times(d), t * d, k - self.s
+        z = bottcher_point(self.P, t, a.fraction(), slope=self.slope)
+        for a, t, k in reversed(links):
+            z = self._pull(a, t, z, k)
+        return z
+
+
+# Orbit ladders keyed by everything that shapes a trace: the polynomial, the
+# slope, the top potential and the substeps.  Curves through one angle orbit
+# share a ladder, and deeper requests extend it in place.
+_ray_cache: dict[tuple, _OrbitLadder] = {}
+
+
+def _on_ladder(P: Polynomial, slope: int, g_top: float, substeps: int, fn):
+    """fn(ladder, keep) on the cached ladder with `substeps` levels per degree
+    step, retried on twice and four times as fine a ladder after a branch
+    jump; keep = ladder substeps / substeps thins the result back."""
+    last_exc: Exception | None = None
+    for keep in (1, 2, 4):
+        key = (P.coeffs, slope, g_top, keep * substeps)
+        lad = _ray_cache.get(key)
+        if lad is None:
+            lad = _ray_cache[key] = _OrbitLadder(P, slope, g_top, keep * substeps)
+        try:
+            return fn(lad, keep)
+        except BranchJump as exc:
+            last_exc = exc
+    raise last_exc  # type: ignore[misc]
+
+
+def _ray_on(lad: _OrbitLadder, theta: Angle, g_end: float, keep: int) -> RayPolyline:
+    n = lad.levels_above(g_end)
+    pts = lad.curve(theta, n)[:n:keep] + [lad.endpoint(theta, g_end, n)]
+    pots = lad.potentials[:n:keep] + [g_end]
+    return RayPolyline(theta, np.array(pts, dtype=complex), np.array(pots))
+
+
 def trace_ray(P: Polynomial, theta: Angle, g_start: float, g_end: float,
               substeps: int = DEFAULT_SUBSTEPS) -> RayPolyline:
-    """Trace R_P(theta) from potential g_start down to g_end."""
+    """Trace R_P(theta) from potential g_start down to g_end.
+
+    The points sit on the potential ladder g_start*d^(-k/substeps) above
+    g_end, followed by the point at g_end.
+    """
     if not (g_start > g_end > 0):
         raise ValueError("need g_start > g_end > 0")
-    ts = _potential_ladder(g_start, g_end, P.degree, substeps)
-    pts, _ = _trace_radial(P, theta.fraction(), 0.0, 0, ts)
-    return RayPolyline(theta, np.array(pts, dtype=complex), np.array(ts))
+    return _on_ladder(P, 0, g_start, substeps,
+                      lambda lad, keep: _ray_on(lad, theta, g_end, keep))
 
 
 def _polish_preperiodic(P: Polynomial, z: complex, preperiod: int, period: int,
@@ -353,9 +498,6 @@ def landing_point(ray: RayPolyline, P: Polynomial) -> Landing:
     return Landing(est, False, "none")
 
 
-_ray_cache: dict[tuple, RayPolyline] = {}
-
-
 def land_ray(P: Polynomial, theta: Angle, *, g_start: float = 2.0,
              substeps: int = DEFAULT_SUBSTEPS, g_land: float = LAND_POTENTIAL) -> RayPolyline:
     """Trace a ray deep enough to land it and attach the landing record.
@@ -363,39 +505,36 @@ def land_ray(P: Polynomial, theta: Angle, *, g_start: float = 2.0,
     Slowly repelling landing points (multiplier close to the unit circle)
     contract the tail only like a small power of the potential; the trace is
     deepened adaptively, with the required depth estimated from the observed
-    approach exponent.  Parabolic approaches cannot reach the landing point at
-    representable potentials and keep their polished landing.  Results are
-    cached per polynomial and angle.
+    approach exponent, by extending the ray's orbit ladder.  Parabolic
+    approaches cannot reach the landing point at representable potentials and
+    keep their polished landing.
     """
-    key = (P.coeffs, theta, g_start, substeps)
-    cached = _ray_cache.get(key)
-    if cached is not None:
-        return cached
-    ray = trace_ray(P, theta, g_start, g_land, substeps)
-    landing = landing_point(ray, P)
-    g_cur = g_land
-    for _ in range(6):
-        if not landing.converged:
-            break
-        d1 = abs(complex(ray.points[-1]) - landing.point)
-        if d1 < 1e-6:
-            break
-        d0 = abs(complex(ray.points[-1 - substeps]) - landing.point)
-        if not (0 < d1 < d0):
-            break
-        nu = math.log(d0 / d1) / math.log(P.degree)
-        try:
-            t_req = g_cur * (2e-7 / d1) ** (1.0 / nu)
-        except OverflowError:
-            break
-        if not (1e-280 < t_req < g_cur):
-            break
-        g_cur = t_req
-        ray = trace_ray(P, theta, g_start, g_cur, substeps)
+    def land(lad: _OrbitLadder, keep: int) -> RayPolyline:
+        ray = _ray_on(lad, theta, g_land, keep)
         landing = landing_point(ray, P)
-    out = RayPolyline(ray.angle, ray.points, ray.potentials, landing)
-    _ray_cache[key] = out
-    return out
+        g_cur = g_land
+        for _ in range(6):
+            if not landing.converged:
+                break
+            d1 = abs(complex(ray.points[-1]) - landing.point)
+            if d1 < 1e-6:
+                break
+            d0 = abs(complex(ray.points[-1 - substeps]) - landing.point)
+            if not (0 < d1 < d0):
+                break
+            nu = math.log(d0 / d1) / math.log(P.degree)
+            try:
+                t_req = g_cur * (2e-7 / d1) ** (1.0 / nu)
+            except OverflowError:
+                break
+            if not (1e-280 < t_req < g_cur):
+                break
+            g_cur = t_req
+            ray = _ray_on(lad, theta, g_cur, keep)
+            landing = landing_point(ray, P)
+        return RayPolyline(ray.angle, ray.points, ray.potentials, landing)
+
+    return _on_ladder(P, 0, g_start, substeps, land)
 
 
 def equipotential_polyline(P: Polynomial, g0: float, n: int = 256) -> np.ndarray:
@@ -441,59 +580,23 @@ def trace_spiral(P: Polynomial, base: Angle, sign: int, g_hi: float, g_lo: float
     """Trace the slope-one logarithmic spiral through the angle `base`.
 
     The polynomial maps the spiral through theta onto the spiral through
-    d*theta at d times the potential, so the whole (finite) angle orbit is
-    traced together on one geometric ladder: each new point Newton-solves
-    P(z) = parent, where the parent is the already-computed point one full
-    degree-step up on the image spiral and the seed is the adjacent point on
-    the same spiral.  Carrot sides for periodic and preperiodic cuts are both
+    d*theta at d times the potential, so the angle orbit is traced together
+    on one geometric ladder from g_hi down to the last level above g_lo (see
+    `_OrbitLadder`).  Carrot sides for periodic and preperiodic cuts are both
     instances of this.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    last_exc: Exception | None = None
-    for s in (substeps, 2 * substeps, 4 * substeps):
-        try:
-            return _trace_spiral_family(P, base, sign, g_hi, g_lo, s, substeps)
-        except BranchJump as exc:
-            last_exc = exc
-    raise last_exc  # type: ignore[misc]
-
-
-def _trace_spiral_family(P: Polynomial, base: Angle, sign: int, g_hi: float,
-                         g_lo: float, s: int, keep_every_of: int) -> SpiralArc:
     if g_hi > 1.0:
         raise ValueError("spiral tracing starts below potential 1")
-    d = P.degree
-    _, _, orbit = tuple_orbit(base, d)
-    sigma = [orbit.index(a.times(d)) for a in orbit]
-    r = d ** (-1.0 / s)
-    ladder = [g_hi]
-    while ladder[-1] * r > g_lo * (1.0 + 1e-12):
-        ladder.append(ladder[-1] * r)
-    K = len(ladder)
-    L = len(orbit)
-    pts = [[0j] * K for _ in range(L)]
-    for k, t in enumerate(ladder):
-        for i in range(L):
-            if k == 0:
-                pts[i][k] = bottcher_point(P, t, orbit[i].fraction(), slope=sign)
-                continue
-            seed = pts[i][k - 1]
-            if k >= s:
-                target = pts[sigma[i]][k - s]
-            else:
-                # parents above the ladder top come from the descent evaluator
-                target = bottcher_point(P, t * d, orbit[sigma[i]].fraction(), slope=sign)
-            z = _newton_preimage(P, target, seed)
-            if k >= 2:
-                spacing = abs(pts[i][k - 1] - pts[i][k - 2])
-                floor = 1e-9 * max(1.0, abs(z))
-                if spacing > floor and abs(z - seed) > SAFETY * spacing + floor:
-                    raise BranchJump(
-                        f"spiral step rejected at potential {t:.3e} "
-                        f"(angle {orbit[i]}{'+' if sign > 0 else '-'})")
-            pts[i][k] = z
-    return SpiralArc(base, sign, np.array(pts[0], dtype=complex), np.array(ladder))
+
+    def spiral(lad: _OrbitLadder, keep: int) -> SpiralArc:
+        n = lad.levels_above(g_lo)
+        pts = lad.curve(base, n)[:n:keep]
+        return SpiralArc(base, sign, np.array(pts, dtype=complex),
+                         np.array(lad.potentials[:n:keep]))
+
+    return _on_ladder(P, sign, g_hi, substeps, spiral)
 
 
 def external_angle(P: Polynomial, z: complex, *, g: Optional[float] = None,

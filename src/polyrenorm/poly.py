@@ -45,6 +45,9 @@ class Polynomial:
             if not _finite(c):
                 raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", cs)
+        # derivative coefficients, constant term first; not a dataclass field
+        object.__setattr__(self, "deriv_coeffs",
+                           tuple(k * c for k, c in enumerate(cs))[1:])
 
     @property
     def degree(self) -> int:
@@ -66,7 +69,7 @@ class Polynomial:
         return w
 
     def deriv(self, z):
-        dcs = self._deriv_coeffs()
+        dcs = self.deriv_coeffs
         if isinstance(z, np.ndarray):
             w = np.full_like(z, dcs[-1])
             for c in reversed(dcs[:-1]):
@@ -76,9 +79,6 @@ class Polynomial:
         for c in reversed(dcs[:-1]):
             w = w * z + c
         return w
-
-    def _deriv_coeffs(self) -> tuple[complex, ...]:
-        return tuple(k * c for k, c in enumerate(self.coeffs))[1:]
 
     def iterate(self, z: complex, n: int) -> complex:
         for _ in range(n):
@@ -141,7 +141,7 @@ def critical_points(P: Polynomial) -> list[complex]:
     Companion-matrix roots polished by Newton; multiple roots keep the
     companion value (Newton stalls there but the cluster is already accurate).
     """
-    dcs = P._deriv_coeffs()
+    dcs = P.deriv_coeffs
     arr = np.array(dcs[::-1], dtype=complex)  # highest degree first
     roots = np.roots(arr)
     out = []

@@ -14,14 +14,13 @@ from .carrots import (Carrot, GeometryEstimate, ProtoCarrot, build_carrot,
                       quasi_arc_constant, transversality_gap,
                       transversality_profile, weak_qs_constant)
 from .cuts import (Cut, CutFamily, Wedge, build_cut, build_family,
-                   check_admissible, check_legal, classify_root, wedge_contains)
+                   check_admissible, check_legal, classify_root)
 from .grid import GridSpec, Mask, PixelRaster, load_mask_raw, save_mask_raw
 from .poly import (Cycle, EscapeResult, Polynomial, classify_multiplier,
                    critical_points, escape_time, find_cycles, green_potential)
 from .scene import Scene, figure1_scene, load_scene, scene_from_dict
 from .surgery import (SurgeryMap, VisitReport, build_surgery, degree_dc,
-                      dilatation_report, evaluate_f, nonescaping_mask,
-                      preimage_count_of, visit_count_experiment)
+                      dilatation_report, nonescaping_mask, visit_count_experiment)
 from .verify import ConjugacyReport, conjugacy_report, cycles_in_region
 
 __version__ = "0.1.0"

@@ -84,9 +84,7 @@ def _newton_preimage(P: Polynomial, w: complex, seed: complex,
             return z
     # Newton degenerates when the preimage sits near a critical point; the
     # companion matrix solves the full fiber and the seed picks the branch.
-    arr = np.array(P.coeffs[::-1], dtype=complex)
-    arr[-1] -= w
-    roots = np.roots(arr)
+    roots = P.preimages(w)
     if not np.all(np.isfinite(roots)):
         raise NonConvergence(f"preimage solve failed for target {w:.6g}")
     return complex(roots[int(np.argmin(np.abs(roots - seed)))])
@@ -268,10 +266,6 @@ class RayPolyline:
     points: np.ndarray
     potentials: np.ndarray
     landing: Optional[Landing] = None
-
-    def truncate_at(self, g0: float) -> "RayPolyline":
-        keep = self.potentials <= g0 * (1 + 1e-12)
-        return RayPolyline(self.angle, self.points[keep], self.potentials[keep], self.landing)
 
 
 class _OrbitLadder:

@@ -13,6 +13,7 @@ from .bottcher import SpiralArc, equipotential_arc, trace_spiral
 from .cuts import Cut, CutFamily
 from .errors import CarrotOverlap, InsufficientSamples, NonConvergence, \
     OutsideLinearizationDomain, WrongPullback
+from .grid import crossing_parity
 from .poly import Cycle, Polynomial
 
 SIDE_ROOT_TOL = 1e-6
@@ -129,19 +130,12 @@ class Carrot:
         ])
 
     def contains(self, z: complex) -> bool:
-        from .cuts import _crossing_parity
-        return _crossing_parity(self._poly_cache(), z)
-
-    def contains_many(self, zs: np.ndarray) -> np.ndarray:
-        return np.array([self.contains(z) for z in zs])
+        return crossing_parity(self._poly_cache(), z)
 
     def _poly_cache(self) -> np.ndarray:
         if not hasattr(self, "_poly"):
             self._poly = self.boundary()
         return self._poly
-
-    def angles_at_g0(self) -> tuple[float, float]:
-        return self.arc_lo, self.arc_hi
 
     def side_pair_points(self) -> np.ndarray:
         """The union side_r + root + side_l as one simple arc (root in the middle)."""
@@ -226,7 +220,7 @@ def carrots_disjoint(carrots: Sequence[Carrot], samples: int = 160) -> bool:
             probe = pts[idx]
             # skip shared root contacts
             probe = probe[np.abs(probe - a.cut.root) > 1e-9]
-            if a.contains_many(probe).any():
+            if any(a.contains(z) for z in probe):
                 return False
             if a.contains(_interior_probe(b)):
                 return False
@@ -249,7 +243,7 @@ def koenigs_radius(P: Polynomial, cycle: Cycle) -> float:
     key = (P.coeffs, round(z0.real, 12), round(z0.imag, 12))
     if key in _radius_cache:
         return _radius_cache[key]
-    others = [complex(r) for r in np.roots(_minus_const(P, z0))]
+    others = [complex(r) for r in P.preimages(z0)]
     others = [r for r in others if abs(r - z0) > 1e-9]
     r = 0.5 * min((abs(r - z0) for r in others), default=1.0)
     from .bottcher import _newton_preimage
@@ -271,12 +265,6 @@ def koenigs_radius(P: Polynomial, cycle: Cycle) -> float:
     result = 0.9 * r
     _radius_cache[key] = result
     return result
-
-
-def _minus_const(P: Polynomial, c: complex) -> np.ndarray:
-    arr = np.array(P.coeffs[::-1], dtype=complex)
-    arr[-1] -= c
-    return arr
 
 
 def _shifted_coeffs(P: Polynomial, z0: complex) -> list[complex]:

@@ -13,15 +13,21 @@ from typing import Optional
 
 from . import render
 from .angles import Angle
-from .avoiding import compare_masks, connected_components, escape_analysis
-from .bottcher import land_ray
-from .carrots import build_carrots, carrot_geometry
-from .cuts import build_family, check_admissible, check_legal, FamilyReport
+from .avoiding import EscapeAnalysis, compare_masks, connected_components, escape_analysis
+from .bottcher import RayPolyline, land_ray
+from .carrots import Carrot, build_carrots, carrot_geometry
+from .cuts import CutFamily, build_family, check_admissible, check_legal
 from .errors import RenormError, SceneError
-from .grid import GridSpec, PixelRaster, save_mask_raw
+from .grid import GridSpec, Mask, PixelRaster, save_mask_raw
+from .poly import Polynomial
 from .scene import Scene, figure1_scene, load_scene
 from .surgery import build_surgery, dilatation_report, nonescaping_mask, visit_count_experiment
-from .verify import conjugacy_report
+from .verify import ConjugacyReport, conjugacy_report
+
+# (name, ok, detail): one checked statement of a stage
+Verdict = tuple[str, bool, str]
+# conjugacy evidence covers cycles up to this period unless asked otherwise
+MAX_PERIOD = 3
 
 
 def _resolve_threads(value: Optional[int]) -> int:
@@ -52,13 +58,127 @@ def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-def _report_rows(report: FamilyReport) -> list[list]:
-    return [[r.check, r.subject, "PASS" if r.ok else "FAIL", r.detail] for r in report.rows]
-
-
 def _family_from_scene(scene: Scene):
     return build_family(scene.polynomial, scene.cuts, g0=scene.g0)
 
+
+def _pass(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _finish(verdicts: list[Verdict]) -> int:
+    """Print one line per verdict; exit code 0 when all pass, else 2."""
+    for name, ok, detail in verdicts:
+        print(f"[{_pass(ok)}] {name}: {detail}")
+    return 0 if all(ok for _, ok, _ in verdicts) else 2
+
+
+# Stage writers: each writes its artifacts into `out` and returns its verdicts.
+
+def _write_rays(out: str, rays: list[RayPolyline]) -> list[Verdict]:
+    rows = [[ray.angle.num, ray.angle.den, repr(float(t)),
+             repr(float(z.real)), repr(float(z.imag))]
+            for ray in rays for t, z in zip(ray.potentials, ray.points)]
+    _write_rows(os.path.join(out, "rays.csv"),
+                ["angle_num", "angle_den", "potential", "re", "im"], rows)
+    return [(f"ray {ray.angle}", ray.landing.converged,
+             f"{'lands' if ray.landing.converged else 'does not certifiably land'} "
+             f"at {ray.landing.point:.9g} ({ray.landing.method})") for ray in rays]
+
+
+def _write_checks(out: str, P: Polynomial, family: CutFamily) -> list[Verdict]:
+    reports = {"admissible": check_admissible(P, family),
+               "legal": check_legal(P, family)}
+    _write_rows(os.path.join(out, "checks.csv"),
+                ["check", "subject", "verdict", "detail"],
+                [[r.check, r.subject, _pass(r.ok), r.detail]
+                 for rep in reports.values() for r in rep.rows])
+    return [(name, rep.ok, f"{len(rep.rows)} checks"
+             + "".join(f"; {r.check} {r.subject} failed" for r in rep.failures()))
+            for name, rep in reports.items()]
+
+
+def _write_avoiding(out: str, res: EscapeAnalysis) -> list[Verdict]:
+    save_mask_raw(res.avoiding, os.path.join(out, "avoiding_mask.raw"))
+    comp = connected_components(res.avoiding)
+    subset = bool((res.avoiding.bits <= res.kp.bits).all()
+                  and res.avoiding.count() < res.kp.count())
+    return [("avoiding-strict-subset", subset,
+             f"{res.avoiding.count()} of {res.kp.count()} pixels"),
+            ("avoiding-connected", comp.count == 1,
+             f"{comp.count} component(s) after closing")]
+
+
+def _write_geometry(out: str, P: Polynomial, carrots: list[Carrot]) -> list[Verdict]:
+    rows = []
+    for i, c in enumerate(carrots):
+        est = carrot_geometry(P, c)
+        rows.append([i, str(c.cut.theta_r), str(c.cut.theta_l),
+                     repr(est.quasi_arc_C), repr(est.transversality_gap),
+                     repr(est.weak_qs_kappa), est.sample_count])
+    _write_rows(os.path.join(out, "geometry.csv"),
+                ["carrot", "theta_r", "theta_l", "quasi_arc_C",
+                 "transversality_gap", "weak_qs_kappa", "samples"], rows)
+    return []  # sampled estimates, not verdicts
+
+
+def _write_surgery(out: str, scene: Scene, family: CutFamily, avoiding: Mask,
+                   n_seeds: int, threads: int) -> list[Verdict]:
+    """Build the surgery and compare its non-escaping mask with `avoiding`,
+    on the grid of `avoiding`."""
+    try:
+        S = build_surgery(scene.polynomial, family, scene.rho)
+    except RenormError as exc:
+        return [("surgery-degree", False, str(exc))]
+    visits = visit_count_experiment(S, n_seeds, scene.max_iter,
+                                    window=scene.grid, seed=scene.seed)
+    fmask = nonescaping_mask(S, avoiding.grid, scene.max_iter, threads=threads)
+    cmp_ = compare_masks(fmask, avoiding, band=2)
+    dil = dilatation_report(S, n=32)
+    save_mask_raw(fmask, os.path.join(out, "nonescaping_mask.raw"))
+    render.write_ppm(os.path.join(out, "nonescaping.ppm"), render.render_mask(fmask))
+    _write_rows(os.path.join(out, "surgery.csv"), ["key", "value"], [
+        ["degree", S.P.degree],
+        ["degree_dc", S.d_c],
+        ["t_cr", visits.t_cr],
+        ["t0", S.cap.T0],
+        ["max_visits_critical", visits.max_visits_crit],
+        ["max_visits_blend", visits.max_visits_blend],
+        ["max_visits_total", visits.max_visits_total],
+        ["rng_seed", visits.seed],
+        ["side_agreement_max", repr(S.side_agreement_max)],
+        ["continuity_max_gap", repr(S.continuity_max_gap)],
+        ["dilatation_max", repr(dil.max_ratio)],
+        ["dilatation_flagged", dil.flagged],
+        ["mask_agreement", repr(cmp_.agreement)],
+        ["mask_agreement_outside_band", repr(cmp_.agreement_outside_band)],
+    ])
+    return [("surgery-degree", True, f"d_c = {S.d_c} by formula and preimage count"),
+            ("visit-bound", visits.within_bounds,
+             f"max critical-carrot visits {visits.max_visits_crit} <= T_cr = {visits.t_cr}"),
+            ("nonescaping-agreement", cmp_.agreement_outside_band >= 0.97,
+             f"{cmp_.agreement_outside_band:.4f} outside 2-pixel band")]
+
+
+def _write_conjugacy(out: str, rep: ConjugacyReport) -> list[Verdict]:
+    _write_rows(os.path.join(out, "conjugacy.csv"),
+                ["period", "count_restricted", "count_candidate",
+                 "counts", "multipliers", "nonrep_restricted", "nonrep_candidate"],
+                [[r.period, r.count_restricted, r.count_candidate,
+                  _pass(r.counts_match), _pass(r.multipliers_match),
+                  ";".join(f"{m:.9g}" for m in r.nonrep_restricted),
+                  ";".join(f"{m:.9g}" for m in r.nonrep_candidate)]
+                 for r in rep.rows])
+    return [("conjugacy", rep.verdict, "cycle counts and non-repelling multipliers match")]
+
+
+def _conjugacy(scene: Scene, family: CutFamily, max_period: int) -> ConjugacyReport:
+    if scene.candidate_q is None:
+        raise SceneError("candidate_q", "missing; conjugacy evidence needs a candidate polynomial")
+    return conjugacy_report(scene.polynomial, family, scene.candidate_q, max_period)
+
+
+# Subcommands
 
 def cmd_julia(args) -> int:
     scene = _load(args)
@@ -77,139 +197,59 @@ def cmd_julia(args) -> int:
 
 def cmd_ray(args) -> int:
     scene = _load(args)
-    P = scene.polynomial
     angles = [Angle.parse(a) for a in args.angle] or [tr for tr, _ in scene.cuts]
-    rows = []
-    ok = True
-    for theta in angles:
-        ray = land_ray(P, theta, g_start=scene.g_start)
-        for t, z in zip(ray.potentials, ray.points):
-            rows.append([theta.num, theta.den, repr(float(t)),
-                         repr(float(z.real)), repr(float(z.imag))])
-        stat = "lands" if ray.landing.converged else "does not certifiably land"
-        print(f"ray {theta}: {stat} at {ray.landing.point:.9g} ({ray.landing.method})")
-        ok = ok and ray.landing.converged
+    rays = [land_ray(scene.polynomial, theta, g_start=scene.g_start) for theta in angles]
     os.makedirs(args.out, exist_ok=True)
-    _write_rows(os.path.join(args.out, "rays.csv"),
-                ["angle_num", "angle_den", "potential", "re", "im"], rows)
-    return 0 if ok else 2
+    verdicts = _write_rays(args.out, rays)
+    for name, _, detail in verdicts:
+        print(f"{name}: {detail}")
+    return 0 if all(ok for _, ok, _ in verdicts) else 2
 
 
 def cmd_cuts_check(args) -> int:
     scene = _load(args)
     family = _family_from_scene(scene)
-    adm = check_admissible(scene.polynomial, family)
-    leg = check_legal(scene.polynomial, family)
     os.makedirs(args.out, exist_ok=True)
-    _write_rows(os.path.join(args.out, "checks.csv"),
-                ["check", "subject", "verdict", "detail"],
-                _report_rows(adm) + _report_rows(leg))
-    for r in adm.rows + leg.rows:
-        print(f"[{'PASS' if r.ok else 'FAIL'}] {r.check} {r.subject}: {r.detail}")
-    return 0 if adm.ok and leg.ok else 2
+    return _finish(_write_checks(args.out, scene.polynomial, family))
 
 
 def cmd_avoid(args) -> int:
     scene = _load(args)
-    threads = _resolve_threads(args.threads)
     family = _family_from_scene(scene)
     res = escape_analysis(scene.polynomial, family, scene.grid, scene.max_iter,
-                          threads=threads, supersample=args.supersample)
-    comp = connected_components(res.avoiding)
+                          threads=_resolve_threads(args.threads),
+                          supersample=args.supersample)
     os.makedirs(args.out, exist_ok=True)
     render.write_ppm(os.path.join(args.out, "avoiding.ppm"),
                      render.render_scene_image(res.kp, res.avoiding, res.esc_steps))
-    save_mask_raw(res.avoiding, os.path.join(args.out, "avoiding_mask.raw"))
-    strict_subset = (res.avoiding.bits <= res.kp.bits).all() \
-        and res.avoiding.count() < res.kp.count()
-    print(f"avoiding set: {res.avoiding.count()} pixels "
-          f"(filled set {res.kp.count()}), {comp.count} component(s) after closing")
-    return 0 if comp.count == 1 and strict_subset else 2
+    return _finish(_write_avoiding(args.out, res))
 
 
 def cmd_carrot(args) -> int:
     scene = _load(args)
-    family = _family_from_scene(scene)
-    carrots = build_carrots(scene.polynomial, family, scene.rho)
+    carrots = build_carrots(scene.polynomial, _family_from_scene(scene), scene.rho)
     os.makedirs(args.out, exist_ok=True)
-    brows, grows = [], []
-    for i, c in enumerate(carrots):
-        for z in c.boundary():
-            brows.append([i, repr(float(z.real)), repr(float(z.imag))])
-        est = carrot_geometry(scene.polynomial, c)
-        grows.append([i, str(c.cut.theta_r), str(c.cut.theta_l),
-                      repr(est.quasi_arc_C), repr(est.transversality_gap),
-                      repr(est.weak_qs_kappa), est.sample_count])
-        print(f"carrot {i} ({c.cut.theta_r},{c.cut.theta_l}): "
-              f"C={est.quasi_arc_C:.4g} gap={est.transversality_gap:.4g} "
-              f"kappa={est.weak_qs_kappa:.4g}")
-    _write_rows(os.path.join(args.out, "carrot_boundaries.csv"),
-                ["carrot", "re", "im"], brows)
-    _write_rows(os.path.join(args.out, "geometry.csv"),
-                ["carrot", "theta_r", "theta_l", "quasi_arc_C",
-                 "transversality_gap", "weak_qs_kappa", "samples"], grows)
-    return 0
+    _write_rows(os.path.join(args.out, "carrot_boundaries.csv"), ["carrot", "re", "im"],
+                [[i, repr(float(z.real)), repr(float(z.imag))]
+                 for i, c in enumerate(carrots) for z in c.boundary()])
+    return _finish(_write_geometry(args.out, scene.polynomial, carrots))
 
 
 def cmd_surgery(args) -> int:
     scene = _load(args)
     threads = _resolve_threads(args.threads)
     family = _family_from_scene(scene)
-    S = build_surgery(scene.polynomial, family, scene.rho)
-    visits = visit_count_experiment(S, args.seeds, scene.max_iter,
-                                    window=scene.grid, seed=scene.seed)
-    res = escape_analysis(scene.polynomial, family, scene.grid, scene.max_iter,
-                          threads=threads)
-    fmask = nonescaping_mask(S, scene.grid, scene.max_iter, threads=threads)
-    cmp_ = compare_masks(fmask, res.avoiding, band=2)
-    dil = dilatation_report(S, n=32)
+    avoiding = escape_analysis(scene.polynomial, family, scene.grid, scene.max_iter,
+                               threads=threads).avoiding
     os.makedirs(args.out, exist_ok=True)
-    save_mask_raw(fmask, os.path.join(args.out, "nonescaping_mask.raw"))
-    render.write_ppm(os.path.join(args.out, "nonescaping.ppm"), render.render_mask(fmask))
-    rows = [
-        ["degree", S.P.degree],
-        ["degree_dc", S.d_c],
-        ["t_cr", visits.t_cr],
-        ["t0", S.cap.T0],
-        ["max_visits_critical", visits.max_visits_crit],
-        ["max_visits_blend", visits.max_visits_blend],
-        ["max_visits_total", visits.max_visits_total],
-        ["rng_seed", visits.seed],
-        ["side_agreement_max", repr(S.side_agreement_max)],
-        ["continuity_max_gap", repr(S.continuity_max_gap)],
-        ["dilatation_max", repr(dil.max_ratio)],
-        ["dilatation_flagged", dil.flagged],
-        ["mask_agreement", repr(cmp_.agreement)],
-        ["mask_agreement_outside_band", repr(cmp_.agreement_outside_band)],
-    ]
-    _write_rows(os.path.join(args.out, "surgery.csv"), ["key", "value"], rows)
-    for k, v in rows:
-        print(f"{k}: {v}")
-    ok = visits.within_bounds and cmp_.agreement_outside_band >= 0.97
-    return 0 if ok else 2
+    return _finish(_write_surgery(args.out, scene, family, avoiding, args.seeds, threads))
 
 
 def cmd_verify(args) -> int:
     scene = _load(args)
-    if scene.candidate_q is None:
-        print("scene has no candidate_q polynomial", file=sys.stderr)
-        return 1
-    family = _family_from_scene(scene)
-    rep = conjugacy_report(scene.polynomial, family, scene.candidate_q,
-                           args.max_period)
+    rep = _conjugacy(scene, _family_from_scene(scene), args.max_period)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for r in rep.rows:
-        rows.append([r.period, r.count_restricted, r.count_candidate,
-                     "PASS" if r.counts_match else "FAIL",
-                     "PASS" if r.multipliers_match else "FAIL",
-                     ";".join(f"{m:.9g}" for m in r.nonrep_restricted),
-                     ";".join(f"{m:.9g}" for m in r.nonrep_candidate)])
-    _write_rows(os.path.join(args.out, "conjugacy.csv"),
-                ["period", "count_restricted", "count_candidate",
-                 "counts", "multipliers", "nonrep_restricted", "nonrep_candidate"],
-                rows)
-    lines = [f"conjugacy evidence: {'PASS' if rep.verdict else 'FAIL'} "
+    lines = [f"conjugacy evidence: {_pass(rep.verdict)} "
              f"(candidate degree {rep.degree}, {len(rep.ambiguous)} ambiguous cycle(s))"]
     for r in rep.rows:
         lines.append(
@@ -219,130 +259,48 @@ def cmd_verify(args) -> int:
             f"non-repelling multipliers {'ok' if r.multipliers_match else 'MISMATCH'}]")
     with open(os.path.join(args.out, "conjugacy.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(lines[0])
-    return 0 if rep.verdict else 2
+    return _finish(_write_conjugacy(args.out, rep))
 
 
 def cmd_figure1(args) -> int:
-    scene = figure1_scene(resolution=args.resolution or 1024,
-                          max_iter=args.max_iter or 512)
+    """Every stage writer on one scene, plus the composite image and summary.
+
+    The surgery's mask comparison runs on a grid capped at 512 pixels.
+    """
+    scene = _load(args)
     threads = _resolve_threads(args.threads)
     P = scene.polynomial
-    os.makedirs(args.out, exist_ok=True)
-    verdicts: list[tuple[str, bool, str]] = []
-
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     family = _family_from_scene(scene)
-    adm = check_admissible(P, family)
-    leg = check_legal(P, family)
-    verdicts.append(("admissible", adm.ok, f"{len(adm.rows)} checks"))
-    verdicts.append(("legal", leg.ok, f"{len(leg.rows)} checks"))
-    _write_rows(os.path.join(args.out, "checks.csv"),
-                ["check", "subject", "verdict", "detail"],
-                _report_rows(adm) + _report_rows(leg))
-
-    ray_rows = []
-    for cut in family.cuts:
-        for ray in ((cut.ray_r,) if cut.degenerate else (cut.ray_r, cut.ray_l)):
-            for t, z in zip(ray.potentials, ray.points):
-                ray_rows.append([ray.angle.num, ray.angle.den, repr(float(t)),
-                                 repr(float(z.real)), repr(float(z.imag))])
-    _write_rows(os.path.join(args.out, "rays.csv"),
-                ["angle_num", "angle_den", "potential", "re", "im"], ray_rows)
-
+    verdicts = _write_checks(out, P, family)
+    rays = [ray for cut in family.cuts
+            for ray in ((cut.ray_r,) if cut.degenerate else (cut.ray_r, cut.ray_l))]
+    _write_rays(out, rays)  # all pass: build_cut raises for a ray that does not land
     res = escape_analysis(P, family, scene.grid, scene.max_iter,
                           threads=threads, supersample=args.supersample)
-    comp = connected_components(res.avoiding)
-    subset = bool((res.avoiding.bits <= res.kp.bits).all()
-                  and res.avoiding.count() < res.kp.count())
-    verdicts.append(("avoiding-strict-subset", subset,
-                     f"{res.avoiding.count()} of {res.kp.count()} pixels"))
-    verdicts.append(("avoiding-connected", comp.count == 1,
-                     f"{comp.count} component(s) after closing"))
-
+    verdicts += _write_avoiding(out, res)
     carrots = build_carrots(P, family, scene.rho)
-    grows = []
-    for i, c in enumerate(carrots):
-        est = carrot_geometry(P, c)
-        grows.append([i, str(c.cut.theta_r), str(c.cut.theta_l),
-                      repr(est.quasi_arc_C), repr(est.transversality_gap),
-                      repr(est.weak_qs_kappa), est.sample_count])
-    _write_rows(os.path.join(args.out, "geometry.csv"),
-                ["carrot", "theta_r", "theta_l", "quasi_arc_C",
-                 "transversality_gap", "weak_qs_kappa", "samples"], grows)
-
-    try:
-        S = build_surgery(P, family, scene.rho)
-        verdicts.append(("surgery-degree",
-                         True, f"d_c = {S.d_c} by formula and preimage count"))
-    except RenormError as exc:
-        verdicts.append(("surgery-degree", False, str(exc)))
-        S = None
-    if S is not None:
-        visits = visit_count_experiment(S, args.seeds, 512, window=scene.grid,
-                                        seed=scene.seed)
-        verdicts.append(("visit-bound", visits.within_bounds,
-                         f"max critical-carrot visits {visits.max_visits_crit} "
-                         f"<= T_cr = {visits.t_cr}"))
-        fres = min(scene.grid.resolution, 512)
-        fgrid = GridSpec(scene.grid.center, scene.grid.width, fres)
-        if fres == scene.grid.resolution:
-            a512 = res.avoiding
-        else:
-            a512 = escape_analysis(P, family, fgrid, scene.max_iter,
-                                   threads=threads).avoiding
-        fmask = nonescaping_mask(S, fgrid, scene.max_iter, threads=threads)
-        cmp_ = compare_masks(fmask, a512, band=2)
-        verdicts.append(("nonescaping-agreement",
-                         cmp_.agreement_outside_band >= 0.97,
-                         f"{cmp_.agreement_outside_band:.4f} outside 2-pixel band"))
-        dil = dilatation_report(S, n=32)
-        _write_rows(os.path.join(args.out, "surgery.csv"), ["key", "value"], [
-            ["degree", P.degree], ["degree_dc", S.d_c],
-            ["t_cr", visits.t_cr], ["t0", S.cap.T0],
-            ["max_visits_critical", visits.max_visits_crit],
-            ["max_visits_blend", visits.max_visits_blend],
-            ["rng_seed", visits.seed],
-            ["side_agreement_max", repr(S.side_agreement_max)],
-            ["continuity_max_gap", repr(S.continuity_max_gap)],
-            ["dilatation_max", repr(dil.max_ratio)],
-            ["mask_agreement_outside_band", repr(cmp_.agreement_outside_band)],
-        ])
-        save_mask_raw(fmask, os.path.join(args.out, "nonescaping_mask.raw"))
-
-    rep = conjugacy_report(P, family, scene.candidate_q, 3)
-    verdicts.append(("conjugacy", rep.verdict,
-                     "cycle counts and non-repelling multipliers match"))
-    _write_rows(os.path.join(args.out, "conjugacy.csv"),
-                ["period", "count_restricted", "count_candidate",
-                 "counts", "multipliers", "nonrep_restricted", "nonrep_candidate"],
-                [[r.period, r.count_restricted, r.count_candidate,
-                  "PASS" if r.counts_match else "FAIL",
-                  "PASS" if r.multipliers_match else "FAIL",
-                  ";".join(f"{m:.9g}" for m in r.nonrep_restricted),
-                  ";".join(f"{m:.9g}" for m in r.nonrep_candidate)]
-                 for r in rep.rows])
+    verdicts += _write_geometry(out, P, carrots)
+    fgrid = GridSpec(scene.grid.center, scene.grid.width, min(scene.grid.resolution, 512))
+    avoiding = res.avoiding if fgrid == scene.grid else \
+        escape_analysis(P, family, fgrid, scene.max_iter, threads=threads).avoiding
+    verdicts += _write_surgery(out, scene, family, avoiding, args.seeds, threads)
+    verdicts += _write_conjugacy(out, _conjugacy(scene, family, MAX_PERIOD))
 
     wedges = PixelRaster(scene.grid)
     for w in family.wedges:
         if w.boundary is not None:
             wedges.add_polygon(w.boundary)
     img = render.render_scene_image(res.kp, res.avoiding, res.esc_steps, wedges.bits)
-    for cut in family.cuts:
-        render.draw_polyline(img, scene.grid, cut.ray_r.points, render.COLOR_RAY)
-        if not cut.degenerate:
-            render.draw_polyline(img, scene.grid, cut.ray_l.points, render.COLOR_RAY)
+    for ray in rays:
+        render.draw_polyline(img, scene.grid, ray.points, render.COLOR_RAY)
     for c in carrots:
         render.draw_polyline(img, scene.grid, c.boundary(), render.COLOR_CARROT)
-    render.write_ppm(os.path.join(args.out, "figure1.ppm"), img)
-    save_mask_raw(res.avoiding, os.path.join(args.out, "avoiding_mask.raw"))
-
-    lines = []
-    for name, ok, detail in verdicts:
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-        print(lines[-1])
-    with open(os.path.join(args.out, "summary.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return 0 if all(ok for _, ok, _ in verdicts) else 2
+    render.write_ppm(os.path.join(out, "figure1.ppm"), img)
+    with open(os.path.join(out, "summary.txt"), "w") as fh:
+        fh.write("".join(f"[{_pass(ok)}] {name}: {detail}\n" for name, ok, detail in verdicts))
+    return _finish(verdicts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,10 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="conjugacy evidence against candidate_q")
     common(sp)
-    sp.add_argument("--max-period", type=int, default=3, dest="max_period")
+    sp.add_argument("--max-period", type=int, default=MAX_PERIOD, dest="max_period")
     sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("figure1", help="end-to-end pipeline on the built-in scene")
+    sp = sub.add_parser("figure1", help="every stage on one scene (default: built-in)")
     common(sp, scene_required=False)
     sp.add_argument("--seeds", type=int, default=10000)
     sp.set_defaults(fn=cmd_figure1)

@@ -12,7 +12,9 @@ import numpy as np
 from .angles import Angle, angle_in_arc, tuple_orbit
 from .bottcher import RayPolyline, equipotential_arc, external_angle, land_ray
 from .errors import NoColanding, RayNotConverged
-from .poly import Cycle, Polynomial, critical_points, find_cycles, green_potential
+from .grid import crossing_parity, distance_to_polyline
+from .poly import (Cycle, Polynomial, critical_points, find_cycles, green_potential,
+                   unity_order)
 
 COLAND_TOL = 1e-5
 ROOT_MATCH_TOL = 1e-6
@@ -108,15 +110,9 @@ class Wedge:
             theta = external_angle(self.P, z, g=g)
             return angle_in_arc(theta, self.cut.theta_r.as_float(),
                                 self.cut.theta_l.as_float(), margin=1e-9)
-        if not _crossing_parity(self.boundary, z):
+        if not crossing_parity(self.boundary, z):
             return False
-        return _distance_to_polyline(self.boundary, z) > BOUNDARY_EPS
-
-    def contains_many(self, zs: np.ndarray) -> np.ndarray:
-        """Vectorized membership for bounded points (no angle fallback)."""
-        if self.boundary is None:
-            return np.zeros(len(zs), dtype=bool)
-        return np.array([self.contains(z) for z in zs])
+        return distance_to_polyline(self.boundary, z) > BOUNDARY_EPS
 
 
 def _ray_with_potential_point(P: Polynomial, ray: RayPolyline, g0: float) -> RayPolyline:
@@ -129,33 +125,6 @@ def _ray_with_potential_point(P: Polynomial, ray: RayPolyline, g0: float) -> Ray
     top = bottcher_point(P, g0, ray.angle)
     return RayPolyline(ray.angle, np.concatenate([[top], pts]),
                        np.concatenate([[g0], pot]), ray.landing)
-
-
-def _crossing_parity(poly: np.ndarray, z: complex) -> bool:
-    x, y = z.real, z.imag
-    xs, ys = poly.real, poly.imag
-    x0, y0 = xs[:-1], ys[:-1]
-    x1, y1 = xs[1:], ys[1:]
-    hit = (y0 <= y) != (y1 <= y)
-    if not hit.any():
-        return False
-    xcross = x0[hit] + (y - y0[hit]) * (x1[hit] - x0[hit]) / (y1[hit] - y0[hit])
-    return bool(np.count_nonzero(xcross > x) % 2)
-
-
-def _distance_to_polyline(poly: np.ndarray, z: complex) -> float:
-    a = poly[:-1]
-    b = poly[1:]
-    ab = b - a
-    denom = np.abs(ab) ** 2
-    denom[denom == 0] = 1.0
-    t = np.clip(((z - a) * np.conj(ab)).real / denom, 0.0, 1.0)
-    proj = a + t * ab
-    return float(np.abs(proj - z).min())
-
-
-def wedge_contains(w: Wedge, z: complex) -> bool:
-    return w.contains(z)
 
 
 @dataclass(frozen=True)
@@ -280,7 +249,7 @@ def _attracting_directions(P: Polynomial, cyc: Cycle, a: complex) -> Optional[li
     probe radii; k integer within 0.2 is required, otherwise None.
     """
     lam = cyc.multiplier
-    q = _root_of_unity_order(lam)
+    q = unity_order(lam)
     if q is None:
         return None
     m = cyc.period * q
@@ -312,13 +281,6 @@ def _attracting_directions(P: Polynomial, cyc: Cycle, a: complex) -> Optional[li
         return None
     base = (math.pi - np.angle(C)) / k
     return [np.exp(1j * (base + 2 * math.pi * j / k)) for j in range(k)]
-
-
-def _root_of_unity_order(lam: complex) -> Optional[int]:
-    for q in range(1, 65):
-        if abs(lam**q - 1) < 1e-4:
-            return q
-    return None
 
 
 @dataclass

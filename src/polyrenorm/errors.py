@@ -20,10 +20,6 @@ class BranchJump(RenormError):
         self.partial = partial
 
 
-class NotConverged(RenormError):
-    """A ray tail oscillates; no landing point can be certified."""
-
-
 class NoColanding(RenormError):
     """The two rays of a prospective cut land at distinct points."""
 

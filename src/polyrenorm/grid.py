@@ -140,6 +140,31 @@ def fill_polygon(bits: np.ndarray, grid: GridSpec, polygon: np.ndarray) -> None:
             bits[i, max(ja, 0):min(jb, n - 1) + 1] = True
 
 
+def crossing_parity(poly: np.ndarray, z: complex) -> bool:
+    """Even-odd test: whether z lies inside the closed polygon `poly`."""
+    x, y = z.real, z.imag
+    xs, ys = poly.real, poly.imag
+    x0, y0 = xs[:-1], ys[:-1]
+    x1, y1 = xs[1:], ys[1:]
+    hit = (y0 <= y) != (y1 <= y)
+    if not hit.any():
+        return False
+    xcross = x0[hit] + (y - y0[hit]) * (x1[hit] - x0[hit]) / (y1[hit] - y0[hit])
+    return bool(np.count_nonzero(xcross > x) % 2)
+
+
+def distance_to_polyline(poly: np.ndarray, z: complex) -> float:
+    """Distance from z to the nearest segment of the polyline `poly`."""
+    a = poly[:-1]
+    b = poly[1:]
+    ab = b - a
+    denom = np.abs(ab) ** 2
+    denom[denom == 0] = 1.0
+    t = np.clip(((z - a) * np.conj(ab)).real / denom, 0.0, 1.0)
+    proj = a + t * ab
+    return float(np.abs(proj - z).min())
+
+
 @dataclass
 class PixelRaster:
     """Shared lookup raster; points outside the window read False."""
@@ -163,9 +188,6 @@ class PixelRaster:
         if ok.any():
             out[ok] = self.bits[i[ok], j[ok]]
         return out
-
-    def lookup_scalar(self, z: complex) -> bool:
-        return bool(self.lookup(np.array([z]))[0])
 
 
 def estimate_bounded_box(P, resolution: int = 160, max_iter: int = 96,

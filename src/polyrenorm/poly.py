@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -93,12 +93,11 @@ class Polynomial:
             z = self(z)
         return z, dz
 
-    def to_json_coeffs(self) -> list[list[float]]:
-        return [[c.real, c.imag] for c in self.coeffs]
-
-    @classmethod
-    def from_json_coeffs(cls, data: Sequence[Sequence[float]]) -> "Polynomial":
-        return cls(tuple(complex(re, im) for re, im in data))
+    def preimages(self, w: complex) -> np.ndarray:
+        """All d solutions of P(z) = w, as companion-matrix roots."""
+        arr = np.array(self.coeffs[::-1], dtype=complex)
+        arr[-1] -= w
+        return np.roots(arr)
 
 
 class EscapeResult(NamedTuple):
@@ -180,19 +179,23 @@ class Cycle:
         return any(abs(z - p) <= tol for p in self.points)
 
 
+def unity_order(lam: complex) -> Optional[int]:
+    """The least order q <= MAX_UNITY_ORDER of a root of unity within
+    KIND_TOL of lam, or None."""
+    arg = cmath.phase(lam) / (2 * math.pi)
+    for q in range(1, MAX_UNITY_ORDER + 1):
+        if abs(lam - cmath.exp(2j * math.pi * round(arg * q) / q)) < KIND_TOL:
+            return q
+    return None
+
+
 def classify_multiplier(lam: complex) -> str:
     m = abs(lam)
     if m < 1.0 - KIND_TOL:
         return "attracting"
     if m > 1.0 + KIND_TOL:
         return "repelling"
-    arg = cmath.phase(lam) / (2 * math.pi)
-    for q in range(1, MAX_UNITY_ORDER + 1):
-        p = round(arg * q)
-        root = cmath.exp(2j * math.pi * p / q)
-        if abs(lam - root) < KIND_TOL:
-            return "parabolic"
-    return "neutral-irrational"
+    return "neutral-irrational" if unity_order(lam) is None else "parabolic"
 
 
 def _compose_coeffs(P: Polynomial, n: int) -> np.ndarray:

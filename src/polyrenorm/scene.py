@@ -10,7 +10,7 @@ from typing import Any, Optional
 from .angles import Angle
 from .errors import SceneError
 from .grid import GridSpec
-from .poly import Polynomial
+from .poly import MONIC_TOL, Polynomial
 
 DEFAULT_RHO = math.exp(-0.125)  # outer equipotential at potential 1/8
 DEFAULT_SEED = 0x5EEDC0DE
@@ -26,8 +26,6 @@ class Scene:
     rho: float
     candidate_q: Optional[Polynomial] = None
     seed: int = DEFAULT_SEED
-    palette: str = "figure"
-    substeps: int = 8
     g_start: float = 2.0
 
     @property
@@ -40,20 +38,37 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise SceneError(path, msg)
 
 
+def _number(v: Any, path: str, msg: str = "expected a finite number") -> float:
+    """A finite JSON number; booleans, NaN and infinities are rejected."""
+    _expect(isinstance(v, (int, float)) and not isinstance(v, bool), path, msg)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    _expect(math.isfinite(x), path, msg)
+    return x
+
+
+def _integer(v: Any, path: str, lo: int, msg: str) -> int:
+    _expect(isinstance(v, int) and not isinstance(v, bool) and v >= lo, path, msg)
+    return v
+
+
+def _pair(v: Any, path: str) -> complex:
+    _expect(isinstance(v, list) and len(v) == 2, path, "expected [re, im]")
+    return complex(_number(v[0], path, "expected [re, im]"),
+                   _number(v[1], path, "expected [re, im]"))
+
+
 def _parse_poly(data: Any, path: str) -> Polynomial:
     _expect(isinstance(data, dict), path, "expected an object")
     coeffs = data.get("coeffs")
     _expect(isinstance(coeffs, list) and len(coeffs) >= 3, f"{path}.coeffs",
             "expected a list of at least 3 [re, im] pairs (degree >= 2)")
-    for k, c in enumerate(coeffs):
-        _expect(isinstance(c, list) and len(c) == 2
-                and all(isinstance(v, (int, float)) for v in c),
-                f"{path}.coeffs[{k}]", "expected [re, im]")
-    lead = coeffs[-1]
-    _expect(abs(lead[0] - 1.0) < 1e-12 and abs(lead[1]) < 1e-12,
-            f"{path}.coeffs[{len(coeffs) - 1}]",
+    cs = [_pair(c, f"{path}.coeffs[{k}]") for k, c in enumerate(coeffs)]
+    _expect(abs(cs[-1] - 1.0) <= MONIC_TOL, f"{path}.coeffs[{len(cs) - 1}]",
             "leading coefficient must be [1, 0] (monic)")
-    return Polynomial.from_json_coeffs(coeffs)
+    return Polynomial(tuple(cs))
 
 
 def _parse_angle(text: Any, path: str) -> Angle:
@@ -79,43 +94,33 @@ def scene_from_dict(data: dict, base: str = "scene") -> Scene:
 
     g = data.get("grid")
     _expect(isinstance(g, dict), f"{base}.grid", "expected an object")
-    center = g.get("center")
-    _expect(isinstance(center, list) and len(center) == 2,
-            f"{base}.grid.center", "expected [re, im]")
-    width = g.get("width")
-    _expect(isinstance(width, (int, float)) and width > 0,
-            f"{base}.grid.width", "expected a positive number")
-    res = g.get("resolution")
-    _expect(isinstance(res, int) and res >= 16,
-            f"{base}.grid.resolution", "expected an integer >= 16")
-    grid = GridSpec(complex(center[0], center[1]), float(width), res)
+    center = _pair(g.get("center"), f"{base}.grid.center")
+    width = _number(g.get("width"), f"{base}.grid.width", "expected a positive number")
+    _expect(width > 0, f"{base}.grid.width", "expected a positive number")
+    res = _integer(g.get("resolution"), f"{base}.grid.resolution", 16,
+                   "expected an integer >= 16")
+    grid = GridSpec(center, width, res)
 
-    max_iter = data.get("max_iter", 512)
-    _expect(isinstance(max_iter, int) and max_iter >= 1,
-            f"{base}.max_iter", "expected a positive integer")
-    rho = data.get("rho", DEFAULT_RHO)
-    _expect(isinstance(rho, (int, float)) and 0 < rho < 1,
-            f"{base}.rho", "expected a number in (0, 1)")
+    max_iter = _integer(data.get("max_iter", 512), f"{base}.max_iter", 1,
+                        "expected a positive integer")
+    rho = _number(data.get("rho", DEFAULT_RHO), f"{base}.rho", "expected a number in (0, 1)")
+    _expect(0 < rho < 1, f"{base}.rho", "expected a number in (0, 1)")
 
     q = None
     if data.get("candidate_q") is not None:
         q = _parse_poly(data["candidate_q"], f"{base}.candidate_q")
 
-    seed = data.get("seed", DEFAULT_SEED)
-    _expect(isinstance(seed, int), f"{base}.seed", "expected an integer")
-    palette = data.get("palette", "figure")
-    _expect(palette in ("figure", "grey"), f"{base}.palette",
-            "expected \"figure\" or \"grey\"")
+    seed = _integer(data.get("seed", DEFAULT_SEED), f"{base}.seed", 0,
+                    "expected a non-negative integer")
     return Scene(
         name=str(data.get("name", "scene")),
         polynomial=poly,
         cuts=cuts,
         grid=grid,
         max_iter=max_iter,
-        rho=float(rho),
+        rho=rho,
         candidate_q=q,
         seed=seed,
-        palette=palette,
     )
 
 
@@ -123,7 +128,9 @@ def load_scene(path: str) -> Scene:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise SceneError(path, f"cannot read: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise SceneError(path, f"invalid JSON: {exc}") from exc
     return scene_from_dict(data, base=path)
 
@@ -143,5 +150,4 @@ def figure1_scene(resolution: int = 1024, max_iter: int = 512) -> Scene:
         "rho": DEFAULT_RHO,
         "candidate_q": {"coeffs": [[0, 0], [-1, 0], [1, 0]]},
         "seed": DEFAULT_SEED,
-        "palette": "figure",
     })

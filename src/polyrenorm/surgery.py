@@ -375,10 +375,8 @@ class SurgeryMap:
         return self.cap.apply(g, theta)
 
     def preimage_count(self, w: complex) -> int:
-        arr = np.array(self.P.coeffs[::-1], dtype=complex)
-        arr[-1] -= w
         count = 0
-        for r in np.roots(arr):
+        for r in self.P.preimages(w):
             r = complex(r)
             if green_potential(self.P, r) >= self.g0 * (1.0 - 1e-12):
                 continue
@@ -389,14 +387,6 @@ class SurgeryMap:
             if self.image_carrots[i].contains(w):
                 count += 1
         return count
-
-
-def evaluate_f(S: SurgeryMap, z: complex) -> complex:
-    return S.evaluate(z)
-
-
-def preimage_count_of(S: SurgeryMap, w: complex) -> int:
-    return S.preimage_count(w)
 
 
 def build_surgery(P: Polynomial, family: CutFamily, rho: float, *,

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import CutFamily, _distance_to_polyline
+from .cuts import CutFamily
 from .errors import DegreeMismatch
+from .grid import distance_to_polyline
 from .poly import Cycle, Polynomial, find_cycles
 from .surgery import degree_dc
 
@@ -33,7 +34,7 @@ def cycles_in_region(P: Polynomial, family: CutFamily, max_period: int
         polylines.append(np.concatenate([cut.ray_r.points, [cut.root]]))
         polylines.append(np.concatenate([cut.ray_l.points, [cut.root]]))
     for cyc in find_cycles(P, max_period):
-        near_cut = any(_distance_to_polyline(poly, z) < AMBIGUOUS_TOL
+        near_cut = any(distance_to_polyline(poly, z) < AMBIGUOUS_TOL
                        for z in cyc.points for poly in polylines)
         if near_cut:
             ambiguous.append(cyc)

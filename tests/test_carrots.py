@@ -9,6 +9,7 @@ from polyrenorm import (build_carrot, find_cycles, koenigs_coordinate,
 from polyrenorm.carrots import carrot_geometry, carrots_disjoint
 from polyrenorm.errors import (CarrotOverlap, InsufficientSamples,
                                OutsideLinearizationDomain)
+from polyrenorm.grid import distance_to_polyline
 
 from conftest import CUBIC, SQUARE
 
@@ -66,8 +67,7 @@ def test_critical_carrot_contains_removed_set(fig1_carrots, fig1_masks, fig1_gri
             continue
         if not carrot.contains(z):
             # tolerate pixels that straddle the carrot boundary
-            from polyrenorm.cuts import _distance_to_polyline
-            if _distance_to_polyline(carrot.boundary(), z) > 2 * px:
+            if distance_to_polyline(carrot.boundary(), z) > 2 * px:
                 misses += 1
     assert misses == 0
 

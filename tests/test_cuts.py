@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polyrenorm import (Polynomial, build_cut, build_family, check_admissible,
-                        check_legal, classify_root, find_cycles, wedge_contains)
+                        check_legal, classify_root, find_cycles)
 from polyrenorm.angles import Angle
 from polyrenorm.cuts import _terminal_cycle
 from polyrenorm.errors import NoColanding
@@ -103,10 +103,10 @@ def test_fictitious_flagged():
 
 def test_wedge_contains_examples(fig1_family):
     w = fig1_family.wedges[0]
-    assert wedge_contains(w, -2.5 + 0j)
-    assert not wedge_contains(w, 0j)
+    assert w.contains(-2.5 + 0j)
+    assert not w.contains(0j)
     assert fig1_family.wedges[1].boundary is None
-    assert not wedge_contains(fig1_family.wedges[1], -2.5 + 0j)
+    assert not fig1_family.wedges[1].contains(-2.5 + 0j)
 
 
 def test_wedge_beyond_truncation_uses_angle_arc(fig1_family):

@@ -6,6 +6,7 @@ from polyrenorm import (GridSpec, Mask, compare_masks, compute_mask,
                         connected_components, escape_analysis, load_mask_raw,
                         save_mask_raw)
 from polyrenorm.errors import GridMismatch
+from polyrenorm.grid import distance_to_polyline
 
 from conftest import CUBIC, SQUARE
 
@@ -59,12 +60,11 @@ def test_wedge_exclusion(fig1_masks, fig1_grid, fig1_family):
     rows, cols = np.nonzero(av.bits)
     idx = np.linspace(0, len(rows) - 1, 200).astype(int)
     w = fig1_family.wedges[0]
-    from polyrenorm.cuts import _distance_to_polyline
     for k in idx:
         z = fig1_grid.center_of(int(rows[k]), int(cols[k]))
         if w.contains(z):
             # violations may only sit within raster granularity of the boundary
-            assert _distance_to_polyline(w.boundary, z) < 2 * fig1_grid.pixel
+            assert distance_to_polyline(w.boundary, z) < 2 * fig1_grid.pixel
 
 
 def test_connected_components_basics():

@@ -5,6 +5,7 @@ import pytest
 
 from polyrenorm import (Polynomial, classify_multiplier, critical_points,
                         escape_time, find_cycles, green_potential)
+from polyrenorm.poly import unity_order
 
 from conftest import BASILICA, CUBIC, SQUARE
 
@@ -108,6 +109,13 @@ def test_classify_multiplier():
     assert classify_multiplier(np.exp(2j * np.pi / 7)) == "parabolic"
     golden = np.exp(2j * np.pi * (np.sqrt(5) - 1) / 2)
     assert classify_multiplier(golden) == "neutral-irrational"
+    assert unity_order(1 + 0j) == 1
+    assert unity_order(-1 + 0j) == 2
+    assert unity_order(np.exp(2j * np.pi / 7)) == 7
+    assert unity_order(np.exp(2j * np.pi * 3 / 64)) == 64
+    assert unity_order(np.exp(2j * np.pi / 65)) is None
+    assert unity_order(golden) is None
+    assert unity_order(0.5 + 0j) is None
 
 
 def test_green_potential_square():

@@ -2,11 +2,23 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyrenorm import scene_from_dict
 from polyrenorm.cli import main
 from polyrenorm.errors import SceneError
 from polyrenorm.render import ppm_bytes
+from polyrenorm.scene import DEFAULT_RHO, DEFAULT_SEED
+
+
+def _with(data, path, value):
+    """A deep copy of `data` with the field at `path` set to `value`."""
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
 
 
 GOOD_SCENE = {
@@ -23,6 +35,8 @@ def test_scene_parses():
     assert scene.polynomial.degree == 2
     assert scene.grid.resolution == 64
     assert 0 < scene.rho < 1
+    # keys outside the scene format are ignored
+    assert scene_from_dict(dict(GOOD_SCENE, palette="grey", substeps=4)).max_iter == 64
 
 
 def test_scene_validation_paths():
@@ -49,6 +63,60 @@ def test_scene_validation_paths():
     with pytest.raises(SceneError) as exc:
         scene_from_dict(bad)
     assert "rho" in str(exc.value)
+
+    # booleans, non-finite and oversized numbers, and strings are not numbers
+    for field, path, value in [
+            ("max_iter", ("max_iter",), True),
+            ("seed", ("seed",), False),
+            ("seed", ("seed",), -1),
+            ("polynomial.coeffs[1]", ("polynomial", "coeffs", 1), [True, 0]),
+            ("polynomial.coeffs[0]", ("polynomial", "coeffs", 0), [float("nan"), 0]),
+            ("polynomial.coeffs[0]", ("polynomial", "coeffs", 0), [10**400, 0]),
+            ("grid.width", ("grid", "width"), float("inf")),
+            ("grid.center", ("grid", "center"), ["a", 0])]:
+        with pytest.raises(SceneError) as exc:
+            scene_from_dict(_with(GOOD_SCENE, path, value))
+        assert f"scene.{field}:" in str(exc.value)
+
+
+# Fuzzed scenes: a valid scene with up to three fields, at any depth,
+# replaced by arbitrary JSON values (NaN, infinities and huge integers included).
+_VALID = {
+    "name": "fuzz",
+    "polynomial": {"coeffs": [[0, 0], [0.25, 0], [1, 0]]},
+    "cuts": [{"theta_r": "1/3", "theta_l": "2/3"}],
+    "grid": {"center": [0.0, 0.0], "width": 4.0, "resolution": 64},
+    "max_iter": 64,
+    "rho": 0.5,
+    "candidate_q": {"coeffs": [[0, 0], [0, 0], [1, 0]]},
+    "seed": 7,
+}
+_PATHS = [(), ("polynomial",), ("polynomial", "coeffs"), ("polynomial", "coeffs", 1),
+          ("polynomial", "coeffs", 1, 0), ("polynomial", "coeffs", 2, 1), ("cuts",),
+          ("cuts", 0), ("cuts", 0, "theta_l"), ("grid",), ("grid", "center"),
+          ("grid", "center", 1), ("grid", "width"), ("grid", "resolution"), ("max_iter",),
+          ("rho",), ("seed",), ("candidate_q",), ("candidate_q", "coeffs", 0, 1), ("name",)]
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_PATHS), _json | st.integers(10**300, 10**400)),
+                max_size=3))
+def test_scene_from_dict_raises_only_scene_error(mutations):
+    data = _VALID
+    for path, value in mutations:
+        try:
+            data = _with(data, path, value) if path else value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed this field
+    try:
+        scene_from_dict(data)
+    except SceneError:
+        pass
 
 
 def test_angles_survive_serialization():
@@ -94,10 +162,14 @@ def test_cli_ray_csv(tmp_path):
     assert all(a > b for a, b in zip(pots[:-1], pots[1:]))
 
 
-def test_cli_scene_error_exit_code(tmp_path):
+def test_cli_scene_error_exit_code(tmp_path, capsys):
     scene_path = tmp_path / "scene.json"
     scene_path.write_text("{not json")
     assert main(["julia", "--scene", str(scene_path), "--out", str(tmp_path / "o")]) == 1
+    code = main(["figure1", "--scene", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "scene error:" in capsys.readouterr().err
 
 
 def test_cli_figure1_small_and_exit_codes(tmp_path):
@@ -110,3 +182,32 @@ def test_cli_figure1_small_and_exit_codes(tmp_path):
     for name in ("figure1.ppm", "rays.csv", "checks.csv", "conjugacy.csv",
                  "surgery.csv", "geometry.csv", "avoiding_mask.raw"):
         assert (out / name).exists(), name
+
+
+FIGURE1_128 = {
+    "name": "figure1",
+    "polynomial": {"coeffs": [[0, 0], [4, 0], [4, 0], [1, 0]]},
+    "cuts": [{"theta_r": "1/3", "theta_l": "2/3"}, {"theta_r": "0", "theta_l": "0"}],
+    "grid": {"center": [-1.25, 0.0], "width": 4.5, "resolution": 128},
+    "max_iter": 128,
+    "rho": DEFAULT_RHO,
+    "candidate_q": {"coeffs": [[0, 0], [-1, 0], [1, 0]]},
+    "seed": DEFAULT_SEED,
+}
+
+
+def test_subcommands_write_what_figure1_writes(tmp_path):
+    # at 128 pixels the figure1 mask comparison grid is the scene grid
+    scene = tmp_path / "figure1.json"
+    scene.write_text(json.dumps(FIGURE1_128))
+    fig = tmp_path / "figure1"
+    assert main(["figure1", "--scene", str(scene), "--seeds", "500", "--out", str(fig)]) == 0
+    artifacts = {"cuts-check": ["checks.csv"], "avoid": ["avoiding_mask.raw"],
+                 "carrot": ["geometry.csv"], "surgery": ["surgery.csv", "nonescaping_mask.raw"],
+                 "verify": ["conjugacy.csv"]}
+    for cmd, names in artifacts.items():
+        out = tmp_path / cmd
+        seeds = ["--seeds", "500"] if cmd == "surgery" else []
+        assert main([cmd, "--scene", str(scene), "--out", str(out)] + seeds) == 0, cmd
+        for name in names:
+            assert (out / name).read_bytes() == (fig / name).read_bytes(), (cmd, name)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from polyrenorm import (build_family, build_surgery, compare_masks,
-                        degree_dc, escape_analysis, evaluate_f, green_potential,
+                        degree_dc, escape_analysis, green_potential,
                         nonescaping_mask, visit_count_experiment)
 from polyrenorm.angles import Angle
 from polyrenorm.bottcher import bottcher_point
 from polyrenorm.errors import CarrotOverlap, DegreeMismatch
-from polyrenorm.surgery import dilatation_report, preimage_count_of
+from polyrenorm.grid import distance_to_polyline
+from polyrenorm.surgery import dilatation_report
 
 from conftest import CUBIC, G0, RHO
 
@@ -61,36 +62,35 @@ def test_no_critical_cuts_means_f_equals_p():
     assert S.d_c == 3
     for z in (-1 + 0j, 0.2 + 0.1j, -2.5 + 0j):
         if green_potential(CUBIC, z) < S.g0:
-            assert evaluate_f(S, z) == CUBIC(z)
+            assert S.evaluate(z) == CUBIC(z)
 
 
 def test_evaluate_f_deep_inside(fig1_surgery):
-    assert evaluate_f(fig1_surgery, -1 + 0j) == CUBIC(-1 + 0j)
-    assert evaluate_f(fig1_surgery, -0.5 + 0.2j) == CUBIC(-0.5 + 0.2j)
+    assert fig1_surgery.evaluate(-1 + 0j) == CUBIC(-1 + 0j)
+    assert fig1_surgery.evaluate(-0.5 + 0.2j) == CUBIC(-0.5 + 0.2j)
 
 
 def test_evaluate_f_on_side_arcs(fig1_surgery):
     S = fig1_surgery
     for k in (10, 60, 150):
         z = complex(S.carrots[0].side_r.points[k])
-        assert abs(evaluate_f(S, z) - CUBIC(z)) < 1e-9
+        assert abs(S.evaluate(z) - CUBIC(z)) < 1e-9
         z = complex(S.carrots[0].side_l.points[k])
-        assert abs(evaluate_f(S, z) - CUBIC(z)) < 1e-9
+        assert abs(S.evaluate(z) - CUBIC(z)) < 1e-9
 
 
 def test_evaluate_f_far_outside_growth(fig1_surgery):
     S = fig1_surgery
     for z in (40 + 5j, -30 + 11j):
-        fz = evaluate_f(S, z)
+        fz = S.evaluate(z)
         assert abs(green_potential(CUBIC, fz) - 2 * green_potential(CUBIC, z)) < 1e-9
 
 
 def test_patch_sends_decorations_into_image_carrot(fig1_surgery):
     S = fig1_surgery
-    fz = evaluate_f(S, -2.5 + 0j)  # decoration point inside the critical carrot
+    fz = S.evaluate(-2.5 + 0j)  # decoration point inside the critical carrot
     img = S.image_carrots[0]
-    from polyrenorm.cuts import _distance_to_polyline
-    assert img.contains(fz) or _distance_to_polyline(img.boundary(), fz) < 1e-6
+    assert img.contains(fz) or distance_to_polyline(img.boundary(), fz) < 1e-6
 
 
 def test_preimage_counts_at_generic_points(fig1_surgery):
@@ -102,7 +102,7 @@ def test_preimage_counts_at_generic_points(fig1_surgery):
         if not (0.32 < th < 0.68):  # keep clear of the image carrot
             continue
         w = bottcher_point(CUBIC, g_test, th)
-        assert preimage_count_of(S, complex(w)) == 2
+        assert S.preimage_count(complex(w)) == 2
         counted += 1
     assert counted >= 10
 

@@ -3,8 +3,8 @@ carrots, and the carrot surgery that produces a lower-degree quasi-regular
 polynomial model."""
 
 from .angles import Angle, tuple_orbit
-from .avoiding import (compare_masks, compute_mask, connected_components,
-                       escape_analysis, wedge_raster)
+from .avoiding import (compare_masks, connected_components, escape_analysis,
+                       wedge_raster)
 from .bottcher import (Landing, RayPolyline, SpiralArc, bottcher_point,
                        equipotential_polyline, external_angle, land_ray,
                        landing_point, trace_ray, trace_spiral)

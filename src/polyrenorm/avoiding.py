@@ -114,15 +114,6 @@ def _downsample_majority(bits: np.ndarray) -> np.ndarray:
     return q[:n2, :n2] >= 2
 
 
-def compute_mask(P: Polynomial, family: Optional[CutFamily], grid: GridSpec,
-                 max_iter: int, *, threads: int = 1, supersample: int = 1,
-                 raster: Optional[PixelRaster] = None) -> Mask:
-    """Avoiding-set mask (or plain filled-Julia mask when family is None)."""
-    res = escape_analysis(P, family, grid, max_iter, threads=threads,
-                          supersample=supersample, raster=raster)
-    return res.avoiding if family is not None else res.kp
-
-
 @dataclass
 class ComponentReport:
     count: int

@@ -1,20 +1,27 @@
 """External rays, equipotentials and spiral arcs via Boettcher continuation.
 
+Every point is a pullback: a Newton solve of P(z) = parent seeded near the
+wanted branch, rejected as a jump to a sibling branch when it steps much
+farther than the step before it (`_pullback`).
+
 Rays and carrot-side spirals are traced on an orbit ladder: the curves
 through an angle orbit share one geometric potential ladder, level k at
 g_top*d^(-k/s).  P maps the curve through theta at level k onto the curve
 through d*theta one degree step (s levels) higher, so each point is a single
-Newton solve of P(z) = parent, seeded by the point one level up on the same
-curve; a ray to potential t costs O(levels) instead of O(levels*depth).
-Ladders are cached per polynomial, slope, top potential and substeps, and
-land_ray deepens a ray by extending its ladder in place.
+pullback of its parent, seeded by the point one level up on the same curve;
+a ray to potential t costs O(levels) instead of O(levels*depth).  Ladders
+are cached per polynomial, slope, top potential and substeps, and land_ray
+deepens a ray by extending its ladder in place.
 
-Single points, equipotentials and external angles use a pullback chain: the
-top node sits at potential G*d^m large enough that z = exp(G' + 2pi*i*theta')
-approximates the Boettcher inverse to high accuracy, and each lower node
-Newton-solves P(z) = parent with the neighbouring trace's node as initial
-guess.  Angles are carried as an exact rational part plus a float offset that
-scales with the potential, so deep tails lose no angular precision.
+Single points, equipotentials and external angles walk one pullback chain
+over (potential, offset) nodes (`_walk`): a node's chain climbs to potential
+G*d^m large enough that z = exp(G' + 2pi*i*theta') approximates the
+Boettcher inverse to high accuracy, and each lower level is pulled back
+seeded by the previous node's chain.  A point descends the ray from a safely
+high potential; an equipotential then sweeps the offset at fixed potential.
+A rejected step inserts the midpoint node.  Angles are carried as an exact
+rational part plus a float offset that scales with the potential, so deep
+tails lose no angular precision.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 
 from .angles import Angle, tuple_orbit
 from .errors import BranchJump, NonConvergence
-from .poly import Polynomial
+from .poly import Polynomial, green_potential
 
 ANCHOR_MIN = 18.0  # exp(-18) relative Boettcher error at the chain top
 SEED_DIRECT_MIN = 2.0  # below this potential cold direct seeds are unsafe
@@ -55,42 +62,39 @@ def anchor_potential(P: Polynomial) -> float:
     return max(math.log(10.0 * P.escape_radius), ANCHOR_MIN)
 
 
-class _StepReject(Exception):
-    pass
+def _pullback(P: Polynomial, w: complex, seed: complex, ref: complex,
+              spacing: float) -> complex:
+    """The preimage of w that Newton reaches from seed.
+
+    A preimage much farther from ref than `spacing`, the step before it, is a
+    jump to a sibling branch and raises BranchJump; spacing inf tests nothing.
+    """
+    z = P.preimage_near(w, seed)
+    step = abs(z - ref)
+    floor = 1e-9 * max(1.0, abs(z))
+    if spacing > floor and step > SAFETY * spacing + floor:
+        # spacings at noise level carry no branch information: Newton noise,
+        # and the parent's few ulps of rounding, which the solve amplifies by
+        # 1/|P'(z)| next to a critical point
+        dp = abs(P.deriv(z))
+        floor += math.inf if dp == 0 else 4.0 * EPS * max(1.0, abs(w)) / dp
+        if spacing > floor and step > SAFETY * spacing + floor:
+            raise BranchJump(f"pullback of {w:.6g} stepped {step:.3g} "
+                             f"after a step of {spacing:.3g}")
+    return z
 
 
 @dataclass
 class _Chain:
-    """Pullback chain over one traced point; level j sits at potential t*d^j."""
+    """Pullback chain at node (t, off); level j sits at potential t*d^j."""
 
     t: float
-    frac: Fraction
     off: float
-    slope: int
     points: list[complex]
-    spacings: Optional[list[float]]
+    spacings: list[float]  # |points[j] - previous node's points[j]|, inf if none
 
 
-def _newton_preimage(P: Polynomial, w: complex, seed: complex,
-                     tol: float = 1e-14, max_iter: int = 40) -> complex:
-    z = seed
-    for _ in range(max_iter):
-        dz = P.deriv(z)
-        if dz == 0:
-            break
-        step = (P(z) - w) / dz
-        z = z - step
-        if abs(step) <= tol * max(1.0, abs(z)):
-            return z
-    # Newton degenerates when the preimage sits near a critical point; the
-    # companion matrix solves the full fiber and the seed picks the branch.
-    roots = P.preimages(w)
-    if not np.all(np.isfinite(roots)):
-        raise NonConvergence(f"preimage solve failed for target {w:.6g}")
-    return complex(roots[int(np.argmin(np.abs(roots - seed)))])
-
-
-def _chain_solve(P: Polynomial, t: float, frac: Fraction, off: float, slope: int,
+def _chain_solve(P: Polynomial, t: float, frac: Fraction, off: float,
                  prev: Optional[_Chain], anchor: float) -> _Chain:
     d = P.degree
     m = 0
@@ -103,98 +107,47 @@ def _chain_solve(P: Polynomial, t: float, frac: Fraction, off: float, slope: int
     for _ in range(m):
         nums.append(nums[-1] * d % q)
     pts: list[complex] = [0j] * (m + 1)
-    t_top = t * d**m
-    a_top = nums[m] / q + off * d**m + slope * t_top
-    pts[m] = cmath.rect(math.exp(t_top), 2.0 * math.pi * a_top)
+    pts[m] = cmath.rect(math.exp(t * d**m), 2.0 * math.pi * (nums[m] / q + off * d**m))
+    known = 0 if prev is None else len(prev.points)
     for j in range(m - 1, -1, -1):
         tj = t * d**j
-        aj = nums[j] / q + off * d**j + slope * tj
-        if tj < DIRECT_SEED_SAFE and prev is not None and j < len(prev.points):
+        near = j < known
+        if near and tj < DIRECT_SEED_SAFE:
             seed = prev.points[j]
         else:
-            seed = cmath.rect(math.exp(tj), 2.0 * math.pi * aj)
-        z = _newton_preimage(P, pts[j + 1], seed)
-        if (prev is not None and prev.spacings is not None
-                and j < len(prev.spacings)):
-            # spacings at Newton-noise level carry no branch information
-            floor = 1e-9 * max(1.0, abs(z))
-            sp = prev.spacings[j]
-            if sp > floor and abs(z - prev.points[j]) > SAFETY * sp + floor:
-                raise _StepReject(j)
-        pts[j] = z
-    spacings = None
-    if prev is not None:
-        spacings = [abs(pts[j] - prev.points[j]) if j < len(prev.points) else math.inf
-                    for j in range(m + 1)]
-    return _Chain(t, frac, off, slope, pts, spacings)
+            seed = cmath.rect(math.exp(tj), 2.0 * math.pi * (nums[j] / q + off * d**j))
+        pts[j] = _pullback(P, pts[j + 1], seed, prev.points[j] if near else seed,
+                           prev.spacings[j] if near else math.inf)
+    spacings = [abs(pts[j] - prev.points[j]) if j < known else math.inf
+                for j in range(m + 1)]
+    return _Chain(t, off, pts, spacings)
 
 
-def _trace_radial(P: Polynomial, frac: Fraction, off: float, slope: int,
-                  ts: Sequence[float], init_chain: Optional[_Chain] = None,
-                  anchor: Optional[float] = None):
-    """Trace points at the requested (descending) potentials.
+def _walk(P: Polynomial, frac: Fraction, nodes: Sequence[tuple[float, float, bool]],
+          prev: Optional[_Chain]) -> tuple[list[complex], _Chain]:
+    """Chains at the (potential, offset, requested) nodes in order, each
+    seeded by the one before (the first by prev); returns the points at the
+    requested nodes and the last chain.
 
-    Branch-safety rejections insert geometric-mean potentials; only the
-    requested potentials appear in the output.
+    A rejected step retries after the node midway to the previous one,
+    geometric in potential and arithmetic in offset; only requested nodes
+    appear in the output.
     """
-    if anchor is None:
-        anchor = anchor_potential(P)
+    anchor = anchor_potential(P)
     out: list[complex] = []
-    prev = init_chain
-    stack: list[tuple[float, int, bool]] = [(t, 0, True) for t in reversed(ts)]
+    stack = [(t, off, 0, requested) for t, off, requested in reversed(nodes)]
     while stack:
-        t, depth, requested = stack.pop()
+        t, off, depth, requested = stack.pop()
         try:
-            ch = _chain_solve(P, t, frac, off, slope, prev, anchor)
-        except (_StepReject, NonConvergence) as exc:
+            ch = _chain_solve(P, t, frac, off, prev, anchor)
+        except (BranchJump, NonConvergence) as exc:
             if depth >= MAX_SUBDIV or prev is None:
-                raise BranchJump(
-                    f"continuation failed at potential {t:.3e} (angle {frac}+{off:+g})",
-                    partial=out) from exc
-            t_mid = math.sqrt(prev.t * t)
-            stack.append((t, depth + 1, requested))
-            stack.append((t_mid, depth + 1, False))
-            continue
-        prev = ch
-        if requested:
-            out.append(ch.points[0])
-    return out, prev
-
-
-def _trace_angular(P: Polynomial, t: float, frac: Fraction, offs: Sequence[float],
-                   init_chain: Optional[_Chain], anchor: Optional[float] = None):
-    """Sweep the angle offset at fixed potential; offsets are lifted reals.
-
-    Angular steps amplify by d per chain level, so the sweep is refined until
-    the step at the last neighbour-seeded level stays a small fraction of a
-    turn; coarser requested spacings are interpolated over internal nodes.
-    """
-    if anchor is None:
-        anchor = anchor_potential(P)
-    max_step = max(1e-7, 0.005 * t)
-    work: list[tuple[float, bool]] = [(offs[0], True)]
-    for a, b in zip(offs[:-1], offs[1:]):
-        span = b - a
-        if span < 0:
-            raise ValueError("offsets must be non-decreasing")
-        k = max(1, int(math.ceil(span / max_step)))
-        for i in range(1, k + 1):
-            work.append((a + span * i / k, i == k))
-    out: list[complex] = []
-    prev = init_chain
-    stack: list[tuple[float, int, bool]] = [(o, 0, r) for o, r in reversed(work)]
-    while stack:
-        off, depth, requested = stack.pop()
-        try:
-            ch = _chain_solve(P, t, frac, off, 0, prev, anchor)
-        except (_StepReject, NonConvergence) as exc:
-            if depth >= MAX_SUBDIV or prev is None:
-                raise BranchJump(
-                    f"equipotential sweep failed at offset {off:.6g}",
-                    partial=out) from exc
-            mid = 0.5 * (prev.off + off)
-            stack.append((off, depth + 1, requested))
-            stack.append((mid, depth + 1, False))
+                raise BranchJump(f"continuation failed at potential {t:.3e} "
+                                 f"(angle {frac}{off:+g})", partial=out) from exc
+            # sqrt(t*t) is t only above 1e-154, so sweeps keep t as it is
+            t_mid = t if prev.t == t else math.sqrt(prev.t * t)
+            stack.append((t, off, depth + 1, requested))
+            stack.append((t_mid, 0.5 * (prev.off + off), depth + 1, False))
             continue
         prev = ch
         if requested:
@@ -214,41 +167,50 @@ def _potential_ladder(g_start: float, g_end: float, d: int, substeps: int) -> li
     return ts
 
 
-def _descend_chain(P: Polynomial, g: float, frac: Fraction, off: float,
-                   slope: int, anchor: float) -> _Chain:
-    """Warm chain at (g, angle) for g below the cold-seed threshold.
-
-    Descends along the curve from a safely high potential; for slope 0 this is
-    the fixed-angle ray, for spirals the warm-up runs down the ray through the
-    spiral's entry point (their chain levels coincide there).
-    """
+def _descent(P: Polynomial, g: float, off: float) -> list[tuple[float, float, bool]]:
+    """Nodes reaching (g, off): cold seeds are safe from SEED_DIRECT_MIN up,
+    below it the walk runs down the ray from a safely high potential."""
     if g >= SEED_DIRECT_MIN:
-        return _chain_solve(P, g, frac, off, slope, None, anchor)
-    g_hi = SEED_DIRECT_MIN * 1.5
-    ts = _potential_ladder(g_hi, g, P.degree, DEFAULT_SUBSTEPS)
-    if slope != 0:
-        # ray through the spiral point (g, frac + off + slope*g)
-        _, ch = _trace_radial(P, frac, off + slope * g, 0, ts, anchor=anchor)
-        ch = _Chain(ch.t, frac, off, slope, ch.points, ch.spacings)
-        return ch
-    _, ch = _trace_radial(P, frac, off, 0, ts, anchor=anchor)
-    return ch
+        return [(g, off, False)]
+    ts = _potential_ladder(SEED_DIRECT_MIN * 1.5, g, P.degree, DEFAULT_SUBSTEPS)
+    return [(t, off, False) for t in ts]
 
 
-def bottcher_point(P: Polynomial, g: float, theta: Angle | Fraction | float,
-                   *, slope: int = 0) -> complex:
+def _point(P: Polynomial, g: float, frac: Fraction, off: float) -> complex:
+    return _walk(P, frac, _descent(P, g, off), None)[1].points[0]
+
+
+def bottcher_point(P: Polynomial, g: float, theta: Angle | Fraction | float) -> complex:
     """The point of the basin of infinity at potential g and angle theta."""
     if g <= 0:
         raise ValueError("potential must be positive")
-    anchor = anchor_potential(P)
     if isinstance(theta, Angle):
-        frac, off = theta.fraction(), 0.0
-    elif isinstance(theta, Fraction):
-        frac, off = theta, 0.0
-    else:
-        frac, off = Fraction(0), float(theta)
-    ch = _descend_chain(P, g, frac, off, slope, anchor)
-    return ch.points[0]
+        return _point(P, g, theta.fraction(), 0.0)
+    if isinstance(theta, Fraction):
+        return _point(P, g, theta, 0.0)
+    return _point(P, g, Fraction(0), float(theta))
+
+
+def equipotential_points(P: Polynomial, g: float, frac: Fraction,
+                         offs: Sequence[float]) -> list[complex]:
+    """Points at potential g and angles frac + off for the non-decreasing
+    offsets `offs` (lifted reals).
+
+    The walk descends to the first offset and then sweeps.  Angular steps
+    amplify by d per chain level, so the sweep is refined until the step at
+    the last neighbour-seeded level stays a small fraction of a turn.
+    """
+    if g <= 0:
+        raise ValueError("potential must be positive")
+    max_step = max(1e-7, 0.005 * g)
+    nodes = _descent(P, g, offs[0]) + [(g, offs[0], True)]
+    for a, b in zip(offs[:-1], offs[1:]):
+        span = b - a
+        if span < 0:
+            raise ValueError("offsets must be non-decreasing")
+        k = max(1, int(math.ceil(span / max_step)))
+        nodes += [(g, a + span * i / k, i == k) for i in range(1, k + 1)]
+    return _walk(P, frac, nodes, None)[0]
 
 
 @dataclass(frozen=True)
@@ -318,33 +280,25 @@ class _OrbitLadder:
     def _solve(self, a: Angle, img: Angle, k: int) -> complex:
         t = self.potentials[k]
         if k == 0:
-            return bottcher_point(self.P, t, a.fraction(), slope=self.slope)
+            return _point(self.P, t, a.fraction(), self.slope * t)
         if k >= self.s:
             parent = self.points[img][k - self.s]
         else:
-            # parents above the ladder top come from the descent evaluator
-            parent = bottcher_point(self.P, t * self.P.degree, img.fraction(),
-                                    slope=self.slope)
+            # parents above the ladder top come from a descent
+            tp = t * self.P.degree
+            parent = _point(self.P, tp, img.fraction(), self.slope * tp)
         return self._pull(a, t, parent, k)
 
     def _pull(self, a: Angle, t: float, parent: complex, k: int) -> complex:
-        """Preimage of parent at potential t seeded by level k-1 of a's curve;
-        a step much longer than the last one is a jump to a sibling branch."""
+        """Pullback of parent at potential t seeded by level k-1 of a's curve
+        and checked against the step from level k-2."""
         col = self.points[a]
-        seed = col[k - 1]
-        z = _newton_preimage(self.P, parent, seed)
-        if k >= 2:
-            # spacings at noise level carry no branch information: Newton
-            # noise, and the parent's few ulps of rounding, which the solve
-            # amplifies by 1/|P'(z)| next to a critical point
-            spacing = abs(col[k - 1] - col[k - 2])
-            dp = abs(self.P.deriv(z))
-            floor = 1e-9 * max(1.0, abs(z)) + (
-                math.inf if dp == 0 else 4.0 * EPS * max(1.0, abs(parent)) / dp)
-            if spacing > floor and abs(z - seed) > SAFETY * spacing + floor:
-                raise BranchJump(f"continuation step rejected at potential {t:.3e} "
-                                 f"(angle {a}, slope {self.slope:+d})")
-        return z
+        spacing = abs(col[k - 1] - col[k - 2]) if k >= 2 else math.inf
+        try:
+            return _pullback(self.P, parent, col[k - 1], col[k - 1], spacing)
+        except BranchJump as exc:
+            raise BranchJump(f"{exc} at potential {t:.3e} "
+                             f"(angle {a}, slope {self.slope:+d})") from None
 
     def endpoint(self, theta: Angle, g: float, n: int) -> complex:
         """Point of theta's curve at a potential g between level n-1 and n.
@@ -359,7 +313,7 @@ class _OrbitLadder:
         while k > 0:
             links.append((a, t, k))
             a, t, k = a.times(d), t * d, k - self.s
-        z = bottcher_point(self.P, t, a.fraction(), slope=self.slope)
+        z = _point(self.P, t, a.fraction(), self.slope * t)
         for a, t, k in reversed(links):
             z = self._pull(a, t, z, k)
         return z
@@ -533,14 +487,9 @@ def land_ray(P: Polynomial, theta: Angle, *, g_start: float = 2.0,
 
 def equipotential_polyline(P: Polynomial, g0: float, n: int = 256) -> np.ndarray:
     """Closed polyline of the equipotential at potential g0, n+1 points ccw."""
-    if g0 <= 0:
-        raise ValueError("potential must be positive")
     if n < 64:
         raise ValueError("need at least 64 samples")
-    anchor = anchor_potential(P)
-    ch = _descend_chain(P, g0, Fraction(0), 0.0, 0, anchor)
-    offs = [j / n for j in range(n + 1)]
-    pts, _ = _trace_angular(P, g0, Fraction(0), offs, ch, anchor)
+    pts = equipotential_points(P, g0, Fraction(0), [j / n for j in range(n + 1)])
     pts[-1] = pts[0]
     return np.array(pts, dtype=complex)
 
@@ -548,15 +497,12 @@ def equipotential_polyline(P: Polynomial, g0: float, n: int = 256) -> np.ndarray
 def equipotential_arc(P: Polynomial, g0: float, frac: Fraction, off_lo: float,
                       off_hi: float, max_step: float = 1.0 / 512) -> np.ndarray:
     """Arc of an equipotential between two lifted angle offsets (ccw)."""
-    anchor = anchor_potential(P)
     span = off_hi - off_lo
     if span <= 0:
         raise ValueError("need off_hi > off_lo")
     n = max(32, int(math.ceil(span / max_step)))
-    ch = _descend_chain(P, g0, frac, off_lo, 0, anchor)
     offs = [off_lo + span * j / n for j in range(n + 1)]
-    pts, _ = _trace_angular(P, g0, frac, offs, ch, anchor)
-    return np.array(pts, dtype=complex)
+    return np.array(equipotential_points(P, g0, frac, offs), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -601,26 +547,23 @@ def external_angle(P: Polynomial, z: complex, *, g: Optional[float] = None,
     branch-ambiguous: scan the equipotential through z, then minimize the
     distance along it.
     """
-    from .poly import green_potential
-
     if g is None:
         g = green_potential(P, z)
     if g <= 0:
         raise ValueError("point does not escape; no external angle")
-    anchor = anchor_potential(P)
-    ch = _descend_chain(P, g, Fraction(0), 0.0, 0, anchor)
     offs = [j / coarse for j in range(coarse + 1)]
-    pts, _ = _trace_angular(P, g, Fraction(0), offs, ch, anchor)
+    pts = equipotential_points(P, g, Fraction(0), offs)
     dists = [abs(p - z) for p in pts]
     k = int(np.argmin(dists[:-1]))
     lo = offs[k] - 1.0 / coarse
     hi = offs[k] + 1.0 / coarse
-    chain = _descend_chain(P, g, Fraction(0), lo, 0, anchor)
+    chain = _walk(P, Fraction(0), _descent(P, g, lo), None)[1]
 
-    def point_at(off: float, chain_box=[chain]):
-        p, ch2 = _trace_angular(P, g, Fraction(0), [off], chain_box[0], anchor)
-        chain_box[0] = ch2
-        return p[0]
+    def point_at(off: float) -> complex:
+        # golden-section steps are short: one node on from the last chain
+        nonlocal chain
+        pts, chain = _walk(P, Fraction(0), [(g, off, True)], chain)
+        return pts[0]
 
     # golden-section on |point(theta) - z|
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

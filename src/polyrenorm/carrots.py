@@ -232,27 +232,20 @@ def _interior_probe(c: Carrot) -> complex:
     return 0.5 * (c.side_r.points[k] + c.side_l.points[k])
 
 
-_radius_cache: dict[tuple, float] = {}
-
-
 def koenigs_radius(P: Polynomial, cycle: Cycle) -> float:
     """Largest tested radius on which the inverse branch fixing the point
     contracts (sampled); conservative by 10 percent."""
     z0 = cycle.points[0]
     lam = cycle.multiplier
-    key = (P.coeffs, round(z0.real, 12), round(z0.imag, 12))
-    if key in _radius_cache:
-        return _radius_cache[key]
     others = [complex(r) for r in P.preimages(z0)]
     others = [r for r in others if abs(r - z0) > 1e-9]
     r = 0.5 * min((abs(r - z0) for r in others), default=1.0)
-    from .bottcher import _newton_preimage
     for _ in range(40):
         ok = True
         for k in range(12):
             w = z0 + r * np.exp(2j * np.pi * k / 12)
             try:
-                y = _newton_preimage(P, w, z0 + (w - z0) / lam)
+                y = P.preimage_near(w, z0 + (w - z0) / lam)
             except NonConvergence:
                 ok = False
                 break
@@ -262,9 +255,7 @@ def koenigs_radius(P: Polynomial, cycle: Cycle) -> float:
         if ok:
             break
         r *= 0.8
-    result = 0.9 * r
-    _radius_cache[key] = result
-    return result
+    return 0.9 * r
 
 
 def _shifted_coeffs(P: Polynomial, z0: complex) -> list[complex]:

@@ -13,7 +13,8 @@ from typing import Optional
 
 from . import render
 from .angles import Angle
-from .avoiding import EscapeAnalysis, compare_masks, connected_components, escape_analysis
+from .avoiding import (EscapeAnalysis, compare_masks, connected_components, escape_analysis,
+                       wedge_raster)
 from .bottcher import RayPolyline, land_ray
 from .carrots import Carrot, build_carrots, carrot_geometry
 from .cuts import CutFamily, build_family, check_admissible, check_legal
@@ -122,12 +123,12 @@ def _write_geometry(out: str, P: Polynomial, carrots: list[Carrot]) -> list[Verd
     return []  # sampled estimates, not verdicts
 
 
-def _write_surgery(out: str, scene: Scene, family: CutFamily, avoiding: Mask,
-                   n_seeds: int, threads: int) -> list[Verdict]:
-    """Build the surgery and compare its non-escaping mask with `avoiding`,
-    on the grid of `avoiding`."""
+def _write_surgery(out: str, scene: Scene, family: CutFamily, carrots: list[Carrot],
+                   avoiding: Mask, n_seeds: int, threads: int) -> list[Verdict]:
+    """Build the surgery on `carrots` and compare its non-escaping mask with
+    `avoiding`, on the grid of `avoiding`."""
     try:
-        S = build_surgery(scene.polynomial, family, scene.rho)
+        S = build_surgery(scene.polynomial, family, scene.rho, carrots)
     except RenormError as exc:
         return [("surgery-degree", False, str(exc))]
     visits = visit_count_experiment(S, n_seeds, scene.max_iter,
@@ -241,8 +242,10 @@ def cmd_surgery(args) -> int:
     family = _family_from_scene(scene)
     avoiding = escape_analysis(scene.polynomial, family, scene.grid, scene.max_iter,
                                threads=threads).avoiding
+    carrots = build_carrots(scene.polynomial, family, scene.rho)
     os.makedirs(args.out, exist_ok=True)
-    return _finish(_write_surgery(args.out, scene, family, avoiding, args.seeds, threads))
+    return _finish(_write_surgery(args.out, scene, family, carrots, avoiding,
+                                  args.seeds, threads))
 
 
 def cmd_verify(args) -> int:
@@ -277,15 +280,17 @@ def cmd_figure1(args) -> int:
     rays = [ray for cut in family.cuts
             for ray in ((cut.ray_r,) if cut.degenerate else (cut.ray_r, cut.ray_l))]
     _write_rays(out, rays)  # all pass: build_cut raises for a ray that does not land
-    res = escape_analysis(P, family, scene.grid, scene.max_iter,
-                          threads=threads, supersample=args.supersample)
+    raster = wedge_raster(P, family)
+    res = escape_analysis(P, family, scene.grid, scene.max_iter, threads=threads,
+                          supersample=args.supersample, raster=raster)
+    fgrid = GridSpec(scene.grid.center, scene.grid.width, min(scene.grid.resolution, 512))
+    avoiding = res.avoiding if fgrid == scene.grid else escape_analysis(
+        P, family, fgrid, scene.max_iter, threads=threads, raster=raster).avoiding
+    del raster  # 16 MB; the surgery builds rasters of its own
     verdicts += _write_avoiding(out, res)
     carrots = build_carrots(P, family, scene.rho)
     verdicts += _write_geometry(out, P, carrots)
-    fgrid = GridSpec(scene.grid.center, scene.grid.width, min(scene.grid.resolution, 512))
-    avoiding = res.avoiding if fgrid == scene.grid else \
-        escape_analysis(P, family, fgrid, scene.max_iter, threads=threads).avoiding
-    verdicts += _write_surgery(out, scene, family, avoiding, args.seeds, threads)
+    verdicts += _write_surgery(out, scene, family, carrots, avoiding, args.seeds, threads)
     verdicts += _write_conjugacy(out, _conjugacy(scene, family, MAX_PERIOD))
 
     wedges = PixelRaster(scene.grid)

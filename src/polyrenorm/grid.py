@@ -106,6 +106,16 @@ def load_mask_raw(path: str, grid: GridSpec) -> Mask:
     return Mask(grid, bits.astype(bool))
 
 
+def _crossings(x0, y0, x1, y1, y: float) -> np.ndarray:
+    """x where the edges (x0, y0)-(x1, y1) cross the horizontal line at y.
+
+    Each edge is half-open in y, holding its lower end only, so a vertex on
+    the line counts once and horizontal edges never cross.
+    """
+    hit = (y0 <= y) != (y1 <= y)
+    return x0[hit] + (y - y0[hit]) * (x1[hit] - x0[hit]) / (y1[hit] - y0[hit])
+
+
 def fill_polygon(bits: np.ndarray, grid: GridSpec, polygon: np.ndarray) -> None:
     """OR the even-odd interior of a closed polygon into `bits` (pixel centers)."""
     pts = np.asarray(polygon, dtype=complex)
@@ -113,25 +123,14 @@ def fill_polygon(bits: np.ndarray, grid: GridSpec, polygon: np.ndarray) -> None:
         pts = np.append(pts, pts[0])
     x0, y0 = pts[:-1].real, pts[:-1].imag
     x1, y1 = pts[1:].real, pts[1:].imag
-    keep = y0 != y1
-    x0, y0, x1, y1 = x0[keep], y0[keep], x1[keep], y1[keep]
-    if len(x0) == 0:
-        return
     n = grid.resolution
     px = grid.pixel
     left = grid.center.real - grid.width / 2
     top = grid.center.imag + grid.width / 2
-    ymin = min(y0.min(), y1.min())
-    ymax = max(y0.max(), y1.max())
-    i_lo = max(0, int(np.floor((top - ymax) / px - 0.5)))
-    i_hi = min(n - 1, int(np.ceil((top - ymin) / px - 0.5)))
-    slope = (x1 - x0) / (y1 - y0)
+    i_lo = max(0, int(np.floor((top - pts.imag.max()) / px - 0.5)))
+    i_hi = min(n - 1, int(np.ceil((top - pts.imag.min()) / px - 0.5)))
     for i in range(i_lo, i_hi + 1):
-        y = top - (i + 0.5) * px
-        hit = (y0 <= y) != (y1 <= y)
-        if not hit.any():
-            continue
-        xs = np.sort(x0[hit] + (y - y0[hit]) * slope[hit])
+        xs = np.sort(_crossings(x0, y0, x1, y1, top - (i + 0.5) * px))
         for k in range(0, len(xs) - 1, 2):
             ja = int(np.ceil((xs[k] - left) / px - 0.5))
             jb = int(np.floor((xs[k + 1] - left) / px - 0.5))
@@ -142,15 +141,9 @@ def fill_polygon(bits: np.ndarray, grid: GridSpec, polygon: np.ndarray) -> None:
 
 def crossing_parity(poly: np.ndarray, z: complex) -> bool:
     """Even-odd test: whether z lies inside the closed polygon `poly`."""
-    x, y = z.real, z.imag
     xs, ys = poly.real, poly.imag
-    x0, y0 = xs[:-1], ys[:-1]
-    x1, y1 = xs[1:], ys[1:]
-    hit = (y0 <= y) != (y1 <= y)
-    if not hit.any():
-        return False
-    xcross = x0[hit] + (y - y0[hit]) * (x1[hit] - x0[hit]) / (y1[hit] - y0[hit])
-    return bool(np.count_nonzero(xcross > x) % 2)
+    xcross = _crossings(xs[:-1], ys[:-1], xs[1:], ys[1:], z.imag)
+    return bool(np.count_nonzero(xcross > z.real) % 2)
 
 
 def distance_to_polyline(poly: np.ndarray, z: complex) -> float:

@@ -9,6 +9,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .errors import NonConvergence
+
 MONIC_TOL = 1e-12
 CYCLE_RESIDUAL_TOL = 1e-9
 DEDUP_TOL = 1e-7
@@ -98,6 +100,24 @@ class Polynomial:
         arr = np.array(self.coeffs[::-1], dtype=complex)
         arr[-1] -= w
         return np.roots(arr)
+
+    def preimage_near(self, w: complex, seed: complex) -> complex:
+        """The solution of P(z) = w that Newton reaches from seed."""
+        z = seed
+        for _ in range(40):
+            dz = self.deriv(z)
+            if dz == 0:
+                break
+            step = (self(z) - w) / dz
+            z = z - step
+            if abs(step) <= 1e-14 * max(1.0, abs(z)):
+                return z
+        # Newton degenerates when the preimage sits near a critical point; the
+        # companion matrix solves the full fiber and the seed picks the branch.
+        roots = self.preimages(w)
+        if not np.all(np.isfinite(roots)):
+            raise NonConvergence(f"preimage solve failed for target {w:.6g}")
+        return complex(roots[int(np.argmin(np.abs(roots - seed)))])
 
 
 class EscapeResult(NamedTuple):

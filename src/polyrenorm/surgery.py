@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bottcher import bottcher_point, equipotential_polyline, external_angle
-from .carrots import Carrot, build_carrots, carrots_disjoint
+from .bottcher import (bottcher_point, equipotential_points, equipotential_polyline,
+                       external_angle)
+from .carrots import Carrot, build_carrot, carrots_disjoint
 from .cuts import CutFamily, check_legal
 from .errors import CarrotOverlap, ContinuityGap, DegreeMismatch, RenormError
 from .grid import GridSpec, Mask, PixelRaster, estimate_bounded_box, run_row_blocks
@@ -167,11 +169,6 @@ class CoonsPatch:
 
     def _tgt_rows(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """phi_tgt on a grid, one warm equipotential sweep per t-row."""
-        from fractions import Fraction
-
-        from .bottcher import _descend_chain, _trace_angular, anchor_potential
-
-        anchor = anchor_potential(self.P)
         out = np.empty((len(ss), len(ts)), dtype=complex)
         for j, t in enumerate(ts):
             g = self._tgt_g_at(float(t))
@@ -184,8 +181,7 @@ class CoonsPatch:
             flip = offs[0] > offs[-1]
             if flip:
                 offs = offs[::-1]
-            ch = _descend_chain(self.P, g, Fraction(0), offs[0], 0, anchor)
-            pts, _ = _trace_angular(self.P, g, Fraction(0), offs, ch, anchor)
+            pts = equipotential_points(self.P, g, Fraction(0), offs)
             out[:, j] = pts[::-1] if flip else pts
         return out
 
@@ -389,9 +385,10 @@ class SurgeryMap:
         return count
 
 
-def build_surgery(P: Polynomial, family: CutFamily, rho: float, *,
+def build_surgery(P: Polynomial, family: CutFamily, rho: float, carrots: list[Carrot], *,
                   checks: bool = True, boundary_samples: int = 1000) -> SurgeryMap:
-    """Assemble the carrot modification at parameter rho.
+    """Assemble the carrot modification at parameter rho on the family's
+    carrots at rho (`build_carrots`).
 
     Verifies legality, carrot disjointness, side-arc agreement with P,
     boundary-trace winding, and cross-validates d_c by preimage counting at
@@ -404,13 +401,10 @@ def build_surgery(P: Polynomial, family: CutFamily, rho: float, *,
         msgs = "; ".join(f"{r.check}[{r.subject}]" for r in hard)
         raise RenormError(f"family is not legal: {msgs}")
     g0 = -math.log(rho)
-    carrots = build_carrots(P, family, rho)
     if not carrots_disjoint(carrots):
         raise CarrotOverlap("carrots are not pairwise disjoint; increase rho")
     critical = family.critical_indices()
     d_c = degree_dc(P, family)
-
-    from .carrots import build_carrot
 
     patches: dict[int, CoonsPatch] = {}
     image_carrots: dict[int, Carrot] = {}

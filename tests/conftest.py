@@ -31,8 +31,8 @@ def fig1_carrots(fig1_family):
 
 
 @pytest.fixture(scope="session")
-def fig1_surgery(fig1_family):
-    return build_surgery(CUBIC, fig1_family, RHO)
+def fig1_surgery(fig1_family, fig1_carrots):
+    return build_surgery(CUBIC, fig1_family, RHO, fig1_carrots)
 
 
 @pytest.fixture(scope="session")

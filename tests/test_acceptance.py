@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from polyrenorm import (GridSpec, build_carrots, build_family,
-                        build_surgery, compare_masks, compute_mask,
-                        conjugacy_report, connected_components, escape_analysis,
-                        find_cycles, green_potential, land_ray,
-                        nonescaping_mask, proto_image_check, quasi_arc_constant,
+                        build_surgery, compare_masks, conjugacy_report,
+                        connected_components, escape_analysis, find_cycles,
+                        green_potential, land_ray, nonescaping_mask,
+                        proto_image_check, quasi_arc_constant,
                         transversality_profile, visit_count_experiment,
                         weak_qs_constant)
 from polyrenorm.angles import Angle
@@ -44,7 +44,7 @@ def test_criterion_1_baseline_dynamics():
     with criterion(1, "baseline: unit-disk mask and logarithmic potential of z^2"):
         t0 = time.monotonic()
         grid = GridSpec(0j, 4.0, 512)
-        mask = compute_mask(SQUARE, None, grid, 256)
+        mask = escape_analysis(SQUARE, None, grid, 256).kp
         exact = np.abs(grid.centers()) <= 1.0
         assert (mask.bits ^ exact).mean() < 0.01
         rng = np.random.default_rng(1)
@@ -147,7 +147,8 @@ def test_criterion_7_carrot_geometry(family):
 def test_criterion_8_surgery(family):
     with criterion(8, "surgery: d_c = 2, visit bound, non-escaping set matches"):
         t0 = time.monotonic()
-        S = build_surgery(CUBIC, family, RHO)  # includes preimage cross-check
+        carrots = build_carrots(CUBIC, family, RHO)
+        S = build_surgery(CUBIC, family, RHO, carrots)  # includes preimage cross-check
         assert S.d_c == 2
         grid = GridSpec(complex(-1.25, 0.0), 4.5, 512)
         visits = visit_count_experiment(S, 10000, 512, window=grid)

@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from polyrenorm import (GridSpec, Mask, compare_masks, compute_mask,
-                        connected_components, escape_analysis, load_mask_raw,
-                        save_mask_raw)
+from polyrenorm import (GridSpec, Mask, compare_masks, connected_components,
+                        escape_analysis, load_mask_raw, save_mask_raw)
 from polyrenorm.errors import GridMismatch
-from polyrenorm.grid import distance_to_polyline
+from polyrenorm.grid import crossing_parity, distance_to_polyline, fill_polygon
 
 from conftest import CUBIC, SQUARE
 
 
 def test_square_julia_is_unit_disk():
     grid = GridSpec(0j, 4.0, 256)
-    mask = compute_mask(SQUARE, None, grid, 128)
+    mask = escape_analysis(SQUARE, None, grid, 128).kp
     exact = np.abs(grid.centers()) <= 1.0
     assert (mask.bits ^ exact).mean() < 0.01
 
@@ -133,3 +132,18 @@ def test_mask_raw_roundtrip(tmp_path, fig1_masks, fig1_grid):
         head = fh.read(16)
     assert head[:8] == b"APLMASK1"
     assert int.from_bytes(head[8:12], "little") == fig1_grid.resolution
+
+
+def test_crossing_parity_matches_fill_polygon(fig1_carrots, fig1_family, fig1_grid):
+    # one even-odd rule: pointwise membership at every pixel centre equals
+    # the scanline fill
+    polys = [c.boundary() for c in fig1_carrots]
+    polys += [w.boundary for w in fig1_family.wedges if w.boundary is not None]
+    n = fig1_grid.resolution
+    centers = fig1_grid.centers()
+    for poly in polys:
+        bits = np.zeros((n, n), dtype=bool)
+        fill_polygon(bits, fig1_grid, poly)
+        parity = np.array([[crossing_parity(poly, z) for z in row] for row in centers])
+        assert bits.any()
+        assert (parity == bits).all()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +111,12 @@ def test_equipotential_needs_64():
         equipotential_polyline(SQUARE, 1.0, 32)
 
 
+def test_equipotential_needs_positive_potential():
+    # at potential 0 the descent ladder and the chain top never end
+    with pytest.raises(ValueError):
+        bottcher.equipotential_arc(CUBIC, 0.0, Fraction(0), 0.0, 0.1)
+
+
 def test_external_angle_roundtrip():
     for frac, g in ((Angle(1, 3), 0.2), (Angle(5, 7), 0.37), (Angle(0, 1), 1.1)):
         z = bottcher_point(CUBIC, g, frac)
@@ -200,3 +207,25 @@ def test_spiral_retry_at_requested_density():
     arc = trace_spiral(CUBIC, Angle(1, 3), +1, 0.1, 1e-4, 8)
     ratios = arc.potentials[1:] / arc.potentials[:-1]
     assert np.allclose(ratios, 3 ** (-1 / 8), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("P", [CUBIC, RABBIT], ids=["cubic", "rabbit"])
+@pytest.mark.parametrize("g", [0.05, 0.2, 1.1])
+def test_equipotential_sweep_against_descent(P, g):
+    # the sweep walks the offset at fixed potential; each bottcher_point
+    # descends its own ray, so the two paths share no chain
+    n = 64
+    poly = equipotential_polyline(P, g, n)
+    for j in range(n + 1):
+        assert abs(poly[j] - bottcher_point(P, g, j / n)) < 1e-12
+
+
+@pytest.mark.parametrize("P", [CUBIC, RABBIT], ids=["cubic", "rabbit"])
+@pytest.mark.parametrize("g", [0.05, 0.2, 1.1])
+def test_equipotential_functional_equation(P, g):
+    # Boettcher: P maps the point at (g, j/n) to the one at (d g, d j/n)
+    n, d = 64, P.degree
+    e_g = equipotential_polyline(P, g, n)
+    e_dg = equipotential_polyline(P, d * g, n)
+    for j in range(n + 1):
+        assert abs(P(complex(e_g[j])) - e_dg[(d * j) % n]) < 1e-12

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polyrenorm import (build_family, build_surgery, compare_masks,
+from polyrenorm import (build_carrots, build_family, build_surgery, compare_masks,
                         degree_dc, escape_analysis, green_potential,
                         nonescaping_mask, visit_count_experiment)
 from polyrenorm.angles import Angle
@@ -45,20 +45,21 @@ def test_build_surgery_fig1(fig1_surgery):
 
 def test_surgery_requires_legal_family():
     fam = build_family(CUBIC, [(Angle(1, 3), Angle(2, 3))], g0=G0)
+    carrots = build_carrots(CUBIC, fam, RHO)
     with pytest.raises(Exception):
-        build_surgery(CUBIC, fam, RHO)
+        build_surgery(CUBIC, fam, RHO, carrots)
 
 
 def test_surgery_carrot_overlap():
     fam = build_family(CUBIC, [(Angle(1, 3), Angle(2, 3)),
                                (Angle(0, 1), Angle(0, 1))], g0=G0)
     with pytest.raises(CarrotOverlap):
-        build_surgery(CUBIC, fam, math.exp(-0.5))
+        build_surgery(CUBIC, fam, math.exp(-0.5), build_carrots(CUBIC, fam, math.exp(-0.5)))
 
 
 def test_no_critical_cuts_means_f_equals_p():
     fam = build_family(CUBIC, [(Angle(0, 1), Angle(0, 1))], g0=G0)
-    S = build_surgery(CUBIC, fam, RHO)
+    S = build_surgery(CUBIC, fam, RHO, build_carrots(CUBIC, fam, RHO))
     assert S.d_c == 3
     for z in (-1 + 0j, 0.2 + 0.1j, -2.5 + 0j):
         if green_potential(CUBIC, z) < S.g0:
@@ -122,7 +123,7 @@ def test_visit_experiment_reproducible(fig1_surgery, fig1_grid):
 
 def test_no_critical_cuts_no_visits(fig1_grid):
     fam = build_family(CUBIC, [(Angle(0, 1), Angle(0, 1))], g0=G0)
-    S = build_surgery(CUBIC, fam, RHO)
+    S = build_surgery(CUBIC, fam, RHO, build_carrots(CUBIC, fam, RHO))
     visits = visit_count_experiment(S, 2000, 128, window=fig1_grid)
     assert visits.max_visits_crit == 0
 
@@ -133,7 +134,7 @@ def test_spiral_shadow_avoids_critical_carrot(fig1_surgery):
     S = fig1_surgery
     crit = S.carrots[0]
     for t in (0.001, 0.01, 0.05):
-        z = complex(bottcher_point(CUBIC, t, Angle(0, 1), slope=+1))
+        z = complex(bottcher_point(CUBIC, t, t))  # slope-one spiral through angle 0
         for _ in range(60):
             assert not crit.contains(z)
             z = CUBIC(z)
@@ -150,7 +151,7 @@ def test_nonescaping_matches_avoiding(fig1_surgery, fig1_family, fig1_grid,
 
 def test_nonescaping_trivial_family(fig1_grid):
     fam = build_family(CUBIC, [(Angle(0, 1), Angle(0, 1))], g0=G0)
-    S = build_surgery(CUBIC, fam, RHO)
+    S = build_surgery(CUBIC, fam, RHO, build_carrots(CUBIC, fam, RHO))
     fmask = nonescaping_mask(S, fig1_grid, 256)
     res = escape_analysis(CUBIC, fam, fig1_grid, 256)
     cmp_ = compare_masks(fmask, res.avoiding, band=2)
@@ -158,7 +159,7 @@ def test_nonescaping_trivial_family(fig1_grid):
 
 
 def test_seed_in_periodic_carrot_escapes(fig1_surgery, fig1_grid):
-    z = complex(bottcher_point(CUBIC, 0.01, Angle(0, 1), slope=+1))
+    z = complex(bottcher_point(CUBIC, 0.01, 0.01))  # slope-one spiral through angle 0
     fmask = nonescaping_mask(fig1_surgery, fig1_grid, 256)
     i, j = fig1_grid.index_arrays(np.array([z]))
     assert not fmask.bits[i[0], j[0]]

@@ -64,13 +64,10 @@ def escape_analysis(P: Polynomial, family: Optional[CutFamily], grid: GridSpec,
     hit = np.zeros((n, n), dtype=bool)
 
     def block(i0: int, i1: int):
-        z = work.rows_centers(i0, i1).ravel()
-        nloc = z.size
-        idx = np.arange(nloc, dtype=np.int64)
-        esc_loc = np.zeros(nloc, dtype=np.uint16)
-        hit_loc = np.zeros(nloc, dtype=bool)
-        live = idx
-        zz = z
+        zz = work.rows_centers(i0, i1).ravel()
+        esc_loc = np.zeros(zz.size, dtype=np.uint16)
+        hit_loc = np.zeros(zz.size, dtype=bool)
+        live = np.arange(zz.size)
         with np.errstate(over="ignore", invalid="ignore"):
             for it in range(1, max_iter + 1):
                 if raster is not None:
@@ -78,18 +75,15 @@ def escape_analysis(P: Polynomial, family: Optional[CutFamily], grid: GridSpec,
                     if inside.any():
                         hit_loc[live[inside]] = True
                 zz = P(zz)
-                a = np.abs(zz)
-                gone = ~np.isfinite(a) | (a > R)
-                if gone.any():
-                    esc_loc[live[gone]] = it
-                    keep = ~gone
+                keep = np.abs(zz) <= R  # False beyond R, at inf and at NaN
+                if not keep.all():
+                    esc_loc[live[~keep]] = it
                     live = live[keep]
                     zz = zz[keep]
                     if live.size == 0:
                         break
-        cols = work.resolution
-        esc[i0:i1, :] = esc_loc.reshape(i1 - i0, cols)
-        hit[i0:i1, :] = hit_loc.reshape(i1 - i0, cols)
+        esc[i0:i1, :] = esc_loc.reshape(i1 - i0, n)
+        hit[i0:i1, :] = hit_loc.reshape(i1 - i0, n)
 
     run_row_blocks(block, n, threads)
 

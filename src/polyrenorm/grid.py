@@ -160,27 +160,56 @@ def distance_to_polyline(poly: np.ndarray, z: complex) -> float:
 
 @dataclass
 class PixelRaster:
-    """Shared lookup raster; points outside the window read False."""
+    """Shared lookup raster; points outside the window read False.
+
+    The bits sit inside an (n+2)^2 array whose one-pixel border stays False;
+    `bits` is a view of its interior.  Every raster on one grid shares the
+    flat indices of `index`, so a sweep over several rasters computes them
+    once per iterate and reads each raster with `at`.
+    """
 
     grid: GridSpec
-    bits: np.ndarray = field(default=None)  # type: ignore[assignment]
+    bits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.bits is None:
-            n = self.grid.resolution
-            self.bits = np.zeros((n, n), dtype=bool)
+        n = self.grid.resolution
+        self._padded = np.zeros((n + 2, n + 2), dtype=bool)
+        self.bits = self._padded[1:-1, 1:-1]
 
     def add_polygon(self, polygon: np.ndarray) -> None:
         fill_polygon(self.bits, self.grid, polygon)
 
+    def index(self, z: np.ndarray) -> np.ndarray:
+        """Flat indices of the pixels holding z in the padded raster.
+
+        Pixel indices are those of `GridSpec.index_arrays` (same formula,
+        computed in place), clipped to [-1, n] so that a point outside the
+        window lands on the border.  `fmax` sends a NaN coordinate to -1.
+        """
+        g = self.grid
+        n = g.resolution
+        px = g.pixel
+        j = np.subtract(z.real, g.center.real - g.width / 2)
+        j /= px
+        np.floor(j, out=j)
+        np.fmax(j, -1, out=j)
+        np.fmin(j, n, out=j)
+        k = np.subtract(g.center.imag + g.width / 2, z.imag)
+        k /= px
+        np.floor(k, out=k)
+        np.fmax(k, -1, out=k)
+        np.fmin(k, n, out=k)
+        k *= n + 2
+        k += j
+        k += n + 3
+        return k.astype(np.intp)
+
+    def at(self, k: np.ndarray) -> np.ndarray:
+        """Bits at flat indices from `index` of any raster on this grid."""
+        return self._padded.ravel().take(k)
+
     def lookup(self, z: np.ndarray) -> np.ndarray:
-        i, j = self.grid.index_arrays(np.asarray(z))
-        n = self.grid.resolution
-        ok = (i >= 0) & (i < n) & (j >= 0) & (j < n)
-        out = np.zeros(z.shape, dtype=bool)
-        if ok.any():
-            out[ok] = self.bits[i[ok], j[ok]]
-        return out
+        return self.at(self.index(np.asarray(z)))
 
 
 def estimate_bounded_box(P, resolution: int = 160, max_iter: int = 96,

@@ -26,6 +26,16 @@ def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
+def _horner_array(cs: Sequence[complex], z: np.ndarray) -> np.ndarray:
+    """Horner's rule in place on one complex buffer: the operations of
+    `w = w * z + c` in the same order, with one allocation."""
+    w = np.full(z.shape, cs[-1], dtype=np.result_type(z, complex))
+    for c in reversed(cs[:-1]):
+        w *= z
+        w += c
+    return w
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """A monic polynomial, coefficients stored constant term first.
@@ -61,10 +71,7 @@ class Polynomial:
 
     def __call__(self, z):
         if isinstance(z, np.ndarray):
-            w = np.full_like(z, self.coeffs[-1])
-            for c in reversed(self.coeffs[:-1]):
-                w = w * z + c
-            return w
+            return _horner_array(self.coeffs, z)
         w = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             w = w * z + c
@@ -73,10 +80,7 @@ class Polynomial:
     def deriv(self, z):
         dcs = self.deriv_coeffs
         if isinstance(z, np.ndarray):
-            w = np.full_like(z, dcs[-1])
-            for c in reversed(dcs[:-1]):
-                w = w * z + c
-            return w
+            return _horner_array(dcs, z)
         w = dcs[-1]
         for c in reversed(dcs[:-1]):
             w = w * z + c

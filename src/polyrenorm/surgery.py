@@ -531,39 +531,29 @@ def visit_count_experiment(S: SurgeryMap, n_seeds: int, max_iter: int, *,
     rng = np.random.default_rng(seed)
     re = rng.uniform(win.center.real - win.width / 2, win.center.real + win.width / 2, n_seeds)
     im = rng.uniform(win.center.imag - win.width / 2, win.center.imag + win.width / 2, n_seeds)
-    z = re + 1j * im
+    zz = re + 1j * im
     crit = S._raster("crit")
     u_rho = S._raster("u_rho")
     u_rho_d = S._raster("u_rho_d")
     visits_crit = np.zeros(n_seeds, dtype=np.int32)
     visits_blend = np.zeros(n_seeds, dtype=np.int32)
     live = np.arange(n_seeds)
-    zz = z.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
             if live.size == 0:
                 break
-            in_crit = crit.lookup(zz)
-            in_ud = u_rho_d.lookup(zz)
-            in_u = u_rho.lookup(zz)
+            k = crit.index(zz)  # the three rasters share the base window
+            in_crit = crit.at(k)
+            in_ud = u_rho_d.at(k)
+            in_u = u_rho.at(k)
             blend = in_ud & ~in_u & ~in_crit
             visits_crit[live[in_crit]] += 1
             visits_blend[live[blend]] += 1
+            out = S.P(zz)
+            for m in np.nonzero(in_crit)[0]:
+                out[m] = _patch_forward(S, complex(zz[m]))
             # retire orbits beyond the outer annulus
-            keep = in_ud
-            if in_crit.any():
-                idx = np.nonzero(in_crit)[0]
-                for k in idx:
-                    zz[k] = _patch_forward(S, complex(zz[k]))
-                mapped = np.zeros(len(zz), dtype=bool)
-                mapped[idx] = True
-            else:
-                mapped = np.zeros(len(zz), dtype=bool)
-            out = np.where(mapped, zz, 0)
-            nz = ~mapped
-            out = np.array(out)
-            out[nz] = S.P(zz[nz])
-            good = np.isfinite(out.real) & np.isfinite(out.imag) & keep
+            good = np.isfinite(out) & in_ud
             live = live[good]
             zz = out[good]
     t_cr = len(S.critical)
@@ -594,16 +584,15 @@ def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,
     bits = np.zeros((n, n), dtype=bool)
 
     def block(i0: int, i1: int):
-        zz = grid.rows_centers(i0, i1).ravel()
-        nloc = zz.size
-        alive = np.ones(nloc, dtype=bool)
-        live = np.arange(nloc)
-        z = zz.copy()
+        z = grid.rows_centers(i0, i1).ravel()
+        alive = np.ones(z.size, dtype=bool)
+        live = np.arange(z.size)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iter):
                 if live.size == 0:
                     break
-                inside = u_rho.lookup(z) & ~crit.lookup(z)
+                k = crit.index(z)  # both rasters share the base window
+                inside = u_rho.at(k) & ~crit.at(k)
                 if not inside.all():
                     alive[live[~inside]] = False
                     live = live[inside]
@@ -611,7 +600,7 @@ def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,
                     if live.size == 0:
                         break
                 z = S.P(z)
-                bad = ~np.isfinite(z.real) | ~np.isfinite(z.imag)
+                bad = ~np.isfinite(z)
                 if bad.any():
                     alive[live[bad]] = False
                     live = live[~bad]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from polyrenorm import (GridSpec, Mask, compare_masks, connected_components,
-                        escape_analysis, load_mask_raw, save_mask_raw)
+from polyrenorm import (GridSpec, Mask, PixelRaster, compare_masks,
+                        connected_components, escape_analysis, load_mask_raw,
+                        nonescaping_mask, save_mask_raw, wedge_raster)
 from polyrenorm.errors import GridMismatch
 from polyrenorm.grid import crossing_parity, distance_to_polyline, fill_polygon
 
@@ -147,3 +148,123 @@ def test_crossing_parity_matches_fill_polygon(fig1_carrots, fig1_family, fig1_gr
         parity = np.array([[crossing_parity(poly, z) for z in row] for row in centers])
         assert bits.any()
         assert (parity == bits).all()
+
+
+# -- reference sweeps: the plain loops the pixel sweeps must reproduce bit for bit
+
+def _reference_lookup(raster, z):
+    """Bounds-masked 2-D lookup: points outside the window (or not finite)
+    read False."""
+    with np.errstate(invalid="ignore"):
+        i, j = raster.grid.index_arrays(z)
+    n = raster.grid.resolution
+    ok = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+    out = np.zeros(z.shape, dtype=bool)
+    out[ok] = raster.bits[i[ok], j[ok]]
+    return out
+
+
+def _reference_P(P, z):
+    w = np.full_like(z, P.coeffs[-1])
+    for c in reversed(P.coeffs[:-1]):
+        w = w * z + c
+    return w
+
+
+def _reference_escape(P, raster, grid, max_iter):
+    z = grid.centers().ravel()
+    esc = np.zeros(z.size, dtype=np.uint16)
+    hit = np.zeros(z.size, dtype=bool)
+    live = np.arange(z.size)
+    R = P.escape_radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            if raster is not None:
+                hit[live[_reference_lookup(raster, z)]] = True
+            z = _reference_P(P, z)
+            a = np.abs(z)
+            gone = ~np.isfinite(a) | (a > R)
+            esc[live[gone]] = it
+            live = live[~gone]
+            z = z[~gone]
+    n = grid.resolution
+    return esc.reshape(n, n), hit.reshape(n, n)
+
+
+def _majority(bits):
+    q = (bits[0::2, 0::2].astype(np.uint8) + bits[0::2, 1::2]
+         + bits[1::2, 0::2] + bits[1::2, 1::2])
+    return q >= 2
+
+
+def test_raster_lookup_matches_bounds_masked_reference(fig1_family):
+    grid = GridSpec(complex(-2.2, 0.1), 1.0, 64)
+    raster = PixelRaster(grid)
+    raster.add_polygon(fig1_family.wedges[0].boundary)  # crosses the window
+    assert raster.bits.any() and not raster.bits.all()
+    n, px = grid.resolution, grid.pixel
+    left = grid.center.real - grid.width / 2
+    top = grid.center.imag + grid.width / 2
+    rng = np.random.default_rng(3)
+    # inside and around the window
+    pts = [rng.uniform(left - 0.5, left + 1.5, 4000)
+           + 1j * rng.uniform(top - 1.5, top + 0.5, 4000)]
+    # on pixel edges and corners, one ring beyond the window included
+    xs = left + np.arange(-2, n + 3) * px
+    ys = top - np.arange(-2, n + 3) * px
+    pts.append((xs[np.newaxis, :] + 1j * ys[:, np.newaxis]).ravel())
+    pts.append(xs + 1j * (top - 10.5 * px))
+    pts.append(left + 20.5 * px + 1j * ys)
+    # non-finite coordinates, alone and with finite in-window partners
+    inside = left + 30.5 * px
+    special = [np.inf, -np.inf, np.nan, inside]
+    pts.append(np.array([complex(a, b) for a in special for b in special]))
+    z = np.concatenate(pts)
+    got = raster.lookup(z)
+    assert got.dtype == bool and got.shape == z.shape
+    assert (got == _reference_lookup(raster, z)).all()
+    assert got.any()
+    # the rasters of one grid share flat indices
+    k = raster.index(z)
+    assert (raster.at(k) == got).all()
+
+
+@pytest.mark.parametrize("case", ["cubic", "cubic-supersample", "square"])
+def test_escape_analysis_matches_reference_loop(case, fig1_family):
+    P, family = (SQUARE, None) if case == "square" else (CUBIC, fig1_family)
+    grid = GridSpec(complex(-1.25, 0.0), 4.5, 128) if P is CUBIC else GridSpec(0j, 4.0, 128)
+    ss = 2 if case == "cubic-supersample" else 1
+    res = escape_analysis(P, family, grid, 256, supersample=ss)
+    raster = wedge_raster(P, family) if family is not None else None
+    esc, hit = _reference_escape(P, raster, grid.subdivide(ss) if ss == 2 else grid, 256)
+    kp = esc == 0
+    av = kp & ~hit
+    if ss == 2:
+        kp, av, esc = _majority(kp), _majority(av), esc[::2, ::2]
+    assert (res.esc_steps == esc).all()
+    assert (res.kp.bits == kp).all()
+    if family is None:
+        assert res.avoiding is None
+    else:
+        assert (res.avoiding.bits == av).all()
+        assert res.avoiding.count() < res.kp.count()
+
+
+def test_nonescaping_mask_matches_reference_loop(fig1_surgery):
+    S = fig1_surgery
+    grid = GridSpec(complex(-1.25, 0.0), 4.5, 128)
+    crit, u_rho = S._raster("crit"), S._raster("u_rho")
+    z = grid.centers().ravel()
+    alive = np.ones(z.size, dtype=bool)
+    live = np.arange(z.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(256):
+            inside = _reference_lookup(u_rho, z) & ~_reference_lookup(crit, z)
+            alive[live[~inside]] = False
+            live, z = live[inside], _reference_P(S.P, z[inside])
+            bad = ~np.isfinite(z.real) | ~np.isfinite(z.imag)
+            alive[live[bad]] = False
+            live, z = live[~bad], z[~bad]
+    bits = nonescaping_mask(S, grid, 256).bits
+    assert bits.any()
+    assert (bits == alive.reshape(128, 128)).all()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,23 @@ def test_polynomial_validation():
         Polynomial((0, 0, 2))  # not monic
     with pytest.raises(ValueError):
         Polynomial((float("nan"), 0, 1))
+
+
+def test_call_on_real_arrays():
+    # a real array is evaluated as the complex array it embeds in, with no
+    # ComplexWarning; a near-monic lead keeps its imaginary part
+    x = np.linspace(-2.5, 2.5, 1001)
+    near = Polynomial((0.25 - 0.5j, 0.3j, 1 + 5e-13j))
+    for P in (CUBIC, BASILICA, near):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = P(x)
+            dw = P.deriv(x)
+        assert w.dtype == complex
+        assert (w == P(x.astype(complex))).all()
+        assert (w == np.array([P(complex(v)) for v in x])).all()
+        assert (dw == np.array([P.deriv(complex(v)) for v in x])).all()
+    assert near(np.array([0.0]))[0] == 0.25 - 0.5j
 
 
 def test_escape_radius_soundness():

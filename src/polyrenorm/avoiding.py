@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 from scipy import ndimage
 
 from .cuts import CutFamily
 from .grid import GridSpec, Mask, PixelRaster, estimate_bounded_box, run_row_blocks
 from .errors import GridMismatch
-from .poly import Polynomial
+from .poly import Polynomial, critical_cycles, unity_order
 
 WEDGE_RASTER_RES = 4096
 _STRUCT8 = np.ones((3, 3), dtype=bool)
@@ -37,6 +39,342 @@ def wedge_raster(P: Polynomial, family: CutFamily,
     return raster
 
 
+# -- certified interior traps -------------------------------------------------
+
+_U = 2.0 ** -53  # unit roundoff of float64
+MAX_PETALS = 12  # parabolic points with more petals get no trap
+# (M, K) for the lobes {Re phi > M, |phi| < K} in the order tried: the
+# lowest M first, and for each M the highest K
+_LOBE_LADDER = [(m, k) for m in (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0)
+                for k in (1e7, 1e5, 1e3)]
+
+
+@dataclass(frozen=True)
+class InteriorTrap:
+    """A set T every float orbit of which stays bounded, and clear of the
+    sweep's forbidden raster pixels, for the sweep's whole iteration budget.
+
+    `disks` are (center, radius) pairs around attracting cycle points;
+    `lobes` are (z0, a, M, K) with a = (a_1, ..., a_m): the points with
+    phi = sum a_k (z - z0)^-k satisfying Re phi > M and |phi| < K, where phi
+    is a truncated Fatou coordinate at a parabolic fixed point z0 (one step
+    of P adds 1 + O(z - z0) to it).  Membership is tested in floats; the
+    certificate covers the test's rounding.
+    """
+
+    disks: tuple = ()
+    lobes: tuple = ()
+
+    def __bool__(self) -> bool:
+        return bool(self.disks or self.lobes)
+
+    def contains(self, z: np.ndarray) -> np.ndarray:
+        out = np.zeros(z.shape, dtype=bool)
+        for c, r in self.disks:
+            w = z - c
+            out |= w.real * w.real + w.imag * w.imag <= r * r
+        for z0, a, M, K in self.lobes:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v = 1.0 / (z - z0)
+                phi = _laurent(a, v)
+                out |= (phi.real > M) & (np.abs(phi) < K)
+        return out
+
+
+def _laurent(a, v):
+    """sum_k a[k-1] v^k by Horner."""
+    acc = a[-1] * v
+    for c in a[-2::-1]:
+        acc += c
+        acc *= v
+    return acc
+
+
+def _abs_sum(cs, x: float) -> float:
+    return sum(abs(c) * x ** k for k, c in enumerate(cs))
+
+
+def _horner_error(P: Polynomial, x: float) -> float:
+    """Bound on |fl(P(z)) - P(z)| for |z| <= x under the in-place Horner of
+    `Polynomial.__call__`: d complex products, each within sqrt(2)*gamma_2 of
+    exact, and d sums, each within u; 8 d u covers both with room."""
+    return 8 * P.degree * _U * _abs_sum(P.coeffs, x)
+
+
+def _taylor_bounds(P: Polynomial, z0: complex) -> tuple[list[complex], list[float]]:
+    """Float Taylor coefficients of P at z0 and bounds on their errors: the
+    synthetic division runs at most (d+1)^2 multiply-adds on terms bounded by
+    the Taylor coefficients of sum |c_k| z^k at |z0|."""
+    t = P.taylor(z0)
+    tau = Polynomial(tuple(abs(c) for c in P.coeffs)).taylor(abs(z0))
+    return t, [8 * (P.degree + 1) ** 2 * _U * abs(x) for x in tau]
+
+
+def _clear_of(raster: PixelRaster, keep_inside: bool, center: complex, radius: float,
+              may_meet) -> bool:
+    """Whether a set inside the disk D(center, radius) keeps one pixel away
+    from every forbidden pixel of `raster`: its bits, or with `keep_inside`
+    everything outside them, the window's outside included.
+
+    `may_meet(x, s)` is False only where the disk D(x, s) surely misses the
+    set; it is asked at the centers x of the forbidden pixels near the set,
+    with s covering the pixel's 3x3 block.
+    """
+    g = raster.grid
+    n, px = g.resolution, g.pixel
+    s = 1.5 * math.sqrt(2.0) * px
+    left, top = g.center.real - g.width / 2, g.center.imag + g.width / 2
+    j0, j1 = (math.floor((center.real + sgn * (radius + s) - left) / px) for sgn in (-1, 1))
+    i0, i1 = (math.floor((top - center.imag - sgn * (radius + s)) / px) for sgn in (1, -1))
+    if keep_inside and not (0 <= j0 and j1 < n and 0 <= i0 and i1 < n):
+        return False
+    i0, j0 = max(i0, 0), max(j0, 0)
+    i1, j1 = min(i1, n - 1), min(j1, n - 1)
+    if i1 < i0 or j1 < j0:
+        return True
+    block = raster.bits[i0:i1 + 1, j0:j1 + 1]
+    ii, jj = np.nonzero(~block if keep_inside else block)
+    x = (left + (jj + j0 + 0.5) * px) + 1j * (top - (ii + i0 + 0.5) * px)
+    return not may_meet(x, s).any()
+
+
+def _attracting_disks(P: Polynomial, cycle, clear) -> list:
+    """Disks D(p_j, r_j) around the cycle points with P(D_j) inside D_{j+1}
+    (indices mod n), rounding included; largest r_0 from a halving ladder."""
+    R = P.escape_radius
+    pts = cycle.points
+    n = len(pts)
+    taylor = [_taylor_bounds(P, p) for p in pts]
+    for i in range(1, 60):
+        radii = [R * 2.0 ** -i]
+        for j, (t, err) in enumerate(taylor):
+            r = radii[-1]
+            if abs(pts[j]) + r > R * (1 - 1e-9):
+                break
+            radii.append(abs(t[0] - pts[(j + 1) % n]) + err[0]
+                         + sum((abs(t[k]) + err[k]) * r ** k for k in range(1, len(t)))
+                         + _horner_error(P, abs(pts[j]) + r))
+        else:
+            if radii[n] > radii[0]:
+                continue
+            if all(clear(p, r, lambda x, s, p=p, r=r: np.abs(x - p) <= r + s)
+                   for p, r in zip(pts, radii)):
+                # the float test accepts |z - p| up to r (1 + 4u)
+                return [(p, r * (1 - 1e-12)) for p, r in zip(pts, radii[:n])]
+    return []
+
+
+def _fatou_coordinate(t: list[complex], q: int) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Truncated Fatou coordinate at a parabolic fixed point.
+
+    `t` holds the Taylor coefficients of f(w) = P(z0 + w) - z0 (t[0] is
+    ignored) and the multiplier t[1] is a primitive q-th root of unity.
+    Returns a = (a_1, ..., a_m) with phi(f(w)) = phi(w) + 1 + O(w) for
+    phi(w) = sum a_k w^-k, m the number of petals, together with the
+    polynomial N(w) = w^m F(w)^m (phi(f(w)) - phi(w) - 1), F = f / w, and a
+    bound on the rounding in each of its coefficients.  None when the
+    petal count exceeds MAX_PETALS or the expansion is degenerate.
+    """
+    F = np.array(t[1:], dtype=complex)
+    L = MAX_PETALS + 2
+    s = np.array([0, 1], dtype=complex)  # f^q, truncated below w^L
+    for _ in range(q):
+        acc = np.array([F[-1]])
+        for c in F[-2::-1]:
+            acc = npp.polymul(acc, s)[:L]
+            acc[0] += c
+        s = npp.polymul(acc, s)[:L]
+    s = np.pad(s, (0, L - len(s)))
+    s[1] -= 1.0
+    big = np.nonzero(np.abs(s[2:]) > 1e-8 * max(1.0, np.abs(F).max()))[0]
+    if big.size == 0:
+        return None
+    m = int(big[0]) + 1  # f^q(w) = w + A w^(m+1) + ...
+    if m % q:
+        return None
+    # power series of G = 1/F, and of G^k for k <= m, to order m
+    G = np.zeros(m + 1, dtype=complex)
+    Fp = np.pad(F, (0, max(0, m + 1 - len(F))))
+    G[0] = 1 / Fp[0]
+    for i in range(1, m + 1):
+        G[i] = -np.dot(Fp[1:i + 1], G[i - 1::-1]) / Fp[0]
+    Gk = [np.eye(1, m + 1, dtype=complex)[0]]
+    for _ in range(m):
+        Gk.append(npp.polymul(Gk[-1], G)[:m + 1])
+    # phi(f(w)) = sum_k a_k w^-k G(w)^k: clear the w^-j terms, j = m-1 .. 1
+    a = np.zeros(m + 1, dtype=complex)
+    a[m] = 1.0
+    for j in range(m - 1, 0, -1):
+        rhs = -sum(a[k] * Gk[k][k - j] for k in range(j + 1, m + 1))
+        coef = Gk[j][0] - 1.0
+        if abs(coef) < 1e-6:  # resonant order: free coefficient, keep 0
+            if abs(rhs) > 1e-6 * max(1.0, np.abs(a).max()):
+                return None
+            continue
+        a[j] = rhs / coef
+    c = sum(a[k] * Gk[k][k] for k in range(1, m + 1))
+    if abs(c) < 1e-9:
+        return None
+    a = a[1:] / c
+    # N = sum_k a_k w^(m-k) (F^(m-k) - F^m) - w^m F^m, and the same with
+    # absolute values throughout as the scale of its rounding
+    Fa = np.abs(F)
+    Fm, Fam = npp.polypow(F, m), npp.polypow(Fa, m)
+    N = -np.pad(Fm, (m, 0))
+    scale = np.pad(Fam, (m, 0))
+    for k in range(1, m + 1):
+        term = npp.polysub(npp.polypow(F, m - k), Fm)
+        N = npp.polyadd(N, a[k - 1] * np.pad(term, (m - k, 0)))
+        scale = npp.polyadd(scale, abs(a[k - 1]) * np.pad(
+            npp.polyadd(npp.polypow(Fa, m - k), Fam), (m - k, 0)))
+    return a, N, 1e-12 * scale
+
+
+def _parabolic_lobes(P: Polynomial, cycle, max_iter: int, clear) -> list:
+    """Lobes {Re phi > M, |phi| < K} at a parabolic fixed point, for the first
+    (M, K) of the ladder that certifies.
+
+    With w = z - z0 and f(w) = P(z0 + w) - z0, a float step is
+    w' = f(w) + delta with |delta| bounded by the Taylor and Horner rounding,
+    so phi(w') - phi(w) = 1 + D(w) + E with D = N / (w^m F^m) and
+    |E| <= |delta| max |phi'|.  B = {Re phi >= M - eta, |phi| <= K_B} lies in
+    the annulus rho_lo <= |w| <= rho_hi; on a cover of B by small boxes,
+    bounding D on each, the certificate asks Re(1 + D + E) >= 1/4 and
+    |1 + D + E| <= 3.  Re phi then grows and |phi| grows by at most 3 a step,
+    so an orbit entering T stays in B for max_iter steps,
+    K_B = K + 1 + 3 max_iter.  eta bounds the rounding of the float
+    membership test; the K cap keeps B off the cusp, where rounding would
+    beat the drift.
+    """
+    if cycle.period != 1:
+        return []
+    z0 = cycle.points[0]
+    for _ in range(4):  # Newton on P(z) - z, or on P'(z) - 1 at a double root
+        t = P.taylor(z0)
+        step = ((t[1] - 1) / (2 * t[2]) if abs(t[1] - 1) < 0.1
+                else (t[0] - z0) / (t[1] - 1))
+        if not np.isfinite(step):
+            break
+        z0 -= step
+    t, err = _taylor_bounds(P, z0)
+    q = unity_order(t[1])
+    fc = _fatou_coordinate(t, q) if q is not None else None
+    if fc is None:
+        return []
+    a, N, N_err = fc
+    m = len(a)
+    ks = np.arange(1, m + 1)
+    absa = np.abs(a)
+    F = np.array(t[1:])
+    Fa = np.abs(F) + np.array(err[1:])
+    dF = npp.polyder(Fa)
+    Nt = N[m:].copy()  # D = Nt / F^m plus the rounding residue N[:m+1] / (w^m F^m)
+    Nt[0] = 0
+    Nt_err = N_err[m:]
+    dNt = npp.polyder(np.abs(Nt) + Nt_err)
+
+    def lip_phi(r):  # max |phi'| on |w| >= r
+        return np.dot(ks * absa, np.power.outer(r, -ks - 1.0).T)
+
+    def upper(r):  # |phi(w)| <= upper(|w|)
+        return float(np.dot(absa, r ** -ks))
+
+    def lower(r):  # |phi(w)| >= lower(|w|) while this decreases in |w|
+        return float(absa[-1] * r ** -m - np.dot(absa[:-1], r ** -ks[:-1]))
+
+    R = P.escape_radius
+    for M, K in _LOBE_LADDER:
+        K_B = K + 1.0 + 3.0 * max_iter
+        # rho_lo: largest r with lower(r) >= K_B, where lower still decreases
+        lo, hi = 1e-6 * (absa[-1] / K_B) ** (1 / m), (absa[-1] / K_B) ** (1 / m)
+        if lower(lo) < K_B:
+            continue
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if lower(mid) >= K_B else (lo, mid)
+        rho_lo = lo
+        if m * absa[-1] <= np.dot(ks[:-1] * absa[:-1], rho_lo ** (m - ks[:-1])):
+            continue
+        eta = 32 * (m + 2) * _U * float(np.dot(ks * absa, rho_lo ** -ks)) + 2 * _U * K
+        M_B = M - eta
+        if eta > 1.0 or M_B <= 0:
+            continue
+        # rho_hi: smallest r with upper(r) <= M_B
+        lo, hi = rho_lo, max((m * absa[k] / M_B) ** (1 / (k + 1)) for k in range(m))
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (lo, mid) if upper(mid) <= M_B else (mid, hi)
+        rho_hi = hi
+        F_min = 2 * abs(F[0]) - npp.polyval(rho_hi, Fa)  # |F(w)| on |w| <= rho_hi
+        if rho_hi <= rho_lo or abs(z0) + rho_hi > R * (1 - 1e-9) or F_min <= 0:
+            continue
+        delta = (abs(t[0] - z0) + err[0] + npp.polyval(rho_hi, [0.0] + err[1:])
+                 + _horner_error(P, abs(z0) + rho_hi))
+        u_lo = rho_lo * F_min - delta
+        if u_lo <= 0:
+            continue
+        E = (delta * lip_phi(u_lo)
+             + np.dot(np.abs(N[:m + 1]) + N_err[:m + 1], rho_lo ** (np.arange(m + 1) - m))
+             / F_min ** m)
+
+        def may_meet(w, s, M_B=M_B, K_B=K_B, rho_lo=rho_lo, rho_hi=rho_hi):
+            """False where the disk D(w, s) surely misses B."""
+            r = np.abs(w)
+            far = r > 2 * s
+            phi = _laurent(a, 1.0 / np.where(far, w, 1.0))
+            slack = lip_phi(np.maximum(r - s, s)) * s + 1e-9 * (1.0 + np.abs(phi))
+            maybe = (phi.real + slack >= M_B) & (np.abs(phi) - slack <= K_B)
+            return (r - s <= rho_hi) & (r + s >= rho_lo) & (~far | maybe)
+
+        # D on a cover of B by boxes of side h, from its value at the box
+        # centre and bounds on Nt, F and their derivatives over the box
+        h = rho_hi / 32
+        x = (np.arange(-32, 32) + 0.5) * h
+        w = (x[np.newaxis, :] + 1j * x[:, np.newaxis]).ravel()
+        s = h / math.sqrt(2.0)
+        w = w[may_meet(w, s)]
+        r = np.abs(w) + s
+        Fb = np.abs(npp.polyval(w, F)) - s * npp.polyval(r, dF)
+        if w.size and Fb.min() <= 0:
+            continue
+        D = npp.polyval(w, Nt) / npp.polyval(w, F) ** m
+        spread = (s * (npp.polyval(r, dNt) / Fb ** m
+                       + m * npp.polyval(r, np.abs(Nt) + Nt_err) * npp.polyval(r, dF)
+                       / Fb ** (m + 1))
+                  + npp.polyval(r, Nt_err) / Fb ** m + 1e-9 + E)
+        if w.size == 0 or ((1 + D).real - spread).min() < 0.25 \
+                or (np.abs(1 + D) + spread).max() > 3:
+            continue
+        if clear(z0, rho_hi, lambda x, s: may_meet(x - z0, s)):
+            return [(z0, a, M, K)]
+    return []
+
+
+def interior_trap(P: Polynomial, max_iter: int, avoid: Sequence[PixelRaster] = (),
+                  stay_in: Sequence[PixelRaster] = ()) -> InteriorTrap:
+    """The certified trap of a pixel sweep of P with budget max_iter.
+
+    Disks at the attracting cycles and lobes at the parabolic fixed points
+    found by `critical_cycles`.  Every float orbit entering the trap stays,
+    for max_iter steps, bounded by the escape radius and at least one pixel
+    away from the bits of each `avoid` raster and from the outside of each
+    `stay_in` raster (its window's outside included).  Parabolic cycles of
+    period > 1, irrationally neutral cycles and cycles that do not certify
+    contribute nothing; with nothing certified the trap is empty.
+    """
+    def clear(center, radius, may_meet):
+        return (all(_clear_of(r, False, center, radius, may_meet) for r in avoid)
+                and all(_clear_of(r, True, center, radius, may_meet) for r in stay_in))
+
+    disks, lobes = [], []
+    for cycle in critical_cycles(P):
+        if cycle.kind == "attracting":
+            disks += _attracting_disks(P, cycle, clear)
+        else:
+            lobes += _parabolic_lobes(P, cycle, max_iter, clear)
+    return InteriorTrap(tuple(disks), tuple(lobes))
+
+
 @dataclass
 class EscapeAnalysis:
     kp: Mask
@@ -50,8 +388,16 @@ def escape_analysis(P: Polynomial, family: Optional[CutFamily], grid: GridSpec,
     """One sweep classifying pixels: escape step, and wedge-orbit hits.
 
     Pixel centers are iterated; a pixel belongs to the avoiding set when it
-    neither escapes within the budget nor has any iterate (step 0 included)
-    inside a wedge.
+    neither escapes within the budget (|P^k(z)| > R for some k in
+    1 .. max_iter, which sets its escape step to k) nor has an iterate
+    P^k(z), k in 0 .. max_iter - 1, inside a wedge.
+
+    A pixel whose iterate enters the scene's `interior_trap` is retired
+    there: the trap certifies that the rest of its orbit within the budget
+    stays bounded and at least a raster pixel away from every wedge, so the
+    escape step (0) and wedge bits are exactly those of the full loop.  A
+    scene with no attracting cycle and no parabolic fixed point that
+    certifies has an empty trap and runs the full loop.
     """
     if supersample not in (1, 2):
         raise ValueError("supersample must be 1 or 2")
@@ -63,6 +409,8 @@ def escape_analysis(P: Polynomial, family: Optional[CutFamily], grid: GridSpec,
     esc = np.zeros((n, n), dtype=np.uint16)
     hit = np.zeros((n, n), dtype=bool)
 
+    trap = interior_trap(P, max_iter, avoid=(raster,) if raster is not None else ())
+
     def block(i0: int, i1: int):
         zz = work.rows_centers(i0, i1).ravel()
         esc_loc = np.zeros(zz.size, dtype=np.uint16)
@@ -70,6 +418,13 @@ def escape_analysis(P: Polynomial, family: Optional[CutFamily], grid: GridSpec,
         live = np.arange(zz.size)
         with np.errstate(over="ignore", invalid="ignore"):
             for it in range(1, max_iter + 1):
+                if trap:  # retired: bounded, and no later iterate in a wedge
+                    free = ~trap.contains(zz)
+                    if not free.all():
+                        live = live[free]
+                        zz = zz[free]
+                        if live.size == 0:
+                            break
                 if raster is not None:
                     inside = raster.lookup(zz)
                     if inside.any():

@@ -258,31 +258,6 @@ def koenigs_radius(P: Polynomial, cycle: Cycle) -> float:
     return 0.9 * r
 
 
-def _shifted_coeffs(P: Polynomial, z0: complex) -> list[complex]:
-    """Taylor coefficients of w -> P(z0 + w) - z0 by synthetic division; the
-    constant term is dropped exactly (z0 is a fixed point to working
-    precision), which avoids the catastrophic cancellation of evaluating
-    P(y) - z0 for y near z0."""
-    a = list(P.coeffs)
-    out = []
-    for _ in range(len(a)):
-        # a(w) mod (w): value at z0, then deflate
-        acc = 0j
-        for c in reversed(a):
-            acc = acc * z0 + c
-        out.append(acc)
-        new = []
-        carry = 0j
-        for c in reversed(a[1:]):
-            carry = carry * z0 + c
-            new.append(carry)
-        a = new[::-1]
-        if not a:
-            break
-    out[0] = 0j  # fixed-point residual, below working precision
-    return out
-
-
 def koenigs_coordinate(P: Polynomial, cycle: Cycle, z: complex, *,
                        tol: float = 1e-13, max_n: int = 400) -> complex:
     """Koenigs linearizing coordinate at a repelling fixed point.
@@ -304,7 +279,10 @@ def koenigs_coordinate(P: Polynomial, cycle: Cycle, z: complex, *,
     if abs(z - z0) > koenigs_radius(P, cycle):
         raise OutsideLinearizationDomain(
             f"|z - z0| = {abs(z - z0):.3g} exceeds the linearization radius")
-    bs = _shifted_coeffs(P, z0)
+    # Taylor coefficients of w -> P(z0 + w) - z0 with the constant term
+    # dropped exactly (z0 is a fixed point to working precision), which avoids
+    # the catastrophic cancellation of evaluating P(y) - z0 for y near z0
+    bs = [0j] + P.taylor(z0)[1:]
 
     def ps(w: complex) -> complex:
         acc = 0j

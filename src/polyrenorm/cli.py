@@ -21,7 +21,7 @@ from .cuts import CutFamily, build_family, check_admissible, check_legal
 from .errors import RenormError, SceneError
 from .grid import GridSpec, Mask, PixelRaster, save_mask_raw
 from .poly import Polynomial
-from .scene import Scene, figure1_scene, load_scene
+from .scene import Scene, figure1_scene, integer_field, load_scene, override
 from .surgery import build_surgery, dilatation_report, nonescaping_mask, visit_count_experiment
 from .verify import ConjugacyReport, conjugacy_report
 
@@ -32,12 +32,16 @@ MAX_PERIOD = 3
 
 
 def _resolve_threads(value: Optional[int]) -> int:
+    """--threads, else RENORM_THREADS, else 1; 0 means one per core."""
+    path = "--threads"
     if value is None:
-        env = os.environ.get("RENORM_THREADS")
-        value = int(env) if env else 1
-    if value == 0:
-        value = os.cpu_count() or 1
-    return max(1, value)
+        path, value = "RENORM_THREADS", os.environ.get("RENORM_THREADS") or "1"
+        try:
+            value = int(value)
+        except ValueError:
+            pass  # rejected below
+    value = integer_field(value, path, 0, "expected a non-negative integer (0 = one per core)")
+    return value or os.cpu_count() or 1
 
 
 def _load(args) -> Scene:
@@ -45,11 +49,7 @@ def _load(args) -> Scene:
         scene = load_scene(args.scene)
     else:
         scene = figure1_scene()
-    if args.resolution:
-        scene.grid = GridSpec(scene.grid.center, scene.grid.width, args.resolution)
-    if args.max_iter:
-        scene.max_iter = args.max_iter
-    return scene
+    return override(scene, resolution=args.resolution, max_iter=args.max_iter)
 
 
 def _write_rows(path: str, header: list[str], rows: list[list]) -> None:

@@ -20,6 +20,9 @@ DEDUP_TOL = 1e-7
 LOWER_PERIOD_TOL = 2e-5
 KIND_TOL = 1e-6
 MAX_UNITY_ORDER = 64
+# critical_cycles: iterates before looking for a cycle, and the longest lag
+CRITICAL_ORBIT_STEPS = 2000
+CRITICAL_ORBIT_MAX_LAG = 64
 
 
 def _finite(z: complex) -> bool:
@@ -85,6 +88,25 @@ class Polynomial:
         for c in reversed(dcs[:-1]):
             w = w * z + c
         return w
+
+    def taylor(self, z0: complex) -> list[complex]:
+        """Taylor coefficients of w -> P(z0 + w), constant term first, by
+        repeated synthetic division."""
+        a = list(self.coeffs)
+        out = []
+        while a:
+            # a(w) mod (w): value at z0, then deflate
+            acc = 0j
+            for c in reversed(a):
+                acc = acc * z0 + c
+            out.append(acc)
+            new = []
+            carry = 0j
+            for c in reversed(a[1:]):
+                carry = carry * z0 + c
+                new.append(carry)
+            a = new[::-1]
+        return out
 
     def iterate(self, z: complex, n: int) -> complex:
         for _ in range(n):
@@ -287,6 +309,45 @@ def find_cycles(
     cycles.sort(key=lambda c: (c.period, round(min(p.real for p in c.points), 9),
                                round(min(p.imag for p in c.points), 9)))
     return cycles
+
+
+def critical_cycles(P: Polynomial) -> list[Cycle]:
+    """The attracting and parabolic cycles, found from the critical orbits.
+
+    By Fatou's theorem each such cycle attracts a critical point, so no cycle
+    census is needed.  After CRITICAL_ORBIT_STEPS iterates a bounded critical
+    orbit that has settled near a cycle nearly repeats with some lag
+    k <= CRITICAL_ORBIT_MAX_LAG (the period, times the rotation order of the
+    multiplier at a parabolic cycle); Newton on P^n(z) - z from the last
+    iterate, over the divisors n of k, then finds a cycle point.  Neutral
+    cycles with an irrational rotation are left out.
+    """
+    R = P.escape_radius
+    found: list[Cycle] = []
+    for c in critical_points(P):
+        orbit = [c]
+        for _ in range(CRITICAL_ORBIT_STEPS):
+            orbit.append(P(orbit[-1]))
+            if not abs(orbit[-1]) <= R:
+                break
+        z = orbit[-1]
+        if not abs(z) <= R or any(cyc.contains(z, 1e-2) for cyc in found):
+            continue  # escaped, or settled near a cycle already found
+        lag = next((k for k in range(1, CRITICAL_ORBIT_MAX_LAG + 1)
+                    if abs(z - orbit[-1 - k]) < 1e-3 * max(1.0, abs(z))), 0)
+        for n in (n for n in range(1, lag + 1) if lag % n == 0):
+            p = _newton_cycle_point(P, n, z)
+            if p is None:
+                continue
+            _, lam = P.iterate_with_deriv(p, n)
+            kind = classify_multiplier(lam)
+            if kind in ("attracting", "parabolic"):
+                points = [p]
+                for _ in range(n - 1):
+                    points.append(P(points[-1]))
+                found.append(Cycle(tuple(points), n, lam, kind))
+                break
+    return found
 
 
 def _subtract_z(coeffs_high_first: np.ndarray) -> np.ndarray:

@@ -14,6 +14,9 @@ from .poly import MONIC_TOL, Polynomial
 
 DEFAULT_RHO = math.exp(-0.125)  # outer equipotential at potential 1/8
 DEFAULT_SEED = 0x5EEDC0DE
+MAX_ITER = 65535  # escape steps are stored as uint16
+_MAX_ITER_MSG = f"expected an integer in [1, {MAX_ITER}]"
+_RESOLUTION_MSG = "expected an integer >= 16"
 
 
 @dataclass
@@ -49,9 +52,24 @@ def _number(v: Any, path: str, msg: str = "expected a finite number") -> float:
     return x
 
 
-def _integer(v: Any, path: str, lo: int, msg: str) -> int:
-    _expect(isinstance(v, int) and not isinstance(v, bool) and v >= lo, path, msg)
+def integer_field(v: Any, path: str, lo: int, msg: str, hi: Optional[int] = None) -> int:
+    """An integer in [lo, hi]; booleans are rejected.  Scene files and the
+    command line's overrides share it."""
+    _expect(isinstance(v, int) and not isinstance(v, bool) and v >= lo
+            and (hi is None or v <= hi), path, msg)
     return v
+
+
+def override(scene: Scene, *, resolution: Optional[int] = None,
+             max_iter: Optional[int] = None) -> Scene:
+    """Apply the command line's --resolution and --max-iter, validated as
+    the scene fields they replace."""
+    if resolution is not None:
+        scene.grid = GridSpec(scene.grid.center, scene.grid.width,
+                              integer_field(resolution, "--resolution", 16, _RESOLUTION_MSG))
+    if max_iter is not None:
+        scene.max_iter = integer_field(max_iter, "--max-iter", 1, _MAX_ITER_MSG, MAX_ITER)
+    return scene
 
 
 def _pair(v: Any, path: str) -> complex:
@@ -97,12 +115,11 @@ def scene_from_dict(data: dict, base: str = "scene") -> Scene:
     center = _pair(g.get("center"), f"{base}.grid.center")
     width = _number(g.get("width"), f"{base}.grid.width", "expected a positive number")
     _expect(width > 0, f"{base}.grid.width", "expected a positive number")
-    res = _integer(g.get("resolution"), f"{base}.grid.resolution", 16,
-                   "expected an integer >= 16")
+    res = integer_field(g.get("resolution"), f"{base}.grid.resolution", 16, _RESOLUTION_MSG)
     grid = GridSpec(center, width, res)
 
-    max_iter = _integer(data.get("max_iter", 512), f"{base}.max_iter", 1,
-                        "expected a positive integer")
+    max_iter = integer_field(data.get("max_iter", 512), f"{base}.max_iter", 1, _MAX_ITER_MSG,
+                             MAX_ITER)
     rho = _number(data.get("rho", DEFAULT_RHO), f"{base}.rho", "expected a number in (0, 1)")
     _expect(0 < rho < 1, f"{base}.rho", "expected a number in (0, 1)")
 
@@ -110,8 +127,8 @@ def scene_from_dict(data: dict, base: str = "scene") -> Scene:
     if data.get("candidate_q") is not None:
         q = _parse_poly(data["candidate_q"], f"{base}.candidate_q")
 
-    seed = _integer(data.get("seed", DEFAULT_SEED), f"{base}.seed", 0,
-                    "expected a non-negative integer")
+    seed = integer_field(data.get("seed", DEFAULT_SEED), f"{base}.seed", 0,
+                         "expected a non-negative integer")
     return Scene(
         name=str(data.get("name", "scene")),
         polynomial=poly,

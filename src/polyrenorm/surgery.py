@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .avoiding import interior_trap
 from .bottcher import (bottcher_point, equipotential_points, equipotential_polyline,
                        external_angle)
 from .carrots import Carrot, build_carrot, carrots_disjoint
@@ -576,10 +577,18 @@ def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,
     Leaving the outer equipotential means monotone potential growth under the
     cap, and entering a critical carrot lands the orbit in the image carrot
     family, which escapes as well; both are terminal events, so the sweep
-    only ever iterates P.
+    only ever iterates P.  A pixel survives when its iterates 0 .. max_iter - 1
+    all lie in `u_rho` and outside `crit` and iterates 1 .. max_iter are
+    finite.
+
+    A pixel whose iterate enters the `interior_trap` certified to stay at
+    least a raster pixel inside `u_rho` and away from `crit` for max_iter
+    steps is retired as surviving, exactly as the full loop would find it; a
+    map of P with nothing certifiable runs the full loop.
     """
     crit = S._raster("crit")
     u_rho = S._raster("u_rho")
+    trap = interior_trap(S.P, max_iter, avoid=(crit,), stay_in=(u_rho,))
     n = grid.resolution
     bits = np.zeros((n, n), dtype=bool)
 
@@ -589,6 +598,11 @@ def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,
         live = np.arange(z.size)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iter):
+                if trap:  # retired alive: stays in u_rho and out of crit
+                    free = ~trap.contains(z)
+                    if not free.all():
+                        live = live[free]
+                        z = z[free]
                 if live.size == 0:
                     break
                 k = crit.index(z)  # both rasters share the base window

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from polyrenorm import (GridSpec, Mask, PixelRaster, compare_masks,
+from polyrenorm import (GridSpec, Mask, PixelRaster, Polynomial, compare_masks,
                         connected_components, escape_analysis, load_mask_raw,
                         nonescaping_mask, save_mask_raw, wedge_raster)
+from polyrenorm.avoiding import interior_trap
 from polyrenorm.errors import GridMismatch
 from polyrenorm.grid import crossing_parity, distance_to_polyline, fill_polygon
 
-from conftest import CUBIC, SQUARE
+from conftest import BASILICA, CUBIC, SQUARE
+
+RABBIT = Polynomial((complex(-0.12256116687665362, 0.7448617666197442), 0, 1))
 
 
 def test_square_julia_is_unit_disk():
@@ -268,3 +271,121 @@ def test_nonescaping_mask_matches_reference_loop(fig1_surgery):
     bits = nonescaping_mask(S, grid, 256).bits
     assert bits.any()
     assert (bits == alive.reshape(128, 128)).all()
+
+
+# -- certified interior traps
+
+def _iv_point(z):
+    from mpmath import iv
+    z = complex(z)
+    return iv.mpc(z.real, z.imag)
+
+
+def _iv_box(z, h):
+    from mpmath import iv
+    return iv.mpc(iv.mpf([z.real - h, z.real + h]), iv.mpf([z.imag - h, z.imag + h]))
+
+
+def _iv_poly(P, z, slack):
+    """Enclosure of P over the box z, widened by `slack` for float rounding."""
+    from mpmath import iv
+    w = _iv_point(P.coeffs[-1])
+    for c in reversed(P.coeffs[:-1]):
+        w = w * z + _iv_point(c)
+    return w + iv.mpc(iv.mpf([-slack, slack]), iv.mpf([-slack, slack]))
+
+
+def _iv_phi(a, z0, z):
+    from mpmath import iv
+    v = 1 / (z - _iv_point(z0))
+    acc = iv.mpc(0)
+    for c in reversed(a):
+        acc = (acc + _iv_point(c)) * v
+    return acc
+
+
+@pytest.mark.parametrize("name", ["cubic", "basilica", "rabbit", "quarter"])
+def test_trap_certificate_against_interval_arithmetic(name):
+    """Sampled boxes of the trap, pushed through one step of P in interval
+    arithmetic (widened by 1e-13 for float rounding): a lobe's Fatou
+    coordinate rises by at least 1/4 and its modulus by at most 3; a disk's
+    image lies in the next disk of its cycle."""
+    from mpmath import iv
+    iv.prec = 90
+    P = {"cubic": CUBIC, "basilica": BASILICA, "rabbit": RABBIT,
+         "quarter": Polynomial((0.25, 0, 1))}[name]  # z^2 + 1/4: multiplier 1
+    max_iter = 256
+    trap = interior_trap(P, max_iter)
+    assert trap
+    rng = np.random.default_rng(7)
+    for z0, a, M, K in trap.lobes:
+        w = (rng.uniform(-1, 1, 20000) + 1j * rng.uniform(-1, 1, 20000)) * 0.5
+        z = z0 + w[trap.contains(z0 + w)][:150]
+        assert z.size == 150
+        for zk in z:
+            box = _iv_box(zk, 1e-9 * abs(zk - z0))
+            before = _iv_phi(a, z0, box)
+            after = _iv_phi(a, z0, _iv_poly(P, box, 1e-13))
+            assert float(after.real.a) - float(before.real.b) >= 0.25
+            assert float(abs(after).b) <= float(abs(before).a) + 3
+        # and the float orbits themselves stay in the certified set
+        for _ in range(max_iter):
+            z = P(z)
+            phi = sum(c * (z - z0) ** -(k + 1) for k, c in enumerate(a))
+            assert (phi.real >= M - 1e-6).all()
+            assert (np.abs(phi) <= K + 1 + 3 * max_iter).all()
+    centers = np.array([c for c, _ in trap.disks])
+    for c, r in trap.disks:
+        nxt = int(np.argmin(np.abs(centers - P(c))))
+        c1, r1 = trap.disks[nxt]
+        rim = c + r * (1 - 1e-8) * np.exp(2j * np.pi * np.arange(64) / 64)
+        inner = c + r * rng.uniform(0, 1, 64) * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
+        for zk in np.concatenate([rim, inner]):
+            img = _iv_poly(P, _iv_box(zk, 1e-9 * r), 1e-13) - _iv_point(c1)
+            assert float(abs(img).b) <= r1 / (1 - 1e-12)
+
+
+@pytest.mark.parametrize("c", [-2.0, -1.25])
+def test_no_trap_falls_back_to_full_loop(c):
+    # z^2 - 2: the critical orbit lands on the repelling fixed point 2;
+    # z^2 - 5/4: its parabolic cycle has period 2, which gets no lobes
+    P = Polynomial((c, 0, 1))
+    assert not interior_trap(P, 256)
+    grid = GridSpec(0j, 4.5, 64)
+    res = escape_analysis(P, None, grid, 256)
+    esc, _ = _reference_escape(P, None, grid, 256)
+    assert (res.esc_steps == esc).all()
+
+
+@pytest.mark.parametrize("name", ["cubic", "basilica", "rabbit"])
+def test_trapped_sweep_matches_reference_threads_and_supersample(name, fig1_family):
+    P, family = {"cubic": (CUBIC, fig1_family), "basilica": (BASILICA, None),
+                 "rabbit": (RABBIT, None)}[name]
+    grid = GridSpec(complex(-1.25, 0.0), 4.5, 64) if P is CUBIC else GridSpec(0j, 3.5, 64)
+    raster = wedge_raster(P, family) if family is not None else None
+    assert interior_trap(P, 256, avoid=(raster,) if raster is not None else ())
+    esc, hit = _reference_escape(P, raster, grid.subdivide(2), 256)
+    kp, av = _majority(esc == 0), _majority((esc == 0) & ~hit)
+    res = escape_analysis(P, family, grid, 256, supersample=2, threads=2)
+    assert (res.esc_steps == esc[::2, ::2]).all()
+    assert (res.kp.bits == kp).all()
+    if family is not None:
+        assert (res.avoiding.bits == av).all()
+
+
+def test_nonescaping_mask_threads_match(fig1_surgery):
+    grid = GridSpec(complex(-1.25, 0.0), 4.5, 128)
+    crit, u_rho = fig1_surgery._raster("crit"), fig1_surgery._raster("u_rho")
+    assert interior_trap(CUBIC, 256, avoid=(crit,), stay_in=(u_rho,))
+    one = nonescaping_mask(fig1_surgery, grid, 256, threads=1).bits
+    assert (nonescaping_mask(fig1_surgery, grid, 256, threads=2).bits == one).all()
+
+
+def test_trap_catches_bounded_pixels(fig1_masks, fig1_grid, fig1_family):
+    trap = interior_trap(CUBIC, 256, avoid=(wedge_raster(CUBIC, fig1_family),))
+    z = fig1_grid.centers()[fig1_masks.kp.bits]
+    caught = np.zeros(z.size, dtype=bool)
+    for _ in range(256):
+        caught |= trap.contains(z)
+        z = CUBIC(z)
+    assert caught.mean() >= 0.99

@@ -6,7 +6,7 @@ import pytest
 
 from polyrenorm import (Polynomial, classify_multiplier, critical_points,
                         escape_time, find_cycles, green_potential)
-from polyrenorm.poly import unity_order
+from polyrenorm.poly import critical_cycles, unity_order
 
 from conftest import BASILICA, CUBIC, SQUARE
 
@@ -163,3 +163,30 @@ def test_green_functional_equation():
         if g == 0.0:
             continue
         assert abs(green_potential(CUBIC, CUBIC(z)) - 3 * g) < 1e-9
+
+
+@pytest.mark.parametrize("c, expected", [
+    (-1.0, [(2, "attracting", 0.0)]),       # superattracting 2-cycle 0 <-> -1
+    (0.25, [(1, "parabolic", 0.5)]),        # multiplier 1: a double root of P(z) - z
+    (-0.75, [(1, "parabolic", -0.5)]),      # multiplier -1, two petals
+    (-1.25, [(2, "parabolic", None)]),      # 2-cycle with multiplier 1
+    (-2.0, []),                             # critical orbit ends on a repelling point
+    (1j, [])])                              # critical orbit strictly preperiodic
+def test_critical_cycles(c, expected):
+    P = Polynomial((c, 0, 1))
+    got = critical_cycles(P)
+    assert [(cyc.period, cyc.kind) for cyc in got] == [e[:2] for e in expected]
+    for cyc, (_, _, point) in zip(got, expected):
+        assert abs(P.iterate(cyc.points[0], cyc.period) - cyc.points[0]) < 1e-9
+        if point is not None:
+            assert min(abs(p - point) for p in cyc.points) < 1e-6
+
+
+def test_taylor_matches_derivatives():
+    z0 = complex(-0.3, 0.7)
+    t = CUBIC.taylor(z0)
+    assert len(t) == CUBIC.degree + 1
+    assert t[0] == pytest.approx(CUBIC(z0), abs=1e-14)
+    assert t[1] == pytest.approx(CUBIC.deriv(z0), abs=1e-14)
+    w = 0.01 + 0.02j
+    assert sum(c * w ** k for k, c in enumerate(t)) == pytest.approx(CUBIC(z0 + w), abs=1e-14)

@@ -211,3 +211,45 @@ def test_subcommands_write_what_figure1_writes(tmp_path):
         assert main([cmd, "--scene", str(scene), "--out", str(out)] + seeds) == 0, cmd
         for name in names:
             assert (out / name).read_bytes() == (fig / name).read_bytes(), (cmd, name)
+
+
+FIGURE1_64 = dict(FIGURE1_128, grid={"center": [-1.25, 0.0], "width": 4.5, "resolution": 64})
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--max-iter", "-5"), ("--max-iter", "0"), ("--max-iter", "65536"),
+    ("--resolution", "8"), ("--resolution", "-64"), ("--threads", "-1")])
+def test_cli_bad_override_is_a_scene_error(tmp_path, capsys, option, value):
+    scene = tmp_path / "figure1.json"
+    scene.write_text(json.dumps(FIGURE1_64))
+    out = tmp_path / "out"
+    assert main(["julia", "--scene", str(scene), "--out", str(out), option, value]) == 1
+    assert f"scene error: {option}:" in capsys.readouterr().err
+    assert not out.exists()  # nothing ran
+
+
+@pytest.mark.parametrize("value", ["abc", "-2", "1.5"])
+def test_cli_bad_renorm_threads_is_a_scene_error(tmp_path, capsys, monkeypatch, value):
+    scene = tmp_path / "figure1.json"
+    scene.write_text(json.dumps(FIGURE1_64))
+    monkeypatch.setenv("RENORM_THREADS", value)
+    assert main(["julia", "--scene", str(scene), "--out", str(tmp_path / "o")]) == 1
+    assert "scene error: RENORM_THREADS:" in capsys.readouterr().err
+
+
+def test_cli_overrides_apply(tmp_path, capsys, monkeypatch):
+    scene = tmp_path / "figure1.json"
+    scene.write_text(json.dumps(FIGURE1_64))
+    monkeypatch.setenv("RENORM_THREADS", "0")  # one thread per core
+    out = tmp_path / "out"
+    assert main(["julia", "--scene", str(scene), "--out", str(out),
+                 "--resolution", "32", "--max-iter", "65535"]) == 0
+    assert (out / "julia.ppm").read_bytes().startswith(b"P6\n32 32\n255\n")
+
+
+def test_max_iter_capped_at_uint16():
+    assert scene_from_dict(dict(GOOD_SCENE, max_iter=65535)).max_iter == 65535
+    for value in (65536, 0):
+        with pytest.raises(SceneError) as exc:
+            scene_from_dict(dict(GOOD_SCENE, max_iter=value))
+        assert "scene.max_iter:" in str(exc.value)

@@ -12,7 +12,6 @@ import sys
 from typing import Optional
 
 from . import render
-from .angles import Angle
 from .avoiding import (EscapeAnalysis, compare_masks, connected_components, escape_analysis,
                        wedge_raster)
 from .bottcher import RayPolyline, land_ray
@@ -20,9 +19,10 @@ from .carrots import Carrot, build_carrots, carrot_geometry
 from .cuts import CutFamily, build_family, check_admissible, check_legal
 from .errors import RenormError, SceneError
 from .grid import GridSpec, Mask, PixelRaster, save_mask_raw
-from .poly import Polynomial
-from .scene import Scene, figure1_scene, integer_field, load_scene, override
-from .surgery import build_surgery, dilatation_report, nonescaping_mask, visit_count_experiment
+from .poly import MAX_CENSUS_POINTS, Polynomial
+from .scene import Scene, figure1_scene, integer_field, load_scene, override, parse_angle
+from .surgery import (T0, build_surgery, dilatation_report, nonescaping_mask,
+                      visit_count_experiment)
 from .verify import ConjugacyReport, conjugacy_report
 
 # (name, ok, detail): one checked statement of a stage
@@ -50,6 +50,19 @@ def _load(args) -> Scene:
     else:
         scene = figure1_scene()
     return override(scene, resolution=args.resolution, max_iter=args.max_iter)
+
+
+def _seeds(args) -> int:
+    return integer_field(args.seeds, "--seeds", 1, "expected a positive integer")
+
+
+def _max_period(scene: Scene, value: int) -> int:
+    """--max-period, with d^n of P and candidate_q within find_cycles' bound."""
+    d = max(q.degree for q in (scene.polynomial, scene.candidate_q) if q is not None)
+    hi = 0
+    while d ** (hi + 1) <= MAX_CENSUS_POINTS:
+        hi += 1
+    return integer_field(value, "--max-period", 1, f"expected an integer in [1, {hi}]", hi)
 
 
 def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
@@ -142,7 +155,7 @@ def _write_surgery(out: str, scene: Scene, family: CutFamily, carrots: list[Carr
         ["degree", S.P.degree],
         ["degree_dc", S.d_c],
         ["t_cr", visits.t_cr],
-        ["t0", S.cap.T0],
+        ["t0", T0],
         ["max_visits_critical", visits.max_visits_crit],
         ["max_visits_blend", visits.max_visits_blend],
         ["max_visits_total", visits.max_visits_total],
@@ -198,7 +211,7 @@ def cmd_julia(args) -> int:
 
 def cmd_ray(args) -> int:
     scene = _load(args)
-    angles = [Angle.parse(a) for a in args.angle] or [tr for tr, _ in scene.cuts]
+    angles = [parse_angle(a, "--angle") for a in args.angle] or [tr for tr, _ in scene.cuts]
     rays = [land_ray(scene.polynomial, theta, g_start=scene.g_start) for theta in angles]
     os.makedirs(args.out, exist_ok=True)
     verdicts = _write_rays(args.out, rays)
@@ -238,6 +251,7 @@ def cmd_carrot(args) -> int:
 
 def cmd_surgery(args) -> int:
     scene = _load(args)
+    seeds = _seeds(args)
     threads = _resolve_threads(args.threads)
     family = _family_from_scene(scene)
     avoiding = escape_analysis(scene.polynomial, family, scene.grid, scene.max_iter,
@@ -245,12 +259,13 @@ def cmd_surgery(args) -> int:
     carrots = build_carrots(scene.polynomial, family, scene.rho)
     os.makedirs(args.out, exist_ok=True)
     return _finish(_write_surgery(args.out, scene, family, carrots, avoiding,
-                                  args.seeds, threads))
+                                  seeds, threads))
 
 
 def cmd_verify(args) -> int:
     scene = _load(args)
-    rep = _conjugacy(scene, _family_from_scene(scene), args.max_period)
+    max_period = _max_period(scene, args.max_period)
+    rep = _conjugacy(scene, _family_from_scene(scene), max_period)
     os.makedirs(args.out, exist_ok=True)
     lines = [f"conjugacy evidence: {_pass(rep.verdict)} "
              f"(candidate degree {rep.degree}, {len(rep.ambiguous)} ambiguous cycle(s))"]
@@ -271,6 +286,7 @@ def cmd_figure1(args) -> int:
     The surgery's mask comparison runs on a grid capped at 512 pixels.
     """
     scene = _load(args)
+    seeds = _seeds(args)
     threads = _resolve_threads(args.threads)
     P = scene.polynomial
     out = args.out
@@ -290,7 +306,7 @@ def cmd_figure1(args) -> int:
     verdicts += _write_avoiding(out, res)
     carrots = build_carrots(P, family, scene.rho)
     verdicts += _write_geometry(out, P, carrots)
-    verdicts += _write_surgery(out, scene, family, carrots, avoiding, args.seeds, threads)
+    verdicts += _write_surgery(out, scene, family, carrots, avoiding, seeds, threads)
     verdicts += _write_conjugacy(out, _conjugacy(scene, family, MAX_PERIOD))
 
     wedges = PixelRaster(scene.grid)

@@ -10,7 +10,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .angles import Angle, angle_in_arc, tuple_orbit
-from .bottcher import RayPolyline, equipotential_arc, external_angle, land_ray
+from .bottcher import (RayPolyline, bottcher_point, equipotential_arc, external_angle,
+                       land_ray)
 from .errors import NoColanding, RayNotConverged
 from .grid import crossing_parity, distance_to_polyline
 from .poly import (Cycle, Polynomial, critical_points, find_cycles, green_potential,
@@ -117,8 +118,6 @@ class Wedge:
 
 def _ray_with_potential_point(P: Polynomial, ray: RayPolyline, g0: float) -> RayPolyline:
     """The ray truncated at g0, with an exactly solved point at potential g0."""
-    from .bottcher import bottcher_point
-
     keep = ray.potentials < g0 * (1 - 1e-12)
     pts = ray.points[keep]
     pot = ray.potentials[keep]

@@ -20,6 +20,7 @@ DEDUP_TOL = 1e-7
 LOWER_PERIOD_TOL = 2e-5
 KIND_TOL = 1e-6
 MAX_UNITY_ORDER = 64
+MAX_CENSUS_POINTS = 10**5  # find_cycles' bound on d^max_period
 # critical_cycles: iterates before looking for a cycle, and the longest lag
 CRITICAL_ORBIT_STEPS = 2000
 CRITICAL_ORBIT_MAX_LAG = 64
@@ -274,7 +275,7 @@ def find_cycles(
     companion-matrix roots of the composed polynomial are added as extra seeds
     so the census is complete at desk scale.  Orbits deduplicated to 1e-7.
     """
-    if P.degree**max_period > 10**5:
+    if P.degree**max_period > MAX_CENSUS_POINTS:
         raise ValueError("d^max_period too large")
     cycles: list[Cycle] = []
 

@@ -89,7 +89,7 @@ def _parse_poly(data: Any, path: str) -> Polynomial:
     return Polynomial(tuple(cs))
 
 
-def _parse_angle(text: Any, path: str) -> Angle:
+def parse_angle(text: Any, path: str) -> Angle:
     _expect(isinstance(text, str), path, "angles are strings like \"1/3\"")
     try:
         return Angle.parse(text)
@@ -106,8 +106,8 @@ def scene_from_dict(data: dict, base: str = "scene") -> Scene:
     _expect(isinstance(raw_cuts, list), f"{base}.cuts", "expected a list")
     for k, rc in enumerate(raw_cuts):
         _expect(isinstance(rc, dict), f"{base}.cuts[{k}]", "expected an object")
-        tr = _parse_angle(rc.get("theta_r"), f"{base}.cuts[{k}].theta_r")
-        tl = _parse_angle(rc.get("theta_l"), f"{base}.cuts[{k}].theta_l")
+        tr = parse_angle(rc.get("theta_r"), f"{base}.cuts[{k}].theta_r")
+        tl = parse_angle(rc.get("theta_l"), f"{base}.cuts[{k}].theta_l")
         cuts.append((tr, tl))
 
     g = data.get("grid")

@@ -27,6 +27,9 @@ from .grid import GridSpec, Mask, PixelRaster, estimate_bounded_box, run_row_blo
 from .poly import Polynomial, green_potential
 
 RASTER_RES = 4096
+T0 = 1  # the exterior cap spans potentials g0 .. d**T0 * g0
+SIDE_SAMPLES = 1000  # side-arc nodes checked against P
+CAP_SAMPLES = 250  # angles checked for continuity across the outer equipotential
 
 
 def degree_dc(P: Polynomial, family: CutFamily) -> int:
@@ -48,13 +51,14 @@ def degree_dc(P: Polynomial, family: CutFamily) -> int:
     return dc
 
 
-def _interp_edge(arr: np.ndarray, t: float) -> complex:
-    """Linear interpolation along a polyline by normalized parameter."""
+def _interp(arr: np.ndarray, t):
+    """Linear interpolation along a polyline by normalized parameter; t is a
+    float or an array."""
     m = len(arr) - 1
-    x = min(max(t, 0.0), 1.0) * m
-    i = min(int(x), m - 1)
+    x = np.clip(t, 0.0, 1.0) * m
+    i = np.minimum(x.astype(int), m - 1)
     f = x - i
-    return complex(arr[i] * (1.0 - f) + arr[i + 1] * f)
+    return arr[i] * (1.0 - f) + arr[i + 1] * f
 
 
 @dataclass
@@ -104,16 +108,17 @@ class CoonsPatch:
         return cls(P, src_left, src_right, src_top,
                    tgt_left, tgt_right, tgt_g, th_r, th_l, tgt.cut.root)
 
-    def phi_src(self, s: float, t: float) -> complex:
-        L = _interp_edge(self.src_left, t)
-        R = _interp_edge(self.src_right, t)
-        T = _interp_edge(self.src_top, s)
-        T0 = complex(self.src_top[0])
-        T1 = complex(self.src_top[-1])
-        return (1 - s) * L + s * R + t * (T - (1 - s) * T0 - s * T1)
+    def phi_src(self, s, t):
+        """The source blend at (s, t), floats or broadcastable arrays."""
+        L = _interp(self.src_left, t)
+        R = _interp(self.src_right, t)
+        T = _interp(self.src_top, s)
+        top0 = complex(self.src_top[0])
+        top1 = complex(self.src_top[-1])
+        return (1 - s) * L + s * R + t * (T - (1 - s) * top0 - s * top1)
 
     def phi_tgt(self, s: float, t: float) -> complex:
-        g = self._tgt_g_at(t)
+        g = float(_interp(self.tgt_g, t))
         if g <= 0.0:
             return self.tgt_root
         s = min(max(s, 0.0), 1.0)
@@ -121,24 +126,25 @@ class CoonsPatch:
         return bottcher_point(self.P, g, theta)
 
     def invert_src(self, z: complex, tol: float = 1e-9) -> tuple[float, float]:
-        """Numerically invert the source blend; best-effort on folds."""
-        best = (0.5, 0.5)
-        best_d = abs(self.phi_src(0.5, 0.5) - z)
-        for k in range(22):
-            for m in range(22):
-                s, t = k / 21.0, m / 21.0
-                dd = abs(self.phi_src(s, t) - z)
-                if dd < best_d:
-                    best_d, best = dd, (s, t)
-        s, t = best
+        """Numerically invert the source blend; best-effort on folds.  Newton
+        starts at the first closest node of a 22 x 22 grid unless (0.5, 0.5)
+        is as close, and runs on Python complex (each part divided by a real)."""
+        def phi(s: float, t: float) -> complex:
+            return complex(self.phi_src(s, t))
+        nodes = np.arange(22) / 21.0
+        dist = np.abs(self.phi_src(nodes[:, None], nodes[None, :]) - z)
+        k, m = np.unravel_index(np.argmin(dist), dist.shape)
+        s, t = 0.5, 0.5
+        if dist[k, m] < abs(phi(s, t) - z):
+            s, t = float(nodes[k]), float(nodes[m])
         h = 1e-6
         for _ in range(50):
-            f = self.phi_src(s, t) - z
+            f = phi(s, t) - z
             if abs(f) < tol:
                 break
-            fs = (self.phi_src(min(s + h, 1.0), t) - self.phi_src(max(s - h, 0.0), t)) / (
+            fs = (phi(min(s + h, 1.0), t) - phi(max(s - h, 0.0), t)) / (
                 min(s + h, 1.0) - max(s - h, 0.0))
-            ft = (self.phi_src(s, min(t + h, 1.0)) - self.phi_src(s, max(t - h, 0.0))) / (
+            ft = (phi(s, min(t + h, 1.0)) - phi(s, max(t - h, 0.0))) / (
                 min(t + h, 1.0) - max(t - h, 0.0))
             a, b_ = fs.real, ft.real
             c, d_ = fs.imag, ft.imag
@@ -161,18 +167,11 @@ class CoonsPatch:
         s, t = self.invert_src(z)
         return self.phi_tgt(s, t)
 
-    def _tgt_g_at(self, t: float) -> float:
-        m = len(self.tgt_g) - 1
-        x = min(max(t, 0.0), 1.0) * m
-        i = min(int(x), m - 1)
-        f = x - i
-        return float(self.tgt_g[i] * (1.0 - f) + self.tgt_g[i + 1] * f)
-
     def _tgt_rows(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """phi_tgt on a grid, one warm equipotential sweep per t-row."""
         out = np.empty((len(ss), len(ts)), dtype=complex)
         for j, t in enumerate(ts):
-            g = self._tgt_g_at(float(t))
+            g = float(_interp(self.tgt_g, float(t)))
             if g <= 0.0:
                 out[:, j] = self.tgt_root
                 continue
@@ -191,36 +190,23 @@ class CoonsPatch:
         of the parametric map target-of(source^{-1}), finite-differenced on a
         shared (s, t) grid so the target map is evaluated once per node."""
         ss = np.linspace(0.0, 1.0, n + 1)
-        zs = np.empty((n + 1, n + 1), dtype=complex)
-        for i, s in enumerate(ss):
-            for j, t in enumerate(ss):
-                zs[i, j] = self.phi_src(s, t)
-        zt = self._tgt_rows(ss, ss)
-        worst = 0.0
-        neg = 0
-        total = 0
-        for i in range(1, n):
-            for j in range(1, n):
-                js = _grid_jac(zs, i, j)
-                jt = _grid_jac(zt, i, j)
-                det_s = np.linalg.det(js)
-                if abs(det_s) < 1e-14:
-                    continue
-                A = jt @ np.linalg.inv(js)
-                sv = np.linalg.svd(A, compute_uv=False)
-                if sv[1] <= 0:
-                    continue
-                worst = max(worst, float(sv[0] / sv[1]))
-                if np.linalg.det(A) < 0:
-                    neg += 1
-                total += 1
+        js = _grid_jacobians(self.phi_src(ss[:, None], ss[None, :]))
+        jt = _grid_jacobians(self._tgt_rows(ss, ss))
+        ok = np.abs(np.linalg.det(js)) >= 1e-14
+        A = jt[ok] @ np.linalg.inv(js[ok])
+        sv = np.linalg.svd(A, compute_uv=False)
+        ok = sv[:, 1] > 0
+        total = int(ok.sum())
+        worst = float((sv[ok, 0] / sv[ok, 1]).max(initial=0.0))
+        neg = int((np.linalg.det(A[ok]) < 0).sum())
         return worst, (neg / total if total else 0.0)
 
 
-def _grid_jac(z: np.ndarray, i: int, j: int) -> np.ndarray:
-    fs = (z[i + 1, j] - z[i - 1, j]) / 2.0
-    ft = (z[i, j + 1] - z[i, j - 1]) / 2.0
-    return np.array([[fs.real, ft.real], [fs.imag, ft.imag]])
+def _grid_jacobians(z: np.ndarray) -> np.ndarray:
+    """Stacked real 2x2 central-difference Jacobians at a grid's interior nodes."""
+    fs = (z[2:, 1:-1] - z[:-2, 1:-1]) / 2.0
+    ft = (z[1:-1, 2:] - z[1:-1, :-2]) / 2.0
+    return np.stack([fs.real, ft.real, fs.imag, ft.imag], axis=-1).reshape(-1, 2, 2)
 
 
 @dataclass
@@ -237,7 +223,6 @@ class ExteriorCap:
     P: Polynomial
     g0: float
     dc: int
-    T0: int
     start: float
     segments: list[tuple[float, float, float, float]]  # (t0, t1, A, B): lift = A + B*theta
 
@@ -261,7 +246,7 @@ class ExteriorCap:
         if not arcs:
             if dc != d:
                 raise DegreeMismatch("no critical carrots but d_c differs from d")
-            return cls(P, g0, dc, 1, 0.0, [(0.0, 1.0, 0.0, float(d))])
+            return cls(P, g0, dc, 0.0, [(0.0, 1.0, 0.0, float(d))])
         arcs.sort(key=lambda a: a[0])
         start = arcs[0][0]
         pos = start
@@ -283,7 +268,7 @@ class ExteriorCap:
         if abs((lift - lift0) - dc) > 1e-9:
             raise DegreeMismatch(
                 f"boundary trace winds {lift - lift0:.8f}, expected d_c = {dc}")
-        return cls(P, g0, dc, 1, start, segments)
+        return cls(P, g0, dc, start, segments)
 
     def boundary_lift(self, theta: float) -> float:
         thw = self.start + (theta - self.start) % 1.0
@@ -294,7 +279,7 @@ class ExteriorCap:
 
     def apply(self, g: float, theta: float) -> complex:
         d = self.P.degree
-        g_outer = d ** self.T0 * self.g0
+        g_outer = d ** T0 * self.g0
         if g >= g_outer:
             return bottcher_point(self.P, self.dc * g, (self.dc * theta) % 1.0)
         s = (g - self.g0) / (g_outer - self.g0)
@@ -364,12 +349,17 @@ class SurgeryMap:
     def evaluate(self, z: complex) -> complex:
         g = green_potential(self.P, z)
         if g < self.g0 * (1.0 - 1e-12):
-            for i in self.critical:
-                if self.carrots[i].contains(z):
-                    return self.patches[i].forward(z)
-            return self.P(z)
+            return self.interior(z)
         theta = external_angle(self.P, z, g=g)
         return self.cap.apply(g, theta)
+
+    def interior(self, z: complex) -> complex:
+        """The map inside the outer equipotential: the patch on a critical
+        carrot, P elsewhere."""
+        for i in self.critical:
+            if self.carrots[i].contains(z):
+                return self.patches[i].forward(z)
+        return self.P(z)
 
     def preimage_count(self, w: complex) -> int:
         count = 0
@@ -386,8 +376,8 @@ class SurgeryMap:
         return count
 
 
-def build_surgery(P: Polynomial, family: CutFamily, rho: float, carrots: list[Carrot], *,
-                  checks: bool = True, boundary_samples: int = 1000) -> SurgeryMap:
+def build_surgery(P: Polynomial, family: CutFamily, rho: float,
+                  carrots: list[Carrot]) -> SurgeryMap:
     """Assemble the carrot modification at parameter rho on the family's
     carrots at rho (`build_carrots`).
 
@@ -419,40 +409,34 @@ def build_surgery(P: Polynomial, family: CutFamily, rho: float, carrots: list[Ca
         image_carrots[i] = image
         patch = CoonsPatch.build(P, carrots[i], image)
         patches[i] = patch
-        if checks:
-            n = len(patch.src_left)
-            idx = np.unique(np.linspace(0, n - 1, min(boundary_samples, n)).astype(int))
-            for edge_s, edge_t in ((patch.src_left, patch.tgt_left),
-                                   (patch.src_right, patch.tgt_right)):
-                gap = np.abs(P(edge_s[idx]) - edge_t[idx]).max()
-                side_worst = max(side_worst, float(gap))
-    if checks and side_worst > 1e-6:
+        n = len(patch.src_left)
+        idx = np.unique(np.linspace(0, n - 1, min(SIDE_SAMPLES, n)).astype(int))
+        for edge_s, edge_t in ((patch.src_left, patch.tgt_left),
+                               (patch.src_right, patch.tgt_right)):
+            gap = np.abs(P(edge_s[idx]) - edge_t[idx]).max()
+            side_worst = max(side_worst, float(gap))
+    if side_worst > 1e-6:
         raise ContinuityGap(f"side arcs disagree with P by {side_worst:.3g}")
 
     cap = ExteriorCap.build(P, family, carrots, critical, image_carrots,
                             g0, d_c)
 
-    cont_gap = 0.0
-    if checks:
-        cont_gap = _cap_continuity_gap(P, carrots, critical, patches, cap, g0,
-                                       samples=max(64, boundary_samples // 4))
-        if cont_gap > 1e-6:
-            raise ContinuityGap(f"cap mismatch {cont_gap:.3g} across the outer equipotential")
+    cont_gap = _cap_continuity_gap(P, carrots, critical, patches, cap, g0)
+    if cont_gap > 1e-6:
+        raise ContinuityGap(f"cap mismatch {cont_gap:.3g} across the outer equipotential")
 
     S = SurgeryMap(P, family, carrots, critical, rho, g0, d_c, patches,
                    image_carrots, cap, side_worst, cont_gap)
-
-    if checks:
-        _preimage_cross_check(S)
+    _preimage_cross_check(S)
     return S
 
 
 def _cap_continuity_gap(P, carrots, critical, patches, cap: ExteriorCap,
-                        g0: float, samples: int) -> float:
+                        g0: float) -> float:
     """Compare the cap on E(rho) against the inside limit of the modified map."""
     worst = 0.0
-    for k in range(samples):
-        th = (k + 0.31) / samples
+    for k in range(CAP_SAMPLES):
+        th = (k + 0.31) / CAP_SAMPLES
         inner = None
         for i in critical:
             c = carrots[i]
@@ -552,7 +536,7 @@ def visit_count_experiment(S: SurgeryMap, n_seeds: int, max_iter: int, *,
             visits_blend[live[blend]] += 1
             out = S.P(zz)
             for m in np.nonzero(in_crit)[0]:
-                out[m] = _patch_forward(S, complex(zz[m]))
+                out[m] = S.interior(complex(zz[m]))  # P at raster edge effects
             # retire orbits beyond the outer annulus
             good = np.isfinite(out) & in_ud
             live = live[good]
@@ -560,14 +544,7 @@ def visit_count_experiment(S: SurgeryMap, n_seeds: int, max_iter: int, *,
     t_cr = len(S.critical)
     return VisitReport(int(visits_crit.max(initial=0)), int(visits_blend.max(initial=0)),
                        int((visits_crit + visits_blend).max(initial=0)),
-                       t_cr, t_cr + S.cap.T0, n_seeds, max_iter, seed)
-
-
-def _patch_forward(S: SurgeryMap, z: complex) -> complex:
-    for i in S.critical:
-        if S.carrots[i].contains(z):
-            return S.patches[i].forward(z)
-    return S.P(z)  # raster edge effect: treat as unmodified
+                       t_cr, t_cr + T0, n_seeds, max_iter, seed)
 
 
 def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,

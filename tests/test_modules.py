@@ -1,4 +1,5 @@
-"""Module layout: no module reaches into a sibling's private names."""
+"""Module layout: no module reaches into a sibling's private names, and no
+module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -16,4 +17,22 @@ def test_no_private_imports_across_modules():
             for alias in node.names:
                 if sibling and alias.name.startswith("_"):
                     offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
+    assert not offenders, "; ".join(offenders)
+
+
+def test_no_unused_imports():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    offenders.append(f"{path.name}:{node.lineno} imports {name} unused")
     assert not offenders, "; ".join(offenders)

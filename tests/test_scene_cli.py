@@ -228,6 +228,24 @@ def test_cli_bad_override_is_a_scene_error(tmp_path, capsys, option, value):
     assert not out.exists()  # nothing ran
 
 
+@pytest.mark.parametrize("cmd, option, value, detail", [
+    ("surgery", "--seeds", "-5", "expected a positive integer"),
+    ("surgery", "--seeds", "0", "expected a positive integer"),
+    ("figure1", "--seeds", "0", "expected a positive integer"),
+    ("verify", "--max-period", "0", "expected an integer in [1, 10]"),
+    ("verify", "--max-period", "11", "expected an integer in [1, 10]"),  # 3^11 > 10^5
+    ("verify", "--max-period", "12", "expected an integer in [1, 10]"),
+    ("ray", "--angle", "foo", "bad angle:"),
+    ("ray", "--angle", "1/0", "bad angle:")])
+def test_cli_bad_command_option_is_a_scene_error(tmp_path, capsys, cmd, option, value, detail):
+    scene = tmp_path / "figure1.json"
+    scene.write_text(json.dumps(FIGURE1_64))
+    out = tmp_path / "out"
+    assert main([cmd, "--scene", str(scene), "--out", str(out), option, value]) == 1
+    assert f"scene error: {option}: {detail}" in capsys.readouterr().err
+    assert not out.exists()  # nothing ran
+
+
 @pytest.mark.parametrize("value", ["abc", "-2", "1.5"])
 def test_cli_bad_renorm_threads_is_a_scene_error(tmp_path, capsys, monkeypatch, value):
     scene = tmp_path / "figure1.json"

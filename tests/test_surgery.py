@@ -10,7 +10,7 @@ from polyrenorm.angles import Angle
 from polyrenorm.bottcher import bottcher_point
 from polyrenorm.errors import CarrotOverlap, DegreeMismatch
 from polyrenorm.grid import distance_to_polyline
-from polyrenorm.surgery import dilatation_report
+from polyrenorm.surgery import CoonsPatch, _interp, dilatation_report
 
 from conftest import CUBIC, G0, RHO
 
@@ -207,3 +207,142 @@ def test_dilatation_report(fig1_surgery):
     ratio, reversed_frac = rep.per_patch[0]
     assert math.isfinite(ratio) and ratio >= 1.0
     assert 0.0 <= reversed_frac <= 1.0
+
+
+# The scalar Coons patch as first written, point by point, to pin the array
+# path to the same bits.
+
+def _ref_interp(arr, t):
+    m = len(arr) - 1
+    x = min(max(t, 0.0), 1.0) * m
+    i = min(int(x), m - 1)
+    f = x - i
+    return arr[i] * (1.0 - f) + arr[i + 1] * f
+
+
+def _ref_phi_src(patch, s, t):
+    L = complex(_ref_interp(patch.src_left, t))
+    R = complex(_ref_interp(patch.src_right, t))
+    T = complex(_ref_interp(patch.src_top, s))
+    T0 = complex(patch.src_top[0])
+    T1 = complex(patch.src_top[-1])
+    return (1 - s) * L + s * R + t * (T - (1 - s) * T0 - s * T1)
+
+
+def _ref_invert_src(patch, z, tol=1e-9):
+    best = (0.5, 0.5)
+    best_d = abs(_ref_phi_src(patch, 0.5, 0.5) - z)
+    for k in range(22):
+        for m in range(22):
+            s, t = k / 21.0, m / 21.0
+            dd = abs(_ref_phi_src(patch, s, t) - z)
+            if dd < best_d:
+                best_d, best = dd, (s, t)
+    s, t = best
+    h = 1e-6
+    phi = lambda s, t: _ref_phi_src(patch, s, t)  # noqa: E731
+    for _ in range(50):
+        f = phi(s, t) - z
+        if abs(f) < tol:
+            break
+        fs = (phi(min(s + h, 1.0), t) - phi(max(s - h, 0.0), t)) / (
+            min(s + h, 1.0) - max(s - h, 0.0))
+        ft = (phi(s, min(t + h, 1.0)) - phi(s, max(t - h, 0.0))) / (
+            min(t + h, 1.0) - max(t - h, 0.0))
+        a, b_, c, d_ = fs.real, ft.real, fs.imag, ft.imag
+        det = a * d_ - b_ * c
+        if det == 0:
+            break
+        ds = (-f.real * d_ + f.imag * b_) / det
+        dt = (-a * f.imag + c * f.real) / det
+        step = max(abs(ds), abs(dt))
+        if step > 0.25:
+            ds *= 0.25 / step
+            dt *= 0.25 / step
+        s = min(max(s + ds, 0.0), 1.0)
+        t = min(max(t + dt, 0.0), 1.0)
+        if max(abs(ds), abs(dt)) < 1e-13:
+            break
+    return s, t
+
+
+def _ref_forward(patch, z):
+    s, t = _ref_invert_src(patch, z)
+    g = float(_ref_interp(patch.tgt_g, t))
+    if g <= 0.0:
+        return patch.tgt_root
+    s = min(max(s, 0.0), 1.0)
+    theta = (1.0 - s) * (patch.tgt_th_r + g) + s * (patch.tgt_th_l - g)
+    return bottcher_point(patch.P, g, theta)
+
+
+def _ref_dilatation_grid(patch, n):
+    def jac(z, i, j):
+        fs = (z[i + 1, j] - z[i - 1, j]) / 2.0
+        ft = (z[i, j + 1] - z[i, j - 1]) / 2.0
+        return np.array([[fs.real, ft.real], [fs.imag, ft.imag]])
+
+    ss = np.linspace(0.0, 1.0, n + 1)
+    zs = np.empty((n + 1, n + 1), dtype=complex)
+    for i, s in enumerate(ss):
+        for j, t in enumerate(ss):
+            zs[i, j] = _ref_phi_src(patch, s, t)
+    zt = patch._tgt_rows(ss, ss)
+    worst, neg, total = 0.0, 0, 0
+    for i in range(1, n):
+        for j in range(1, n):
+            js, jt = jac(zs, i, j), jac(zt, i, j)
+            if abs(np.linalg.det(js)) < 1e-14:
+                continue
+            A = jt @ np.linalg.inv(js)
+            sv = np.linalg.svd(A, compute_uv=False)
+            if sv[1] <= 0:
+                continue
+            worst = max(worst, float(sv[0] / sv[1]))
+            neg += int(np.linalg.det(A) < 0)
+            total += 1
+    return worst, (neg / total if total else 0.0)
+
+
+def test_coons_patch_matches_scalar_reference(fig1_surgery):
+    patch = fig1_surgery.patches[0]
+    carrot = fig1_surgery.carrots[0]
+    box = carrot.boundary()
+    rng = np.random.default_rng(2024)
+    zs = []
+    while len(zs) < 150:
+        z = complex(rng.uniform(box.real.min(), box.real.max()),
+                    rng.uniform(box.imag.min(), box.imag.max()))
+        if carrot.contains(z):
+            zs.append(z)
+    # ties: the start point itself, and grid nodes, several of which share
+    # the root's value on the t = 0 row
+    zs.append(_ref_phi_src(patch, 0.5, 0.5))
+    zs += [_ref_phi_src(patch, k / 21.0, m / 21.0)
+           for k, m in ((0, 0), (5, 0), (21, 0), (3, 7), (11, 11), (21, 21), (0, 21))]
+    assert patch.invert_src(zs[150]) == (0.5, 0.5)
+    for z in zs:
+        assert patch.invert_src(z) == _ref_invert_src(patch, z), z
+        assert patch.forward(z) == _ref_forward(patch, z), z
+    for t in np.linspace(-0.1, 1.1, 97):
+        assert float(_interp(patch.tgt_g, float(t))) == float(_ref_interp(patch.tgt_g, float(t)))
+
+
+def test_dilatation_grid_matches_scalar_reference(fig1_surgery):
+    patch = fig1_surgery.patches[0]
+    assert patch.dilatation_grid(32) == _ref_dilatation_grid(patch, 32)
+
+
+def test_invert_src_tie_rule():
+    # blends built so that exact ties occur: a constant blend ties every node
+    # with the start, and phi = s + t ties (0, 5) with (5, 0)
+    def patch(left, right, top):
+        return CoonsPatch(CUBIC, np.array(left, complex), np.array(right, complex),
+                          np.array(top, complex), None, None, np.zeros(2), 0.0, 0.0, 0j)
+
+    flat = patch([0, 0], [0, 0], [0, 0])
+    assert flat.invert_src(0j) == _ref_invert_src(flat, 0j) == (0.5, 0.5)
+    diag = patch([0, 1], [1, 2], [1, 2])
+    z = 5 / 21.0
+    assert diag.phi_src(0.0, z) == diag.phi_src(z, 0.0) == z
+    assert diag.invert_src(z) == _ref_invert_src(diag, z) == (0.0, z)

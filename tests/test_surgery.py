@@ -287,6 +287,7 @@ def _ref_dilatation_grid(patch, n):
     for i, s in enumerate(ss):
         for j, t in enumerate(ss):
             zs[i, j] = _ref_phi_src(patch, s, t)
+    # the target rows' potentials are pinned by test_coons_patch_matches_scalar_reference
     zt = patch._tgt_rows(ss, ss)
     worst, neg, total = 0.0, 0, 0
     for i in range(1, n):

@@ -8,10 +8,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
-from scipy import ndimage
 
 from .cuts import CutFamily
-from .grid import GridSpec, Mask, PixelRaster, estimate_bounded_box, run_row_blocks
+from .grid import GridSpec, Mask, PixelRaster, estimate_bounded_box, sweep_pixels
 from .errors import GridMismatch
 from .poly import Polynomial, critical_cycles, unity_order
 
@@ -406,41 +405,26 @@ def escape_analysis(P: Polynomial, family: Optional[CutFamily], grid: GridSpec,
     work = grid.subdivide(supersample) if supersample == 2 else grid
     n = work.resolution
     R = P.escape_radius
-    esc = np.zeros((n, n), dtype=np.uint16)
-    hit = np.zeros((n, n), dtype=bool)
-
+    esc = np.zeros(n * n, dtype=np.uint16)
+    hit = np.zeros(n * n, dtype=bool)
     trap = interior_trap(P, max_iter, avoid=(raster,) if raster is not None else ())
 
-    def block(i0: int, i1: int):
-        zz = work.rows_centers(i0, i1).ravel()
-        esc_loc = np.zeros(zz.size, dtype=np.uint16)
-        hit_loc = np.zeros(zz.size, dtype=bool)
-        live = np.arange(zz.size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for it in range(1, max_iter + 1):
-                if trap:  # retired: bounded, and no later iterate in a wedge
-                    free = ~trap.contains(zz)
-                    if not free.all():
-                        live = live[free]
-                        zz = zz[free]
-                        if live.size == 0:
-                            break
-                if raster is not None:
-                    inside = raster.lookup(zz)
-                    if inside.any():
-                        hit_loc[live[inside]] = True
-                zz = P(zz)
-                keep = np.abs(zz) <= R  # False beyond R, at inf and at NaN
-                if not keep.all():
-                    esc_loc[live[~keep]] = it
-                    live = live[keep]
-                    zz = zz[keep]
-                    if live.size == 0:
-                        break
-        esc[i0:i1, :] = esc_loc.reshape(i1 - i0, n)
-        hit[i0:i1, :] = hit_loc.reshape(i1 - i0, n)
+    def step(z, idx, it):
+        if trap:  # retired: bounded, and no later iterate in a wedge
+            free = ~trap.contains(z)
+            if not free.all():
+                z, idx = z[free], idx[free]
+        if raster is not None:
+            hit[idx[raster.lookup(z)]] = True
+        z = P(z)
+        keep = np.abs(z) <= R  # False beyond R, at inf and at NaN
+        if keep.all():
+            return z, idx
+        esc[idx[~keep]] = it
+        return z[keep], idx[keep]
 
-    run_row_blocks(block, n, threads)
+    sweep_pixels(work, max_iter, step, threads)
+    esc, hit = esc.reshape(n, n), hit.reshape(n, n)
 
     kp_bits = esc == 0
     a_bits = kp_bits & ~hit if family is not None else None
@@ -448,19 +432,15 @@ def escape_analysis(P: Polynomial, family: Optional[CutFamily], grid: GridSpec,
         kp_bits = _downsample_majority(kp_bits)
         if a_bits is not None:
             a_bits = _downsample_majority(a_bits)
-        esc_out = esc[::2, ::2]
-    else:
-        esc_out = esc
-    kp = Mask(grid, kp_bits)
-    avoiding = Mask(grid, a_bits) if a_bits is not None else None
-    return EscapeAnalysis(kp, avoiding, esc_out)
+        esc = esc[::2, ::2]
+    return EscapeAnalysis(Mask(grid, kp_bits),
+                          Mask(grid, a_bits) if a_bits is not None else None, esc)
 
 
 def _downsample_majority(bits: np.ndarray) -> np.ndarray:
-    n2 = bits.shape[0] // 2
     q = (bits[0::2, 0::2].astype(np.uint8) + bits[0::2, 1::2]
          + bits[1::2, 0::2] + bits[1::2, 1::2])
-    return q[:n2, :n2] >= 2
+    return q >= 2
 
 
 @dataclass
@@ -473,7 +453,8 @@ class ComponentReport:
 def connected_components(mask: Mask) -> ComponentReport:
     """8-connectivity labeling after one radius-1 closing pass (3x3 square);
     thin cusps alias at finite resolution and would spuriously disconnect."""
-    raw_labels, raw_count = ndimage.label(mask.bits, structure=_STRUCT8)
+    from scipy import ndimage  # deferred: ~0.4 s of import, unused by ray, carrot, verify
+    raw_count = ndimage.label(mask.bits, structure=_STRUCT8)[1]  # frees the labels now
     closed = ndimage.binary_closing(mask.bits, structure=_STRUCT8)
     closed |= mask.bits
     labels, count = ndimage.label(closed, structure=_STRUCT8)
@@ -507,6 +488,7 @@ def compare_masks(a: Mask, b: Mask, band: int = 0) -> MaskComparison:
     diff = a.bits ^ b.bits
     agreement = 1.0 - diff.mean()
     if band > 0:
+        from scipy import ndimage  # deferred: ~0.4 s of import, unused by ray, carrot, verify
         bnd = _boundary(a.bits) | _boundary(b.bits)
         region = ndimage.binary_dilation(bnd, structure=_STRUCT8, iterations=band)
         outside = ~region
@@ -517,5 +499,6 @@ def compare_masks(a: Mask, b: Mask, band: int = 0) -> MaskComparison:
 
 
 def _boundary(bits: np.ndarray) -> np.ndarray:
+    from scipy import ndimage  # deferred: ~0.4 s of import, unused by ray, carrot, verify
     er = ndimage.binary_erosion(bits, structure=_STRUCT8, border_value=1)
     return bits & ~er

@@ -283,7 +283,8 @@ def cmd_verify(args) -> int:
 def cmd_figure1(args) -> int:
     """Every stage writer on one scene, plus the composite image and summary.
 
-    The surgery's mask comparison runs on a grid capped at 512 pixels.
+    The surgery's mask comparison runs on a grid capped at 512 pixels,
+    without supersampling.
     """
     scene = _load(args)
     seeds = _seeds(args)
@@ -300,7 +301,8 @@ def cmd_figure1(args) -> int:
     res = escape_analysis(P, family, scene.grid, scene.max_iter, threads=threads,
                           supersample=args.supersample, raster=raster)
     fgrid = GridSpec(scene.grid.center, scene.grid.width, min(scene.grid.resolution, 512))
-    avoiding = res.avoiding if fgrid == scene.grid else escape_analysis(
+    plain = fgrid == scene.grid and args.supersample == 1  # the mask `surgery` compares
+    avoiding = res.avoiding if plain else escape_analysis(
         P, family, fgrid, scene.max_iter, threads=threads, raster=raster).avoiding
     del raster  # 16 MB; the surgery builds rasters of its own
     verdicts += _write_avoiding(out, res)
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "carrots and carrot surgery")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, scene_required=True):
+    def common(sp, scene_required=True, supersample=False):
         sp.add_argument("--scene", help="scene JSON path", default=None,
                         required=scene_required)
         sp.add_argument("--out", default="out", help="output directory")
@@ -338,10 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-iter", type=int, default=None, dest="max_iter")
         sp.add_argument("--threads", type=int, default=None,
                         help="0 = auto; RENORM_THREADS as fallback")
-        sp.add_argument("--supersample", type=int, choices=(1, 2), default=1)
+        if supersample:
+            sp.add_argument("--supersample", type=int, choices=(1, 2), default=1)
 
     sp = sub.add_parser("julia", help="filled Julia set image")
-    common(sp)
+    common(sp, supersample=True)
     sp.set_defaults(fn=cmd_julia)
 
     sp = sub.add_parser("ray", help="trace external rays to CSV")
@@ -355,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_cuts_check)
 
     sp = sub.add_parser("avoid", help="avoiding-set image and connectivity")
-    common(sp)
+    common(sp, supersample=True)
     sp.set_defaults(fn=cmd_avoid)
 
     sp = sub.add_parser("carrot", help="carrot boundaries and geometry estimates")
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("figure1", help="every stage on one scene (default: built-in)")
-    common(sp, scene_required=False)
+    common(sp, scene_required=False, supersample=True)
     sp.add_argument("--seeds", type=int, default=10000)
     sp.set_defaults(fn=cmd_figure1)
     return p

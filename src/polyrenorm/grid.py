@@ -36,11 +36,7 @@ class GridSpec:
         return self.width / self.resolution
 
     def centers(self) -> np.ndarray:
-        n = self.resolution
-        px = self.pixel
-        re = self.center.real - self.width / 2 + (np.arange(n) + 0.5) * px
-        im = self.center.imag + self.width / 2 - (np.arange(n) + 0.5) * px
-        return re[np.newaxis, :] + 1j * im[:, np.newaxis]
+        return self.rows_centers(0, self.resolution)
 
     def rows_centers(self, i0: int, i1: int) -> np.ndarray:
         n = self.resolution
@@ -238,11 +234,40 @@ def estimate_bounded_box(P, resolution: int = 160, max_iter: int = 96,
     return complex(cx, cy), half
 
 
-def run_row_blocks(fn, n_rows: int, threads: int, block: int = 64) -> list:
-    """Apply fn(i0, i1) over row blocks; deterministic assembly by block order."""
-    spans = [(i, min(i + block, n_rows)) for i in range(0, n_rows, block)]
-    if threads <= 1 or len(spans) == 1:
-        return [fn(a, b) for a, b in spans]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [ex.submit(fn, a, b) for a, b in spans]
-        return [f.result() for f in futures]
+POOL_AFTER = 16  # iterations each row block runs before its survivors are pooled
+
+
+def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int) -> None:
+    """Run step(z, idx, it) -> (z, idx) on the pixel centers of `grid` for
+    it = 1 .. max_iter, or until no pixel is left.
+
+    `z` holds the current iterates and `idx` their flat pixel indices; the
+    step records what it finds by index and returns the survivors.  The
+    first POOL_AFTER iterations run on 64-row blocks, `threads` at a time;
+    the blocks' survivors are then pooled, in block order, into one array
+    that the calling thread finishes, so the few slow pixels cost one numpy
+    call per operation rather than one per block.  Each pixel sees the same
+    elementwise operations in whichever array it sits.
+    """
+    def run(z, idx, its):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for it in its:
+                if idx.size == 0:
+                    break
+                z, idx = step(z, idx, it)
+        return z, idx
+
+    n = grid.resolution
+
+    def block(i0):
+        i1 = min(i0 + 64, n)
+        return run(grid.rows_centers(i0, i1).ravel(), np.arange(i0 * n, i1 * n),
+                   range(1, min(max_iter, POOL_AFTER) + 1))
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            parts = list(ex.map(block, range(0, n, 64)))
+    else:
+        parts = [block(i0) for i0 in range(0, n, 64)]
+    z, idx = zip(*parts)
+    run(np.concatenate(z), np.concatenate(idx), range(POOL_AFTER + 1, max_iter + 1))

@@ -23,7 +23,7 @@ from .bottcher import (bottcher_point, equipotential_points, equipotential_polyl
 from .carrots import Carrot, build_carrot, carrots_disjoint
 from .cuts import CutFamily, check_legal
 from .errors import CarrotOverlap, ContinuityGap, DegreeMismatch, RenormError
-from .grid import GridSpec, Mask, PixelRaster, estimate_bounded_box, run_row_blocks
+from .grid import GridSpec, Mask, PixelRaster, estimate_bounded_box, sweep_pixels
 from .poly import Polynomial, green_potential
 
 RASTER_RES = 4096
@@ -566,40 +566,27 @@ def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,
     crit = S._raster("crit")
     u_rho = S._raster("u_rho")
     trap = interior_trap(S.P, max_iter, avoid=(crit,), stay_in=(u_rho,))
-    n = grid.resolution
-    bits = np.zeros((n, n), dtype=bool)
+    alive = np.ones(grid.resolution ** 2, dtype=bool)
 
-    def block(i0: int, i1: int):
-        z = grid.rows_centers(i0, i1).ravel()
-        alive = np.ones(z.size, dtype=bool)
-        live = np.arange(z.size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(max_iter):
-                if trap:  # retired alive: stays in u_rho and out of crit
-                    free = ~trap.contains(z)
-                    if not free.all():
-                        live = live[free]
-                        z = z[free]
-                if live.size == 0:
-                    break
-                k = crit.index(z)  # both rasters share the base window
-                inside = u_rho.at(k) & ~crit.at(k)
-                if not inside.all():
-                    alive[live[~inside]] = False
-                    live = live[inside]
-                    z = z[inside]
-                    if live.size == 0:
-                        break
-                z = S.P(z)
-                bad = ~np.isfinite(z)
-                if bad.any():
-                    alive[live[bad]] = False
-                    live = live[~bad]
-                    z = z[~bad]
-        bits[i0:i1, :] = alive.reshape(i1 - i0, grid.resolution)
+    def step(z, idx, it):
+        if trap:  # retired alive: stays in u_rho and out of crit
+            free = ~trap.contains(z)
+            if not free.all():
+                z, idx = z[free], idx[free]
+        k = crit.index(z)  # both rasters share the base window
+        inside = u_rho.at(k) & ~crit.at(k)
+        if not inside.all():
+            alive[idx[~inside]] = False
+            z, idx = z[inside], idx[inside]
+        z = S.P(z)
+        ok = np.isfinite(z)
+        if ok.all():
+            return z, idx
+        alive[idx[~ok]] = False
+        return z[ok], idx[ok]
 
-    run_row_blocks(block, n, threads)
-    return Mask(grid, bits)
+    sweep_pixels(grid, max_iter, step, threads)
+    return Mask(grid, alive.reshape(grid.resolution, -1))
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -7,7 +9,7 @@ from polyrenorm import (GridSpec, Mask, PixelRaster, Polynomial, compare_masks,
                         nonescaping_mask, save_mask_raw, wedge_raster)
 from polyrenorm.avoiding import interior_trap
 from polyrenorm.errors import GridMismatch
-from polyrenorm.grid import crossing_parity, distance_to_polyline, fill_polygon
+from polyrenorm.grid import POOL_AFTER, crossing_parity, distance_to_polyline, fill_polygon
 
 from conftest import BASILICA, CUBIC, SQUARE
 
@@ -253,24 +255,28 @@ def test_escape_analysis_matches_reference_loop(case, fig1_family):
         assert res.avoiding.count() < res.kp.count()
 
 
-def test_nonescaping_mask_matches_reference_loop(fig1_surgery):
-    S = fig1_surgery
-    grid = GridSpec(complex(-1.25, 0.0), 4.5, 128)
+def _reference_nonescaping(S, grid, max_iter):
     crit, u_rho = S._raster("crit"), S._raster("u_rho")
     z = grid.centers().ravel()
     alive = np.ones(z.size, dtype=bool)
     live = np.arange(z.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(256):
+        for _ in range(max_iter):
             inside = _reference_lookup(u_rho, z) & ~_reference_lookup(crit, z)
             alive[live[~inside]] = False
             live, z = live[inside], _reference_P(S.P, z[inside])
             bad = ~np.isfinite(z.real) | ~np.isfinite(z.imag)
             alive[live[bad]] = False
             live, z = live[~bad], z[~bad]
-    bits = nonescaping_mask(S, grid, 256).bits
+    n = grid.resolution
+    return alive.reshape(n, n)
+
+
+def test_nonescaping_mask_matches_reference_loop(fig1_surgery):
+    grid = GridSpec(complex(-1.25, 0.0), 4.5, 128)
+    bits = nonescaping_mask(fig1_surgery, grid, 256).bits
     assert bits.any()
-    assert (bits == alive.reshape(128, 128)).all()
+    assert (bits == _reference_nonescaping(fig1_surgery, grid, 256)).all()
 
 
 # -- certified interior traps
@@ -389,3 +395,86 @@ def test_trap_catches_bounded_pixels(fig1_masks, fig1_grid, fig1_family):
         caught |= trap.contains(z)
         z = CUBIC(z)
     assert caught.mean() >= 0.99
+
+
+# -- the pooled sweep: row blocks for POOL_AFTER iterations, then one array
+
+POOL_CASES = [POOL_AFTER - 1, POOL_AFTER, POOL_AFTER + 1, 200]
+
+
+@pytest.fixture(scope="module")
+def fig1_raster(fig1_family):
+    return wedge_raster(CUBIC, fig1_family)
+
+
+@pytest.mark.parametrize("max_iter", POOL_CASES)
+@pytest.mark.parametrize("threads, ss", [(1, 1), (2, 2)])
+def test_escape_analysis_pool_boundaries(max_iter, threads, ss, fig1_family, fig1_raster):
+    # 100 rows: one full 64-row block and one short one
+    grid = GridSpec(complex(-1.25, 0.0), 4.5, 100)
+    res = escape_analysis(CUBIC, fig1_family, grid, max_iter, threads=threads,
+                          supersample=ss, raster=fig1_raster)
+    esc, hit = _reference_escape(CUBIC, fig1_raster, grid.subdivide(ss), max_iter)
+    kp, av = esc == 0, (esc == 0) & ~hit
+    if ss == 2:
+        kp, av, esc = _majority(kp), _majority(av), esc[::2, ::2]
+    assert (res.esc_steps == esc).all()
+    assert (res.kp.bits == kp).all()
+    assert (res.avoiding.bits == av).all()
+
+
+@pytest.mark.parametrize("max_iter", POOL_CASES)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_nonescaping_mask_pool_boundaries(max_iter, threads, fig1_surgery):
+    grid = GridSpec(complex(-1.25, 0.0), 4.5, 100)
+    bits = nonescaping_mask(fig1_surgery, grid, max_iter, threads=threads).bits
+    assert bits.any()
+    assert (bits == _reference_nonescaping(fig1_surgery, grid, max_iter)).all()
+
+
+def test_empty_pool_matches_reference():
+    # z^2 on a window whose every pixel escapes or enters the trap at 0
+    # within the first POOL_AFTER iterations: the pool is empty
+    grid = GridSpec(complex(0.1, 0.2), 2.5, 80)
+    trap = interior_trap(SQUARE, 256)
+    z = grid.centers().ravel()
+    decided = np.zeros(z.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(POOL_AFTER):
+            decided |= trap.contains(z)
+            z = SQUARE(z)
+            decided |= ~(np.abs(z) <= SQUARE.escape_radius)
+    assert decided.all()
+    esc, _ = _reference_escape(SQUARE, None, grid, 256)
+    assert (esc == 0).any() and (esc > 0).any()
+    for threads in (1, 2):
+        assert (escape_analysis(SQUARE, None, grid, 256, threads=threads).esc_steps
+                == esc).all()
+
+
+def test_empty_trap_runs_through_the_pool():
+    # z^2 - 2 certifies nothing, so every pixel runs the plain loop; on 101
+    # rows the middle one lies on the real axis, whose part in [-2, 2] never
+    # escapes: those pixels run the whole pooled phase
+    P = Polynomial((-2.0, 0, 1))
+    assert not interior_trap(P, 256)
+    grid = GridSpec(0j, 4.5, 101)
+    esc, _ = _reference_escape(P, None, grid, 256)
+    assert (esc == 0).any()
+    for threads in (1, 2):
+        assert (escape_analysis(P, None, grid, 256, threads=threads).esc_steps == esc).all()
+
+
+def test_blocks_share_outputs_under_fast_thread_switching(fig1_family, fig1_raster):
+    # the row blocks write into the same grid-sized arrays at disjoint flat
+    # indices; switching threads every microsecond must lose no write
+    grid = GridSpec(complex(-1.25, 0.0), 4.5, 320)  # five blocks, eight workers
+    one = escape_analysis(CUBIC, fig1_family, grid, 64, raster=fig1_raster)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = escape_analysis(CUBIC, fig1_family, grid, 64, threads=8, raster=fig1_raster)
+    finally:
+        sys.setswitchinterval(old)
+    assert (many.esc_steps == one.esc_steps).all()
+    assert (many.avoiding.bits == one.avoiding.bits).all()

@@ -1,7 +1,10 @@
-"""Module layout: no module reaches into a sibling's private names, and no
-module imports a name it never uses."""
+"""Module layout: no module reaches into a sibling's private names, no
+module imports a name it never uses, and the CLI starts without scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polyrenorm"
@@ -36,3 +39,10 @@ def test_no_unused_imports():
                 if name not in used:
                     offenders.append(f"{path.name}:{node.lineno} imports {name} unused")
     assert not offenders, "; ".join(offenders)
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy takes 0.3-0.45 s to import; only the mask statistics use it
+    code = "import sys, polyrenorm.cli; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

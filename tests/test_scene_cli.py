@@ -213,7 +213,29 @@ def test_subcommands_write_what_figure1_writes(tmp_path):
             assert (out / name).read_bytes() == (fig / name).read_bytes(), (cmd, name)
 
 
+def test_figure1_supersample_compares_the_plain_mask(tmp_path):
+    # the surgery compares its mask with the plain avoiding mask, as
+    # `surgery` does, whatever --supersample says
+    scene = tmp_path / "figure1.json"
+    scene.write_text(json.dumps(FIGURE1_128))
+    fig, surgery = tmp_path / "figure1", tmp_path / "surgery"
+    assert main(["figure1", "--scene", str(scene), "--seeds", "500",
+                 "--supersample", "2", "--out", str(fig)]) == 0
+    assert main(["surgery", "--scene", str(scene), "--seeds", "500", "--out", str(surgery)]) == 0
+    for name in ("surgery.csv", "nonescaping_mask.raw"):
+        assert (surgery / name).read_bytes() == (fig / name).read_bytes(), name
+
+
 FIGURE1_64 = dict(FIGURE1_128, grid={"center": [-1.25, 0.0], "width": 4.5, "resolution": 64})
+
+
+@pytest.mark.parametrize("cmd", ["ray", "cuts-check", "carrot", "surgery", "verify"])
+def test_supersample_only_where_a_sweep_reads_it(tmp_path, capsys, cmd):
+    scene = tmp_path / "figure1.json"
+    scene.write_text(json.dumps(FIGURE1_64))
+    with pytest.raises(SystemExit):
+        main([cmd, "--scene", str(scene), "--out", str(tmp_path / "o"), "--supersample", "2"])
+    assert "unrecognized arguments: --supersample" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option, value", [

@@ -10,32 +10,43 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .cuts import CutFamily
-from .grid import GridSpec, Mask, PixelRaster, estimate_bounded_box, sweep_pixels
+from .grid import GridSpec, Mask, PixelRaster, sweep_pixels
 from .errors import GridMismatch
 from .poly import Polynomial, critical_cycles, unity_order
 
-WEDGE_RASTER_RES = 4096
+RASTER_RES = 4096  # side of every lookup raster on a covering window
 _STRUCT8 = np.ones((3, 3), dtype=bool)
 
 
-def wedge_raster(P: Polynomial, family: CutFamily,
-                 resolution: int = WEDGE_RASTER_RES) -> PixelRaster:
-    """Rasterized union of the family's wedges over a window covering the
-    non-escaping set (bounded orbits never leave it, so one lookup table
-    serves every iterate)."""
-    center, half = estimate_bounded_box(P)
-    for w in family.wedges:
-        if w.boundary is None:
-            continue
-        re, im = w.boundary.real, w.boundary.imag
+def covering_window(P: Polynomial, polylines: Sequence[np.ndarray]) -> GridSpec:
+    """A RASTER_RES window over the non-escaping set and every polyline, so
+    that one lookup raster serves every iterate of a bounded orbit.
+
+    The square around the pixels of a coarse sweep of |z| <= R that stay
+    bounded for 96 steps, widened by 1/2, then as far as each polyline
+    reaches from its center, then by 2%; when no pixel stays bounded the
+    square is centered at 0 with half-width 1.
+    """
+    coarse = GridSpec(0j, 2.0 * P.escape_radius, 160)
+    bounded = escape_analysis(P, None, coarse, 96).kp.bits
+    center, half = 0j, 1.0
+    if bounded.any():
+        zs = coarse.centers()[bounded]
+        re_lo, re_hi = zs.real.min(), zs.real.max()
+        im_lo, im_hi = zs.imag.min(), zs.imag.max()
+        center = complex((re_lo + re_hi) / 2, (im_lo + im_hi) / 2)
+        half = max(re_hi - re_lo, im_hi - im_lo) / 2 + 0.5
+    for arr in polylines:
         half = max(half,
-                   abs(re.max() - center.real), abs(re.min() - center.real),
-                   abs(im.max() - center.imag), abs(im.min() - center.imag))
-    raster = PixelRaster(GridSpec(center, 2.0 * half * 1.02, resolution))
-    for w in family.wedges:
-        if w.boundary is not None:
-            raster.add_polygon(w.boundary)
-    return raster
+                   abs(arr.real.max() - center.real), abs(arr.real.min() - center.real),
+                   abs(arr.imag.max() - center.imag), abs(arr.imag.min() - center.imag))
+    return GridSpec(center, 2.0 * half * 1.02, RASTER_RES)
+
+
+def wedge_raster(P: Polynomial, family: CutFamily) -> PixelRaster:
+    """Rasterized union of the family's wedges on their covering window."""
+    walls = [w.boundary for w in family.wedges if w.boundary is not None]
+    return PixelRaster(covering_window(P, walls), walls)
 
 
 # -- certified interior traps -------------------------------------------------

@@ -447,7 +447,7 @@ def landing_point(ray: RayPolyline, P: Polynomial) -> Landing:
 
 
 def land_ray(P: Polynomial, theta: Angle, *, g_start: float = 2.0,
-             substeps: int = DEFAULT_SUBSTEPS, g_land: float = LAND_POTENTIAL) -> RayPolyline:
+             g_land: float = LAND_POTENTIAL) -> RayPolyline:
     """Trace a ray deep enough to land it and attach the landing record.
 
     Slowly repelling landing points (multiplier close to the unit circle)
@@ -467,7 +467,7 @@ def land_ray(P: Polynomial, theta: Angle, *, g_start: float = 2.0,
             d1 = abs(complex(ray.points[-1]) - landing.point)
             if d1 < 1e-6:
                 break
-            d0 = abs(complex(ray.points[-1 - substeps]) - landing.point)
+            d0 = abs(complex(ray.points[-1 - DEFAULT_SUBSTEPS]) - landing.point)
             if not (0 < d1 < d0):
                 break
             nu = math.log(d0 / d1) / math.log(P.degree)
@@ -482,7 +482,7 @@ def land_ray(P: Polynomial, theta: Angle, *, g_start: float = 2.0,
             landing = landing_point(ray, P)
         return RayPolyline(ray.angle, ray.points, ray.potentials, landing)
 
-    return _on_ladder(P, 0, g_start, substeps, land)
+    return _on_ladder(P, 0, g_start, DEFAULT_SUBSTEPS, land)
 
 
 def equipotential_polyline(P: Polynomial, g0: float, n: int = 256) -> np.ndarray:
@@ -539,8 +539,7 @@ def trace_spiral(P: Polynomial, base: Angle, sign: int, g_hi: float, g_lo: float
     return _on_ladder(P, sign, g_hi, substeps, spiral)
 
 
-def external_angle(P: Polynomial, z: complex, *, g: Optional[float] = None,
-                   coarse: int = 96, refine_iter: int = 60) -> float:
+def external_angle(P: Polynomial, z: complex, *, g: Optional[float] = None) -> float:
     """External angle (turns) of an escaping point, by equipotential search.
 
     Robust near the filled Julia set where argument-tracking products are
@@ -551,6 +550,7 @@ def external_angle(P: Polynomial, z: complex, *, g: Optional[float] = None,
         g = green_potential(P, z)
     if g <= 0:
         raise ValueError("point does not escape; no external angle")
+    coarse = 96  # equipotential nodes scanned before the golden-section refinement
     offs = [j / coarse for j in range(coarse + 1)]
     pts = equipotential_points(P, g, Fraction(0), offs)
     dists = [abs(p - z) for p in pts]
@@ -572,7 +572,7 @@ def external_angle(P: Polynomial, z: complex, *, g: Optional[float] = None,
     d_ = a + invphi * (b - a)
     fc = abs(point_at(c) - z)
     fd = abs(point_at(d_) - z)
-    for _ in range(refine_iter):
+    for _ in range(60):
         if fc < fd:
             b, d_, fd = d_, c, fc
             c = b - invphi * (b - a)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,11 +77,11 @@ def proto_image_check(pc: ProtoCarrot, d: int, samples: int = 1000) -> float:
         r2 = rho**d
         t2 = theta * d
         z = r2 * np.exp(2j * np.pi * t2)
-        worst = max(worst, _proto_boundary_distance(img, z, r2, t2))
+        worst = max(worst, _proto_boundary_distance(img, z, t2))
     return worst
 
 
-def _proto_boundary_distance(pc: ProtoCarrot, z: complex, rho: float, theta: float) -> float:
+def _proto_boundary_distance(pc: ProtoCarrot, z: complex, theta: float) -> float:
     off = reduce_offset(theta - pc.theta0.as_float())
     cands = []
     if abs(off) <= pc.half_span:
@@ -129,13 +130,13 @@ class Carrot:
             np.array([self.cut.root]),
         ])
 
-    def contains(self, z: complex) -> bool:
-        return crossing_parity(self._poly_cache(), z)
+    @cached_property
+    def polygon(self) -> np.ndarray:
+        """`boundary()`, kept for the membership tests."""
+        return self.boundary()
 
-    def _poly_cache(self) -> np.ndarray:
-        if not hasattr(self, "_poly"):
-            self._poly = self.boundary()
-        return self._poly
+    def contains(self, z: complex) -> bool:
+        return crossing_parity(self.polygon, z)
 
     def side_pair_points(self) -> np.ndarray:
         """The union side_r + root + side_l as one simple arc (root in the middle)."""
@@ -146,8 +147,7 @@ class Carrot:
         ])
 
 
-def build_carrot(P: Polynomial, family: CutFamily, cut: Cut, rho: float, *,
-                 substeps: int = SIDE_SUBSTEPS, t_min: float = SIDE_T_MIN) -> Carrot:
+def build_carrot(P: Polynomial, cut: Cut, rho: float) -> Carrot:
     """Carrot of a cut at parameter rho.
 
     Both cases share one construction: the sides are the slope-one spirals
@@ -163,8 +163,8 @@ def build_carrot(P: Polynomial, family: CutFamily, cut: Cut, rho: float, *,
         raise CarrotOverlap(
             f"carrot sides of cut ({cut.theta_r},{cut.theta_l}) cross before "
             f"reaching the equipotential: need g0 < {width / 2:.4g}, got {g0:.4g}")
-    side_r = trace_spiral(P, cut.theta_r, +1, g0, t_min, substeps)
-    side_l = trace_spiral(P, cut.theta_l, -1, g0, t_min, substeps)
+    side_r = trace_spiral(P, cut.theta_r, +1, g0, SIDE_T_MIN, SIDE_SUBSTEPS)
+    side_l = trace_spiral(P, cut.theta_l, -1, g0, SIDE_T_MIN, SIDE_SUBSTEPS)
     for name, side in (("right", side_r), ("left", side_l)):
         gap = abs(side.points[-1] - cut.root)
         if gap > SIDE_ROOT_TOL:
@@ -189,7 +189,7 @@ def build_carrot(P: Polynomial, family: CutFamily, cut: Cut, rho: float, *,
     return Carrot(cut, rho, g0, side_r, side_l, arc, lo, hi)
 
 
-def build_carrots(P: Polynomial, family: CutFamily, rho: float, **kw) -> list[Carrot]:
+def build_carrots(P: Polynomial, family: CutFamily, rho: float) -> list[Carrot]:
     """Carrots for the whole family, image cuts first along each orbit."""
     order: list[int] = []
     remaining = set(range(len(family)))
@@ -207,16 +207,16 @@ def build_carrots(P: Polynomial, family: CutFamily, rho: float, **kw) -> list[Ca
             remaining.discard(i)
     carrots: list[Optional[Carrot]] = [None] * len(family)
     for i in order:
-        carrots[i] = build_carrot(P, family, family.cuts[i], rho, **kw)
+        carrots[i] = build_carrot(P, family.cuts[i], rho)
     return carrots  # type: ignore[return-value]
 
 
-def carrots_disjoint(carrots: Sequence[Carrot], samples: int = 160) -> bool:
-    """Sampled pairwise disjointness of carrot regions."""
+def carrots_disjoint(carrots: Sequence[Carrot]) -> bool:
+    """Sampled pairwise disjointness of carrot regions (160 boundary points)."""
     for i, a in enumerate(carrots):
         for b in carrots[i + 1:]:
             pts = b.boundary()
-            idx = np.unique(np.linspace(0, len(pts) - 1, samples).astype(int))
+            idx = np.unique(np.linspace(0, len(pts) - 1, 160).astype(int))
             probe = pts[idx]
             # skip shared root contacts
             probe = probe[np.abs(probe - a.cut.root) > 1e-9]
@@ -258,8 +258,7 @@ def koenigs_radius(P: Polynomial, cycle: Cycle) -> float:
     return 0.9 * r
 
 
-def koenigs_coordinate(P: Polynomial, cycle: Cycle, z: complex, *,
-                       tol: float = 1e-13, max_n: int = 400) -> complex:
+def koenigs_coordinate(P: Polynomial, cycle: Cycle, z: complex) -> complex:
     """Koenigs linearizing coordinate at a repelling fixed point.
 
     u = lim lambda^n (P^{-n}(z) - z0) along the inverse branch fixing z0;
@@ -301,7 +300,7 @@ def koenigs_coordinate(P: Polynomial, cycle: Cycle, z: complex, *,
     u_prev: Optional[complex] = None
     best: Optional[complex] = None
     best_diff = math.inf
-    for _ in range(max_n):
+    for _ in range(400):
         target = w
         w = w / lam
         for _ in range(60):
@@ -313,7 +312,7 @@ def koenigs_coordinate(P: Polynomial, cycle: Cycle, z: complex, *,
         u = power * w
         if u_prev is not None:
             diff = abs(u - u_prev)
-            if diff < tol * max(1e-300, abs(u)):
+            if diff < 1e-13 * max(1e-300, abs(u)):
                 return u
             if diff < best_diff:
                 best, best_diff = u, diff
@@ -368,9 +367,9 @@ def quasi_arc_constant(polyline: np.ndarray, samples: int = 200) -> float:
 
 
 def transversality_profile(R_pts: np.ndarray, L_pts: np.ndarray, a: complex, *,
-                           r_min: float = 1e-8, band: float = 0.1
-                           ) -> list[tuple[float, float]]:
-    """Per-dyadic-scale minima of |(u-a)/(v-a) - 1| over radius-matched pairs."""
+                           r_min: float = 1e-8) -> list[tuple[float, float]]:
+    """Per-dyadic-scale minima of |(u-a)/(v-a) - 1| over radius-matched pairs
+    (radii within 10% of each other)."""
     ru = np.asarray(R_pts, dtype=complex) - a
     lv = np.asarray(L_pts, dtype=complex) - a
     ru = ru[np.abs(ru) > 0]
@@ -385,7 +384,7 @@ def transversality_profile(R_pts: np.ndarray, L_pts: np.ndarray, a: complex, *,
         vs = lv[(np.abs(lv) >= s) & (np.abs(lv) < 2 * s)]
         if len(us) and len(vs):
             ratio = np.abs(us[:, None]) / np.abs(vs[None, :])
-            pair_ok = np.abs(ratio - 1.0) < band
+            pair_ok = np.abs(ratio - 1.0) < 0.1
             if pair_ok.any():
                 q = us[:, None] / vs[None, :]
                 gap = float(np.abs(q - 1.0)[pair_ok].min())
@@ -397,10 +396,10 @@ def transversality_profile(R_pts: np.ndarray, L_pts: np.ndarray, a: complex, *,
 
 
 def transversality_gap(R_pts: np.ndarray, L_pts: np.ndarray, a: complex, *,
-                       r_min: float = 1e-8, band: float = 0.1) -> float:
+                       r_min: float = 1e-8) -> float:
     """min over scales of the per-scale transversality minima; > 0 certifies
     nothing but 0 is approached by tangential pairs."""
-    prof = transversality_profile(R_pts, L_pts, a, r_min=r_min, band=band)
+    prof = transversality_profile(R_pts, L_pts, a, r_min=r_min)
     return min(g for _, g in prof)
 
 

@@ -212,7 +212,7 @@ def cmd_julia(args) -> int:
 def cmd_ray(args) -> int:
     scene = _load(args)
     angles = [parse_angle(a, "--angle") for a in args.angle] or [tr for tr, _ in scene.cuts]
-    rays = [land_ray(scene.polynomial, theta, g_start=scene.g_start) for theta in angles]
+    rays = [land_ray(scene.polynomial, theta) for theta in angles]
     os.makedirs(args.out, exist_ok=True)
     verdicts = _write_rays(args.out, rays)
     for name, _, detail in verdicts:
@@ -311,10 +311,8 @@ def cmd_figure1(args) -> int:
     verdicts += _write_surgery(out, scene, family, carrots, avoiding, seeds, threads)
     verdicts += _write_conjugacy(out, _conjugacy(scene, family, MAX_PERIOD))
 
-    wedges = PixelRaster(scene.grid)
-    for w in family.wedges:
-        if w.boundary is not None:
-            wedges.add_polygon(w.boundary)
+    wedges = PixelRaster(scene.grid, [w.boundary for w in family.wedges
+                                      if w.boundary is not None])
     img = render.render_scene_image(res.kp, res.avoiding, res.esc_steps, wedges.bits)
     for ray in rays:
         render.draw_polyline(img, scene.grid, ray.points, render.COLOR_RAY)

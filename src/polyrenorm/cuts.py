@@ -51,18 +51,18 @@ class Cut:
 
 
 def build_cut(P: Polynomial, theta_r: Angle, theta_l: Angle, *,
-              g_start: float = 2.0, substeps: int = 8) -> Cut:
+              g_start: float = 2.0) -> Cut:
     """Trace both rays, verify co-landing, and assemble the cut.
 
     The bounded wedge is the side whose external angles lie on the ccw arc
     from theta_r to theta_l, so the caller's argument order fixes orientation.
     """
-    ray_r = land_ray(P, theta_r, g_start=g_start, substeps=substeps)
+    ray_r = land_ray(P, theta_r, g_start=g_start)
     if not ray_r.landing.converged:
         raise RayNotConverged(f"ray {theta_r} did not land")
     if theta_r == theta_l:
         return Cut(theta_r, theta_l, ray_r.landing.point, True, ray_r, ray_r)
-    ray_l = land_ray(P, theta_l, g_start=g_start, substeps=substeps)
+    ray_l = land_ray(P, theta_l, g_start=g_start)
     if not ray_l.landing.converged:
         raise RayNotConverged(f"ray {theta_l} did not land")
     gap = abs(ray_r.landing.point - ray_l.landing.point)
@@ -159,9 +159,8 @@ class CutFamily:
 
 
 def build_family(P: Polynomial, pairs: Sequence[tuple[Angle, Angle]], *,
-                 g0: float, g_start: float = 2.0, substeps: int = 8) -> CutFamily:
-    cuts = [build_cut(P, tr, tl, g_start=max(g_start, 2 * g0), substeps=substeps)
-            for tr, tl in pairs]
+                 g0: float) -> CutFamily:
+    cuts = [build_cut(P, tr, tl, g_start=max(2.0, 2 * g0)) for tr, tl in pairs]
     d = P.degree
     index = {c.pair: i for i, c in enumerate(cuts)}
     forward = tuple(index.get(c.image_pair(d)) for c in cuts)
@@ -302,7 +301,7 @@ class FamilyReport:
         return [r for r in self.rows if not r.ok]
 
 
-def check_admissible(P: Polynomial, family: CutFamily, g0: Optional[float] = None) -> FamilyReport:
+def check_admissible(P: Polynomial, family: CutFamily) -> FamilyReport:
     """Forward invariance plus the principal-component condition.
 
     The latter is sampled: no cut's root or ray points may lie strictly inside

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -90,13 +91,16 @@ def save_mask_raw(mask: Mask, path: str) -> None:
 
 def load_mask_raw(path: str, grid: GridSpec) -> Mask:
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        if header[:8] != MASK_MAGIC:
-            raise ValueError("bad mask magic")
-        w, h = struct.unpack("<II", header[8:16])
-        data = np.frombuffer(fh.read(), dtype=np.uint8)
+        data = fh.read()
+    if data[:8] != MASK_MAGIC:
+        raise ValueError("bad mask magic")
+    w, h = struct.unpack("<II", data[8:16]) if len(data) >= 16 else (0, 0)
     row_bytes = (w + 7) // 8
-    bits = np.unpackbits(data.reshape(h, row_bytes), axis=1, bitorder="big")[:, :w]
+    size = 16 + h * row_bytes
+    if len(data) != size:
+        raise ValueError(f"mask file holds {len(data)} bytes, expected {size}")
+    body = np.frombuffer(data, dtype=np.uint8, offset=16)
+    bits = np.unpackbits(body.reshape(h, row_bytes), axis=1, bitorder="big")[:, :w]
     if (w, h) != (grid.resolution, grid.resolution):
         raise GridMismatch("stored mask size differs from grid")
     return Mask(grid, bits.astype(bool))
@@ -154,9 +158,9 @@ def distance_to_polyline(poly: np.ndarray, z: complex) -> float:
     return float(np.abs(proj - z).min())
 
 
-@dataclass
 class PixelRaster:
-    """Shared lookup raster; points outside the window read False.
+    """Lookup raster of the union of `polygons` (even-odd interiors at pixel
+    centers); points outside the window read False.
 
     The bits sit inside an (n+2)^2 array whose one-pixel border stays False;
     `bits` is a view of its interior.  Every raster on one grid shares the
@@ -164,16 +168,13 @@ class PixelRaster:
     once per iterate and reads each raster with `at`.
     """
 
-    grid: GridSpec
-    bits: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        n = self.grid.resolution
+    def __init__(self, grid: GridSpec, polygons: Iterable[np.ndarray]) -> None:
+        n = grid.resolution
+        self.grid = grid
         self._padded = np.zeros((n + 2, n + 2), dtype=bool)
         self.bits = self._padded[1:-1, 1:-1]
-
-    def add_polygon(self, polygon: np.ndarray) -> None:
-        fill_polygon(self.bits, self.grid, polygon)
+        for polygon in polygons:
+            fill_polygon(self.bits, grid, polygon)
 
     def index(self, z: np.ndarray) -> np.ndarray:
         """Flat indices of the pixels holding z in the padded raster.
@@ -208,61 +209,41 @@ class PixelRaster:
         return self.at(self.index(np.asarray(z)))
 
 
-def estimate_bounded_box(P, resolution: int = 160, max_iter: int = 96,
-                         margin: float = 0.5) -> tuple[complex, float]:
-    """Coarse bounding square of the non-escaping set (center, halfwidth)."""
-    R = P.escape_radius
-    g = GridSpec(0j, 2.0 * R, max(resolution, 16))
-    z = g.centers()
-    bounded = np.ones(z.shape, dtype=bool)
-    w = z.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            w = P(w)
-            esc = np.abs(w) > R
-            bounded &= ~esc
-            np.copyto(w, 0.0, where=esc)
-    if not bounded.any():
-        return 0j, 1.0
-    rows, cols = np.nonzero(bounded)
-    zs = z[rows, cols]
-    re_lo, re_hi = zs.real.min(), zs.real.max()
-    im_lo, im_hi = zs.imag.min(), zs.imag.max()
-    cx = (re_lo + re_hi) / 2
-    cy = (im_lo + im_hi) / 2
-    half = max(re_hi - re_lo, im_hi - im_lo) / 2 + margin
-    return complex(cx, cy), half
-
-
 POOL_AFTER = 16  # iterations each row block runs before its survivors are pooled
 
 
-def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int) -> None:
-    """Run step(z, idx, it) -> (z, idx) on the pixel centers of `grid` for
-    it = 1 .. max_iter, or until no pixel is left.
+def iterate_orbits(z: np.ndarray, idx: np.ndarray, its, step):
+    """Run step(z, idx, it) -> (z, idx) for each `it` in `its`, or until no
+    orbit is left; returns the last (z, idx).
 
-    `z` holds the current iterates and `idx` their flat pixel indices; the
-    step records what it finds by index and returns the survivors.  The
-    first POOL_AFTER iterations run on 64-row blocks, `threads` at a time;
-    the blocks' survivors are then pooled, in block order, into one array
-    that the calling thread finishes, so the few slow pixels cost one numpy
-    call per operation rather than one per block.  Each pixel sees the same
-    elementwise operations in whichever array it sits.
+    `z` holds the current iterates and `idx` their labels (flat pixel or
+    seed indices); the step records what it finds by label and returns the
+    survivors.  Overflow to inf and NaN are left to the step to retire.
     """
-    def run(z, idx, its):
-        with np.errstate(over="ignore", invalid="ignore"):
-            for it in its:
-                if idx.size == 0:
-                    break
-                z, idx = step(z, idx, it)
-        return z, idx
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in its:
+            if idx.size == 0:
+                break
+            z, idx = step(z, idx, it)
+    return z, idx
 
+
+def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int) -> None:
+    """`iterate_orbits` on the pixel centers of `grid`, labelled by flat
+    pixel index, for it = 1 .. max_iter.
+
+    The first POOL_AFTER iterations run on 64-row blocks, `threads` at a
+    time; the blocks' survivors are then pooled, in block order, into one
+    array that the calling thread finishes, so the few slow pixels cost one
+    numpy call per operation rather than one per block.  Each pixel sees the
+    same elementwise operations in whichever array it sits.
+    """
     n = grid.resolution
 
     def block(i0):
         i1 = min(i0 + 64, n)
-        return run(grid.rows_centers(i0, i1).ravel(), np.arange(i0 * n, i1 * n),
-                   range(1, min(max_iter, POOL_AFTER) + 1))
+        return iterate_orbits(grid.rows_centers(i0, i1).ravel(), np.arange(i0 * n, i1 * n),
+                              range(1, min(max_iter, POOL_AFTER) + 1), step)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -270,4 +251,5 @@ def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int) -> None:
     else:
         parts = [block(i0) for i0 in range(0, n, 64)]
     z, idx = zip(*parts)
-    run(np.concatenate(z), np.concatenate(idx), range(POOL_AFTER + 1, max_iter + 1))
+    iterate_orbits(np.concatenate(z), np.concatenate(idx),
+                   range(POOL_AFTER + 1, max_iter + 1), step)

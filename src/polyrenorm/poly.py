@@ -264,11 +264,7 @@ def _default_seeds(P: Polynomial, n_grid: int = 24) -> list[complex]:
     return [complex(x, y) for x in xs for y in xs]
 
 
-def find_cycles(
-    P: Polynomial,
-    max_period: int,
-    seeds: Sequence[complex] | None = None,
-) -> list[Cycle]:
+def find_cycles(P: Polynomial, max_period: int) -> list[Cycle]:
     """All distinct cycles of period <= max_period.
 
     Damped Newton on P^n(z) - z from a seed grid; when d^n is small the
@@ -283,7 +279,7 @@ def find_cycles(
         return any(c.contains(z) for c in cycles)
 
     for n in range(1, max_period + 1):
-        pool = list(seeds) if seeds is not None else _default_seeds(P)
+        pool = _default_seeds(P)
         if P.degree**n <= 256:
             pool.extend(complex(r) for r in np.roots(_subtract_z(_compose_coeffs(P, n))))
         for s in pool:

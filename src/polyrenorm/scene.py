@@ -21,7 +21,6 @@ _RESOLUTION_MSG = "expected an integer >= 16"
 
 @dataclass
 class Scene:
-    name: str
     polynomial: Polynomial
     cuts: list[tuple[Angle, Angle]]
     grid: GridSpec
@@ -29,7 +28,6 @@ class Scene:
     rho: float
     candidate_q: Optional[Polynomial] = None
     seed: int = DEFAULT_SEED
-    g_start: float = 2.0
 
     @property
     def g0(self) -> float:
@@ -130,7 +128,6 @@ def scene_from_dict(data: dict, base: str = "scene") -> Scene:
     seed = integer_field(data.get("seed", DEFAULT_SEED), f"{base}.seed", 0,
                          "expected a non-negative integer")
     return Scene(
-        name=str(data.get("name", "scene")),
         polynomial=poly,
         cuts=cuts,
         grid=grid,
@@ -156,7 +153,6 @@ def figure1_scene(resolution: int = 1024, max_iter: int = 512) -> Scene:
     """Built-in scene: the cubic z(z+2)^2 with the cut pair (1/3, 2/3) and the
     degenerate cut at angle 0; candidate quadratic z^2 - z."""
     return scene_from_dict({
-        "name": "figure1",
         "polynomial": {"coeffs": [[0, 0], [4, 0], [4, 0], [1, 0]]},
         "cuts": [
             {"theta_r": "1/3", "theta_l": "2/3"},

@@ -11,22 +11,22 @@ cover of the plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .avoiding import interior_trap
+from .avoiding import covering_window, interior_trap
 from .bottcher import (bottcher_point, equipotential_points, equipotential_polyline,
                        external_angle)
 from .carrots import Carrot, build_carrot, carrots_disjoint
 from .cuts import CutFamily, check_legal
 from .errors import CarrotOverlap, ContinuityGap, DegreeMismatch, RenormError
-from .grid import GridSpec, Mask, PixelRaster, estimate_bounded_box, sweep_pixels
+from .grid import GridSpec, Mask, PixelRaster, iterate_orbits, sweep_pixels
 from .poly import Polynomial, green_potential
 
-RASTER_RES = 4096
 T0 = 1  # the exterior cap spans potentials g0 .. d**T0 * g0
 SIDE_SAMPLES = 1000  # side-arc nodes checked against P
 CAP_SAMPLES = 250  # angles checked for continuity across the outer equipotential
@@ -125,7 +125,7 @@ class CoonsPatch:
         theta = (1.0 - s) * (self.tgt_th_r + g) + s * (self.tgt_th_l - g)
         return bottcher_point(self.P, g, theta)
 
-    def invert_src(self, z: complex, tol: float = 1e-9) -> tuple[float, float]:
+    def invert_src(self, z: complex) -> tuple[float, float]:
         """Numerically invert the source blend; best-effort on folds.  Newton
         starts at the first closest node of a 22 x 22 grid unless (0.5, 0.5)
         is as close, and runs on Python complex (each part divided by a real)."""
@@ -140,7 +140,7 @@ class CoonsPatch:
         h = 1e-6
         for _ in range(50):
             f = phi(s, t) - z
-            if abs(f) < tol:
+            if abs(f) < 1e-9:
                 break
             fs = (phi(min(s + h, 1.0), t) - phi(max(s - h, 0.0), t)) / (
                 min(s + h, 1.0) - max(s - h, 0.0))
@@ -227,7 +227,7 @@ class ExteriorCap:
     segments: list[tuple[float, float, float, float]]  # (t0, t1, A, B): lift = A + B*theta
 
     @classmethod
-    def build(cls, P: Polynomial, family: CutFamily, carrots: Sequence[Carrot],
+    def build(cls, P: Polynomial, carrots: Sequence[Carrot],
               critical: Sequence[int], image_carrots: dict[int, "Carrot"],
               g0: float, dc: int) -> "ExteriorCap":
         d = P.degree
@@ -299,10 +299,8 @@ class SurgeryMap:
     """
 
     P: Polynomial
-    family: CutFamily
     carrots: list[Carrot]
     critical: list[int]
-    rho: float
     g0: float
     d_c: int
     patches: dict[int, CoonsPatch]
@@ -310,40 +308,26 @@ class SurgeryMap:
     cap: ExteriorCap
     side_agreement_max: float
     continuity_max_gap: float
-    _rasters: dict = field(default_factory=dict, repr=False)
 
-    # -- rasters ------------------------------------------------------------
-    def _base_window(self) -> GridSpec:
-        if "window" in self._rasters:
-            return self._rasters["window"]
-        center, half = estimate_bounded_box(self.P)
-        pts = [equipotential_polyline(self.P, self.P.degree * self.g0, 256)]
-        for c in self.carrots:
-            pts.append(c.boundary())
-        for arr in pts:
-            half = max(half,
-                       abs(arr.real.max() - center.real), abs(arr.real.min() - center.real),
-                       abs(arr.imag.max() - center.imag), abs(arr.imag.min() - center.imag))
-        win = GridSpec(center, 2.0 * half * 1.02, RASTER_RES)
-        self._rasters["window"] = win
-        return win
+    # -- rasters on one covering window, built on first use -----------------
+    @cached_property
+    def window(self) -> GridSpec:
+        """Covers the non-escaping set, the carrots and the equipotential at d*g0."""
+        outer = equipotential_polyline(self.P, self.P.degree * self.g0, 256)
+        return covering_window(self.P, [outer] + [c.boundary() for c in self.carrots])
 
-    def _raster(self, key: str) -> PixelRaster:
-        if key in self._rasters:
-            return self._rasters[key]
-        win = self._base_window()
-        r = PixelRaster(win)
-        if key == "crit":
-            for i in self.critical:
-                r.add_polygon(self.carrots[i].boundary())
-        elif key == "u_rho":
-            r.add_polygon(equipotential_polyline(self.P, self.g0, 1024))
-        elif key == "u_rho_d":
-            r.add_polygon(equipotential_polyline(self.P, self.P.degree * self.g0, 1024))
-        else:
-            raise KeyError(key)
-        self._rasters[key] = r
-        return r
+    @cached_property
+    def crit(self) -> PixelRaster:
+        return PixelRaster(self.window, [self.carrots[i].boundary() for i in self.critical])
+
+    @cached_property
+    def u_rho(self) -> PixelRaster:
+        return PixelRaster(self.window, [equipotential_polyline(self.P, self.g0, 1024)])
+
+    @cached_property
+    def u_rho_d(self) -> PixelRaster:
+        return PixelRaster(self.window,
+                           [equipotential_polyline(self.P, self.P.degree * self.g0, 1024)])
 
     # -- evaluation ---------------------------------------------------------
     def evaluate(self, z: complex) -> complex:
@@ -405,7 +389,7 @@ def build_surgery(P: Polynomial, family: CutFamily, rho: float,
         tgt_idx = family.forward_map[i]
         if tgt_idx is None:
             raise RenormError(f"critical cut {i} has no image cut in the family")
-        image = build_carrot(P, family, family.cuts[tgt_idx], rho_d)
+        image = build_carrot(P, family.cuts[tgt_idx], rho_d)
         image_carrots[i] = image
         patch = CoonsPatch.build(P, carrots[i], image)
         patches[i] = patch
@@ -418,15 +402,14 @@ def build_surgery(P: Polynomial, family: CutFamily, rho: float,
     if side_worst > 1e-6:
         raise ContinuityGap(f"side arcs disagree with P by {side_worst:.3g}")
 
-    cap = ExteriorCap.build(P, family, carrots, critical, image_carrots,
-                            g0, d_c)
+    cap = ExteriorCap.build(P, carrots, critical, image_carrots, g0, d_c)
 
     cont_gap = _cap_continuity_gap(P, carrots, critical, patches, cap, g0)
     if cont_gap > 1e-6:
         raise ContinuityGap(f"cap mismatch {cont_gap:.3g} across the outer equipotential")
 
-    S = SurgeryMap(P, family, carrots, critical, rho, g0, d_c, patches,
-                   image_carrots, cap, side_worst, cont_gap)
+    S = SurgeryMap(P, carrots, critical, g0, d_c, patches, image_carrots, cap,
+                   side_worst, cont_gap)
     _preimage_cross_check(S)
     return S
 
@@ -512,35 +495,28 @@ def visit_count_experiment(S: SurgeryMap, n_seeds: int, max_iter: int, *,
     escapes through the annulus.  Points that leave the outer annulus can
     never return to either region and are retired.
     """
-    win = window or S._base_window()
+    win = window or S.window
     rng = np.random.default_rng(seed)
     re = rng.uniform(win.center.real - win.width / 2, win.center.real + win.width / 2, n_seeds)
     im = rng.uniform(win.center.imag - win.width / 2, win.center.imag + win.width / 2, n_seeds)
-    zz = re + 1j * im
-    crit = S._raster("crit")
-    u_rho = S._raster("u_rho")
-    u_rho_d = S._raster("u_rho_d")
+    crit, u_rho, u_rho_d = S.crit, S.u_rho, S.u_rho_d
     visits_crit = np.zeros(n_seeds, dtype=np.int32)
     visits_blend = np.zeros(n_seeds, dtype=np.int32)
-    live = np.arange(n_seeds)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            if live.size == 0:
-                break
-            k = crit.index(zz)  # the three rasters share the base window
-            in_crit = crit.at(k)
-            in_ud = u_rho_d.at(k)
-            in_u = u_rho.at(k)
-            blend = in_ud & ~in_u & ~in_crit
-            visits_crit[live[in_crit]] += 1
-            visits_blend[live[blend]] += 1
-            out = S.P(zz)
-            for m in np.nonzero(in_crit)[0]:
-                out[m] = S.interior(complex(zz[m]))  # P at raster edge effects
-            # retire orbits beyond the outer annulus
-            good = np.isfinite(out) & in_ud
-            live = live[good]
-            zz = out[good]
+
+    def step(z, live, it):
+        k = crit.index(z)  # the three rasters share the covering window
+        in_crit = crit.at(k)
+        in_ud = u_rho_d.at(k)
+        blend = in_ud & ~u_rho.at(k) & ~in_crit
+        visits_crit[live[in_crit]] += 1
+        visits_blend[live[blend]] += 1
+        out = S.P(z)
+        for m in np.nonzero(in_crit)[0]:
+            out[m] = S.interior(complex(z[m]))  # P at raster edge effects
+        good = np.isfinite(out) & in_ud  # retire orbits beyond the outer annulus
+        return out[good], live[good]
+
+    iterate_orbits(re + 1j * im, np.arange(n_seeds), range(max_iter), step)
     t_cr = len(S.critical)
     return VisitReport(int(visits_crit.max(initial=0)), int(visits_blend.max(initial=0)),
                        int((visits_crit + visits_blend).max(initial=0)),
@@ -563,8 +539,7 @@ def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,
     steps is retired as surviving, exactly as the full loop would find it; a
     map of P with nothing certifiable runs the full loop.
     """
-    crit = S._raster("crit")
-    u_rho = S._raster("u_rho")
+    crit, u_rho = S.crit, S.u_rho
     trap = interior_trap(S.P, max_iter, avoid=(crit,), stay_in=(u_rho,))
     alive = np.ones(grid.resolution ** 2, dtype=bool)
 
@@ -573,7 +548,7 @@ def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,
             free = ~trap.contains(z)
             if not free.all():
                 z, idx = z[free], idx[free]
-        k = crit.index(z)  # both rasters share the base window
+        k = crit.index(z)  # both rasters share the covering window
         inside = u_rho.at(k) & ~crit.at(k)
         if not inside.all():
             alive[idx[~inside]] = False

@@ -35,7 +35,7 @@ def test_carrots_disjoint(fig1_carrots):
 def test_carrot_overlap_when_rho_too_small(fig1_family):
     # critical cut arc width is 1/3; sides cross once g0 >= 1/6
     with pytest.raises(CarrotOverlap):
-        build_carrot(CUBIC, fig1_family, fig1_family.cuts[0], math.exp(-0.5))
+        build_carrot(CUBIC, fig1_family.cuts[0], math.exp(-0.5))
 
 
 def test_periodic_carrot_touches_filled_set_only_at_root(fig1_carrots, fig1_masks,

@@ -5,9 +5,9 @@ import pytest
 from scipy import ndimage
 
 from polyrenorm import (GridSpec, Mask, PixelRaster, Polynomial, compare_masks,
-                        connected_components, escape_analysis, load_mask_raw,
-                        nonescaping_mask, save_mask_raw, wedge_raster)
-from polyrenorm.avoiding import interior_trap
+                        connected_components, equipotential_polyline, escape_analysis,
+                        load_mask_raw, nonescaping_mask, save_mask_raw, wedge_raster)
+from polyrenorm.avoiding import covering_window, interior_trap
 from polyrenorm.errors import GridMismatch
 from polyrenorm.grid import POOL_AFTER, crossing_parity, distance_to_polyline, fill_polygon
 
@@ -140,6 +140,20 @@ def test_mask_raw_roundtrip(tmp_path, fig1_masks, fig1_grid):
     assert int.from_bytes(head[8:12], "little") == fig1_grid.resolution
 
 
+@pytest.mark.parametrize("case", ["short-header", "short-body", "long-body"])
+def test_load_mask_raw_rejects_wrong_length(tmp_path, case):
+    grid = GridSpec(0j, 1.0, 20)
+    path = tmp_path / "m.raw"
+    save_mask_raw(Mask(grid, np.ones((20, 20), dtype=bool)), str(path))
+    data = path.read_bytes()
+    assert len(data) == 16 + 20 * 3
+    bad, expected = {"short-header": (data[:10], 16), "short-body": (data[:-5], 76),
+                     "long-body": (data + bytes(5), 76)}[case]
+    path.write_bytes(bad)
+    with pytest.raises(ValueError, match=f"holds {len(bad)} bytes, expected {expected}$"):
+        load_mask_raw(str(path), grid)
+
+
 def test_crossing_parity_matches_fill_polygon(fig1_carrots, fig1_family, fig1_grid):
     # one even-odd rule: pointwise membership at every pixel centre equals
     # the scanline fill
@@ -204,8 +218,7 @@ def _majority(bits):
 
 def test_raster_lookup_matches_bounds_masked_reference(fig1_family):
     grid = GridSpec(complex(-2.2, 0.1), 1.0, 64)
-    raster = PixelRaster(grid)
-    raster.add_polygon(fig1_family.wedges[0].boundary)  # crosses the window
+    raster = PixelRaster(grid, [fig1_family.wedges[0].boundary])  # crosses the window
     assert raster.bits.any() and not raster.bits.all()
     n, px = grid.resolution, grid.pixel
     left = grid.center.real - grid.width / 2
@@ -256,7 +269,7 @@ def test_escape_analysis_matches_reference_loop(case, fig1_family):
 
 
 def _reference_nonescaping(S, grid, max_iter):
-    crit, u_rho = S._raster("crit"), S._raster("u_rho")
+    crit, u_rho = S.crit, S.u_rho
     z = grid.centers().ravel()
     alive = np.ones(z.size, dtype=bool)
     live = np.arange(z.size)
@@ -381,7 +394,7 @@ def test_trapped_sweep_matches_reference_threads_and_supersample(name, fig1_fami
 
 def test_nonescaping_mask_threads_match(fig1_surgery):
     grid = GridSpec(complex(-1.25, 0.0), 4.5, 128)
-    crit, u_rho = fig1_surgery._raster("crit"), fig1_surgery._raster("u_rho")
+    crit, u_rho = fig1_surgery.crit, fig1_surgery.u_rho
     assert interior_trap(CUBIC, 256, avoid=(crit,), stay_in=(u_rho,))
     one = nonescaping_mask(fig1_surgery, grid, 256, threads=1).bits
     assert (nonescaping_mask(fig1_surgery, grid, 256, threads=2).bits == one).all()
@@ -478,3 +491,66 @@ def test_blocks_share_outputs_under_fast_thread_switching(fig1_family, fig1_rast
         sys.setswitchinterval(old)
     assert (many.esc_steps == one.esc_steps).all()
     assert (many.avoiding.bits == one.avoiding.bits).all()
+
+
+# -- covering windows: the plain escape loop that bounded them before the sweep did
+
+def _reference_window(P, polylines):
+    """Bounding square of the pixels of a 160^2 grid over |z| <= R whose 96
+    iterates stay within R, widened by 1/2, then to the polylines, then by 2%."""
+    R = P.escape_radius
+    g = GridSpec(0j, 2.0 * R, 160)
+    z = g.centers()
+    bounded = np.ones(z.shape, dtype=bool)
+    w = z.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(96):
+            w = P(w)
+            esc = np.abs(w) > R
+            bounded &= ~esc
+            np.copyto(w, 0.0, where=esc)
+    center, half = 0j, 1.0
+    if bounded.any():
+        rows, cols = np.nonzero(bounded)
+        zs = z[rows, cols]
+        re_lo, re_hi = zs.real.min(), zs.real.max()
+        im_lo, im_hi = zs.imag.min(), zs.imag.max()
+        center = complex((re_lo + re_hi) / 2, (im_lo + im_hi) / 2)
+        half = max(re_hi - re_lo, im_hi - im_lo) / 2 + 0.5
+    for arr in polylines:
+        half = max(half,
+                   abs(arr.real.max() - center.real), abs(arr.real.min() - center.real),
+                   abs(arr.imag.max() - center.imag), abs(arr.imag.min() - center.imag))
+    return GridSpec(center, 2.0 * half * 1.02, 4096), bool(bounded.any())
+
+
+WINDOW_POLYS = {"cubic": CUBIC, "basilica": BASILICA, "square": SQUARE,
+                "z2-3/4": Polynomial((-0.75, 0, 1)), "z2+1/4": Polynomial((0.25, 0, 1)),
+                "z2-2": Polynomial((-2, 0, 1)), "z2+10": Polynomial((10, 0, 1))}
+
+
+@pytest.mark.parametrize("name", WINDOW_POLYS)
+def test_covering_window_matches_reference_loop(name):
+    P = WINDOW_POLYS[name]
+    ref, any_bounded = _reference_window(P, [])
+    # no pixel center of the coarse grid lies on the Julia set of z^2 - 2,
+    # and z^2 + 10 has a Cantor Julia set: both take the empty-box branch
+    assert any_bounded == (name not in ("z2-2", "z2+10"))
+    assert covering_window(P, []) == ref
+
+
+def test_wedge_raster_matches_reference_fill(fig1_family, fig1_raster):
+    walls = [w.boundary for w in fig1_family.wedges if w.boundary is not None]
+    win, _ = _reference_window(CUBIC, walls)
+    bits = np.zeros((win.resolution, win.resolution), dtype=bool)
+    for poly in walls:
+        fill_polygon(bits, win, poly)
+    assert fig1_raster.grid == win
+    assert (fig1_raster.bits == bits).all()
+
+
+def test_surgery_window_matches_reference_loop(fig1_surgery):
+    S = fig1_surgery
+    outer = equipotential_polyline(CUBIC, CUBIC.degree * S.g0, 256)
+    ref, _ = _reference_window(CUBIC, [outer] + [c.boundary() for c in S.carrots])
+    assert S.window == ref

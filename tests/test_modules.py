@@ -46,3 +46,25 @@ def test_cli_import_leaves_scipy_out():
     code = "import sys, polyrenorm.cli; sys.exit('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_no_unused_parameters():
+    # module-level functions and methods only: nested callbacks such as a
+    # sweep's step(z, idx, it) must match the signature their driver calls
+    offenders, checked = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            funcs += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+        checked += len(funcs)
+        for fn in funcs:
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            used = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)}
+            offenders += [f"{path.name}:{fn.lineno} {fn.name}({name})" for name in params
+                          if name not in used and name not in ("self", "cls")]
+    assert checked > 100, f"only {checked} functions under {SRC}"
+    assert not offenders, "; ".join(offenders)

@@ -10,7 +10,7 @@ from polyrenorm.angles import Angle
 from polyrenorm.bottcher import bottcher_point
 from polyrenorm.errors import CarrotOverlap, DegreeMismatch
 from polyrenorm.grid import distance_to_polyline
-from polyrenorm.surgery import CoonsPatch, _interp, dilatation_report
+from polyrenorm.surgery import T0, CoonsPatch, VisitReport, _interp, dilatation_report
 
 from conftest import CUBIC, G0, RHO
 
@@ -119,6 +119,44 @@ def test_visit_experiment_reproducible(fig1_surgery, fig1_grid):
     a = visit_count_experiment(fig1_surgery, 1000, 128, window=fig1_grid, seed=9)
     b = visit_count_experiment(fig1_surgery, 1000, 128, window=fig1_grid, seed=9)
     assert (a.max_visits_crit, a.max_visits_blend) == (b.max_visits_crit, b.max_visits_blend)
+
+
+def _reference_visits(S, n_seeds, max_iter, win, seed):
+    """The visit experiment as one plain loop over the live seeds."""
+    rng = np.random.default_rng(seed)
+    re = rng.uniform(win.center.real - win.width / 2, win.center.real + win.width / 2, n_seeds)
+    im = rng.uniform(win.center.imag - win.width / 2, win.center.imag + win.width / 2, n_seeds)
+    zz = re + 1j * im
+    visits_crit = np.zeros(n_seeds, dtype=np.int32)
+    visits_blend = np.zeros(n_seeds, dtype=np.int32)
+    live = np.arange(n_seeds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            if live.size == 0:
+                break
+            k = S.crit.index(zz)
+            in_crit, in_ud, in_u = S.crit.at(k), S.u_rho_d.at(k), S.u_rho.at(k)
+            visits_crit[live[in_crit]] += 1
+            visits_blend[live[in_ud & ~in_u & ~in_crit]] += 1
+            out = S.P(zz)
+            for m in np.nonzero(in_crit)[0]:
+                out[m] = S.interior(complex(zz[m]))
+            good = np.isfinite(out) & in_ud
+            live = live[good]
+            zz = out[good]
+    t_cr = len(S.critical)
+    return VisitReport(int(visits_crit.max(initial=0)), int(visits_blend.max(initial=0)),
+                       int((visits_crit + visits_blend).max(initial=0)),
+                       t_cr, t_cr + T0, n_seeds, max_iter, seed)
+
+
+@pytest.mark.parametrize("where", ["fig1_grid", "covering_window"])
+def test_visit_experiment_matches_reference_loop(where, fig1_surgery, fig1_grid):
+    window = fig1_grid if where == "fig1_grid" else None
+    got = visit_count_experiment(fig1_surgery, 1000, 128, window=window)
+    ref = _reference_visits(fig1_surgery, 1000, 128, window or fig1_surgery.window, 0x5EEDC0DE)
+    assert got == ref
+    assert got.max_visits_blend > 0
 
 
 def test_no_critical_cuts_no_visits(fig1_grid):

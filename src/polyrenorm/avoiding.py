@@ -479,7 +479,6 @@ class MaskComparison:
     agreement: float
     symdiff_outside_band: int
     pixels_outside_band: int
-    band: int
 
     @property
     def agreement_outside_band(self) -> float:
@@ -506,7 +505,7 @@ def compare_masks(a: Mask, b: Mask, band: int = 0) -> MaskComparison:
     else:
         outside = np.ones_like(diff)
     return MaskComparison(float(agreement), int((diff & outside).sum()),
-                          int(outside.sum()), band)
+                          int(outside.sum()))
 
 
 def _boundary(bits: np.ndarray) -> np.ndarray:

@@ -362,8 +362,8 @@ def trace_ray(P: Polynomial, theta: Angle, g_start: float, g_end: float,
                       lambda lad, keep: _ray_on(lad, theta, g_end, keep))
 
 
-def _polish_preperiodic(P: Polynomial, z: complex, preperiod: int, period: int,
-                        max_iter: int = 400) -> Optional[complex]:
+def _polish_preperiodic(P: Polynomial, z: complex, preperiod: int,
+                        period: int) -> Optional[complex]:
     """Newton on P^(l+p)(z) - P^l(z) from z; None if it wanders off.
 
     Multiple roots (parabolic landing points) converge only linearly and
@@ -375,7 +375,7 @@ def _polish_preperiodic(P: Polynomial, z: complex, preperiod: int, period: int,
     z0 = z
     best = z
     best_step = math.inf
-    for _ in range(max_iter):
+    for _ in range(400):
         a, da = P.iterate_with_deriv(z, preperiod + period)
         b, db = P.iterate_with_deriv(z, preperiod)
         f = a - b
@@ -509,8 +509,6 @@ def equipotential_arc(P: Polynomial, g0: float, frac: Fraction, off_lo: float,
 class SpiralArc:
     """One side arc of a carrot: angle(theta) = base +/- potential."""
 
-    base: Angle
-    sign: int
     points: np.ndarray
     potentials: np.ndarray
 
@@ -533,7 +531,7 @@ def trace_spiral(P: Polynomial, base: Angle, sign: int, g_hi: float, g_lo: float
     def spiral(lad: _OrbitLadder, keep: int) -> SpiralArc:
         n = lad.levels_above(g_lo)
         pts = lad.curve(base, n)[:n:keep]
-        return SpiralArc(base, sign, np.array(pts, dtype=complex),
+        return SpiralArc(np.array(pts, dtype=complex),
                          np.array(lad.potentials[:n:keep]))
 
     return _on_ladder(P, sign, g_hi, substeps, spiral)

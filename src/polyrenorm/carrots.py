@@ -280,21 +280,9 @@ def koenigs_coordinate(P: Polynomial, cycle: Cycle, z: complex) -> complex:
             f"|z - z0| = {abs(z - z0):.3g} exceeds the linearization radius")
     # Taylor coefficients of w -> P(z0 + w) - z0 with the constant term
     # dropped exactly (z0 is a fixed point to working precision), which avoids
-    # the catastrophic cancellation of evaluating P(y) - z0 for y near z0
-    bs = [0j] + P.taylor(z0)[1:]
-
-    def ps(w: complex) -> complex:
-        acc = 0j
-        for c in reversed(bs):
-            acc = acc * w + c
-        return acc
-
-    def dps(w: complex) -> complex:
-        acc = 0j
-        for k in range(len(bs) - 1, 0, -1):
-            acc = acc * w + k * bs[k]
-        return acc
-
+    # the catastrophic cancellation of evaluating P(y) - z0 for y near z0;
+    # the Taylor shift of a monic P is monic
+    F = Polynomial(tuple([0j] + P.taylor(z0)[1:]))
     w = z - z0
     power = 1.0 + 0.0j
     u_prev: Optional[complex] = None
@@ -304,7 +292,7 @@ def koenigs_coordinate(P: Polynomial, cycle: Cycle, z: complex) -> complex:
         target = w
         w = w / lam
         for _ in range(60):
-            step = (ps(w) - target) / dps(w)
+            step = (F(w) - target) / F.deriv(w)
             w -= step
             if abs(step) <= 1e-16 * max(1e-300, abs(w)):
                 break

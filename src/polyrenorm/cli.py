@@ -59,9 +59,7 @@ def _seeds(args) -> int:
 def _max_period(scene: Scene, value: int) -> int:
     """--max-period, with d^n of P and candidate_q within find_cycles' bound."""
     d = max(q.degree for q in (scene.polynomial, scene.candidate_q) if q is not None)
-    hi = 0
-    while d ** (hi + 1) <= MAX_CENSUS_POINTS:
-        hi += 1
+    hi = max(n for n in range(64) if d**n <= MAX_CENSUS_POINTS)
     return integer_field(value, "--max-period", 1, f"expected an integer in [1, {hi}]", hi)
 
 

@@ -333,11 +333,11 @@ def check_admissible(P: Polynomial, family: CutFamily) -> FamilyReport:
     return FamilyReport(rows)
 
 
-def _cut_samples(cut: Cut, per_ray: int = 36) -> list[complex]:
+def _cut_samples(cut: Cut) -> list[complex]:
     out = [cut.root]
     for ray in ([cut.ray_r] if cut.degenerate else [cut.ray_r, cut.ray_l]):
         pts = ray.points
-        idx = np.unique(np.linspace(0, len(pts) - 1, per_ray).astype(int))
+        idx = np.unique(np.linspace(0, len(pts) - 1, 36).astype(int))
         out.extend(complex(p) for p in pts[idx])
     return out
 

@@ -9,7 +9,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import NonConvergence, RenormError
 
 MONIC_TOL = 1e-12
 CYCLE_RESIDUAL_TOL = 1e-9
@@ -20,7 +20,8 @@ DEDUP_TOL = 1e-7
 LOWER_PERIOD_TOL = 2e-5
 KIND_TOL = 1e-6
 MAX_UNITY_ORDER = 64
-MAX_CENSUS_POINTS = 10**5  # find_cycles' bound on d^max_period
+MAX_CENSUS_POINTS = 10**4  # find_cycles' bound on d^n: an Aberth sweep costs O(d^2n)
+ORBIT_HUGE = 1e200  # _newton_ratios stops an orbit before its image passes this
 # critical_cycles: iterates before looking for a cycle, and the longest lag
 CRITICAL_ORBIT_STEPS = 2000
 CRITICAL_ORBIT_MAX_LAG = 64
@@ -30,9 +31,14 @@ def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
-def _horner_array(cs: Sequence[complex], z: np.ndarray) -> np.ndarray:
-    """Horner's rule in place on one complex buffer: the operations of
-    `w = w * z + c` in the same order, with one allocation."""
+def _horner(cs: Sequence[complex], z):
+    """Horner's rule, `w = w * z + c` from the leading coefficient down; an
+    array is evaluated in place on one complex buffer, with one allocation."""
+    if not isinstance(z, np.ndarray):
+        w = cs[-1]
+        for c in reversed(cs[:-1]):
+            w = w * z + c
+        return w
     w = np.full(z.shape, cs[-1], dtype=np.result_type(z, complex))
     for c in reversed(cs[:-1]):
         w *= z
@@ -74,21 +80,10 @@ class Polynomial:
         return max(2.0, 1.0 + sum(abs(c) for c in self.coeffs[:-1]))
 
     def __call__(self, z):
-        if isinstance(z, np.ndarray):
-            return _horner_array(self.coeffs, z)
-        w = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            w = w * z + c
-        return w
+        return _horner(self.coeffs, z)
 
     def deriv(self, z):
-        dcs = self.deriv_coeffs
-        if isinstance(z, np.ndarray):
-            return _horner_array(dcs, z)
-        w = dcs[-1]
-        for c in reversed(dcs[:-1]):
-            w = w * z + c
-        return w
+        return _horner(self.deriv_coeffs, z)
 
     def taylor(self, z0: complex) -> list[complex]:
         """Taylor coefficients of w -> P(z0 + w), constant term first, by
@@ -96,16 +91,13 @@ class Polynomial:
         a = list(self.coeffs)
         out = []
         while a:
-            # a(w) mod (w): value at z0, then deflate
-            acc = 0j
+            # Horner at z0: the partial sums are the deflated coefficients,
+            # the last one is the value
+            new, carry = [], 0j
             for c in reversed(a):
-                acc = acc * z0 + c
-            out.append(acc)
-            new = []
-            carry = 0j
-            for c in reversed(a[1:]):
                 carry = carry * z0 + c
                 new.append(carry)
+            out.append(new.pop())
             a = new[::-1]
         return out
 
@@ -169,14 +161,14 @@ def escape_time(P: Polynomial, z: complex, max_iter: int) -> EscapeResult:
     return EscapeResult(False, max_iter, z)
 
 
-def _newton_polish(f, df, z: complex, max_iter: int = 60, tol: float = 1e-14) -> complex:
-    for _ in range(max_iter):
+def _newton_polish(f, df, z: complex) -> complex:
+    for _ in range(60):
         d = df(z)
         if d == 0:
             break
         step = f(z) / d
         z = z - step
-        if abs(step) <= tol * max(1.0, abs(z)):
+        if abs(step) <= 1e-14 * max(1.0, abs(z)):
             break
     return z
 
@@ -190,10 +182,11 @@ def critical_points(P: Polynomial) -> list[complex]:
     dcs = P.deriv_coeffs
     arr = np.array(dcs[::-1], dtype=complex)  # highest degree first
     roots = np.roots(arr)
+    d2cs = [k * (k - 1) * c for k, c in enumerate(P.coeffs)][2:]  # of P''
     out = []
     for r in roots:
         r = complex(r)
-        polished = _newton_polish(P.deriv, lambda z: _second_deriv(P, z), r)
+        polished = _newton_polish(P.deriv, lambda z: _horner(d2cs, z), r)
         if abs(P.deriv(polished)) <= abs(P.deriv(r)):
             r = polished
         out.append(r)
@@ -205,14 +198,6 @@ def critical_points(P: Polynomial) -> list[complex]:
     return out
 
 
-def _second_deriv(P: Polynomial, z: complex) -> complex:
-    cs = P.coeffs
-    w = 0.0 + 0.0j
-    for k in range(len(cs) - 1, 1, -1):
-        w = w * z + k * (k - 1) * cs[k]
-    return w
-
-
 @dataclass(frozen=True)
 class Cycle:
     """One full periodic orbit with its multiplier and stability type."""
@@ -222,7 +207,7 @@ class Cycle:
     multiplier: complex
     kind: str  # attracting | repelling | parabolic | neutral-irrational
 
-    def contains(self, z: complex, tol: float = DEDUP_TOL) -> bool:
+    def contains(self, z: complex, tol: float) -> bool:
         return any(abs(z - p) <= tol for p in self.points)
 
 
@@ -245,64 +230,105 @@ def classify_multiplier(lam: complex) -> str:
     return "neutral-irrational" if unity_order(lam) is None else "parabolic"
 
 
-def _compose_coeffs(P: Polynomial, n: int) -> np.ndarray:
-    """Coefficients of P^n, highest degree first (for companion-matrix seeds)."""
-    cur = np.array(P.coeffs[::-1], dtype=complex)
-    for _ in range(n - 1):
-        acc = np.zeros(1, dtype=complex)
-        for c in cur:
-            acc = np.polymul(acc, np.array(P.coeffs[::-1], dtype=complex))
-            acc[-1] += c
-        cur = acc
-    return cur
+def _newton_ratios(P: Polynomial, z: np.ndarray, n: int) -> np.ndarray:
+    """(P^n(z) - z) / ((P^n)'(z) - 1), by iterating P.
+
+    An orbit w = P^k(z) whose image would pass ORBIT_HUGE stops there: P^n
+    agrees with w^(d^(n-k)) to working precision, with ratio
+    w / (d^(n-k) (P^k)'(z)).  Iterating on would overflow, and one inf or NaN
+    poisons every root through Aberth's pairwise sum.
+    """
+    d, out, idx = P.degree, np.empty_like(z), np.arange(z.size)
+    huge = ORBIT_HUGE ** (1.0 / d)
+    w, dw = z.copy(), np.ones_like(z)
+    for k in range(n + 1):
+        big = ~(np.abs(w) <= huge)
+        if big.any():
+            out[idx[big]] = w[big] / (dw[big] * float(d) ** (n - k))
+            idx, w, dw = idx[~big], w[~big], dw[~big]
+        if k < n:
+            dw *= P.deriv(w)
+            w = P(w)
+    out[idx] = (w - z[idx]) / (dw - 1.0)
+    return out
 
 
-def _default_seeds(P: Polynomial, n_grid: int = 24) -> list[complex]:
-    R = P.escape_radius
-    half = min(R, 1.0 + max(abs(c) for c in P.coeffs[:-1]) + 2.0)
-    xs = np.linspace(-half, half, n_grid)
-    return [complex(x, y) for x in xs for y in xs]
+def _periodic_roots(P: Polynomial, n: int) -> np.ndarray:
+    """All d^n roots of P^n(z) - z, with multiplicity, by Aberth-Ehrlich
+    iteration (Aberth 1973; Bini & Fiorentino, Numer. Algorithms 23, 2000).
+
+    It starts from P^-n of a far point: d^n points near the Julia set, where
+    the periodic points lie (from a wide circle it needs about d^n sweeps).
+    Sweeps run Gauss-Seidel over blocks of 32 roots; a root stops once its
+    step is below 1e-14 of its size.  At a multiple root (a parabolic cycle)
+    roots converge only linearly, to a noise shell, within 500 sweeps.
+    """
+    z = np.array([P.escape_radius * cmath.exp(0.7757j)])  # off the real axis
+    for _ in range(n):
+        z = np.concatenate([P.preimages(w) for w in z])
+    active = np.arange(z.size)
+    with np.errstate(all="ignore"):
+        for _ in range(500):
+            moving = np.zeros(z.size, dtype=bool)
+            ratios = _newton_ratios(P, z[active], n)
+            for b in range(0, active.size, 32):
+                rows, r = active[b:b + 32], ratios[b:b + 32]
+                diff = z[rows, None] - z
+                diff[np.arange(rows.size), rows] = np.inf  # no self term
+                step = r / (1.0 - r * np.reciprocal(diff, out=diff).sum(axis=1))
+                step[~np.isfinite(step)] = 0.0
+                moving[rows] = np.abs(step) > 1e-14 * np.maximum(1.0, np.abs(z[rows]))
+                z[rows] -= step
+            active = np.flatnonzero(moving)
+            if not active.size:
+                break
+    return z
+
+
+def _near(z: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each z lies within tol of some point, by real-part windows."""
+    p = np.sort_complex(points)
+    lo, hi = np.searchsorted(p.real, np.stack([z.real - tol, z.real + tol]))
+    hit = np.zeros(z.size, dtype=bool)
+    for k in range(int((hi - lo).max(initial=0))):
+        sel = np.flatnonzero(lo + k < hi)
+        hit[sel] |= np.abs(z[sel] - p[lo[sel] + k]) <= tol
+    return hit
 
 
 def find_cycles(P: Polynomial, max_period: int) -> list[Cycle]:
     """All distinct cycles of period <= max_period.
 
-    Damped Newton on P^n(z) - z from a seed grid; when d^n is small the
-    companion-matrix roots of the composed polynomial are added as extra seeds
-    so the census is complete at desk scale.  Orbits deduplicated to 1e-7.
+    Per period n each of the d^n roots of P^n(z) - z is polished by damped
+    Newton; the first root of each orbit of minimal period n starts a cycle,
+    orbits deduplicated to DEDUP_TOL.  Every root must lie within
+    LOWER_PERIOD_TOL of a point of a cycle whose period divides n.
     """
     if P.degree**max_period > MAX_CENSUS_POINTS:
-        raise ValueError("d^max_period too large")
+        raise RenormError(f"cycle census: d^n = {P.degree}^{max_period} exceeds "
+                          f"the bound MAX_CENSUS_POINTS = {MAX_CENSUS_POINTS}")
     cycles: list[Cycle] = []
-
-    def known(z: complex) -> bool:
-        return any(c.contains(z) for c in cycles)
-
     for n in range(1, max_period + 1):
-        pool = _default_seeds(P)
-        if P.degree**n <= 256:
-            pool.extend(complex(r) for r in np.roots(_subtract_z(_compose_coeffs(P, n))))
-        for s in pool:
-            z = _newton_cycle_point(P, n, s)
-            if z is None or known(z):
-                continue
-            orbit = [z]
-            for _ in range(n - 1):
-                orbit.append(P(orbit[-1]))
-            # minimal period among divisors of n; cycles of smaller diameter
-            # than the parabolic noise shell go to the lower period
-            minimal = n
-            for k in range(1, n):
-                if n % k == 0 and abs(P.iterate(z, k) - z) < LOWER_PERIOD_TOL:
-                    minimal = k
-                    break
-            if minimal != n:
-                continue
-            zn, dz = P.iterate_with_deriv(z, n)
-            if abs(zn - z) > CYCLE_RESIDUAL_TOL:
-                continue
-            lam = dz
-            cycles.append(Cycle(tuple(orbit), n, lam, classify_multiplier(lam)))
+        roots = _periodic_roots(P, n)
+        polished = (_newton_cycle_point(P, n, complex(r)) for r in roots)
+        z = np.array([math.nan if p is None else p for p in polished], dtype=complex)
+        # minimal period among divisors of n; cycles of smaller diameter
+        # than the parabolic noise shell go to the lower period
+        free, w = np.isfinite(z), z
+        for k in range(1, n):
+            w = P(w)
+            free &= (n % k != 0) | ~(np.abs(w - z) < LOWER_PERIOD_TOL)
+        free = np.flatnonzero(free)
+        while free.size:
+            points = tuple(P.iterate(complex(z[free[0]]), k) for k in range(n))
+            _, lam = P.iterate_with_deriv(points[0], n)
+            cycles.append(Cycle(points, n, lam, classify_multiplier(lam)))
+            free = free[~_near(z[free], np.array(points), DEDUP_TOL)]
+        divisors = np.array([p for c in cycles if n % c.period == 0 for p in c.points])
+        missed = int((~_near(roots, divisors, LOWER_PERIOD_TOL)).sum())
+        if missed:
+            raise RenormError(f"cycle census: period {n}: {missed} of {roots.size} roots "
+                              "of P^n(z) - z lie on no cycle found")
     cycles.sort(key=lambda c: (c.period, round(min(p.real for p in c.points), 9),
                                round(min(p.imag for p in c.points), 9)))
     return cycles
@@ -339,21 +365,12 @@ def critical_cycles(P: Polynomial) -> list[Cycle]:
             _, lam = P.iterate_with_deriv(p, n)
             kind = classify_multiplier(lam)
             if kind in ("attracting", "parabolic"):
-                points = [p]
-                for _ in range(n - 1):
-                    points.append(P(points[-1]))
-                found.append(Cycle(tuple(points), n, lam, kind))
+                found.append(Cycle(tuple(P.iterate(p, k) for k in range(n)), n, lam, kind))
                 break
     return found
 
 
-def _subtract_z(coeffs_high_first: np.ndarray) -> np.ndarray:
-    out = coeffs_high_first.copy()
-    out[-2] -= 1.0
-    return out
-
-
-def _newton_cycle_point(P: Polynomial, n: int, z: complex, max_outer: int = 200) -> complex | None:
+def _newton_cycle_point(P: Polynomial, n: int, z: complex) -> complex | None:
     """Damped Newton on P^n(z) - z; returns None on divergence.
 
     Iterates to a step-size fixed point rather than a residual threshold:
@@ -366,7 +383,7 @@ def _newton_cycle_point(P: Polynomial, n: int, z: complex, max_outer: int = 200)
     f = zn - z
     if not _finite(f):
         return None
-    for _ in range(max_outer):
+    for _ in range(200):
         af = abs(f)
         if af == 0:
             break
@@ -393,7 +410,7 @@ def _newton_cycle_point(P: Polynomial, n: int, z: complex, max_outer: int = 200)
     return z if abs(zn - z) < CYCLE_RESIDUAL_TOL else None
 
 
-def green_potential(P: Polynomial, z: complex, max_iter: int = 4096) -> float:
+def green_potential(P: Polynomial, z: complex) -> float:
     """Green potential G of the basin of infinity; 0 on bounded orbits.
 
     For escaping z the limit log|P^n z| / d^n is refined until two successive
@@ -404,7 +421,7 @@ def green_potential(P: Polynomial, z: complex, max_iter: int = 4096) -> float:
     z = complex(z)
     scale = 1.0  # d^n
     est = None
-    for _ in range(max_iter):
+    for _ in range(4096):
         if abs(z) > R:
             cur = math.log(abs(z)) / scale
             if est is not None and abs(cur - est) < 1e-13:

@@ -149,7 +149,7 @@ def load_scene(path: str) -> Scene:
     return scene_from_dict(data, base=path)
 
 
-def figure1_scene(resolution: int = 1024, max_iter: int = 512) -> Scene:
+def figure1_scene() -> Scene:
     """Built-in scene: the cubic z(z+2)^2 with the cut pair (1/3, 2/3) and the
     degenerate cut at angle 0; candidate quadratic z^2 - z."""
     return scene_from_dict({
@@ -158,8 +158,8 @@ def figure1_scene(resolution: int = 1024, max_iter: int = 512) -> Scene:
             {"theta_r": "1/3", "theta_l": "2/3"},
             {"theta_r": "0", "theta_l": "0"},
         ],
-        "grid": {"center": [-1.25, 0.0], "width": 4.5, "resolution": resolution},
-        "max_iter": max_iter,
+        "grid": {"center": [-1.25, 0.0], "width": 4.5, "resolution": 1024},
+        "max_iter": 512,
         "rho": DEFAULT_RHO,
         "candidate_q": {"coeffs": [[0, 0], [-1, 0], [1, 0]]},
         "seed": DEFAULT_SEED,

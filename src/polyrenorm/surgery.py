@@ -436,7 +436,7 @@ def _cap_continuity_gap(P, carrots, critical, patches, cap: ExteriorCap,
     return float(worst)
 
 
-def _preimage_cross_check(S: SurgeryMap, n_points: int = 20) -> None:
+def _preimage_cross_check(S: SurgeryMap) -> None:
     """Count preimages of generic equipotential points.
 
     Points inside an image carrot are not generic for this purpose (there the
@@ -453,7 +453,7 @@ def _preimage_cross_check(S: SurgeryMap, n_points: int = 20) -> None:
         image_arcs.append((lo, (tgt.arc_hi - tgt.arc_lo) + 2 * margin))
     tried = 0
     k = 0
-    while tried < n_points and k < 16 * n_points:
+    while tried < 20 and k < 320:
         th = ((k + 0.123) * 0.61803398875) % 1.0
         k += 1
         if any(((th - lo) % 1.0) <= width for lo, width in image_arcs):
@@ -475,7 +475,6 @@ class VisitReport:
     max_visits_total: int
     t_cr: int
     t_bound: int
-    n_seeds: int
     max_iter: int
     seed: int
 
@@ -520,7 +519,7 @@ def visit_count_experiment(S: SurgeryMap, n_seeds: int, max_iter: int, *,
     t_cr = len(S.critical)
     return VisitReport(int(visits_crit.max(initial=0)), int(visits_blend.max(initial=0)),
                        int((visits_crit + visits_blend).max(initial=0)),
-                       t_cr, t_cr + T0, n_seeds, max_iter, seed)
+                       t_cr, t_cr + T0, max_iter, seed)
 
 
 def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,

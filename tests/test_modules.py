@@ -11,8 +11,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "polyrenorm"
 
 
 def test_no_private_imports_across_modules():
-    offenders = []
+    offenders, checked = [], 0
     for path in sorted(SRC.glob("*.py")):
+        checked += 1
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.ImportFrom):
                 continue
@@ -20,14 +21,16 @@ def test_no_private_imports_across_modules():
             for alias in node.names:
                 if sibling and alias.name.startswith("_"):
                     offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
+    assert checked > 10, f"only {checked} modules under {SRC}"
     assert not offenders, "; ".join(offenders)
 
 
 def test_no_unused_imports():
-    offenders = []
+    offenders, checked = [], 0
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":  # re-exports
             continue
+        checked += 1
         tree = ast.parse(path.read_text(), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in tree.body:
@@ -38,6 +41,7 @@ def test_no_unused_imports():
                 name = alias.asname or alias.name.split(".")[0]
                 if name not in used:
                     offenders.append(f"{path.name}:{node.lineno} imports {name} unused")
+    assert checked > 10, f"only {checked} modules under {SRC}"
     assert not offenders, "; ".join(offenders)
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from polyrenorm import (Polynomial, classify_multiplier, critical_points,
-                        escape_time, find_cycles, green_potential)
+                        escape_time, find_cycles, green_potential, poly)
+from polyrenorm.errors import RenormError
 from polyrenorm.poly import critical_cycles, unity_order
 
 from conftest import BASILICA, CUBIC, SQUARE
@@ -118,6 +119,80 @@ def test_cycle_residuals_and_multipliers():
             for p in cyc.points:
                 prod *= P.deriv(p)
             assert abs(prod - cyc.multiplier) < 1e-9
+
+
+def _mobius(n: int) -> int:
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def necklace(d: int, n: int) -> int:
+    """Cycles of exact period n of a degree-d polynomial, counted with
+    multiplicity: sum over k | n of mu(n/k) d^k / n."""
+    return sum(_mobius(n // k) * d**k for k in range(1, n + 1) if n % k == 0) // n
+
+
+def _counts(cycles, max_period):
+    return [sum(1 for c in cycles if c.period == n) for n in range(1, max_period + 1)]
+
+
+@pytest.mark.parametrize("P, merged, expected", [
+    # the 2-cycle of the cubic merges into the parabolic fixed point -1
+    # (multiplier -1), and that of the basilica into 0
+    (CUBIC, {2: 1}, [3, 2, 8, 18, 48]),
+    (BASILICA, {2: 1}, [2, 0, 2, 3, 6]),
+    (SQUARE, {}, [2, 1, 2, 3, 6])], ids=["cubic", "basilica", "square"])
+def test_census_counts_are_necklace_numbers(P, merged, expected):
+    assert expected == [necklace(P.degree, n) - merged.get(n, 0) for n in range(1, 6)]
+    assert _counts(find_cycles(P, 5), 5) == expected
+
+
+def test_census_generic_cubic_period_7(monkeypatch):
+    # 3^7 roots of P^7(z) - z, started near the Julia set; orbits of the
+    # far-out iterates overflow unless the Newton ratio is cut short
+    P = Polynomial((0.1 + 0.2j, -0.3 + 0.1j, 0.25j, 1))
+    periodic_roots, seen = poly._periodic_roots, {}
+
+    def record(P, n):
+        seen[n] = periodic_roots(P, n)
+        return seen[n]
+
+    monkeypatch.setattr(poly, "_periodic_roots", record)
+    cycles = find_cycles(P, 7)
+    assert seen[7].size == 3**7 and np.isfinite(seen[7]).all()
+    assert _counts(cycles, 7) == [necklace(3, n) for n in range(1, 8)]
+    assert all(abs(P.iterate(c.points[0], c.period) - c.points[0]) < 1e-9 for c in cycles)
+    # far out P^7 overflows; the Newton ratio is then the leading term's,
+    # against mpmath's exact iterate
+    import mpmath
+    far = np.array([10 + 0j, -7 + 5j, 2e100j])
+    for z, got in zip(far, poly._newton_ratios(P, far, 7)):
+        with mpmath.workprec(200):
+            w, dw = mpmath.mpc(z), mpmath.mpc(1)
+            for _ in range(7):
+                w, dw = P(w), dw * P.deriv(w)
+            want = complex((w - z) / (dw - 1))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_census_shortfall_is_a_renorm_error(monkeypatch):
+    periodic_roots = poly._periodic_roots
+
+    def move_one(P, n):
+        roots = periodic_roots(P, n)
+        roots[-1] += 0.1  # no longer a root of P^n(z) - z
+        return roots
+
+    monkeypatch.setattr(poly, "_periodic_roots", move_one)
+    with pytest.raises(RenormError, match="period 1: 1 of 3 roots"):
+        find_cycles(CUBIC, 2)
 
 
 def test_classify_multiplier():

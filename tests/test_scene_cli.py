@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from polyrenorm import scene_from_dict
 from polyrenorm.cli import main
 from polyrenorm.errors import SceneError
+from polyrenorm.poly import MAX_CENSUS_POINTS
 from polyrenorm.render import ppm_bytes
 from polyrenorm.scene import DEFAULT_RHO, DEFAULT_SEED
 
@@ -254,9 +255,9 @@ def test_cli_bad_override_is_a_scene_error(tmp_path, capsys, option, value):
     ("surgery", "--seeds", "-5", "expected a positive integer"),
     ("surgery", "--seeds", "0", "expected a positive integer"),
     ("figure1", "--seeds", "0", "expected a positive integer"),
-    ("verify", "--max-period", "0", "expected an integer in [1, 10]"),
-    ("verify", "--max-period", "11", "expected an integer in [1, 10]"),  # 3^11 > 10^5
-    ("verify", "--max-period", "12", "expected an integer in [1, 10]"),
+    ("verify", "--max-period", "0", "expected an integer in [1, 8]"),
+    ("verify", "--max-period", "11", "expected an integer in [1, 8]"),  # 3^11 > 10^5
+    ("verify", "--max-period", "12", "expected an integer in [1, 8]"),
     ("ray", "--angle", "foo", "bad angle:"),
     ("ray", "--angle", "1/0", "bad angle:")])
 def test_cli_bad_command_option_is_a_scene_error(tmp_path, capsys, cmd, option, value, detail):
@@ -266,6 +267,18 @@ def test_cli_bad_command_option_is_a_scene_error(tmp_path, capsys, cmd, option, 
     assert main([cmd, "--scene", str(scene), "--out", str(out), option, value]) == 1
     assert f"scene error: {option}: {detail}" in capsys.readouterr().err
     assert not out.exists()  # nothing ran
+
+
+def test_census_bound_is_a_renorm_error(tmp_path, capsys):
+    # the degenerate cut at 1/(3^9 - 1) has period 9 under tripling, so the
+    # family's census would need the 3^9 roots of P^9(z) - z
+    assert 3**9 > MAX_CENSUS_POINTS
+    angle = f"1/{3**9 - 1}"
+    scene = tmp_path / "census.json"
+    scene.write_text(json.dumps(dict(FIGURE1_64, cuts=[{"theta_r": angle, "theta_l": angle}])))
+    assert main(["cuts-check", "--scene", str(scene), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cycle census:") and str(MAX_CENSUS_POINTS) in err
 
 
 @pytest.mark.parametrize("value", ["abc", "-2", "1.5"])

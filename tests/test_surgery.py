@@ -147,7 +147,7 @@ def _reference_visits(S, n_seeds, max_iter, win, seed):
     t_cr = len(S.critical)
     return VisitReport(int(visits_crit.max(initial=0)), int(visits_blend.max(initial=0)),
                        int((visits_crit + visits_blend).max(initial=0)),
-                       t_cr, t_cr + T0, n_seeds, max_iter, seed)
+                       t_cr, t_cr + T0, max_iter, seed)
 
 
 @pytest.mark.parametrize("where", ["fig1_grid", "covering_window"])

@@ -112,13 +112,12 @@ def _write_checks(out: str, P: Polynomial, family: CutFamily) -> list[Verdict]:
 
 def _write_avoiding(out: str, res: EscapeAnalysis) -> list[Verdict]:
     save_mask_raw(res.avoiding, os.path.join(out, "avoiding_mask.raw"))
-    comp = connected_components(res.avoiding)
+    count = connected_components(res.avoiding)
     subset = bool((res.avoiding.bits <= res.kp.bits).all()
                   and res.avoiding.count() < res.kp.count())
     return [("avoiding-strict-subset", subset,
              f"{res.avoiding.count()} of {res.kp.count()} pixels"),
-            ("avoiding-connected", comp.count == 1,
-             f"{comp.count} component(s) after closing")]
+            ("avoiding-connected", count == 1, f"{count} component(s) after closing")]
 
 
 def _write_geometry(out: str, P: Polynomial, carrots: list[Carrot]) -> list[Verdict]:
@@ -201,9 +200,8 @@ def cmd_julia(args) -> int:
     render.write_ppm(os.path.join(args.out, "julia.ppm"),
                      render.render_mask(res.kp, res.esc_steps))
     save_mask_raw(res.kp, os.path.join(args.out, "julia_mask.raw"))
-    comp = connected_components(res.kp)
     print(f"filled Julia mask: {res.kp.count()} pixels, "
-          f"{comp.count} component(s) after closing")
+          f"{connected_components(res.kp)} component(s) after closing")
     return 0
 
 

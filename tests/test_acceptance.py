@@ -103,7 +103,7 @@ def test_criterion_5_avoiding_set(family):
         res = escape_analysis(CUBIC, family, grid, 512)
         assert (res.avoiding.bits <= res.kp.bits).all()
         assert res.avoiding.count() < res.kp.count()
-        assert connected_components(res.avoiding).count == 1
+        assert connected_components(res.avoiding) == 1
         res2 = escape_analysis(CUBIC, family, grid, 1024)
         changed = (res.avoiding.bits ^ res2.avoiding.bits).mean()
         assert changed < 0.005

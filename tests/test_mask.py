@@ -1,18 +1,22 @@
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from polyrenorm import (GridSpec, Mask, PixelRaster, Polynomial, compare_masks,
                         connected_components, equipotential_polyline, escape_analysis,
                         load_mask_raw, nonescaping_mask, save_mask_raw, wedge_raster)
-from polyrenorm.avoiding import covering_window, interior_trap
+from polyrenorm.avoiding import (count_components, covering_window, dilate, erode,
+                                 interior_trap)
 from polyrenorm.errors import GridMismatch
 from polyrenorm.grid import POOL_AFTER, crossing_parity, distance_to_polyline, fill_polygon
 
 from conftest import BASILICA, CUBIC, SQUARE
 
+STRUCT8 = np.ones((3, 3), dtype=bool)
 RABBIT = Polynomial((complex(-0.12256116687665362, 0.7448617666197442), 0, 1))
 
 
@@ -74,16 +78,15 @@ def test_wedge_exclusion(fig1_masks, fig1_grid, fig1_family):
 
 def test_connected_components_basics():
     grid = GridSpec(0j, 1.0, 16)
-    full = Mask(grid, np.ones((16, 16), dtype=bool))
-    rep = connected_components(full)
-    assert rep.count == 1 and rep.sizes == [256]
+    full = np.ones((16, 16), dtype=bool)
+    assert connected_components(Mask(grid, full)) == 1
+    assert ndimage.label(full, structure=STRUCT8)[1] == 1
 
     bits = np.zeros((16, 16), dtype=bool)
     bits[2:5, 2:5] = True
     bits[10:13, 10:13] = True
-    rep = connected_components(Mask(grid, bits))
-    assert rep.count == 2
-    assert rep.sizes == [9, 9]
+    assert connected_components(Mask(grid, bits)) == 2
+    assert ndimage.label(bits, structure=STRUCT8)[1] == 2
 
 
 def test_closing_bridges_one_pixel_gap():
@@ -91,9 +94,97 @@ def test_closing_bridges_one_pixel_gap():
     bits = np.zeros((16, 16), dtype=bool)
     bits[8, 2:7] = True
     bits[8, 8:13] = True  # one-pixel gap at column 7
-    rep = connected_components(Mask(grid, bits))
-    assert rep.raw_count == 2
-    assert rep.count == 1
+    assert ndimage.label(bits, structure=STRUCT8)[1] == 2
+    assert connected_components(Mask(grid, bits)) == 1
+
+
+def _assert_matches_ndimage(bits):
+    for it in (1, 2, 3):
+        assert (dilate(bits, it) == ndimage.binary_dilation(
+            bits, structure=STRUCT8, iterations=it)).all()
+    for border in (False, True):
+        assert (erode(bits, border) == ndimage.binary_erosion(
+            bits, structure=STRUCT8, border_value=int(border))).all()
+    assert (erode(dilate(bits, 1), False)
+            == ndimage.binary_closing(bits, structure=STRUCT8)).all()
+    assert count_components(bits) == ndimage.label(bits, structure=STRUCT8)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 24), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1), st.booleans())
+@example(1, 17, 0.5, 0, False)
+@example(17, 1, 0.5, 0, False)
+@example(9, 13, 0.0, 0, False)
+@example(9, 13, 1.0, 0, False)
+@example(1, 1, 1.0, 0, False)
+@example(9, 13, 0.3, 0, True)
+@example(1, 13, 0.3, 0, True)
+def test_morphology_and_count_match_ndimage(h, w, p, seed, edges):
+    bits = np.random.default_rng(seed).random((h, w)) < p
+    if edges:
+        bits[0, :] = bits[-1, :] = bits[:, 0] = bits[:, -1] = True
+    _assert_matches_ndimage(bits)
+
+
+def test_morphology_and_count_match_ndimage_on_fig1_masks(fig1_masks):
+    for mask in (fig1_masks.kp, fig1_masks.avoiding):
+        _assert_matches_ndimage(mask.bits)
+
+
+def _checkerboard(n):
+    return np.indices((n, n)).sum(axis=0) % 2 == 0
+
+
+def _serpentine(n):
+    """Every other row, joined alternately at the right and the left end."""
+    bits = np.zeros((n, n), dtype=bool)
+    bits[::2] = True
+    bits[1::4, -1] = True
+    bits[3::4, 0] = True
+    return bits
+
+
+def _spiral(n):
+    """A square spiral one pixel wide, its turns one pixel apart."""
+    bits = np.zeros((n, n), dtype=bool)
+    lo, hi = 0, n - 1
+    while lo <= hi:
+        bits[lo, lo:hi + 1] = True
+        bits[lo:hi + 1, hi] = True
+        bits[hi, lo:hi + 1] = True
+        bits[lo + 2:hi + 1, lo] = True
+        if lo + 2 <= hi - 2:  # step in to the next turn
+            bits[lo + 2, lo:lo + 3] = True
+        lo, hi = lo + 2, hi - 2
+    return bits
+
+
+def _lattice(n):
+    """Every other pixel of every other row: all 8-neighbours False."""
+    bits = np.zeros((n, n), dtype=bool)
+    bits[::2, ::2] = True
+    return bits
+
+
+@pytest.mark.parametrize("shape, count", [(_checkerboard, 1), (_serpentine, 1),
+                                          (_spiral, 1), (_lattice, 256 * 256)])
+def test_count_on_adversarial_masks(shape, count):
+    # the first three are one component each, whose row runs join only
+    # through diagonal steps or along one path through every row
+    bits = shape(512)
+    assert ndimage.label(bits, structure=STRUCT8)[1] == count
+    assert count_components(bits) == count
+
+
+def test_agreement_outside_band_is_nan_when_nothing_is_outside():
+    # a checkerboard is boundary everywhere, so the band covers every pixel
+    grid = GridSpec(0j, 1.0, 16)
+    a = Mask(grid, _checkerboard(16))
+    cmp_ = compare_masks(a, Mask(grid, ~a.bits), band=2)
+    assert cmp_.pixels_outside_band == 0
+    assert math.isnan(cmp_.agreement_outside_band)
+    assert not cmp_.agreement_outside_band >= 0.97  # the surgery verdict fails
 
 
 def test_compare_masks():

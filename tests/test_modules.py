@@ -1,11 +1,14 @@
 """Module layout: no module reaches into a sibling's private names, no
-module imports a name it never uses, and the CLI starts without scipy."""
+module imports a name it never uses, and nothing imports scipy."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polyrenorm"
 
@@ -46,10 +49,49 @@ def test_no_unused_imports():
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy takes 0.3-0.45 s to import; only the mask statistics use it
+    # scipy is a test-only dependency; its import alone costs 0.3 s a process
     code = "import sys, polyrenorm.cli; sys.exit('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_no_module_imports_scipy():
+    offenders, checked = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        checked += 1
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                          if name == "scipy" or name.startswith("scipy.")]
+    assert checked > 10, f"only {checked} modules under {SRC}"
+    assert not offenders, "; ".join(offenders)
+
+
+FIGURE1_64 = {
+    "polynomial": {"coeffs": [[0, 0], [4, 0], [4, 0], [1, 0]]},
+    "cuts": [{"theta_r": "1/3", "theta_l": "2/3"}, {"theta_r": "0", "theta_l": "0"}],
+    "grid": {"center": [-1.25, 0.0], "width": 4.5, "resolution": 64},
+    "max_iter": 64,
+}
+
+
+@pytest.mark.parametrize("command", ["julia", "avoid"])
+def test_mask_commands_run_without_scipy(command, tmp_path):
+    scene = tmp_path / "figure1.json"
+    scene.write_text(json.dumps(FIGURE1_64))
+    # sys.modules[name] = None makes every import of that name fail
+    code = ("import sys; sys.modules['scipy'] = None; from polyrenorm.cli import main; "
+            f"sys.exit(main([{command!r}, '--scene', {str(scene)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 def test_no_unused_parameters():

@@ -64,11 +64,12 @@ class InteriorTrap:
     sweep's forbidden raster pixels, for the sweep's whole iteration budget.
 
     `disks` are (center, radius) pairs around attracting cycle points;
-    `lobes` are (z0, a, M, K) with a = (a_1, ..., a_m): the points with
-    phi = sum a_k (z - z0)^-k satisfying Re phi > M and |phi| < K, where phi
-    is a truncated Fatou coordinate at a parabolic fixed point z0 (one step
-    of P adds 1 + O(z - z0) to it).  Membership is tested in floats; the
-    certificate covers the test's rounding.
+    `lobes` are (z0, a, M, K, rho_hi) with a = (a_1, ..., a_m): the points
+    with phi = sum a_k (z - z0)^-k satisfying Re phi > M and |phi| < K, where
+    phi is a truncated Fatou coordinate at a parabolic fixed point z0 (one
+    step of P adds 1 + O(z - z0) to it).  Membership is tested in floats; the
+    certificate covers the test's rounding.  Every point passing the test
+    lies within rho_hi of z0, so the series is evaluated only there.
     """
 
     disks: tuple = ()
@@ -82,11 +83,13 @@ class InteriorTrap:
         for c, r in self.disks:
             w = z - c
             out |= w.real * w.real + w.imag * w.imag <= r * r
-        for z0, a, M, K in self.lobes:
+        for z0, a, M, K, rho_hi in self.lobes:
+            w = z - z0
+            near = np.nonzero(w.real * w.real + w.imag * w.imag
+                              <= rho_hi * rho_hi * (1 + 1e-9))
             with np.errstate(divide="ignore", invalid="ignore"):
-                v = 1.0 / (z - z0)
-                phi = _laurent(a, v)
-                out |= (phi.real > M) & (np.abs(phi) < K)
+                phi = _laurent(a, 1.0 / w[near])
+            out[near] |= (phi.real > M) & (np.abs(phi) < K)
         return out
 
 
@@ -355,7 +358,7 @@ def _parabolic_lobes(P: Polynomial, cycle, max_iter: int, clear) -> list:
                 or (np.abs(1 + D) + spread).max() > 3:
             continue
         if clear(z0, rho_hi, lambda x, s: may_meet(x - z0, s)):
-            return [(z0, a, M, K)]
+            return [(z0, a, M, K, rho_hi)]
     return []
 
 

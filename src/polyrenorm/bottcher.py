@@ -17,9 +17,10 @@ Single points, equipotentials and external angles walk one pullback chain
 over (potential, offset) nodes (`_walk`): a node's chain climbs to potential
 G*d^m large enough that z = exp(G' + 2pi*i*theta') approximates the
 Boettcher inverse to high accuracy, and each lower level is pulled back
-seeded by the previous node's chain.  A point descends the ray from a safely
-high potential; an equipotential then sweeps the offset at fixed potential.
-A rejected step inserts the midpoint node.  Angles are carried as an exact
+seeded by the previous node's chain moved along its tangent (a first-order
+predictor).  A point descends the ray from a safely high potential; an
+equipotential then sweeps the offset at fixed potential.  A rejected step
+inserts the midpoint node.  Angles are carried as an exact
 rational part plus a float offset that scales with the potential, so deep
 tails lose no angular precision.
 """
@@ -38,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .angles import Angle, tuple_orbit
-from .errors import BranchJump, NonConvergence
+from .errors import BranchJump, NonConvergence, RenormError
 from .poly import Polynomial, green_potential
 
 ANCHOR_MIN = 18.0  # exp(-18) relative Boettcher error at the chain top
@@ -56,6 +57,7 @@ EPS = sys.float_info.epsilon
 MAX_SUBDIV = 20
 LAND_POTENTIAL = 1e-9
 DEFAULT_SUBSTEPS = 8
+MAX_SWEEP_NODES = 100_000  # bound on the nodes of one equipotential sweep
 
 
 def anchor_potential(P: Polynomial) -> float:
@@ -66,8 +68,9 @@ def _pullback(P: Polynomial, w: complex, seed: complex, ref: complex,
               spacing: float) -> complex:
     """The preimage of w that Newton reaches from seed.
 
-    A preimage much farther from ref than `spacing`, the step before it, is a
-    jump to a sibling branch and raises BranchJump; spacing inf tests nothing.
+    A preimage much farther from ref than `spacing`, the step before it
+    (scaled up when this step is longer), is a jump to a sibling branch and
+    raises BranchJump; spacing inf tests nothing.
     """
     z = P.preimage_near(w, seed)
     step = abs(z - ref)
@@ -86,12 +89,18 @@ def _pullback(P: Polynomial, w: complex, seed: complex, ref: complex,
 
 @dataclass
 class _Chain:
-    """Pullback chain at node (t, off); level j sits at potential t*d^j."""
+    """Pullback chain at node (t, off); level j sits at potential t*d^j.
+
+    Level j is holomorphic in zeta = t + 2*pi*i*off, so one tangent gives both
+    partials: dz_j/dt = tangents[j] and dz_j/doff = 2*pi*i*tangents[j].
+    """
 
     t: float
     off: float
     points: list[complex]
+    tangents: list[complex]
     spacings: list[float]  # |points[j] - previous node's points[j]|, inf if none
+    dzeta: float  # |zeta - previous node's zeta|, 0 if none
 
 
 def _chain_solve(P: Polynomial, t: float, frac: Fraction, off: float,
@@ -107,20 +116,33 @@ def _chain_solve(P: Polynomial, t: float, frac: Fraction, off: float,
     for _ in range(m):
         nums.append(nums[-1] * d % q)
     pts: list[complex] = [0j] * (m + 1)
+    tans: list[complex] = [0j] * (m + 1)
     pts[m] = cmath.rect(math.exp(t * d**m), 2.0 * math.pi * (nums[m] / q + off * d**m))
-    known = 0 if prev is None else len(prev.points)
+    tans[m] = d**m * pts[m]
+    known, dzeta, grow = 0, 0.0, 1.0
+    if prev is not None:
+        known = len(prev.points)
+        step = complex(t - prev.t, 2.0 * math.pi * (off - prev.off))
+        dzeta = abs(step)
+        if prev.dzeta > 0:
+            # a step longer than the one before may move the points
+            # proportionally farther: a short step followed by a long one is
+            # no branch jump
+            grow = max(1.0, dzeta / prev.dzeta)
     for j in range(m - 1, -1, -1):
         tj = t * d**j
         near = j < known
         if near and tj < DIRECT_SEED_SAFE:
-            seed = prev.points[j]
+            seed = prev.points[j] + prev.tangents[j] * step
         else:
             seed = cmath.rect(math.exp(tj), 2.0 * math.pi * (nums[j] / q + off * d**j))
         pts[j] = _pullback(P, pts[j + 1], seed, prev.points[j] if near else seed,
-                           prev.spacings[j] if near else math.inf)
+                           grow * prev.spacings[j] if near else math.inf)
+        dp = P.deriv(pts[j])
+        tans[j] = tans[j + 1] / dp if dp != 0 else 0j
     spacings = [abs(pts[j] - prev.points[j]) if j < known else math.inf
                 for j in range(m + 1)]
-    return _Chain(t, off, pts, spacings)
+    return _Chain(t, off, pts, tans, spacings, dzeta)
 
 
 def _walk(P: Polynomial, frac: Fraction, nodes: Sequence[tuple[float, float, bool]],
@@ -198,18 +220,25 @@ def equipotential_points(P: Polynomial, g: float, frac: Fraction,
 
     The walk descends to the first offset and then sweeps.  Angular steps
     amplify by d per chain level, so the sweep is refined until the step at
-    the last neighbour-seeded level stays a small fraction of a turn.
+    the last neighbour-seeded level stays a small fraction of a turn: the
+    node count grows like the span over g, and a sweep needing more than
+    MAX_SWEEP_NODES nodes raises RenormError before it starts.
     """
     if g <= 0:
         raise ValueError("potential must be positive")
-    max_step = max(1e-7, 0.005 * g)
-    nodes = _descent(P, g, offs[0]) + [(g, offs[0], True)]
+    max_step = 0.05 * g
+    ks = []
     for a, b in zip(offs[:-1], offs[1:]):
-        span = b - a
-        if span < 0:
+        if b < a:
             raise ValueError("offsets must be non-decreasing")
-        k = max(1, int(math.ceil(span / max_step)))
-        nodes += [(g, a + span * i / k, i == k) for i in range(1, k + 1)]
+        ks.append(max(1, math.ceil((b - a) / max_step)))
+    if sum(ks) > MAX_SWEEP_NODES:
+        raise RenormError(f"equipotential sweep at potential {g:.3g} over an angle span "
+                          f"of {offs[-1] - offs[0]:.3g} needs {sum(ks)} nodes, "
+                          f"more than {MAX_SWEEP_NODES}")
+    nodes = _descent(P, g, offs[0]) + [(g, offs[0], True)]
+    for a, b, k in zip(offs[:-1], offs[1:], ks):
+        nodes += [(g, a + (b - a) * i / k, i == k) for i in range(1, k + 1)]
     return _walk(P, frac, nodes, None)[0]
 
 

@@ -270,23 +270,43 @@ class ExteriorCap:
                 f"boundary trace winds {lift - lift0:.8f}, expected d_c = {dc}")
         return cls(P, g0, dc, start, segments)
 
-    def boundary_lift(self, theta: float) -> float:
-        thw = self.start + (theta - self.start) % 1.0
-        for t0, t1, A, B in self.segments:
-            if t0 - 1e-12 <= thw <= t1 + 1e-12:
-                return A + B * thw
-        raise RuntimeError("angle not covered by the boundary trace")
-
-    def apply(self, g: float, theta: float) -> complex:
+    def _blend(self, g: float, theta: float) -> tuple[float, float, int]:
+        """(potential, lifted angle, boundary segment) of the cap's image of
+        (g, theta) for g0 <= g < d*g0: the potential depends on g alone, and
+        on each segment the lifted angle is affine in the wrapped angle."""
         d = self.P.degree
         g_outer = d ** T0 * self.g0
-        if g >= g_outer:
-            return bottcher_point(self.P, self.dc * g, (self.dc * theta) % 1.0)
         s = (g - self.g0) / (g_outer - self.g0)
         ghat = d * self.g0 + s * (self.dc * g_outer - d * self.g0)
         thw = self.start + (theta - self.start) % 1.0
-        alpha = (1.0 - s) * self.boundary_lift(theta) + s * self.dc * thw
+        for k, (t0, t1, A, B) in enumerate(self.segments):
+            if t0 - 1e-12 <= thw <= t1 + 1e-12:
+                return ghat, (1.0 - s) * (A + B * thw) + s * self.dc * thw, k
+        raise RuntimeError("angle not covered by the boundary trace")
+
+    def apply(self, g: float, theta: float) -> complex:
+        if g >= self.P.degree ** T0 * self.g0:
+            return bottcher_point(self.P, self.dc * g, (self.dc * theta) % 1.0)
+        ghat, alpha, _ = self._blend(g, theta)
         return bottcher_point(self.P, ghat, alpha % 1.0)
+
+    def apply_sweep(self, g: float, thetas: np.ndarray) -> np.ndarray:
+        """`apply(g, theta)` for g0 <= g < d*g0 at every angle, by one
+        equipotential sweep per boundary segment in wrapped-angle order, so
+        each sweep's offsets are monotone, and evenly spaced where the angles
+        are."""
+        out = np.empty(len(thetas), dtype=complex)
+        order = np.argsort(self.start + (thetas - self.start) % 1.0, kind="stable")
+        blends = [self._blend(g, float(thetas[i])) for i in order]
+        for k in sorted({seg for _, _, seg in blends}):
+            idx = [i for i, (_, _, seg) in zip(order, blends) if seg == k]
+            alphas = [alpha for _, alpha, seg in blends if seg == k]
+            if alphas[0] > alphas[-1]:
+                idx, alphas = idx[::-1], alphas[::-1]
+            base = math.floor(alphas[0])
+            out[idx] = equipotential_points(self.P, blends[0][0], Fraction(0),
+                                            [a - base for a in alphas])
+        return out
 
 
 @dataclass
@@ -416,24 +436,25 @@ def build_surgery(P: Polynomial, family: CutFamily, rho: float,
 
 def _cap_continuity_gap(P, carrots, critical, patches, cap: ExteriorCap,
                         g0: float) -> float:
-    """Compare the cap on E(rho) against the inside limit of the modified map."""
-    worst = 0.0
-    for k in range(CAP_SAMPLES):
-        th = (k + 0.31) / CAP_SAMPLES
-        inner = None
-        for i in critical:
-            c = carrots[i]
-            pos = (th - c.arc_lo % 1.0) % 1.0
-            width = c.arc_hi - c.arc_lo
-            if pos <= width:
-                # inside limit on a carrot arc is the patch's top edge value
-                inner = patches[i].phi_tgt(pos / width, 1.0)
-                break
-        if inner is None:
-            inner = P(bottcher_point(P, g0, th))
-        outer = cap.apply(g0 * (1 + 1e-9), th)
-        worst = max(worst, abs(inner - outer))
-    return float(worst)
+    """Compare the cap on E(rho) against the inside limit of the modified map
+    at CAP_SAMPLES angles, each side by equipotential sweeps."""
+    ths = (np.arange(CAP_SAMPLES) + 0.31) / CAP_SAMPLES
+    inner = np.empty(CAP_SAMPLES, dtype=complex)
+    free = np.ones(CAP_SAMPLES, dtype=bool)
+    for i in critical:
+        c = carrots[i]
+        pos = (ths - c.arc_lo % 1.0) % 1.0
+        width = c.arc_hi - c.arc_lo
+        idx = np.nonzero(free & (pos <= width))[0]
+        if idx.size:
+            idx = idx[np.argsort(pos[idx], kind="stable")]
+            # inside limit on a carrot arc is the patch's top edge value
+            inner[idx] = patches[i]._tgt_rows(pos[idx] / width, np.array([1.0]))[:, 0]
+            free[idx] = False
+    if free.any():
+        inner[free] = P(np.array(equipotential_points(P, g0, Fraction(0), list(ths[free]))))
+    outer = cap.apply_sweep(g0 * (1 + 1e-9), ths)
+    return float(np.abs(inner - outer).max())
 
 
 def _preimage_cross_check(S: SurgeryMap) -> None:

@@ -9,8 +9,8 @@ from scipy import ndimage
 from polyrenorm import (GridSpec, Mask, PixelRaster, Polynomial, compare_masks,
                         connected_components, equipotential_polyline, escape_analysis,
                         load_mask_raw, nonescaping_mask, save_mask_raw, wedge_raster)
-from polyrenorm.avoiding import (count_components, covering_window, dilate, erode,
-                                 interior_trap)
+from polyrenorm.avoiding import (InteriorTrap, _laurent, count_components, covering_window,
+                                 dilate, erode, interior_trap)
 from polyrenorm.errors import GridMismatch
 from polyrenorm.grid import POOL_AFTER, crossing_parity, distance_to_polyline, fill_polygon
 
@@ -414,6 +414,28 @@ def _iv_phi(a, z0, z):
     return acc
 
 
+@pytest.mark.parametrize("name", ["cubic", "basilica", "quarter"])
+def test_lobe_membership_only_near_its_point(name):
+    """A lobe tests the Fatou coordinate only within rho_hi of its point;
+    membership equals the full test everywhere, at rho_hi (1 +- 1e-6) too."""
+    P = {"cubic": CUBIC, "basilica": BASILICA, "quarter": Polynomial((0.25, 0, 1))}[name]
+    trap = interior_trap(P, 256)
+    assert trap.lobes
+    rng = np.random.default_rng(3)
+    for lobe in trap.lobes:
+        z0, a, M, K, rho_hi = lobe
+        turns = np.exp(2j * np.pi * rng.uniform(0, 1, 4000))
+        z = z0 + np.concatenate([
+            2 * rho_hi * rng.uniform(0, 1, 20000) ** 0.5 * np.exp(2j * np.pi * rng.uniform(0, 1, 20000)),
+            rho_hi * (1 - 1e-6) * turns, rho_hi * (1 + 1e-6) * turns,
+            rng.uniform(-3, 3, 4000) + 1j * rng.uniform(-3, 3, 4000), [0, np.inf, np.nan]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = _laurent(a, 1.0 / (z - z0))
+            full = (phi.real > M) & (np.abs(phi) < K)
+        assert full.any()
+        assert np.array_equal(InteriorTrap((), (lobe,)).contains(z), full)
+
+
 @pytest.mark.parametrize("name", ["cubic", "basilica", "rabbit", "quarter"])
 def test_trap_certificate_against_interval_arithmetic(name):
     """Sampled boxes of the trap, pushed through one step of P in interval
@@ -428,7 +450,7 @@ def test_trap_certificate_against_interval_arithmetic(name):
     trap = interior_trap(P, max_iter)
     assert trap
     rng = np.random.default_rng(7)
-    for z0, a, M, K in trap.lobes:
+    for z0, a, M, K, _ in trap.lobes:
         w = (rng.uniform(-1, 1, 20000) + 1j * rng.uniform(-1, 1, 20000)) * 0.5
         z = z0 + w[trap.contains(z0 + w)][:150]
         assert z.size == 150

@@ -1,8 +1,10 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polyrenorm import (Polynomial, equipotential_polyline, find_cycles,
                         green_potential, land_ray, landing_point, trace_ray,
@@ -10,9 +12,9 @@ from polyrenorm import (Polynomial, equipotential_polyline, find_cycles,
 from polyrenorm import bottcher
 from polyrenorm.angles import Angle
 from polyrenorm.bottcher import bottcher_point, external_angle
-from polyrenorm.errors import BranchJump
+from polyrenorm.errors import BranchJump, RenormError
 
-from conftest import CUBIC, SQUARE
+from conftest import BASILICA, CUBIC, SQUARE
 
 
 def test_ray_zero_of_square_is_positive_real():
@@ -229,3 +231,77 @@ def test_equipotential_functional_equation(P, g):
     e_dg = equipotential_polyline(P, d * g, n)
     for j in range(n + 1):
         assert abs(P(complex(e_g[j])) - e_dg[(d * j) % n]) < 1e-12
+
+
+@pytest.mark.parametrize("g", [1e-11, 1e-9, 2e-7])
+def test_equipotential_sweep_at_small_potentials(g):
+    # the sweep's steps scale with g down to the smallest potentials, so no
+    # step lands a chain on a sibling branch; the descent reference takes the
+    # lifted offset, which keeps its angular precision
+    offs = [g * (k / 16 - 1) for k in range(33)]
+    pts = bottcher.equipotential_points(CUBIC, g, Fraction(0), offs)
+    for z, off in zip(pts, offs):
+        ref = bottcher_point(CUBIC, g, off)
+        assert abs(z - ref) <= 1e-12 * abs(ref)
+
+
+_FE_POLYS = {"cubic": CUBIC, "basilica": BASILICA, "rabbit": RABBIT}
+
+
+@pytest.mark.parametrize("name", list(_FE_POLYS))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(exponent=st.floats(-12.0, -3.0), theta=st.fractions(0, 1, max_denominator=40))
+@example(exponent=-6.37, theta=Fraction(0))
+@example(exponent=-6.25, theta=Fraction(1, 3))
+@example(exponent=-6.15, theta=Fraction(4, 7))
+def test_functional_equation_on_sweeps_and_points(name, exponent, theta):
+    # Boettcher: P maps the point at (g, theta + off) to the one at
+    # (d g, d theta + d off), on the sweep path and on the point path; the
+    # tolerance is relative, plus the rounding of P(z) where it cancels
+    P = _FE_POLYS[name]
+    d, g = P.degree, 10.0 ** exponent
+    offs = [g * (k / 4 - 1) for k in range(9)]
+    image = theta * d % 1
+
+    def agrees(z, w):
+        rounding = 1e-14 * sum(abs(c) * abs(z) ** k for k, c in enumerate(P.coeffs))
+        return abs(P(z) - w) <= 1e-9 * abs(w) + rounding
+
+    pts = bottcher.equipotential_points(P, g, theta, offs)
+    imgs = bottcher.equipotential_points(P, d * g, image, [d * o for o in offs])
+    assert all(agrees(z, w) for z, w in zip(pts, imgs))
+    assert agrees(bottcher_point(P, g, theta), bottcher_point(P, d * g, image))
+
+
+def test_sweep_with_alternating_offset_gaps(monkeypatch):
+    # a long step after a short one moves the points proportionally farther;
+    # the branch test must not read that as a jump and subdivide without end
+    gaps = [0.002 if i % 2 == 0 else 0.006 for i in range(125)]
+    offs = [0.5 * sum(gaps[:i]) / sum(gaps) for i in range(126)]
+    solve, solves = bottcher._chain_solve, [0]
+
+    def counted(*args):
+        solves[0] += 1
+        if solves[0] > 5000:  # an even 0.004 sweep takes about 300
+            raise RuntimeError("sweep subdivides without end")
+        return solve(*args)
+
+    monkeypatch.setattr(bottcher, "_chain_solve", counted)
+    start = time.perf_counter()
+    pts = bottcher.equipotential_points(CUBIC, 0.375, Fraction(0), offs)
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    for z, off in zip(pts, offs):
+        assert abs(z - bottcher_point(CUBIC, 0.375, off)) <= 1e-12 * abs(z)
+
+
+def test_sweep_node_bound_is_a_renorm_error(monkeypatch):
+    # the node count grows like span / g; a sweep past the bound fails
+    # before it starts, naming its potential, span and count
+    def no_walk(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(bottcher, "_walk", no_walk)
+    with pytest.raises(RenormError, match=r"potential 1e-09 .* span of 0\.333 needs 6666666\d+ nodes"):
+        bottcher.equipotential_points(CUBIC, 1e-9, Fraction(0), [0.0, 1 / 3])
+    assert bottcher.MAX_SWEEP_NODES < 6666666

@@ -281,6 +281,16 @@ def test_census_bound_is_a_renorm_error(tmp_path, capsys):
     assert err.startswith("error: cycle census:") and str(MAX_CENSUS_POINTS) in err
 
 
+def test_sweep_past_the_node_bound_is_a_renorm_error(tmp_path, capsys):
+    # at rho = 1 - 1e-9 the wedges' equipotential arcs sit at potential 1e-9,
+    # where a sweep would need billions of nodes
+    scene = tmp_path / "rho.json"
+    scene.write_text(json.dumps(dict(FIGURE1_64, rho=1 - 1e-9)))
+    assert main(["cuts-check", "--scene", str(scene), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: equipotential sweep at potential 1e-09")
+
+
 @pytest.mark.parametrize("value", ["abc", "-2", "1.5"])
 def test_cli_bad_renorm_threads_is_a_scene_error(tmp_path, capsys, monkeypatch, value):
     scene = tmp_path / "figure1.json"

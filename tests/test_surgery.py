@@ -43,6 +43,17 @@ def test_build_surgery_fig1(fig1_surgery):
     assert list(S.patches) == [0]
 
 
+@pytest.mark.parametrize("scale", [1 + 1e-9, 1.5, 2.0])
+def test_cap_sweep_matches_per_point_apply(fig1_surgery, scale):
+    # one equipotential sweep per boundary segment, against one descent per angle
+    cap = fig1_surgery.cap
+    g = scale * cap.g0
+    ths = (np.arange(48) + 0.31) / 48
+    swept = cap.apply_sweep(g, ths)
+    for th, z in zip(ths, swept):
+        assert abs(z - cap.apply(g, float(th))) <= 1e-13 * max(1.0, abs(z))
+
+
 def test_surgery_requires_legal_family():
     fam = build_family(CUBIC, [(Angle(1, 3), Angle(2, 3))], g0=G0)
     carrots = build_carrots(CUBIC, fam, RHO)

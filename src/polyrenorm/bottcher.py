@@ -65,26 +65,25 @@ def anchor_potential(P: Polynomial) -> float:
 
 
 def _pullback(P: Polynomial, w: complex, seed: complex, ref: complex,
-              spacing: float) -> complex:
-    """The preimage of w that Newton reaches from seed.
+              spacing: float) -> tuple[complex, complex]:
+    """(z, P'(z)) for the preimage z of w that Newton reaches from seed.
 
     A preimage much farther from ref than `spacing`, the step before it
     (scaled up when this step is longer), is a jump to a sibling branch and
     raises BranchJump; spacing inf tests nothing.
     """
-    z = P.preimage_near(w, seed)
+    z, dp = P.preimage_near(w, seed)
     step = abs(z - ref)
     floor = 1e-9 * max(1.0, abs(z))
     if spacing > floor and step > SAFETY * spacing + floor:
         # spacings at noise level carry no branch information: Newton noise,
         # and the parent's few ulps of rounding, which the solve amplifies by
         # 1/|P'(z)| next to a critical point
-        dp = abs(P.deriv(z))
-        floor += math.inf if dp == 0 else 4.0 * EPS * max(1.0, abs(w)) / dp
+        floor += math.inf if dp == 0 else 4.0 * EPS * max(1.0, abs(w)) / abs(dp)
         if spacing > floor and step > SAFETY * spacing + floor:
             raise BranchJump(f"pullback of {w:.6g} stepped {step:.3g} "
                              f"after a step of {spacing:.3g}")
-    return z
+    return z, dp
 
 
 @dataclass
@@ -136,9 +135,8 @@ def _chain_solve(P: Polynomial, t: float, frac: Fraction, off: float,
             seed = prev.points[j] + prev.tangents[j] * step
         else:
             seed = cmath.rect(math.exp(tj), 2.0 * math.pi * (nums[j] / q + off * d**j))
-        pts[j] = _pullback(P, pts[j + 1], seed, prev.points[j] if near else seed,
-                           grow * prev.spacings[j] if near else math.inf)
-        dp = P.deriv(pts[j])
+        pts[j], dp = _pullback(P, pts[j + 1], seed, prev.points[j] if near else seed,
+                               grow * prev.spacings[j] if near else math.inf)
         tans[j] = tans[j + 1] / dp if dp != 0 else 0j
     spacings = [abs(pts[j] - prev.points[j]) if j < known else math.inf
                 for j in range(m + 1)]
@@ -324,7 +322,7 @@ class _OrbitLadder:
         col = self.points[a]
         spacing = abs(col[k - 1] - col[k - 2]) if k >= 2 else math.inf
         try:
-            return _pullback(self.P, parent, col[k - 1], col[k - 1], spacing)
+            return _pullback(self.P, parent, col[k - 1], col[k - 1], spacing)[0]
         except BranchJump as exc:
             raise BranchJump(f"{exc} at potential {t:.3e} "
                              f"(angle {a}, slope {self.slope:+d})") from None

@@ -245,7 +245,7 @@ def koenigs_radius(P: Polynomial, cycle: Cycle) -> float:
         for k in range(12):
             w = z0 + r * np.exp(2j * np.pi * k / 12)
             try:
-                y = P.preimage_near(w, z0 + (w - z0) / lam)
+                y, _ = P.preimage_near(w, z0 + (w - z0) / lam)
             except NonConvergence:
                 ok = False
                 break
@@ -292,7 +292,8 @@ def koenigs_coordinate(P: Polynomial, cycle: Cycle, z: complex) -> complex:
         target = w
         w = w / lam
         for _ in range(60):
-            step = (F(w) - target) / F.deriv(w)
+            f, df = F.value_and_deriv(w)
+            step = (f - target) / df
             w -= step
             if abs(step) <= 1e-16 * max(1e-300, abs(w)):
                 break

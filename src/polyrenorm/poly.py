@@ -67,9 +67,11 @@ class Polynomial:
             if not _finite(c):
                 raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", cs)
-        # derivative coefficients, constant term first; not a dataclass field
-        object.__setattr__(self, "deriv_coeffs",
-                           tuple(k * c for k, c in enumerate(cs))[1:])
+        # not dataclass fields: P' constant term first, and the fused pass's
+        # pairs (c_k, k*c_k) from k = d-1 down to 1
+        dcs = tuple(k * c for k, c in enumerate(cs))[1:]
+        object.__setattr__(self, "deriv_coeffs", dcs)
+        object.__setattr__(self, "horner_pairs", tuple(zip(cs[-2:0:-1], dcs[-2::-1])))
 
     @property
     def degree(self) -> int:
@@ -84,6 +86,16 @@ class Polynomial:
 
     def deriv(self, z):
         return _horner(self.deriv_coeffs, z)
+
+    def value_and_deriv(self, z: complex) -> tuple[complex, complex]:
+        """(P(z), P'(z)) at a scalar z in one Horner pass (Knuth, TAOCP 2,
+        4.6.4): the operations of `P(z)` and `P.deriv(z)` in their order, so
+        both values are bit-equal to those."""
+        p, dp = self.coeffs[-1], self.deriv_coeffs[-1]
+        for c, dc in self.horner_pairs:
+            p = p * z + c
+            dp = dp * z + dc
+        return p * z + self.coeffs[0], dp
 
     def taylor(self, z0: complex) -> list[complex]:
         """Taylor coefficients of w -> P(z0 + w), constant term first, by
@@ -110,8 +122,8 @@ class Polynomial:
         """(P^n(z), (P^n)'(z)) by the chain rule."""
         dz = 1.0 + 0.0j
         for _ in range(n):
-            dz *= self.deriv(z)
-            z = self(z)
+            z, dp = self.value_and_deriv(z)
+            dz *= dp
         return z, dz
 
     def preimages(self, w: complex) -> np.ndarray:
@@ -120,23 +132,34 @@ class Polynomial:
         arr[-1] -= w
         return np.roots(arr)
 
-    def preimage_near(self, w: complex, seed: complex) -> complex:
-        """The solution of P(z) = w that Newton reaches from seed."""
+    def preimage_near(self, w: complex, seed: complex) -> tuple[complex, complex]:
+        """(z, P'(z)) for the solution z of P(z) = w that Newton reaches from
+        seed.  Steps inline `value_and_deriv` (a call per step costs a fifth
+        of a solve); P'(z) is one more pass at the returned z."""
+        top, dtop, c0 = self.coeffs[-1], self.deriv_coeffs[-1], self.coeffs[0]
+        pairs = self.horner_pairs
         z = seed
         for _ in range(40):
-            dz = self.deriv(z)
-            if dz == 0:
+            p, dp = top, dtop
+            for c, dc in pairs:
+                p = p * z + c
+                dp = dp * z + dc
+            if dp == 0:
                 break
-            step = (self(z) - w) / dz
+            step = (p * z + c0 - w) / dp
             z = z - step
             if abs(step) <= 1e-14 * max(1.0, abs(z)):
-                return z
+                dp = dtop
+                for _, dc in pairs:
+                    dp = dp * z + dc
+                return z, dp
         # Newton degenerates when the preimage sits near a critical point; the
         # companion matrix solves the full fiber and the seed picks the branch.
         roots = self.preimages(w)
         if not np.all(np.isfinite(roots)):
             raise NonConvergence(f"preimage solve failed for target {w:.6g}")
-        return complex(roots[int(np.argmin(np.abs(roots - seed)))])
+        z = complex(roots[int(np.argmin(np.abs(roots - seed)))])
+        return z, self.deriv(z)
 
 
 class EscapeResult(NamedTuple):

@@ -51,10 +51,15 @@ def degree_dc(P: Polynomial, family: CutFamily) -> int:
     return dc
 
 
-def _interp(arr: np.ndarray, t):
+def _interp(arr, t):
     """Linear interpolation along a polyline by normalized parameter; t is a
-    float or an array."""
+    float, evaluated in the arithmetic of arr's items, or an array."""
     m = len(arr) - 1
+    if not isinstance(t, np.ndarray):
+        x = min(max(t, 0.0), 1.0) * m
+        i = min(int(x), m - 1)
+        f = x - i
+        return arr[i] * (1.0 - f) + arr[i + 1] * f
     x = np.clip(t, 0.0, 1.0) * m
     i = np.minimum(x.astype(int), m - 1)
     f = x - i
@@ -108,13 +113,23 @@ class CoonsPatch:
         return cls(P, src_left, src_right, src_top,
                    tgt_left, tgt_right, tgt_g, th_r, th_l, tgt.cut.root)
 
+    @cached_property
+    def _src_edges(self) -> tuple[list[complex], list[complex], list[complex]]:
+        """The source edges as lists of Python complex, for scalar blends."""
+        return self.src_left.tolist(), self.src_right.tolist(), self.src_top.tolist()
+
     def phi_src(self, s, t):
-        """The source blend at (s, t), floats or broadcastable arrays."""
-        L = _interp(self.src_left, t)
-        R = _interp(self.src_right, t)
-        T = _interp(self.src_top, s)
-        top0 = complex(self.src_top[0])
-        top1 = complex(self.src_top[-1])
+        """The source blend at (s, t): floats, on Python complex, or
+        broadcastable arrays."""
+        if isinstance(s, np.ndarray) or isinstance(t, np.ndarray):
+            left, right, top = self.src_left, self.src_right, self.src_top
+        else:
+            left, right, top = self._src_edges
+        L = _interp(left, t)
+        R = _interp(right, t)
+        T = _interp(top, s)
+        top0 = complex(top[0])
+        top1 = complex(top[-1])
         return (1 - s) * L + s * R + t * (T - (1 - s) * top0 - s * top1)
 
     def phi_tgt(self, s: float, t: float) -> complex:
@@ -129,8 +144,7 @@ class CoonsPatch:
         """Numerically invert the source blend; best-effort on folds.  Newton
         starts at the first closest node of a 22 x 22 grid unless (0.5, 0.5)
         is as close, and runs on Python complex (each part divided by a real)."""
-        def phi(s: float, t: float) -> complex:
-            return complex(self.phi_src(s, t))
+        phi = self.phi_src
         nodes = np.arange(22) / 21.0
         dist = np.abs(self.phi_src(nodes[:, None], nodes[None, :]) - z)
         k, m = np.unravel_index(np.argmin(dist), dist.shape)
@@ -498,6 +512,8 @@ class VisitReport:
     t_bound: int
     max_iter: int
     seed: int
+    # (critical visits, blend visits, seeds with that pair), in pair order
+    histogram: tuple[tuple[int, int, int], ...]
 
     @property
     def within_bounds(self) -> bool:
@@ -538,9 +554,11 @@ def visit_count_experiment(S: SurgeryMap, n_seeds: int, max_iter: int, *,
 
     iterate_orbits(re + 1j * im, np.arange(n_seeds), range(max_iter), step)
     t_cr = len(S.critical)
+    pairs, seeds = np.unique(np.stack([visits_crit, visits_blend]), axis=1, return_counts=True)
     return VisitReport(int(visits_crit.max(initial=0)), int(visits_blend.max(initial=0)),
                        int((visits_crit + visits_blend).max(initial=0)),
-                       t_cr, t_cr + T0, max_iter, seed)
+                       t_cr, t_cr + T0, max_iter, seed,
+                       tuple(zip(*pairs.tolist(), seeds.tolist())))
 
 
 def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,

@@ -265,3 +265,82 @@ def test_taylor_matches_derivatives():
     assert t[1] == pytest.approx(CUBIC.deriv(z0), abs=1e-14)
     w = 0.01 + 0.02j
     assert sum(c * w ** k for k, c in enumerate(t)) == pytest.approx(CUBIC(z0 + w), abs=1e-14)
+
+
+# The scalar Newton and chain-rule loops as they were before the fused P/P'
+# pass, one `_horner` pass per value, to pin the fused kernels to the same bits.
+
+KERNEL_POLYS = [SQUARE, BASILICA, CUBIC,
+                Polynomial((0.1 + 0.3j, -0.2 + 0.5j, 0.7j, 0.4 - 0.1j, 1)),
+                Polynomial((0.05 - 0.2j, 0.3, -0.4j, 0.2 + 0.1j, -0.3, 1))]
+
+
+def _ref_preimage_near(P, w, seed):
+    z = seed
+    for _ in range(40):
+        dz = P.deriv(z)
+        if dz == 0:
+            break
+        step = (P(z) - w) / dz
+        z = z - step
+        if abs(step) <= 1e-14 * max(1.0, abs(z)):
+            return z
+    roots = P.preimages(w)
+    return complex(roots[int(np.argmin(np.abs(roots - seed)))])
+
+
+def _ref_iterate_with_deriv(P, z, n):
+    dz = 1.0 + 0.0j
+    for _ in range(n):
+        dz *= P.deriv(z)
+        z = P(z)
+    return z, dz
+
+
+def _bits(z):
+    """Both components' bit patterns: equal bits, also for signed zeros,
+    infinities and NaNs from overflowing orbits."""
+    return np.array([z.real, z.imag]).view(np.uint64).tolist()
+
+
+def _kernel_points(rng, k):
+    return [complex(x, y) for x, y in rng.uniform(-1.6, 1.6, (k, 2))]
+
+
+@pytest.mark.parametrize("P", KERNEL_POLYS, ids=lambda P: f"degree{P.degree}")
+def test_fused_pass_is_bit_equal(P):
+    rng = np.random.default_rng(1300 + P.degree)
+    for z in _kernel_points(rng, 200):
+        assert P.value_and_deriv(z) == (P(z), P.deriv(z))
+
+
+@pytest.mark.parametrize("P", KERNEL_POLYS, ids=lambda P: f"degree{P.degree}")
+def test_preimage_near_matches_reference_newton(P):
+    rng = np.random.default_rng(1310 + P.degree)
+    targets = _kernel_points(rng, 100)
+    for z, w in zip(_kernel_points(rng, 100), targets):
+        # seeds near a preimage of P(z) (the continuation's case) and far seeds
+        for seed, target in ((z + 1e-3 * w, P(z)), (z, w)):
+            ref = _ref_preimage_near(P, target, seed)
+            assert P.preimage_near(target, seed) == (ref, P.deriv(ref))
+
+
+@pytest.mark.parametrize("P", KERNEL_POLYS, ids=lambda P: f"degree{P.degree}")
+def test_iterate_with_deriv_matches_chain_rule(P):
+    rng = np.random.default_rng(1320 + P.degree)
+    for z in _kernel_points(rng, 40):
+        for n in range(13):
+            got = P.iterate_with_deriv(z, n)
+            ref = _ref_iterate_with_deriv(P, z, n)
+            assert [_bits(v) for v in got] == [_bits(v) for v in ref]
+
+
+def test_preimage_near_falls_back_to_companion_roots():
+    # P'(-2) = 0 on the cubic z(z+2)^2: Newton cannot start, and the companion
+    # matrix root nearest the seed comes back with P' at that root
+    w, seed = 0.5 + 0.25j, -2.0 + 0j
+    assert CUBIC.deriv(seed) == 0
+    roots = CUBIC.preimages(w)
+    root = complex(roots[int(np.argmin(np.abs(roots - seed)))])
+    assert CUBIC.preimage_near(w, seed) == (root, CUBIC.deriv(root))
+    assert _ref_preimage_near(CUBIC, w, seed) == root

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -156,9 +157,11 @@ def _reference_visits(S, n_seeds, max_iter, win, seed):
             live = live[good]
             zz = out[good]
     t_cr = len(S.critical)
+    hist = Counter(zip(visits_crit.tolist(), visits_blend.tolist()))
     return VisitReport(int(visits_crit.max(initial=0)), int(visits_blend.max(initial=0)),
                        int((visits_crit + visits_blend).max(initial=0)),
-                       t_cr, t_cr + T0, max_iter, seed)
+                       t_cr, t_cr + T0, max_iter, seed,
+                       tuple((c, b, n) for (c, b), n in sorted(hist.items())))
 
 
 @pytest.mark.parametrize("where", ["fig1_grid", "covering_window"])
@@ -168,6 +171,8 @@ def test_visit_experiment_matches_reference_loop(where, fig1_surgery, fig1_grid)
     ref = _reference_visits(fig1_surgery, 1000, 128, window or fig1_surgery.window, 0x5EEDC0DE)
     assert got == ref
     assert got.max_visits_blend > 0
+    assert sum(n for _, _, n in got.histogram) == 1000
+    assert len(got.histogram) > 2  # the seeds split over several visit pairs
 
 
 def test_no_critical_cuts_no_visits(fig1_grid):

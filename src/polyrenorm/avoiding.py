@@ -10,7 +10,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .cuts import CutFamily
-from .grid import GridSpec, Mask, PixelRaster, sweep_pixels
+from .grid import POOL_AFTER, GridSpec, Mask, PixelRaster, sweep_pixels
 from .errors import GridMismatch
 from .poly import Polynomial, critical_cycles, unity_order
 
@@ -404,12 +404,15 @@ def escape_analysis(P: Polynomial, family: Optional[CutFamily], grid: GridSpec,
     1 .. max_iter, which sets its escape step to k) nor has an iterate
     P^k(z), k in 0 .. max_iter - 1, inside a wedge.
 
-    A pixel whose iterate enters the scene's `interior_trap` is retired
-    there: the trap certifies that the rest of its orbit within the budget
-    stays bounded and at least a raster pixel away from every wedge, so the
-    escape step (0) and wedge bits are exactly those of the full loop.  A
-    scene with no attracting cycle and no parabolic fixed point that
-    certifies has an empty trap and runs the full loop.
+    A pixel whose iterate enters the scene's `interior_trap` from iteration
+    POOL_AFTER on is retired there: the trap certifies that the rest of its
+    orbit within the budget stays bounded and at least a raster pixel away
+    from every wedge, so the escape step (0) and wedge bits are exactly those
+    of the full loop.  The same certificate holds from an earlier entry, so
+    testing late changes nothing but the cost: few pixels enter in the first
+    iterations, and the test at POOL_AFTER keeps the trapped ones out of the
+    pooled tail.  A scene with no attracting cycle and no parabolic fixed
+    point that certifies has an empty trap and runs the full loop.
     """
     if supersample not in (1, 2):
         raise ValueError("supersample must be 1 or 2")
@@ -423,7 +426,7 @@ def escape_analysis(P: Polynomial, family: Optional[CutFamily], grid: GridSpec,
     trap = interior_trap(P, max_iter, avoid=(raster,) if raster is not None else ())
 
     def step(z, idx, it):
-        if trap:  # retired: bounded, and no later iterate in a wedge
+        if trap and it >= POOL_AFTER:  # retired: bounded, and no later iterate in a wedge
             free = ~trap.contains(z)
             if not free.all():
                 z, idx = z[free], idx[free]

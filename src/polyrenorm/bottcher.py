@@ -18,11 +18,14 @@ over (potential, offset) nodes (`_walk`): a node's chain climbs to potential
 G*d^m large enough that z = exp(G' + 2pi*i*theta') approximates the
 Boettcher inverse to high accuracy, and each lower level is pulled back
 seeded by the previous node's chain moved along its tangent (a first-order
-predictor).  A point descends the ray from a safely high potential; an
-equipotential then sweeps the offset at fixed potential.  A rejected step
-inserts the midpoint node.  Angles are carried as an exact
-rational part plus a float offset that scales with the potential, so deep
-tails lose no angular precision.
+predictor).  Points and sweeps walk from a descent spine (`Spine`): the
+chains down one ray from a safely high potential, kept on a fixed ladder,
+from which a point at potential g is one node on and an equipotential sweeps
+the offset at fixed potential.  A caller that needs many points near one
+angle, such as the surgery's Coons patch, keeps one spine and pays for the
+descent once.  A rejected step inserts the midpoint node.  Angles are
+carried as an exact rational part plus a float offset that scales with the
+potential, so deep tails lose no angular precision.
 """
 
 from __future__ import annotations
@@ -175,29 +178,81 @@ def _walk(P: Polynomial, frac: Fraction, nodes: Sequence[tuple[float, float, boo
     return out, prev
 
 
-def _potential_ladder(g_start: float, g_end: float, d: int, substeps: int) -> list[float]:
-    r = d ** (-1.0 / substeps)
-    ts = [g_start]
-    t = g_start
-    while t * r > g_end * (1.0 + 1e-12):
-        t *= r
-        ts.append(t)
-    if abs(ts[-1] - g_end) > 1e-12 * g_end:
-        ts.append(g_end)
-    return ts
+def _levels_above(pots: list[float], r: float, g: float) -> int:
+    """Number of levels of the ladder `pots` (repeated multiplication by r)
+    above potential g, extending it as needed; the top level always counts."""
+    thr = g * (1.0 + 1e-12)
+    while pots[-1] * r > thr:
+        pots.append(pots[-1] * r)
+    return max(1, bisect.bisect_left(pots, -thr, key=operator.neg))
 
 
-def _descent(P: Polynomial, g: float, off: float) -> list[tuple[float, float, bool]]:
-    """Nodes reaching (g, off): cold seeds are safe from SEED_DIRECT_MIN up,
-    below it the walk runs down the ray from a safely high potential."""
-    if g >= SEED_DIRECT_MIN:
-        return [(g, off, False)]
-    ts = _potential_ladder(SEED_DIRECT_MIN * 1.5, g, P.degree, DEFAULT_SUBSTEPS)
-    return [(t, off, False) for t in ts]
+class Spine:
+    """The radial descent at angle frac + off, kept for points and sweeps at
+    any potential.
+
+    Its chains sit on the fixed ladder 3*d^(-k/8), each walked from the one
+    above, and are extended on demand and kept: a chain's bits do not depend
+    on how deep the spine went before.  The point (g, off) is seeded cold
+    from SEED_DIRECT_MIN up; below, it is one node on from the deepest
+    ladder chain above g*(1+1e-12) (in floats that factor exceeds 1 by
+    1.00009e-12, so that chain is never within 1e-12 of g).
+    """
+
+    def __init__(self, P: Polynomial, frac: Fraction, off: float):
+        self.P = P
+        self.frac = frac
+        self.off = off
+        self._r = P.degree ** (-1.0 / DEFAULT_SUBSTEPS)
+        self._potentials = [SEED_DIRECT_MIN * 1.5]
+        self._chains: list[_Chain] = []
+
+    def _descend(self, g: float) -> _Chain:
+        """The chain at (g, off)."""
+        if g >= SEED_DIRECT_MIN:
+            return _walk(self.P, self.frac, [(g, self.off, False)], None)[1]
+        k = _levels_above(self._potentials, self._r, g)
+        chains = self._chains
+        while len(chains) < k:
+            node = (self._potentials[len(chains)], self.off, False)
+            chains.append(_walk(self.P, self.frac, [node], chains[-1] if chains else None)[1])
+        return _walk(self.P, self.frac, [(g, self.off, False)], chains[k - 1])[1]
+
+    def sweep(self, g: float, offs: Sequence[float]) -> list[complex]:
+        """Points at potential g and angles frac + o for the non-decreasing
+        offsets `offs` (lifted reals).
+
+        The walk descends to (g, off) and sweeps out from there to the
+        offsets on either side.  Angular steps amplify by d per chain level,
+        so a sweep step is at most 0.05*g, and each gap takes at least one:
+        the node count grows like the span over g, and a sweep needing more
+        than MAX_SWEEP_NODES nodes raises RenormError before any walk.
+        """
+        if g <= 0:
+            raise ValueError("potential must be positive")
+        max_step = 0.05 * g
+        for a, b in zip(offs[:-1], offs[1:]):
+            if b < a:
+                raise ValueError("offsets must be non-decreasing")
+        split = bisect.bisect_left(offs, self.off)
+        legs = [[(a, b, max(1, math.ceil(abs(b - a) / max_step)))
+                 for a, b in zip(side[:-1], side[1:])]
+                for side in ([self.off, *offs[split:]], [self.off, *offs[:split][::-1]])]
+        total = sum(k for leg in legs for _, _, k in leg)
+        if total > MAX_SWEEP_NODES:
+            raise RenormError(f"equipotential sweep at potential {g:.3g} over an angle span "
+                              f"of {offs[-1] - offs[0]:.3g} needs {total} nodes, "
+                              f"more than {MAX_SWEEP_NODES}")
+        start = self._descend(g)
+        right, left = (_walk(self.P, self.frac,
+                             [(g, a + (b - a) * i / k, i == k)
+                              for a, b, k in leg for i in range(1, k + 1)], start)[0]
+                       for leg in legs)
+        return left[::-1] + right
 
 
 def _point(P: Polynomial, g: float, frac: Fraction, off: float) -> complex:
-    return _walk(P, frac, _descent(P, g, off), None)[1].points[0]
+    return Spine(P, frac, off)._descend(g).points[0]
 
 
 def bottcher_point(P: Polynomial, g: float, theta: Angle | Fraction | float) -> complex:
@@ -214,30 +269,8 @@ def bottcher_point(P: Polynomial, g: float, theta: Angle | Fraction | float) -> 
 def equipotential_points(P: Polynomial, g: float, frac: Fraction,
                          offs: Sequence[float]) -> list[complex]:
     """Points at potential g and angles frac + off for the non-decreasing
-    offsets `offs` (lifted reals).
-
-    The walk descends to the first offset and then sweeps.  Angular steps
-    amplify by d per chain level, so the sweep is refined until the step at
-    the last neighbour-seeded level stays a small fraction of a turn: the
-    node count grows like the span over g, and a sweep needing more than
-    MAX_SWEEP_NODES nodes raises RenormError before it starts.
-    """
-    if g <= 0:
-        raise ValueError("potential must be positive")
-    max_step = 0.05 * g
-    ks = []
-    for a, b in zip(offs[:-1], offs[1:]):
-        if b < a:
-            raise ValueError("offsets must be non-decreasing")
-        ks.append(max(1, math.ceil((b - a) / max_step)))
-    if sum(ks) > MAX_SWEEP_NODES:
-        raise RenormError(f"equipotential sweep at potential {g:.3g} over an angle span "
-                          f"of {offs[-1] - offs[0]:.3g} needs {sum(ks)} nodes, "
-                          f"more than {MAX_SWEEP_NODES}")
-    nodes = _descent(P, g, offs[0]) + [(g, offs[0], True)]
-    for a, b, k in zip(offs[:-1], offs[1:], ks):
-        nodes += [(g, a + (b - a) * i / k, i == k) for i in range(1, k + 1)]
-    return _walk(P, frac, nodes, None)[0]
+    offsets `offs`: one sweep of a spine at the first offset (`Spine.sweep`)."""
+    return Spine(P, frac, offs[0]).sweep(g, offs)
 
 
 @dataclass(frozen=True)
@@ -279,11 +312,7 @@ class _OrbitLadder:
 
     def levels_above(self, g: float) -> int:
         """Number of levels above potential g (the top level always counts)."""
-        pots = self.potentials
-        thr = g * (1.0 + 1e-12)
-        while pots[-1] * self.r > thr:
-            pots.append(pots[-1] * self.r)
-        return max(1, bisect.bisect_left(pots, -thr, key=operator.neg))
+        return _levels_above(self.potentials, self.r, g)
 
     def curve(self, theta: Angle, n: int) -> list[complex]:
         """The first n levels of theta's curve, tracing what is missing."""
@@ -582,7 +611,7 @@ def external_angle(P: Polynomial, z: complex, *, g: Optional[float] = None) -> f
     k = int(np.argmin(dists[:-1]))
     lo = offs[k] - 1.0 / coarse
     hi = offs[k] + 1.0 / coarse
-    chain = _walk(P, Fraction(0), _descent(P, g, lo), None)[1]
+    chain = Spine(P, Fraction(0), lo)._descend(g)
 
     def point_at(off: float) -> complex:
         # golden-section steps are short: one node on from the last chain

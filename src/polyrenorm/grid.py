@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -165,7 +166,9 @@ class PixelRaster:
     The bits sit inside an (n+2)^2 array whose one-pixel border stays False;
     `bits` is a view of its interior.  Every raster on one grid shares the
     flat indices of `index`, so a sweep over several rasters computes them
-    once per iterate and reads each raster with `at`.
+    once per iterate and reads each raster with `at`.  `lookup` indexes only
+    the points inside the coordinate box of the True pixels widened by one
+    pixel, which absorbs the rounding of `index`.
     """
 
     def __init__(self, grid: GridSpec, polygons: Iterable[np.ndarray]) -> None:
@@ -175,6 +178,17 @@ class PixelRaster:
         self.bits = self._padded[1:-1, 1:-1]
         for polygon in polygons:
             fill_polygon(self.bits, grid, polygon)
+        rows = np.flatnonzero(self.bits.any(axis=1))
+        cols = np.flatnonzero(self.bits.any(axis=0))
+        if rows.size:
+            px = grid.pixel
+            left = grid.center.real - grid.width / 2
+            top = grid.center.imag + grid.width / 2
+            # (re_lo, re_hi, im_lo, im_hi)
+            self._box = (left + (cols[0] - 1) * px, left + (cols[-1] + 2) * px,
+                         top - (rows[-1] + 2) * px, top - (rows[0] - 1) * px)
+        else:
+            self._box = (math.inf, -math.inf, math.inf, -math.inf)
 
     def index(self, z: np.ndarray) -> np.ndarray:
         """Flat indices of the pixels holding z in the padded raster.
@@ -206,7 +220,16 @@ class PixelRaster:
         return self._padded.ravel().take(k)
 
     def lookup(self, z: np.ndarray) -> np.ndarray:
-        return self.at(self.index(np.asarray(z)))
+        """Bits at the points z; outside the box, NaN included, False."""
+        z = np.asarray(z)
+        re_lo, re_hi, im_lo, im_hi = self._box
+        box = z.real >= re_lo
+        box &= z.real <= re_hi
+        box &= z.imag >= im_lo
+        box &= z.imag <= im_hi
+        out = np.zeros(z.shape, dtype=bool)
+        out[box] = self.at(self.index(z[box]))
+        return out
 
 
 POOL_AFTER = 16  # iterations each row block runs before its survivors are pooled

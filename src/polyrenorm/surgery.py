@@ -19,12 +19,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .avoiding import covering_window, interior_trap
-from .bottcher import (bottcher_point, equipotential_points, equipotential_polyline,
+from .bottcher import (Spine, bottcher_point, equipotential_points, equipotential_polyline,
                        external_angle)
 from .carrots import Carrot, build_carrot, carrots_disjoint
 from .cuts import CutFamily, check_legal
 from .errors import CarrotOverlap, ContinuityGap, DegreeMismatch, RenormError
-from .grid import GridSpec, Mask, PixelRaster, iterate_orbits, sweep_pixels
+from .grid import POOL_AFTER, GridSpec, Mask, PixelRaster, iterate_orbits, sweep_pixels
 from .poly import Polynomial, green_potential
 
 T0 = 1  # the exterior cap spans potentials g0 .. d**T0 * g0
@@ -132,13 +132,19 @@ class CoonsPatch:
         top1 = complex(top[-1])
         return (1 - s) * L + s * R + t * (T - (1 - s) * top0 - s * top1)
 
+    @cached_property
+    def spine(self) -> Spine:
+        """The target's descent at the middle angle, which every row's
+        offsets straddle."""
+        return Spine(self.P, Fraction(0), (self.tgt_th_r + self.tgt_th_l) / 2)
+
     def phi_tgt(self, s: float, t: float) -> complex:
         g = float(_interp(self.tgt_g, t))
         if g <= 0.0:
             return self.tgt_root
         s = min(max(s, 0.0), 1.0)
         theta = (1.0 - s) * (self.tgt_th_r + g) + s * (self.tgt_th_l - g)
-        return bottcher_point(self.P, g, theta)
+        return self.spine.sweep(g, [theta])[0]
 
     def invert_src(self, z: complex) -> tuple[float, float]:
         """Numerically invert the source blend; best-effort on folds.  Newton
@@ -182,10 +188,12 @@ class CoonsPatch:
         return self.phi_tgt(s, t)
 
     def _tgt_rows(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """phi_tgt on a grid, one warm equipotential sweep per t-row."""
+        """phi_tgt on a grid: each t-row is one equipotential sweep out from
+        the patch's spine, deepest row last, so the spine descends once."""
         out = np.empty((len(ss), len(ts)), dtype=complex)
-        for j, t in enumerate(ts):
-            g = float(_interp(self.tgt_g, float(t)))
+        gs = [float(_interp(self.tgt_g, float(t))) for t in ts]
+        for j in sorted(range(len(ts)), key=lambda j: -gs[j]):
+            g = gs[j]
             if g <= 0.0:
                 out[:, j] = self.tgt_root
                 continue
@@ -195,7 +203,7 @@ class CoonsPatch:
             flip = offs[0] > offs[-1]
             if flip:
                 offs = offs[::-1]
-            pts = equipotential_points(self.P, g, Fraction(0), offs)
+            pts = self.spine.sweep(g, offs)
             out[:, j] = pts[::-1] if flip else pts
         return out
 
@@ -572,17 +580,18 @@ def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,
     all lie in `u_rho` and outside `crit` and iterates 1 .. max_iter are
     finite.
 
-    A pixel whose iterate enters the `interior_trap` certified to stay at
-    least a raster pixel inside `u_rho` and away from `crit` for max_iter
-    steps is retired as surviving, exactly as the full loop would find it; a
-    map of P with nothing certifiable runs the full loop.
+    A pixel whose iterate enters, from iteration POOL_AFTER on, the
+    `interior_trap` certified to stay at least a raster pixel inside `u_rho`
+    and away from `crit` for max_iter steps is retired as surviving, exactly
+    as the full loop would find it; a map of P with nothing certifiable runs
+    the full loop.
     """
     crit, u_rho = S.crit, S.u_rho
     trap = interior_trap(S.P, max_iter, avoid=(crit,), stay_in=(u_rho,))
     alive = np.ones(grid.resolution ** 2, dtype=bool)
 
     def step(z, idx, it):
-        if trap:  # retired alive: stays in u_rho and out of crit
+        if trap and it >= POOL_AFTER:  # retired alive: stays in u_rho and out of crit
             free = ~trap.contains(z)
             if not free.all():
                 z, idx = z[free], idx[free]

@@ -305,3 +305,83 @@ def test_sweep_node_bound_is_a_renorm_error(monkeypatch):
     with pytest.raises(RenormError, match=r"potential 1e-09 .* span of 0\.333 needs 6666666\d+ nodes"):
         bottcher.equipotential_points(CUBIC, 1e-9, Fraction(0), [0.0, 1 / 3])
     assert bottcher.MAX_SWEEP_NODES < 6666666
+
+
+# The descent as it was before the spine: one node list from potential 3
+# down the ladder 3*d^(-k/8) to g (g itself appended unless the last ladder
+# point is within 1e-12 of it), or a cold node from SEED_DIRECT_MIN up.
+
+def _old_descent(P, g, off):
+    if g >= bottcher.SEED_DIRECT_MIN:
+        return [(g, off, False)]
+    r = P.degree ** (-1.0 / 8)
+    ts = [3.0]
+    while ts[-1] * r > g * (1.0 + 1e-12):
+        ts.append(ts[-1] * r)
+    if abs(ts[-1] - g) > 1e-12 * g:
+        ts.append(g)
+    return [(t, off, False) for t in ts]
+
+
+def _old_point(P, g, frac, off):
+    return bottcher._walk(P, frac, _old_descent(P, g, off), None)[1].points[0]
+
+
+def _old_sweep(P, g, frac, offs):
+    nodes = _old_descent(P, g, offs[0]) + [(g, offs[0], True)]
+    for a, b in zip(offs[:-1], offs[1:]):
+        k = max(1, math.ceil((b - a) / (0.05 * g)))
+        nodes += [(g, a + (b - a) * i / k, i == k) for i in range(1, k + 1)]
+    return bottcher._walk(P, frac, nodes, None)[0]
+
+
+def _ladder_point(P, k):
+    t = 3.0
+    for _ in range(k):
+        t *= P.degree ** (-1.0 / 8)
+    return t
+
+
+@pytest.mark.parametrize("P", [CUBIC, BASILICA], ids=["cubic", "basilica"])
+@pytest.mark.parametrize("where", ["cold", "below-top", "ladder", "near-ladder-above",
+                                   "near-ladder-below", "deep"])
+def test_points_and_sweeps_keep_the_descent_nodes(P, where):
+    # a throwaway spine walks the node list of the descent it replaced, so
+    # points and sweeps keep their bits
+    t = _ladder_point(P, 37)
+    g = {"cold": 2.5, "below-top": 1.99, "ladder": t, "near-ladder-above": t * (1 + 5e-13),
+         "near-ladder-below": t * (1 - 5e-13), "deep": 6.3e-12}[where]
+    for frac, off in ((Fraction(0), 0.0), (Fraction(1, 3), 0.0), (Fraction(0), 0.2137)):
+        theta = frac + Fraction(off)
+        assert bottcher_point(P, g, theta) == _old_point(P, g, theta, 0.0)
+        assert bottcher._point(P, g, frac, off) == _old_point(P, g, frac, off)
+        offs = [off + g * (k / 8 - 1) for k in range(17)]
+        assert bottcher.equipotential_points(P, g, frac, offs) == _old_sweep(P, g, frac, offs)
+
+
+def test_spine_bits_do_not_depend_on_extension_order():
+    # a chain is walked from the one above it whatever the spine holds, so
+    # shallow-then-deep and deep-then-shallow give the same bits
+    gs = [0.3, 2e-4, 7.5e-9, 6.3e-12]
+    rows = {g: [g * (k / 8 - 1) for k in range(17)] for g in gs}
+    down, up = bottcher.Spine(CUBIC, Fraction(0), 0.0), bottcher.Spine(CUBIC, Fraction(0), 0.0)
+    swept_down = {g: down.sweep(g, rows[g]) for g in gs}
+    swept_up = {g: up.sweep(g, rows[g]) for g in reversed(gs)}
+    assert swept_down == swept_up
+    assert down.sweep(1e-3, [0.0]) == up.sweep(1e-3, [0.0])
+    assert [c.points for c in down._chains] == [c.points for c in up._chains]
+
+
+def test_spine_sweeps_straddle_its_offset():
+    # offsets on both sides of the spine's own: each side is swept out from
+    # the spine's point, in order, against per-point descents
+    g = 1e-6
+    spine = bottcher.Spine(CUBIC, Fraction(1, 3), 0.0)
+    offs = [g * (k / 4 - 1.3) for k in range(11)]
+    pts = spine.sweep(g, offs)
+    assert len(pts) == len(offs)
+    for z, off in zip(pts, offs):
+        ref = bottcher._point(CUBIC, g, Fraction(1, 3), off)
+        assert abs(z - ref) <= 1e-12 * abs(ref)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        spine.sweep(g, offs[::-1])

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ import pytest
 from polyrenorm import (build_carrots, build_family, build_surgery, compare_masks,
                         degree_dc, escape_analysis, green_potential,
                         nonescaping_mask, visit_count_experiment)
+from polyrenorm import bottcher
 from polyrenorm.angles import Angle
-from polyrenorm.bottcher import bottcher_point
+from polyrenorm.bottcher import bottcher_point, equipotential_points
 from polyrenorm.errors import CarrotOverlap, DegreeMismatch
 from polyrenorm.grid import distance_to_polyline
 from polyrenorm.surgery import T0, CoonsPatch, VisitReport, _interp, dilatation_report
@@ -320,16 +323,6 @@ def _ref_invert_src(patch, z, tol=1e-9):
     return s, t
 
 
-def _ref_forward(patch, z):
-    s, t = _ref_invert_src(patch, z)
-    g = float(_ref_interp(patch.tgt_g, t))
-    if g <= 0.0:
-        return patch.tgt_root
-    s = min(max(s, 0.0), 1.0)
-    theta = (1.0 - s) * (patch.tgt_th_r + g) + s * (patch.tgt_th_l - g)
-    return bottcher_point(patch.P, g, theta)
-
-
 def _ref_dilatation_grid(patch, n):
     def jac(z, i, j):
         fs = (z[i + 1, j] - z[i - 1, j]) / 2.0
@@ -378,7 +371,7 @@ def test_coons_patch_matches_scalar_reference(fig1_surgery):
     assert patch.invert_src(zs[150]) == (0.5, 0.5)
     for z in zs:
         assert patch.invert_src(z) == _ref_invert_src(patch, z), z
-        assert patch.forward(z) == _ref_forward(patch, z), z
+        assert patch.forward(z) == patch.phi_tgt(*_ref_invert_src(patch, z)), z
     for t in np.linspace(-0.1, 1.1, 97):
         assert float(_interp(patch.tgt_g, float(t))) == float(_ref_interp(patch.tgt_g, float(t)))
 
@@ -401,3 +394,52 @@ def test_invert_src_tie_rule():
     z = 5 / 21.0
     assert diag.phi_src(0.0, z) == diag.phi_src(z, 0.0) == z
     assert diag.invert_src(z) == _ref_invert_src(diag, z) == (0.0, z)
+
+
+# The target side walks out from the patch's spine; per-point descents and
+# per-row sweeps are the oracle.
+
+def _close(a, b, rel=1e-13):
+    return abs(a - b) <= rel * abs(b)
+
+
+def test_tgt_rows_match_per_row_sweeps(fig1_surgery):
+    patch = fig1_surgery.patches[0]
+    ss = np.linspace(0.0, 1.0, 33)
+    rows = patch._tgt_rows(ss, ss)
+    gs = [float(_interp(patch.tgt_g, float(t))) for t in ss]
+    assert min(g for g in gs if g > 0) < 6.4e-12
+    for j, g in enumerate(gs):
+        if g <= 0.0:
+            assert (rows[:, j] == patch.tgt_root).all()
+            continue
+        offs = [(1.0 - s) * (patch.tgt_th_r + g) + s * (patch.tgt_th_l - g) for s in ss]
+        flip = offs[0] > offs[-1]
+        ref = equipotential_points(CUBIC, g, Fraction(0), offs[::-1] if flip else offs)
+        ref = ref[::-1] if flip else ref
+        assert all(_close(z, w) for z, w in zip(rows[:, j], ref)), g
+
+
+def test_phi_tgt_matches_bottcher_point(fig1_surgery):
+    patch = fig1_surgery.patches[0]
+    rng = np.random.default_rng(77)
+    for s, t in rng.uniform(0.0, 1.0, (200, 2)):
+        g = float(_interp(patch.tgt_g, t))
+        theta = (1.0 - s) * (patch.tgt_th_r + g) + s * (patch.tgt_th_l - g)
+        assert _close(patch.phi_tgt(s, t), bottcher_point(CUBIC, g, theta)), (s, t)
+
+
+def test_tgt_rows_pullback_budget(fig1_surgery, monkeypatch):
+    # one descent per patch: the 33 rows cost their sweeps and one spine
+    patch = dataclasses.replace(fig1_surgery.patches[0])  # a spine not yet walked
+    calls = [0]
+    pullback = bottcher._pullback
+
+    def counted(*args):
+        calls[0] += 1
+        return pullback(*args)
+
+    monkeypatch.setattr(bottcher, "_pullback", counted)
+    ss = np.linspace(0.0, 1.0, 33)
+    patch._tgt_rows(ss, ss)
+    assert calls[0] <= 40_000

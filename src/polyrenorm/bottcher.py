@@ -43,7 +43,7 @@ import numpy as np
 
 from .angles import Angle, tuple_orbit
 from .errors import BranchJump, NonConvergence, RenormError
-from .poly import Polynomial, green_potential
+from .poly import Polynomial, green_potential, newton
 
 ANCHOR_MIN = 18.0  # exp(-18) relative Boettcher error at the chain top
 SEED_DIRECT_MIN = 2.0  # below this potential cold direct seeds are unsafe
@@ -166,7 +166,7 @@ def _walk(P: Polynomial, frac: Fraction, nodes: Sequence[tuple[float, float, boo
         except (BranchJump, NonConvergence) as exc:
             if depth >= MAX_SUBDIV or prev is None:
                 raise BranchJump(f"continuation failed at potential {t:.3e} "
-                                 f"(angle {frac}{off:+g})", partial=out) from exc
+                                 f"(angle {frac}{off:+g})") from exc
             # sqrt(t*t) is t only above 1e-154, so sweeps keep t as it is
             t_mid = t if prev.t == t else math.sqrt(prev.t * t)
             stack.append((t, off, depth + 1, requested))
@@ -420,36 +420,23 @@ def trace_ray(P: Polynomial, theta: Angle, g_start: float, g_end: float,
 
 def _polish_preperiodic(P: Polynomial, z: complex, preperiod: int,
                         period: int) -> Optional[complex]:
-    """Newton on P^(l+p)(z) - P^l(z) from z; None if it wanders off.
+    """`newton` on P^(l+p)(z) - P^l(z) from z; None if it fails or ends
+    farther than 2 (1 + |z|) from z.
 
     Multiple roots (parabolic landing points) converge only linearly and
     bottom out on a cancellation-noise shell whose radius depends on where
-    the point sits; the best iterate seen is therefore returned when the
-    step-size criterion is never met.  The polish is a locator, not a
+    the point sits; the polish stops there, so it is a locator, not a
     residual minimizer.
     """
-    z0 = z
-    best = z
-    best_step = math.inf
-    for _ in range(400):
-        a, da = P.iterate_with_deriv(z, preperiod + period)
-        b, db = P.iterate_with_deriv(z, preperiod)
-        f = a - b
-        df = da - db
-        if df == 0:
-            break
-        step = f / df
-        z = z - step
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            return None
-        if abs(z - z0) > 2.0 * (1.0 + abs(z0)):
-            return None
-        if abs(step) < best_step:
-            best_step = abs(step)
-            best = z
-        if abs(step) < 1e-10 * max(1.0, abs(z)):
-            return z
-    return best if best_step < 1e-4 else None
+    def fdf(w):
+        a, da = P.iterate_with_deriv(w, preperiod + period)
+        b, db = P.iterate_with_deriv(w, preperiod)
+        return a - b, da - db
+
+    root = newton(fdf, z)
+    if root is None or abs(root - z) > 2.0 * (1.0 + abs(z)):
+        return None
+    return root
 
 
 def landing_point(ray: RayPolyline, P: Polynomial) -> Landing:
@@ -457,10 +444,12 @@ def landing_point(ray: RayPolyline, P: Polynomial) -> Landing:
 
     Primary test: geometric contraction of the tail (ratio < 0.95 over the
     last 10 levels) with the tail already inside a 1e-6 neighbourhood.
-    Rational angles are then polished by Newton against the preperiodic
-    equation identified by the angle orbit.  Parabolic landings approach only
-    like a power of 1/log(1/potential), so they are accepted through the
-    polished root when the tail moves monotonically toward it.
+    Rational angles are then polished by `newton` on the preperiodic
+    equation identified by the angle orbit, down to its rounding noise:
+    about 1e-8 at a double root (a precritical landing), a few 1e-6 at a
+    triple one (a parabolic landing).  Parabolic landings approach only like
+    a power of 1/log(1/potential), so they are accepted through the polished
+    root when the tail moves monotonically toward it.
     """
     if ray.potentials[-1] >= 1e-8:
         raise ValueError("ray must be traced to potential below 1e-8")

@@ -15,7 +15,7 @@ from .cuts import Cut, CutFamily
 from .errors import CarrotOverlap, InsufficientSamples, NonConvergence, \
     OutsideLinearizationDomain, WrongPullback
 from .grid import crossing_parity
-from .poly import Cycle, Polynomial
+from .poly import Cycle, Polynomial, newton
 
 SIDE_ROOT_TOL = 1e-6
 # at a critical root the side tip approaches like t^(log lambda / (k log d));
@@ -283,6 +283,11 @@ def koenigs_coordinate(P: Polynomial, cycle: Cycle, z: complex) -> complex:
     # the catastrophic cancellation of evaluating P(y) - z0 for y near z0;
     # the Taylor shift of a monic P is monic
     F = Polynomial(tuple([0j] + P.taylor(z0)[1:]))
+
+    def fdf(v):  # F(v) - target, for the target of the current pullback
+        f, df = F.value_and_deriv(v)
+        return f - target, df
+
     w = z - z0
     power = 1.0 + 0.0j
     u_prev: Optional[complex] = None
@@ -290,13 +295,9 @@ def koenigs_coordinate(P: Polynomial, cycle: Cycle, z: complex) -> complex:
     best_diff = math.inf
     for _ in range(400):
         target = w
-        w = w / lam
-        for _ in range(60):
-            f, df = F.value_and_deriv(w)
-            step = (f - target) / df
-            w -= step
-            if abs(step) <= 1e-16 * max(1e-300, abs(w)):
-                break
+        w = newton(fdf, w / lam)
+        if w is None:
+            raise NonConvergence(f"Koenigs pullback of {target:.6g} failed")
         power *= lam
         u = power * w
         if u_prev is not None:

@@ -10,14 +10,7 @@ class NonConvergence(RenormError):
 
 
 class BranchJump(RenormError):
-    """Continuation stepped onto a sibling preimage branch.
-
-    Carries the partial result traced up to the last trusted point.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Continuation stepped onto a sibling preimage branch."""
 
 
 class NoColanding(RenormError):

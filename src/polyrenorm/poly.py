@@ -25,6 +25,7 @@ ORBIT_HUGE = 1e200  # _newton_ratios stops an orbit before its image passes this
 # critical_cycles: iterates before looking for a cycle, and the longest lag
 CRITICAL_ORBIT_STEPS = 2000
 CRITICAL_ORBIT_MAX_LAG = 64
+NEWTON_STEPS = 400  # newton's bound on steps; its noise-floor stop ends it first
 
 
 def _finite(z: complex) -> bool:
@@ -184,40 +185,58 @@ def escape_time(P: Polynomial, z: complex, max_iter: int) -> EscapeResult:
     return EscapeResult(False, max_iter, z)
 
 
-def _newton_polish(f, df, z: complex) -> complex:
-    for _ in range(60):
-        d = df(z)
-        if d == 0:
-            break
-        step = f(z) / d
-        z = z - step
-        if abs(step) <= 1e-14 * max(1.0, abs(z)):
-            break
+def newton(fdf, z: complex, bail: float = math.inf) -> complex | None:
+    """A root of f by Newton's method from z, where fdf(z) = (f(z), f'(z)).
+
+    Stops at the first step that is no shorter than the one before it and
+    returns the iterate before that step: past that point the steps are
+    rounding noise of f (Kahan's stop; Traub, *Iterative Methods for the
+    Solution of Equations*, 1964, ch. 7).  At a multiple root the steps
+    shrink only linearly, to the same noise floor.  None on a non-finite f,
+    on f' = 0 off a root, or on an iterate with |z| > bail.
+    """
+    last = math.inf
+    for _ in range(NEWTON_STEPS):
+        f, df = fdf(z)
+        if not _finite(f):
+            return None
+        if f == 0:
+            return z
+        if df == 0:
+            return None
+        step = f / df
+        if not abs(step) < last:
+            return z
+        last, z = abs(step), z - step
+        if not abs(z) <= bail:
+            return None
     return z
 
 
 def critical_points(P: Polynomial) -> list[complex]:
     """The d-1 roots of P', with multiplicity.
 
-    Companion-matrix roots polished by Newton; multiple roots keep the
+    Companion-matrix roots polished by `newton`; multiple roots keep the
     companion value (Newton stalls there but the cluster is already accurate).
+    Each root must leave |P'(r)| within 1e-8 times sum k |c_k| |r|^(k-1),
+    the scale of its evaluation, else NonConvergence.
     """
     dcs = P.deriv_coeffs
-    arr = np.array(dcs[::-1], dtype=complex)  # highest degree first
-    roots = np.roots(arr)
+    roots = np.roots(np.array(dcs[::-1], dtype=complex))  # highest degree first
     d2cs = [k * (k - 1) * c for k, c in enumerate(P.coeffs)][2:]  # of P''
+    scale_cs = [abs(c) for c in dcs]
     out = []
     for r in roots:
         r = complex(r)
-        polished = _newton_polish(P.deriv, lambda z: _horner(d2cs, z), r)
-        if abs(P.deriv(polished)) <= abs(P.deriv(r)):
+        polished = newton(lambda z: (P.deriv(z), _horner(d2cs, z)), r)
+        if polished is not None and abs(P.deriv(polished)) <= abs(P.deriv(r)):
             r = polished
         out.append(r)
     out.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    bad = [r for r in out if abs(P.deriv(r)) >= 1e-8]
+    bad = [r for r in out if abs(P.deriv(r)) > 1e-8 * _horner(scale_cs, abs(r))]
     if bad:
         res = ", ".join(f"{r:.3g} (|P'|={abs(P.deriv(r)):.2e})" for r in bad)
-        raise ArithmeticError(f"critical point polish failed: {res}")
+        raise NonConvergence(f"critical point polish failed: {res}")
     return out
 
 
@@ -322,10 +341,10 @@ def _near(z: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
 def find_cycles(P: Polynomial, max_period: int) -> list[Cycle]:
     """All distinct cycles of period <= max_period.
 
-    Per period n each of the d^n roots of P^n(z) - z is polished by damped
-    Newton; the first root of each orbit of minimal period n starts a cycle,
-    orbits deduplicated to DEDUP_TOL.  Every root must lie within
-    LOWER_PERIOD_TOL of a point of a cycle whose period divides n.
+    Per period n each of the d^n roots of P^n(z) - z is polished by `newton`
+    to its noise floor; the first root of each orbit of minimal period n
+    starts a cycle, orbits deduplicated to DEDUP_TOL.  Every root must lie
+    within LOWER_PERIOD_TOL of a point of a cycle whose period divides n.
     """
     if P.degree**max_period > MAX_CENSUS_POINTS:
         raise RenormError(f"cycle census: d^n = {P.degree}^{max_period} exceeds "
@@ -394,41 +413,20 @@ def critical_cycles(P: Polynomial) -> list[Cycle]:
 
 
 def _newton_cycle_point(P: Polynomial, n: int, z: complex) -> complex | None:
-    """Damped Newton on P^n(z) - z; returns None on divergence.
+    """`newton` on P^n(z) - z; None if it fails, bails past 3R or leaves a
+    residual of CYCLE_RESIDUAL_TOL or more.
 
-    Iterates to a step-size fixed point rather than a residual threshold:
-    near a parabolic point the residual is tiny on a whole shell, and only
-    full polishing slides such candidates into the actual periodic point
-    (where the minimal-period filter then discards them).
+    Near a parabolic point the residual is tiny on a whole shell; the polish
+    runs on to the noise floor, which slides such candidates into the actual
+    periodic point (where the minimal-period filter then discards them).
     """
-    bail = 3.0 * P.escape_radius
-    zn, dz = P.iterate_with_deriv(z, n)
-    f = zn - z
-    if not _finite(f):
+    def fdf(w):
+        wn, dw = P.iterate_with_deriv(w, n)
+        return wn - w, dw - 1.0
+
+    z = newton(fdf, z, bail=3.0 * P.escape_radius)
+    if z is None:
         return None
-    for _ in range(200):
-        af = abs(f)
-        if af == 0:
-            break
-        df = dz - 1.0
-        if df == 0:
-            break
-        step = f / df
-        t = 1.0
-        for _ in range(12):
-            znew = z - t * step
-            zn2, dz2 = P.iterate_with_deriv(znew, n)
-            f2 = zn2 - znew
-            if _finite(f2) and abs(f2) <= af * (1.0 - 0.25 * t) + 1e-16:
-                break
-            t *= 0.5
-        else:
-            break
-        z, f, dz = znew, f2, dz2
-        if abs(z) > bail:
-            return None
-        if abs(t * step) < 1e-15 * max(1.0, abs(z)):
-            break
     zn, _ = P.iterate_with_deriv(z, n)
     return z if abs(zn - z) < CYCLE_RESIDUAL_TOL else None
 

@@ -7,7 +7,7 @@ import pytest
 from polyrenorm import (Polynomial, classify_multiplier, critical_points,
                         escape_time, find_cycles, green_potential, poly)
 from polyrenorm.errors import RenormError
-from polyrenorm.poly import critical_cycles, unity_order
+from polyrenorm.poly import NEWTON_STEPS, critical_cycles, newton, unity_order
 
 from conftest import BASILICA, CUBIC, SQUARE
 
@@ -81,6 +81,48 @@ def test_critical_points():
     crit3 = critical_points(Polynomial((0, 0, 0, 1)))  # z^3, double root
     assert len(crit3) == 2
     assert all(abs(c) < 1e-8 for c in crit3)
+
+    # z^3 + 3e5 z^2 + 1e6 z: at the critical point near -2e5 the terms of P'
+    # are ~1e11, so rounding leaves |P'| ~ 1e-6 there, far above any absolute
+    # threshold; the check is relative to the scale of the evaluation
+    crit = critical_points(Polynomial((0, 1e6, 3e5, 1)))
+    a, b, c = 3.0, 6e5, 1e6  # P' = a z^2 + b z + c, roots without cancellation
+    far = (-b - math.sqrt(b * b - 4 * a * c)) / (2 * a)
+    want = [far, c / (a * far)]
+    assert len(crit) == 2
+    assert all(abs(z - w) <= 1e-12 * abs(w) for z, w in zip(crit, want))
+
+
+def test_newton_simple_root_to_the_last_ulps():
+    root = newton(lambda z: (z * z - 2, 2 * z), 1.5 + 0j)
+    assert root.imag == 0
+    assert abs(root.real - math.sqrt(2)) <= 2 * math.ulp(math.sqrt(2))
+
+
+def test_newton_stops_at_the_noise_floor_of_a_triple_root():
+    # the basilica's parabolic fixed point 0 (multiplier -1) is a triple root
+    # of P^2(z) - z: the steps shrink only by 2/3 each, down to rounding noise
+    calls = []
+
+    def fdf(z):
+        calls.append(z)
+        w, dw = BASILICA.iterate_with_deriv(z, 2)
+        return w - z, dw - 1.0
+
+    root = newton(fdf, 0.1 + 0j)
+    assert abs(root) < 1e-6
+    assert len(calls) < NEWTON_STEPS // 4
+
+
+def test_newton_gives_up():
+    def fdf(z):
+        return z * z - 2, 2 * z
+
+    assert newton(fdf, complex(math.nan, 0)) is None
+    assert newton(fdf, complex(math.inf, 1)) is None
+    # the first step from 0.1 lands near 10, past the bail radius
+    assert newton(fdf, 0.1 + 0j, bail=5.0) is None
+    assert newton(lambda z: (1.0 + 0j, 0j), 1j) is None  # f' = 0 off a root
 
 
 def test_fixed_points_square():
@@ -180,6 +222,22 @@ def test_census_generic_cubic_period_7(monkeypatch):
                 w, dw = P(w), dw * P.deriv(w)
             want = complex((w - z) / (dw - 1))
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_census_polish_stops_at_the_noise_floor(monkeypatch):
+    # the Aberth roots are already at the noise floor, so the polish takes
+    # about one step, one evaluation that ends it and one residual check
+    calls = []
+    iterate_with_deriv = Polynomial.iterate_with_deriv
+
+    def counted(P, z, n):
+        calls.append(n)
+        return iterate_with_deriv(P, z, n)
+
+    monkeypatch.setattr(Polynomial, "iterate_with_deriv", counted)
+    cycles = find_cycles(SQUARE, 8)
+    assert _counts(cycles, 8) == [necklace(2, n) for n in range(1, 9)]
+    assert len(calls) <= 4 * sum(2**n for n in range(1, 9))
 
 
 def test_census_shortfall_is_a_renorm_error(monkeypatch):

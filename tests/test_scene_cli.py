@@ -291,6 +291,19 @@ def test_sweep_past_the_node_bound_is_a_renorm_error(tmp_path, capsys):
     assert err.startswith("error: equipotential sweep at potential 1e-09")
 
 
+def test_widely_scaled_cubic_ends_without_a_traceback(tmp_path, capsys):
+    # z^3 + 3e5 z^2 + 1e6 z: the critical points pass their relative check;
+    # the census's absolute tolerances then end the construction with an error
+    scene = tmp_path / "wide.json"
+    scene.write_text(json.dumps(_with(GOOD_SCENE, ("polynomial", "coeffs"),
+                                      [[0, 0], [1e6, 0], [3e5, 0], [1, 0]])))
+    assert main(["julia", "--scene", str(scene), "--out", str(tmp_path / "j")]) == 0
+    capsys.readouterr()
+    assert main(["avoid", "--scene", str(scene), "--out", str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cycle census: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["abc", "-2", "1.5"])
 def test_cli_bad_renorm_threads_is_a_scene_error(tmp_path, capsys, monkeypatch, value):
     scene = tmp_path / "figure1.json"

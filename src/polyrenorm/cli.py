@@ -1,5 +1,8 @@
 """Scene-driven command line front end.
 
+Every subcommand is one entry of `COMMANDS`: its help text, its flags beyond
+the common ones, and the stage writers it runs in order on one `Run`.
+
 Exit codes: 0 when all verdicts pass, 2 when a check fails, 1 on errors.
 """
 
@@ -9,7 +12,8 @@ import argparse
 import csv
 import os
 import sys
-from typing import Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 from . import render
 from .avoiding import (EscapeAnalysis, compare_masks, connected_components, escape_analysis,
@@ -19,7 +23,7 @@ from .carrots import Carrot, build_carrots, carrot_geometry
 from .cuts import CutFamily, build_family, check_admissible, check_legal
 from .errors import RenormError, SceneError
 from .grid import GridSpec, Mask, PixelRaster, save_mask_raw
-from .poly import MAX_CENSUS_POINTS, Polynomial
+from .poly import MAX_CENSUS_POINTS
 from .scene import Scene, figure1_scene, integer_field, load_scene, override, parse_angle
 from .surgery import (T0, build_surgery, dilatation_report, nonescaping_mask,
                       visit_count_experiment)
@@ -29,6 +33,9 @@ from .verify import ConjugacyReport, conjugacy_report
 Verdict = tuple[str, bool, str]
 # conjugacy evidence covers cycles up to this period unless asked otherwise
 MAX_PERIOD = 3
+# figure1 compares the surgery's mask with the avoiding set on at most this
+# many pixels a side
+COMPARE_CAP = 512
 
 
 def _resolve_threads(value: Optional[int]) -> int:
@@ -42,18 +49,6 @@ def _resolve_threads(value: Optional[int]) -> int:
             pass  # rejected below
     value = integer_field(value, path, 0, "expected a non-negative integer (0 = one per core)")
     return value or os.cpu_count() or 1
-
-
-def _load(args) -> Scene:
-    if getattr(args, "scene", None):
-        scene = load_scene(args.scene)
-    else:
-        scene = figure1_scene()
-    return override(scene, resolution=args.resolution, max_iter=args.max_iter)
-
-
-def _seeds(args) -> int:
-    return integer_field(args.seeds, "--seeds", 1, "expected a positive integer")
 
 
 def _max_period(scene: Scene, value: int) -> int:
@@ -70,39 +65,133 @@ def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-def _family_from_scene(scene: Scene):
-    return build_family(scene.polynomial, scene.cuts, g0=scene.g0)
-
-
 def _pass(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _finish(verdicts: list[Verdict]) -> int:
-    """Print one line per verdict; exit code 0 when all pass, else 2."""
-    for name, ok, detail in verdicts:
-        print(f"[{_pass(ok)}] {name}: {detail}")
-    return 0 if all(ok for _, ok, _ in verdicts) else 2
+def _tagged(name: str, ok: bool, detail: str) -> str:
+    return f"[{_pass(ok)}] {name}: {detail}"
 
 
-# Stage writers: each writes its artifacts into `out` and returns its verdicts.
+class Run:
+    """One invocation: the scene with its overrides, the validated options,
+    and each stage computed on first use and kept.  Every option is checked
+    here, before any stage runs and before the output directory exists."""
 
-def _write_rays(out: str, rays: list[RayPolyline]) -> list[Verdict]:
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.command = args.command
+        self.out = args.out
+        scene = load_scene(args.scene) if args.scene else figure1_scene()
+        self.scene = override(scene, resolution=args.resolution, max_iter=args.max_iter)
+        self.supersample = getattr(args, "supersample", 1)
+        if hasattr(args, "seeds"):
+            self.seeds = integer_field(args.seeds, "--seeds", 1, "expected a positive integer")
+        # only the subcommands that sweep pixels read --threads
+        if hasattr(args, "supersample") or hasattr(args, "seeds"):
+            self.threads = _resolve_threads(args.threads)
+        self.angles = None  # None: the rays of the cut family
+        if hasattr(args, "angle"):
+            self.angles = ([parse_angle(a, "--angle") for a in args.angle]
+                           or [tr for tr, _ in self.scene.cuts])
+            if not self.angles:
+                raise SceneError("--angle", "no angles: give --angle or a scene with cuts")
+        self.max_period = (_max_period(self.scene, args.max_period)
+                           if hasattr(args, "max_period") else MAX_PERIOD)
+        if _write_conjugacy in COMMANDS[args.command].writers and self.scene.candidate_q is None:
+            raise SceneError(f"{args.scene or 'scene'}.candidate_q",
+                             "missing; conjugacy evidence needs a candidate polynomial")
+        self.verdicts: list[Verdict] = []
+
+    def path(self, name: str) -> str:
+        """`name` in the output directory, which is made on the first write."""
+        os.makedirs(self.out, exist_ok=True)
+        return os.path.join(self.out, name)
+
+    @cached_property
+    def family(self) -> CutFamily:
+        return build_family(self.scene.polynomial, self.scene.cuts, g0=self.scene.g0)
+
+    @cached_property
+    def raster(self) -> PixelRaster:
+        """The wedge raster the sweeps below read (16 MB), released after the last."""
+        return wedge_raster(self.scene.polynomial, self.family)
+
+    def _sweep(self, grid: GridSpec, supersample: int) -> EscapeAnalysis:
+        return escape_analysis(self.scene.polynomial, self.family, grid, self.scene.max_iter,
+                               threads=self.threads, supersample=supersample,
+                               raster=self.raster)
+
+    @cached_property
+    def sweep(self) -> EscapeAnalysis:
+        res = self._sweep(self.scene.grid, self.supersample)
+        if _write_surgery not in COMMANDS[self.command].writers:
+            del self.raster  # no comparison sweep follows
+        return res
+
+    @cached_property
+    def compare_mask(self) -> Mask:
+        """The plain avoiding mask the surgery's mask is compared with, on
+        the scene grid (capped at COMPARE_CAP pixels in figure1).  The last
+        sweep that reads the raster, so the raster is released here."""
+        grid = self.scene.grid
+        if self.command == "figure1":
+            grid = GridSpec(grid.center, grid.width, min(grid.resolution, COMPARE_CAP))
+        plain = grid == self.scene.grid and self.supersample == 1
+        mask = self.sweep.avoiding if plain else self._sweep(grid, 1).avoiding
+        del self.raster
+        return mask
+
+    @cached_property
+    def rays(self) -> list[RayPolyline]:
+        """The landed rays of the angles, else those of the cut family."""
+        if self.angles is not None:
+            return [land_ray(self.scene.polynomial, theta) for theta in self.angles]
+        return [ray for cut in self.family.cuts
+                for ray in ((cut.ray_r,) if cut.degenerate else (cut.ray_r, cut.ray_l))]
+
+    @cached_property
+    def carrots(self) -> list[Carrot]:
+        return build_carrots(self.scene.polynomial, self.family, self.scene.rho)
+
+    @cached_property
+    def conjugacy(self) -> ConjugacyReport:
+        return conjugacy_report(self.scene.polynomial, self.family, self.scene.candidate_q,
+                                self.max_period)
+
+
+# Stage writers: each writes its artifacts for a run and returns its verdicts.
+Writer = Callable[[Run], list[Verdict]]
+
+
+def _write_julia(run: Run) -> list[Verdict]:
+    scene = run.scene
+    res = escape_analysis(scene.polynomial, None, scene.grid, scene.max_iter,
+                          threads=run.threads, supersample=run.supersample)
+    render.write_ppm(run.path("julia.ppm"), render.render_mask(res.kp, res.esc_steps))
+    save_mask_raw(res.kp, run.path("julia_mask.raw"))
+    return [("filled Julia mask", True, f"{res.kp.count()} pixels, "
+             f"{connected_components(res.kp)} component(s) after closing")]
+
+
+def _write_rays(run: Run) -> list[Verdict]:
     rows = [[ray.angle.num, ray.angle.den, repr(float(t)),
              repr(float(z.real)), repr(float(z.imag))]
-            for ray in rays for t, z in zip(ray.potentials, ray.points)]
-    _write_rows(os.path.join(out, "rays.csv"),
-                ["angle_num", "angle_den", "potential", "re", "im"], rows)
+            for ray in run.rays for t, z in zip(ray.potentials, ray.points)]
+    _write_rows(run.path("rays.csv"), ["angle_num", "angle_den", "potential", "re", "im"], rows)
+    return []  # `_landings` reports them: figure1's all land, as build_cut raises otherwise
+
+
+def _landings(run: Run) -> list[Verdict]:
     return [(f"ray {ray.angle}", ray.landing.converged,
              f"{'lands' if ray.landing.converged else 'does not certifiably land'} "
-             f"at {ray.landing.point:.9g} ({ray.landing.method})") for ray in rays]
+             f"at {ray.landing.point:.9g} ({ray.landing.method})") for ray in run.rays]
 
 
-def _write_checks(out: str, P: Polynomial, family: CutFamily) -> list[Verdict]:
+def _write_checks(run: Run) -> list[Verdict]:
+    P, family = run.scene.polynomial, run.family
     reports = {"admissible": check_admissible(P, family),
                "legal": check_legal(P, family)}
-    _write_rows(os.path.join(out, "checks.csv"),
-                ["check", "subject", "verdict", "detail"],
+    _write_rows(run.path("checks.csv"), ["check", "subject", "verdict", "detail"],
                 [[r.check, r.subject, _pass(r.ok), r.detail]
                  for rep in reports.values() for r in rep.rows])
     return [(name, rep.ok, f"{len(rep.rows)} checks"
@@ -110,8 +199,16 @@ def _write_checks(out: str, P: Polynomial, family: CutFamily) -> list[Verdict]:
             for name, rep in reports.items()]
 
 
-def _write_avoiding(out: str, res: EscapeAnalysis) -> list[Verdict]:
-    save_mask_raw(res.avoiding, os.path.join(out, "avoiding_mask.raw"))
+def _write_avoiding_image(run: Run) -> list[Verdict]:
+    res = run.sweep
+    render.write_ppm(run.path("avoiding.ppm"),
+                     render.render_scene_image(res.kp, res.avoiding, res.esc_steps))
+    return []
+
+
+def _write_avoiding(run: Run) -> list[Verdict]:
+    res = run.sweep
+    save_mask_raw(res.avoiding, run.path("avoiding_mask.raw"))
     count = connected_components(res.avoiding)
     subset = bool((res.avoiding.bits <= res.kp.bits).all()
                   and res.avoiding.count() < res.kp.count())
@@ -120,35 +217,42 @@ def _write_avoiding(out: str, res: EscapeAnalysis) -> list[Verdict]:
             ("avoiding-connected", count == 1, f"{count} component(s) after closing")]
 
 
-def _write_geometry(out: str, P: Polynomial, carrots: list[Carrot]) -> list[Verdict]:
+def _write_boundaries(run: Run) -> list[Verdict]:
+    _write_rows(run.path("carrot_boundaries.csv"), ["carrot", "re", "im"],
+                [[i, repr(float(z.real)), repr(float(z.imag))]
+                 for i, c in enumerate(run.carrots) for z in c.boundary()])
+    return []
+
+
+def _write_geometry(run: Run) -> list[Verdict]:
     rows = []
-    for i, c in enumerate(carrots):
-        est = carrot_geometry(P, c)
+    for i, c in enumerate(run.carrots):
+        est = carrot_geometry(run.scene.polynomial, c)
         rows.append([i, str(c.cut.theta_r), str(c.cut.theta_l),
                      repr(est.quasi_arc_C), repr(est.transversality_gap),
                      repr(est.weak_qs_kappa), est.sample_count])
-    _write_rows(os.path.join(out, "geometry.csv"),
+    _write_rows(run.path("geometry.csv"),
                 ["carrot", "theta_r", "theta_l", "quasi_arc_C",
                  "transversality_gap", "weak_qs_kappa", "samples"], rows)
     return []  # sampled estimates, not verdicts
 
 
-def _write_surgery(out: str, scene: Scene, family: CutFamily, carrots: list[Carrot],
-                   avoiding: Mask, n_seeds: int, threads: int) -> list[Verdict]:
-    """Build the surgery on `carrots` and compare its non-escaping mask with
-    `avoiding`, on the grid of `avoiding`."""
+def _write_surgery(run: Run) -> list[Verdict]:
+    """Build the surgery on the run's carrots and compare its non-escaping
+    mask with the run's comparison mask, on the grid of that mask."""
+    scene, avoiding, carrots = run.scene, run.compare_mask, run.carrots
     try:
-        S = build_surgery(scene.polynomial, family, scene.rho, carrots)
+        S = build_surgery(scene.polynomial, run.family, scene.rho, carrots)
     except RenormError as exc:
         return [("surgery-degree", False, str(exc))]
-    visits = visit_count_experiment(S, n_seeds, scene.max_iter,
+    visits = visit_count_experiment(S, run.seeds, scene.max_iter,
                                     window=scene.grid, seed=scene.seed)
-    fmask = nonescaping_mask(S, avoiding.grid, scene.max_iter, threads=threads)
+    fmask = nonescaping_mask(S, avoiding.grid, scene.max_iter, threads=run.threads)
     cmp_ = compare_masks(fmask, avoiding, band=2)
     dil = dilatation_report(S, n=32)
-    save_mask_raw(fmask, os.path.join(out, "nonescaping_mask.raw"))
-    render.write_ppm(os.path.join(out, "nonescaping.ppm"), render.render_mask(fmask))
-    _write_rows(os.path.join(out, "surgery.csv"), ["key", "value"], [
+    save_mask_raw(fmask, run.path("nonescaping_mask.raw"))
+    render.write_ppm(run.path("nonescaping.ppm"), render.render_mask(fmask))
+    _write_rows(run.path("surgery.csv"), ["key", "value"], [
         ["degree", S.P.degree],
         ["degree_dc", S.d_c],
         ["t_cr", visits.t_cr],
@@ -171,8 +275,24 @@ def _write_surgery(out: str, scene: Scene, family: CutFamily, carrots: list[Carr
              f"{cmp_.agreement_outside_band:.4f} outside 2-pixel band")]
 
 
-def _write_conjugacy(out: str, rep: ConjugacyReport) -> list[Verdict]:
-    _write_rows(os.path.join(out, "conjugacy.csv"),
+def _write_conjugacy_text(run: Run) -> list[Verdict]:
+    rep = run.conjugacy
+    lines = [f"conjugacy evidence: {_pass(rep.verdict)} "
+             f"(candidate degree {rep.degree}, {len(rep.ambiguous)} ambiguous cycle(s))"]
+    for r in rep.rows:
+        lines.append(
+            f"  period {r.period}: {r.count_restricted} restricted vs "
+            f"{r.count_candidate} candidate cycles "
+            f"[counts {'ok' if r.counts_match else 'MISMATCH'}, "
+            f"non-repelling multipliers {'ok' if r.multipliers_match else 'MISMATCH'}]")
+    with open(run.path("conjugacy.txt"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return []
+
+
+def _write_conjugacy(run: Run) -> list[Verdict]:
+    rep = run.conjugacy
+    _write_rows(run.path("conjugacy.csv"),
                 ["period", "count_restricted", "count_candidate",
                  "counts", "multipliers", "nonrep_restricted", "nonrep_candidate"],
                 [[r.period, r.count_restricted, r.count_candidate,
@@ -183,141 +303,51 @@ def _write_conjugacy(out: str, rep: ConjugacyReport) -> list[Verdict]:
     return [("conjugacy", rep.verdict, "cycle counts and non-repelling multipliers match")]
 
 
-def _conjugacy(scene: Scene, family: CutFamily, max_period: int) -> ConjugacyReport:
-    if scene.candidate_q is None:
-        raise SceneError("candidate_q", "missing; conjugacy evidence needs a candidate polynomial")
-    return conjugacy_report(scene.polynomial, family, scene.candidate_q, max_period)
-
-
-# Subcommands
-
-def cmd_julia(args) -> int:
-    scene = _load(args)
-    threads = _resolve_threads(args.threads)
-    res = escape_analysis(scene.polynomial, None, scene.grid, scene.max_iter,
-                          threads=threads, supersample=args.supersample)
-    os.makedirs(args.out, exist_ok=True)
-    render.write_ppm(os.path.join(args.out, "julia.ppm"),
-                     render.render_mask(res.kp, res.esc_steps))
-    save_mask_raw(res.kp, os.path.join(args.out, "julia_mask.raw"))
-    print(f"filled Julia mask: {res.kp.count()} pixels, "
-          f"{connected_components(res.kp)} component(s) after closing")
-    return 0
-
-
-def cmd_ray(args) -> int:
-    scene = _load(args)
-    angles = [parse_angle(a, "--angle") for a in args.angle] or [tr for tr, _ in scene.cuts]
-    rays = [land_ray(scene.polynomial, theta) for theta in angles]
-    os.makedirs(args.out, exist_ok=True)
-    verdicts = _write_rays(args.out, rays)
-    for name, _, detail in verdicts:
-        print(f"{name}: {detail}")
-    return 0 if all(ok for _, ok, _ in verdicts) else 2
-
-
-def cmd_cuts_check(args) -> int:
-    scene = _load(args)
-    family = _family_from_scene(scene)
-    os.makedirs(args.out, exist_ok=True)
-    return _finish(_write_checks(args.out, scene.polynomial, family))
-
-
-def cmd_avoid(args) -> int:
-    scene = _load(args)
-    family = _family_from_scene(scene)
-    res = escape_analysis(scene.polynomial, family, scene.grid, scene.max_iter,
-                          threads=_resolve_threads(args.threads),
-                          supersample=args.supersample)
-    os.makedirs(args.out, exist_ok=True)
-    render.write_ppm(os.path.join(args.out, "avoiding.ppm"),
-                     render.render_scene_image(res.kp, res.avoiding, res.esc_steps))
-    return _finish(_write_avoiding(args.out, res))
-
-
-def cmd_carrot(args) -> int:
-    scene = _load(args)
-    carrots = build_carrots(scene.polynomial, _family_from_scene(scene), scene.rho)
-    os.makedirs(args.out, exist_ok=True)
-    _write_rows(os.path.join(args.out, "carrot_boundaries.csv"), ["carrot", "re", "im"],
-                [[i, repr(float(z.real)), repr(float(z.imag))]
-                 for i, c in enumerate(carrots) for z in c.boundary()])
-    return _finish(_write_geometry(args.out, scene.polynomial, carrots))
-
-
-def cmd_surgery(args) -> int:
-    scene = _load(args)
-    seeds = _seeds(args)
-    threads = _resolve_threads(args.threads)
-    family = _family_from_scene(scene)
-    avoiding = escape_analysis(scene.polynomial, family, scene.grid, scene.max_iter,
-                               threads=threads).avoiding
-    carrots = build_carrots(scene.polynomial, family, scene.rho)
-    os.makedirs(args.out, exist_ok=True)
-    return _finish(_write_surgery(args.out, scene, family, carrots, avoiding,
-                                  seeds, threads))
-
-
-def cmd_verify(args) -> int:
-    scene = _load(args)
-    max_period = _max_period(scene, args.max_period)
-    rep = _conjugacy(scene, _family_from_scene(scene), max_period)
-    os.makedirs(args.out, exist_ok=True)
-    lines = [f"conjugacy evidence: {_pass(rep.verdict)} "
-             f"(candidate degree {rep.degree}, {len(rep.ambiguous)} ambiguous cycle(s))"]
-    for r in rep.rows:
-        lines.append(
-            f"  period {r.period}: {r.count_restricted} restricted vs "
-            f"{r.count_candidate} candidate cycles "
-            f"[counts {'ok' if r.counts_match else 'MISMATCH'}, "
-            f"non-repelling multipliers {'ok' if r.multipliers_match else 'MISMATCH'}]")
-    with open(os.path.join(args.out, "conjugacy.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return _finish(_write_conjugacy(args.out, rep))
-
-
-def cmd_figure1(args) -> int:
-    """Every stage writer on one scene, plus the composite image and summary.
-
-    The surgery's mask comparison runs on a grid capped at 512 pixels,
-    without supersampling.
-    """
-    scene = _load(args)
-    seeds = _seeds(args)
-    threads = _resolve_threads(args.threads)
-    P = scene.polynomial
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    family = _family_from_scene(scene)
-    verdicts = _write_checks(out, P, family)
-    rays = [ray for cut in family.cuts
-            for ray in ((cut.ray_r,) if cut.degenerate else (cut.ray_r, cut.ray_l))]
-    _write_rays(out, rays)  # all pass: build_cut raises for a ray that does not land
-    raster = wedge_raster(P, family)
-    res = escape_analysis(P, family, scene.grid, scene.max_iter, threads=threads,
-                          supersample=args.supersample, raster=raster)
-    fgrid = GridSpec(scene.grid.center, scene.grid.width, min(scene.grid.resolution, 512))
-    plain = fgrid == scene.grid and args.supersample == 1  # the mask `surgery` compares
-    avoiding = res.avoiding if plain else escape_analysis(
-        P, family, fgrid, scene.max_iter, threads=threads, raster=raster).avoiding
-    del raster  # 16 MB; the surgery builds rasters of its own
-    verdicts += _write_avoiding(out, res)
-    carrots = build_carrots(P, family, scene.rho)
-    verdicts += _write_geometry(out, P, carrots)
-    verdicts += _write_surgery(out, scene, family, carrots, avoiding, seeds, threads)
-    verdicts += _write_conjugacy(out, _conjugacy(scene, family, MAX_PERIOD))
-
-    wedges = PixelRaster(scene.grid, [w.boundary for w in family.wedges
+def _write_figure1(run: Run) -> list[Verdict]:
+    """The composite image and the summary of every verdict so far."""
+    scene, res = run.scene, run.sweep
+    wedges = PixelRaster(scene.grid, [w.boundary for w in run.family.wedges
                                       if w.boundary is not None])
     img = render.render_scene_image(res.kp, res.avoiding, res.esc_steps, wedges.bits)
-    for ray in rays:
+    for ray in run.rays:
         render.draw_polyline(img, scene.grid, ray.points, render.COLOR_RAY)
-    for c in carrots:
+    for c in run.carrots:
         render.draw_polyline(img, scene.grid, c.boundary(), render.COLOR_CARROT)
-    render.write_ppm(os.path.join(out, "figure1.ppm"), img)
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
-        fh.write("".join(f"[{_pass(ok)}] {name}: {detail}\n" for name, ok, detail in verdicts))
-    return _finish(verdicts)
+    render.write_ppm(run.path("figure1.ppm"), img)
+    with open(run.path("summary.txt"), "w") as fh:
+        fh.write("".join(_tagged(*v) + "\n" for v in run.verdicts))
+    return []
+
+
+class Command(NamedTuple):
+    help: str
+    flags: tuple[str, ...]  # beyond the common ones, in --help order
+    writers: tuple[Writer, ...]
+    tagged: bool = True  # print verdicts as [PASS]/[FAIL] lines
+
+
+COMMANDS = {
+    "julia": Command("filled Julia set image", ("--supersample",), (_write_julia,), False),
+    "ray": Command("trace external rays to CSV", ("--angle",), (_write_rays, _landings), False),
+    "cuts-check": Command("admissibility and legality report", (), (_write_checks,)),
+    "avoid": Command("avoiding-set image and connectivity", ("--supersample",),
+                     (_write_avoiding_image, _write_avoiding)),
+    "carrot": Command("carrot boundaries and geometry estimates", (),
+                      (_write_boundaries, _write_geometry)),
+    "surgery": Command("carrot modification and experiments", ("--seeds",), (_write_surgery,)),
+    "verify": Command("conjugacy evidence against candidate_q", ("--max-period",),
+                      (_write_conjugacy_text, _write_conjugacy)),
+    "figure1": Command("every stage on one scene (default: built-in)",
+                       ("--supersample", "--seeds"),
+                       (_write_checks, _write_rays, _write_avoiding, _write_geometry,
+                        _write_surgery, _write_conjugacy, _write_figure1)),
+}
+FLAGS = {
+    "--supersample": dict(type=int, choices=(1, 2), default=1),
+    "--angle": dict(action="append", default=[], help="angle as p/q; repeatable"),
+    "--seeds": dict(type=int, default=10000),
+    "--max-period": dict(type=int, default=MAX_PERIOD, dest="max_period"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,67 +355,36 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Julia sets, external rays, cuts, "
                                             "carrots and carrot surgery")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, scene_required=True, supersample=False):
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
         sp.add_argument("--scene", help="scene JSON path", default=None,
-                        required=scene_required)
+                        required=name != "figure1")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--resolution", type=int, default=None)
         sp.add_argument("--max-iter", type=int, default=None, dest="max_iter")
         sp.add_argument("--threads", type=int, default=None,
                         help="0 = auto; RENORM_THREADS as fallback")
-        if supersample:
-            sp.add_argument("--supersample", type=int, choices=(1, 2), default=1)
-
-    sp = sub.add_parser("julia", help="filled Julia set image")
-    common(sp, supersample=True)
-    sp.set_defaults(fn=cmd_julia)
-
-    sp = sub.add_parser("ray", help="trace external rays to CSV")
-    common(sp)
-    sp.add_argument("--angle", action="append", default=[],
-                    help="angle as p/q; repeatable")
-    sp.set_defaults(fn=cmd_ray)
-
-    sp = sub.add_parser("cuts-check", help="admissibility and legality report")
-    common(sp)
-    sp.set_defaults(fn=cmd_cuts_check)
-
-    sp = sub.add_parser("avoid", help="avoiding-set image and connectivity")
-    common(sp, supersample=True)
-    sp.set_defaults(fn=cmd_avoid)
-
-    sp = sub.add_parser("carrot", help="carrot boundaries and geometry estimates")
-    common(sp)
-    sp.set_defaults(fn=cmd_carrot)
-
-    sp = sub.add_parser("surgery", help="carrot modification and experiments")
-    common(sp)
-    sp.add_argument("--seeds", type=int, default=10000)
-    sp.set_defaults(fn=cmd_surgery)
-
-    sp = sub.add_parser("verify", help="conjugacy evidence against candidate_q")
-    common(sp)
-    sp.add_argument("--max-period", type=int, default=MAX_PERIOD, dest="max_period")
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("figure1", help="every stage on one scene (default: built-in)")
-    common(sp, scene_required=False, supersample=True)
-    sp.add_argument("--seeds", type=int, default=10000)
-    sp.set_defaults(fn=cmd_figure1)
+        for flag in cmd.flags:
+            sp.add_argument(flag, **FLAGS[flag])
     return p
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    cmd = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        run = Run(args)
+        for write in cmd.writers:
+            run.verdicts += write(run)
     except SceneError as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return 1
     except RenormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for name, ok, detail in run.verdicts:
+        print(_tagged(name, ok, detail) if cmd.tagged else f"{name}: {detail}")
+    return 0 if all(ok for _, ok, _ in run.verdicts) else 2
 
 
 if __name__ == "__main__":

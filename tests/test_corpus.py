@@ -1,0 +1,80 @@
+"""Every subcommand on each scene of a small checked-in corpus, pinned by its
+exit code and the first line it prints: its first verdict, or its error.
+
+The scenes in tests/scenes run at 64 pixels and 64 iterations:
+- figure1_64: the figure1 scene, where every verdict passes;
+- z2_empty: z^2 with no cuts, so the avoiding set is the whole filled set
+  and `ray` has nothing to trace;
+- rabbit: the Douady rabbit with the three cuts at its alpha fixed point,
+  which are periodic and nondegenerate, so illegal;
+- basilica: z^2 - z with the cut (1/3, 2/3) at its parabolic fixed point.
+
+The landings at parabolic points (figure1's 1/3, the basilica's 1/3) sit a
+noise-level distance from the root; their digits follow the landing polish.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from polyrenorm.cli import main
+
+SCENES = Path(__file__).parent / "scenes"
+CARROT_CROSS = ("error: carrot sides of cut (1/7,2/7) cross before reaching the "
+                "equipotential: need g0 < 0.07143, got 0.125")
+SPIRAL = "error: right side spiral of cut (1/3,2/3) ends 0.126 from the root"
+CONJUGACY = "conjugacy: cycle counts and non-repelling multipliers match"
+DEGREE = "[PASS] surgery-degree: d_c = 2 by formula and preimage count"
+EXPECTED = {
+    "figure1_64": {
+        "julia": (0, "filled Julia mask: 214 pixels, 1 component(s) after closing"),
+        "ray": (0, "ray 1/3: lands at -2+1.05958609e-08j (polished)"),
+        "cuts-check": (0, "[PASS] admissible: 3 checks"),
+        "avoid": (0, "[PASS] avoiding-strict-subset: 184 of 214 pixels"),
+        "carrot": (0, ""),
+        "surgery": (0, DEGREE),
+        "verify": (0, "[PASS] " + CONJUGACY),
+        "figure1": (0, "[PASS] admissible: 3 checks"),
+    },
+    "z2_empty": {
+        "julia": (0, "filled Julia mask: 812 pixels, 1 component(s) after closing"),
+        "ray": (1, "scene error: --angle: no angles: give --angle or a scene with cuts"),
+        "cuts-check": (0, "[PASS] admissible: 1 checks"),
+        "avoid": (2, "[FAIL] avoiding-strict-subset: 812 of 812 pixels"),
+        "carrot": (0, ""),
+        "surgery": (0, DEGREE),
+        "verify": (0, "[PASS] " + CONJUGACY),
+        "figure1": (2, "[PASS] admissible: 1 checks"),
+    },
+    "rabbit": {
+        "julia": (0, "filled Julia mask: 522 pixels, 1 component(s) after closing"),
+        "ray": (0, "ray 1/7: lands at -0.276337624+0.479727984j (polished)"),
+        "cuts-check": (2, "[PASS] admissible: 9 checks"),
+        "avoid": (2, "[PASS] avoiding-strict-subset: 0 of 522 pixels"),
+        "carrot": (1, CARROT_CROSS),
+        "surgery": (1, CARROT_CROSS),
+        "verify": (2, "[FAIL] " + CONJUGACY),
+        "figure1": (1, CARROT_CROSS),
+    },
+    "basilica": {
+        "julia": (0, "filled Julia mask: 536 pixels, 1 component(s) after closing"),
+        "ray": (0, "ray 1/3: lands at -8.62113018e-11+2.91152632e-09j (polished)"),
+        "cuts-check": (2, "[FAIL] admissible: 1 checks; forward-invariance cut0(1/3,2/3) failed"),
+        "avoid": (2, "[PASS] avoiding-strict-subset: 0 of 536 pixels"),
+        "carrot": (1, SPIRAL),
+        "surgery": (1, SPIRAL),
+        "verify": (2, "[FAIL] " + CONJUGACY),
+        "figure1": (1, SPIRAL),
+    },
+}
+
+
+@pytest.mark.parametrize("scene, cmd", [(s, c) for s, runs in EXPECTED.items() for c in runs])
+def test_corpus(tmp_path, capsys, scene, cmd):
+    argv = [cmd, "--scene", str(SCENES / f"{scene}.json"), "--out", str(tmp_path / "out")]
+    if cmd in ("surgery", "figure1"):
+        argv += ["--seeds", "200"]
+    code = main(argv)
+    cap = capsys.readouterr()
+    lines = (cap.out or cap.err).splitlines()
+    assert (code, lines[0] if lines else "") == EXPECTED[scene][cmd]

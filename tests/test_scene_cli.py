@@ -230,6 +230,48 @@ def test_figure1_supersample_compares_the_plain_mask(tmp_path):
 FIGURE1_64 = dict(FIGURE1_128, grid={"center": [-1.25, 0.0], "width": 4.5, "resolution": 64})
 
 
+def test_figure1_caps_its_comparison_grid(tmp_path):
+    # above 512 pixels figure1 compares the surgery's mask with the avoiding
+    # set at 512 pixels; `surgery` at 512 pixels makes the same comparison
+    scene = tmp_path / "figure1.json"
+    scene.write_text(json.dumps(FIGURE1_64))
+    fig, surgery = tmp_path / "figure1", tmp_path / "surgery"
+    budget = ["--max-iter", "64", "--seeds", "200"]
+    assert main(["figure1", "--scene", str(scene), "--resolution", "520",
+                 "--out", str(fig)] + budget) == 0
+    assert main(["surgery", "--scene", str(scene), "--resolution", "512",
+                 "--out", str(surgery)] + budget) == 0
+    mask = (fig / "nonescaping_mask.raw").read_bytes()
+    assert mask[:16] == b"APLMASK1" + (512).to_bytes(4, "little") * 2
+    assert mask == (surgery / "nonescaping_mask.raw").read_bytes()
+
+    def agreement(out):
+        return [row for row in (out / "surgery.csv").read_text().splitlines()
+                if row.startswith("mask_agreement")]
+    assert len(agreement(fig)) == 2 and agreement(fig) == agreement(surgery)
+
+
+@pytest.mark.parametrize("cmd", ["verify", "figure1"])
+def test_missing_candidate_q_stops_before_any_stage(tmp_path, capsys, cmd):
+    scene = tmp_path / "noq.json"
+    scene.write_text(json.dumps({k: v for k, v in FIGURE1_64.items() if k != "candidate_q"}))
+    out = tmp_path / "out"
+    assert main([cmd, "--scene", str(scene), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"scene error: {scene}.candidate_q: missing; "
+                                       "conjugacy evidence needs a candidate polynomial\n")
+    assert not out.exists()  # nothing ran
+
+
+def test_ray_with_nothing_to_trace_is_a_scene_error(tmp_path, capsys):
+    scene = tmp_path / "disk.json"
+    scene.write_text(json.dumps(GOOD_SCENE))  # no cuts
+    out = tmp_path / "out"
+    assert main(["ray", "--scene", str(scene), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("scene error: --angle: no angles: "
+                                       "give --angle or a scene with cuts\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["ray", "cuts-check", "carrot", "surgery", "verify"])
 def test_supersample_only_where_a_sweep_reads_it(tmp_path, capsys, cmd):
     scene = tmp_path / "figure1.json"

@@ -10,14 +10,15 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .cuts import CutFamily
-from .grid import POOL_AFTER, GridSpec, Mask, PixelRaster, sweep_pixels
+from .grid import POOL_AFTER, Mask, PixelRaster, sweep_pixels
 from .errors import GridMismatch
 from .poly import Polynomial, critical_cycles, unity_order
+from .scene import GridSpec
 
 RASTER_RES = 4096  # side of every lookup raster on a covering window
 
 
-def covering_window(P: Polynomial, polylines: Sequence[np.ndarray]) -> GridSpec:
+def covering_window(P: Polynomial, polylines: Sequence[Sequence[complex]]) -> GridSpec:
     """A RASTER_RES window over the non-escaping set and every polyline, so
     that one lookup raster serves every iterate of a bounded orbit.
 
@@ -35,7 +36,7 @@ def covering_window(P: Polynomial, polylines: Sequence[np.ndarray]) -> GridSpec:
         im_lo, im_hi = zs.imag.min(), zs.imag.max()
         center = complex((re_lo + re_hi) / 2, (im_lo + im_hi) / 2)
         half = max(re_hi - re_lo, im_hi - im_lo) / 2 + 0.5
-    for arr in polylines:
+    for arr in map(np.asarray, polylines):
         half = max(half,
                    abs(arr.real.max() - center.real), abs(arr.real.min() - center.real),
                    abs(arr.imag.max() - center.imag), abs(arr.imag.min() - center.imag))

@@ -26,6 +26,10 @@ angle, such as the surgery's Coons patch, keeps one spine and pays for the
 descent once.  A rejected step inserts the midpoint node.  Angles are
 carried as an exact rational part plus a float offset that scales with the
 potential, so deep tails lose no angular precision.
+
+A scalar engine that imports no numpy, so `polyrenorm ray` starts without it:
+rays, spirals and equipotentials are tuples or lists of Python complex and
+float, which callers doing array math convert with `np.asarray`.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .angles import Angle, tuple_orbit
 from .errors import BranchJump, NonConvergence, RenormError
@@ -285,8 +287,8 @@ class RayPolyline:
     """A traced external ray, ordered by strictly decreasing potential."""
 
     angle: Angle
-    points: np.ndarray
-    potentials: np.ndarray
+    points: tuple[complex, ...]
+    potentials: tuple[float, ...]
     landing: Optional[Landing] = None
 
 
@@ -402,7 +404,7 @@ def _ray_on(lad: _OrbitLadder, theta: Angle, g_end: float, keep: int) -> RayPoly
     n = lad.levels_above(g_end)
     pts = lad.curve(theta, n)[:n:keep] + [lad.endpoint(theta, g_end, n)]
     pots = lad.potentials[:n:keep] + [g_end]
-    return RayPolyline(theta, np.array(pts, dtype=complex), np.array(pots))
+    return RayPolyline(theta, tuple(pts), tuple(pots))
 
 
 def trace_ray(P: Polynomial, theta: Angle, g_start: float, g_end: float,
@@ -455,38 +457,29 @@ def landing_point(ray: RayPolyline, P: Polynomial) -> Landing:
         raise ValueError("ray must be traced to potential below 1e-8")
     pts = ray.points
     tail = pts[-11:]
-    diffs = np.abs(np.diff(tail))
-    nonzero = diffs > 0
-    geometric = True
-    for i in range(len(diffs) - 1):
-        if diffs[i] == 0:
-            continue
-        if diffs[i + 1] > 0.95 * diffs[i] + 1e-15:
-            geometric = False
-            break
-    est = complex(pts[-1])
+    diffs = [abs(b - a) for a, b in zip(tail, tail[1:])]
+    geometric = all(b <= 0.95 * a + 1e-15 for a, b in zip(diffs, diffs[1:]) if a != 0)
+    est = pts[-1]
 
     preperiod, period, _ = tuple_orbit(ray.angle, P.degree)
     polished = _polish_preperiodic(P, est, preperiod, period)
 
     if polished is not None and abs(polished - est) < 1e-6:
-        within = np.abs(tail - polished) < 1e-6
-        if within.all():
+        if all(abs(z - polished) < 1e-6 for z in tail):
             return Landing(polished, True, "geometric" if geometric else "polished")
-    if geometric and not nonzero.any():
-        return Landing(est, True, "geometric")
-    if geometric and np.abs(tail - est)[:-1].max() < 1e-6:
+    spread = [abs(z - est) for z in tail]
+    if geometric and (not any(diffs) or max(spread[:-1]) < 1e-6):
         return Landing(est, True, "geometric")
 
     if polished is not None:
         # sub-geometric (parabolic) approach: require monotone approach
-        dist = np.abs(pts[-40:] - polished)
-        monotone = bool(np.all(np.diff(dist) <= 1e-15 + 1e-9 * dist[:-1]))
+        dist = [abs(z - polished) for z in pts[-40:]]
+        monotone = all(b - a <= 1e-15 + 1e-9 * a for a, b in zip(dist, dist[1:]))
         if monotone and dist[-1] < 0.25:
             return Landing(polished, True, "polished")
 
     # secondary Cauchy criterion for slow tails
-    if np.abs(tail - est).max() < 1e-5:
+    if max(spread) < 1e-5:
         return Landing(est, True, "cauchy")
     return Landing(est, False, "none")
 
@@ -509,10 +502,10 @@ def land_ray(P: Polynomial, theta: Angle, *, g_start: float = 2.0,
         for _ in range(6):
             if not landing.converged:
                 break
-            d1 = abs(complex(ray.points[-1]) - landing.point)
+            d1 = abs(ray.points[-1] - landing.point)
             if d1 < 1e-6:
                 break
-            d0 = abs(complex(ray.points[-1 - DEFAULT_SUBSTEPS]) - landing.point)
+            d0 = abs(ray.points[-1 - DEFAULT_SUBSTEPS] - landing.point)
             if not (0 < d1 < d0):
                 break
             nu = math.log(d0 / d1) / math.log(P.degree)
@@ -530,32 +523,32 @@ def land_ray(P: Polynomial, theta: Angle, *, g_start: float = 2.0,
     return _on_ladder(P, 0, g_start, DEFAULT_SUBSTEPS, land)
 
 
-def equipotential_polyline(P: Polynomial, g0: float, n: int = 256) -> np.ndarray:
+def equipotential_polyline(P: Polynomial, g0: float, n: int = 256) -> list[complex]:
     """Closed polyline of the equipotential at potential g0, n+1 points ccw."""
     if n < 64:
         raise ValueError("need at least 64 samples")
     pts = equipotential_points(P, g0, Fraction(0), [j / n for j in range(n + 1)])
     pts[-1] = pts[0]
-    return np.array(pts, dtype=complex)
+    return pts
 
 
 def equipotential_arc(P: Polynomial, g0: float, frac: Fraction, off_lo: float,
-                      off_hi: float, max_step: float = 1.0 / 512) -> np.ndarray:
+                      off_hi: float, max_step: float = 1.0 / 512) -> list[complex]:
     """Arc of an equipotential between two lifted angle offsets (ccw)."""
     span = off_hi - off_lo
     if span <= 0:
         raise ValueError("need off_hi > off_lo")
     n = max(32, int(math.ceil(span / max_step)))
     offs = [off_lo + span * j / n for j in range(n + 1)]
-    return np.array(equipotential_points(P, g0, frac, offs), dtype=complex)
+    return equipotential_points(P, g0, frac, offs)
 
 
 @dataclass(frozen=True)
 class SpiralArc:
     """One side arc of a carrot: angle(theta) = base +/- potential."""
 
-    points: np.ndarray
-    potentials: np.ndarray
+    points: tuple[complex, ...]
+    potentials: tuple[float, ...]
 
 
 def trace_spiral(P: Polynomial, base: Angle, sign: int, g_hi: float, g_lo: float,
@@ -576,8 +569,7 @@ def trace_spiral(P: Polynomial, base: Angle, sign: int, g_hi: float, g_lo: float
     def spiral(lad: _OrbitLadder, keep: int) -> SpiralArc:
         n = lad.levels_above(g_lo)
         pts = lad.curve(base, n)[:n:keep]
-        return SpiralArc(np.array(pts, dtype=complex),
-                         np.array(lad.potentials[:n:keep]))
+        return SpiralArc(tuple(pts), tuple(lad.potentials[:n:keep]))
 
     return _on_ladder(P, sign, g_hi, substeps, spiral)
 
@@ -597,7 +589,7 @@ def external_angle(P: Polynomial, z: complex, *, g: Optional[float] = None) -> f
     offs = [j / coarse for j in range(coarse + 1)]
     pts = equipotential_points(P, g, Fraction(0), offs)
     dists = [abs(p - z) for p in pts]
-    k = int(np.argmin(dists[:-1]))
+    k = dists.index(min(dists[:-1]))
     lo = offs[k] - 1.0 / coarse
     hi = offs[k] + 1.0 / coarse
     chain = Spine(P, Fraction(0), lo)._descend(g)

@@ -186,7 +186,7 @@ def build_carrot(P: Polynomial, cut: Cut, rho: float) -> Carrot:
     else:
         arc[0] = side_r.points[0]
         arc[-1] = side_l.points[0]
-    return Carrot(cut, rho, g0, side_r, side_l, arc, lo, hi)
+    return Carrot(cut, rho, g0, side_r, side_l, np.array(arc), lo, hi)
 
 
 def build_carrots(P: Polynomial, family: CutFamily, rho: float) -> list[Carrot]:

@@ -3,6 +3,10 @@
 Every subcommand is one entry of `COMMANDS`: its help text, its flags beyond
 the common ones, and the stage writers it runs in order on one `Run`.
 
+At import this module loads only the numpy-free scalar path (scene, poly,
+bottcher); each writer and `Run` stage imports the array modules it calls
+where it runs, so `ray` and `--help` never load numpy.
+
 Exit codes: 0 when all verdicts pass, 2 when a check fails, 1 on errors.
 """
 
@@ -13,21 +17,19 @@ import csv
 import os
 import sys
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from . import render
-from .avoiding import (EscapeAnalysis, compare_masks, connected_components, escape_analysis,
-                       wedge_raster)
 from .bottcher import RayPolyline, land_ray
-from .carrots import Carrot, build_carrots, carrot_geometry
-from .cuts import CutFamily, build_family, check_admissible, check_legal
 from .errors import RenormError, SceneError
-from .grid import GridSpec, Mask, PixelRaster, save_mask_raw
 from .poly import MAX_CENSUS_POINTS
-from .scene import Scene, figure1_scene, integer_field, load_scene, override, parse_angle
-from .surgery import (T0, build_surgery, dilatation_report, nonescaping_mask,
-                      visit_count_experiment)
-from .verify import ConjugacyReport, conjugacy_report
+from .scene import GridSpec, Scene, figure1_scene, integer_field, load_scene, override, parse_angle
+
+if TYPE_CHECKING:
+    from .avoiding import EscapeAnalysis
+    from .carrots import Carrot
+    from .cuts import CutFamily
+    from .grid import Mask, PixelRaster
+    from .verify import ConjugacyReport
 
 # (name, ok, detail): one checked statement of a stage
 Verdict = tuple[str, bool, str]
@@ -86,9 +88,7 @@ class Run:
         self.supersample = getattr(args, "supersample", 1)
         if hasattr(args, "seeds"):
             self.seeds = integer_field(args.seeds, "--seeds", 1, "expected a positive integer")
-        # only the subcommands that sweep pixels read --threads
-        if hasattr(args, "supersample") or hasattr(args, "seeds"):
-            self.threads = _resolve_threads(args.threads)
+        self.threads = _resolve_threads(args.threads)  # read by the pixel sweeps
         self.angles = None  # None: the rays of the cut family
         if hasattr(args, "angle"):
             self.angles = ([parse_angle(a, "--angle") for a in args.angle]
@@ -109,14 +109,17 @@ class Run:
 
     @cached_property
     def family(self) -> CutFamily:
+        from .cuts import build_family
         return build_family(self.scene.polynomial, self.scene.cuts, g0=self.scene.g0)
 
     @cached_property
     def raster(self) -> PixelRaster:
         """The wedge raster the sweeps below read (16 MB), released after the last."""
+        from .avoiding import wedge_raster
         return wedge_raster(self.scene.polynomial, self.family)
 
     def _sweep(self, grid: GridSpec, supersample: int) -> EscapeAnalysis:
+        from .avoiding import escape_analysis
         return escape_analysis(self.scene.polynomial, self.family, grid, self.scene.max_iter,
                                threads=self.threads, supersample=supersample,
                                raster=self.raster)
@@ -151,10 +154,12 @@ class Run:
 
     @cached_property
     def carrots(self) -> list[Carrot]:
+        from .carrots import build_carrots
         return build_carrots(self.scene.polynomial, self.family, self.scene.rho)
 
     @cached_property
     def conjugacy(self) -> ConjugacyReport:
+        from .verify import conjugacy_report
         return conjugacy_report(self.scene.polynomial, self.family, self.scene.candidate_q,
                                 self.max_period)
 
@@ -164,13 +169,14 @@ Writer = Callable[[Run], list[Verdict]]
 
 
 def _write_julia(run: Run) -> list[Verdict]:
+    from . import avoiding, grid, render
     scene = run.scene
-    res = escape_analysis(scene.polynomial, None, scene.grid, scene.max_iter,
-                          threads=run.threads, supersample=run.supersample)
+    res = avoiding.escape_analysis(scene.polynomial, None, scene.grid, scene.max_iter,
+                                   threads=run.threads, supersample=run.supersample)
     render.write_ppm(run.path("julia.ppm"), render.render_mask(res.kp, res.esc_steps))
-    save_mask_raw(res.kp, run.path("julia_mask.raw"))
+    grid.save_mask_raw(res.kp, run.path("julia_mask.raw"))
     return [("filled Julia mask", True, f"{res.kp.count()} pixels, "
-             f"{connected_components(res.kp)} component(s) after closing")]
+             f"{avoiding.connected_components(res.kp)} component(s) after closing")]
 
 
 def _write_rays(run: Run) -> list[Verdict]:
@@ -188,6 +194,7 @@ def _landings(run: Run) -> list[Verdict]:
 
 
 def _write_checks(run: Run) -> list[Verdict]:
+    from .cuts import check_admissible, check_legal
     P, family = run.scene.polynomial, run.family
     reports = {"admissible": check_admissible(P, family),
                "legal": check_legal(P, family)}
@@ -200,6 +207,7 @@ def _write_checks(run: Run) -> list[Verdict]:
 
 
 def _write_avoiding_image(run: Run) -> list[Verdict]:
+    from . import render
     res = run.sweep
     render.write_ppm(run.path("avoiding.ppm"),
                      render.render_scene_image(res.kp, res.avoiding, res.esc_steps))
@@ -207,9 +215,10 @@ def _write_avoiding_image(run: Run) -> list[Verdict]:
 
 
 def _write_avoiding(run: Run) -> list[Verdict]:
+    from . import avoiding, grid
     res = run.sweep
-    save_mask_raw(res.avoiding, run.path("avoiding_mask.raw"))
-    count = connected_components(res.avoiding)
+    grid.save_mask_raw(res.avoiding, run.path("avoiding_mask.raw"))
+    count = avoiding.connected_components(res.avoiding)
     subset = bool((res.avoiding.bits <= res.kp.bits).all()
                   and res.avoiding.count() < res.kp.count())
     return [("avoiding-strict-subset", subset,
@@ -225,6 +234,7 @@ def _write_boundaries(run: Run) -> list[Verdict]:
 
 
 def _write_geometry(run: Run) -> list[Verdict]:
+    from .carrots import carrot_geometry
     rows = []
     for i, c in enumerate(run.carrots):
         est = carrot_geometry(run.scene.polynomial, c)
@@ -240,23 +250,24 @@ def _write_geometry(run: Run) -> list[Verdict]:
 def _write_surgery(run: Run) -> list[Verdict]:
     """Build the surgery on the run's carrots and compare its non-escaping
     mask with the run's comparison mask, on the grid of that mask."""
-    scene, avoiding, carrots = run.scene, run.compare_mask, run.carrots
+    from . import avoiding, grid, render, surgery
+    scene, plain, carrots = run.scene, run.compare_mask, run.carrots
     try:
-        S = build_surgery(scene.polynomial, run.family, scene.rho, carrots)
+        S = surgery.build_surgery(scene.polynomial, run.family, scene.rho, carrots)
     except RenormError as exc:
         return [("surgery-degree", False, str(exc))]
-    visits = visit_count_experiment(S, run.seeds, scene.max_iter,
-                                    window=scene.grid, seed=scene.seed)
-    fmask = nonescaping_mask(S, avoiding.grid, scene.max_iter, threads=run.threads)
-    cmp_ = compare_masks(fmask, avoiding, band=2)
-    dil = dilatation_report(S, n=32)
-    save_mask_raw(fmask, run.path("nonescaping_mask.raw"))
+    visits = surgery.visit_count_experiment(S, run.seeds, scene.max_iter,
+                                            window=scene.grid, seed=scene.seed)
+    fmask = surgery.nonescaping_mask(S, plain.grid, scene.max_iter, threads=run.threads)
+    cmp_ = avoiding.compare_masks(fmask, plain, band=2)
+    dil = surgery.dilatation_report(S, n=32)
+    grid.save_mask_raw(fmask, run.path("nonescaping_mask.raw"))
     render.write_ppm(run.path("nonescaping.ppm"), render.render_mask(fmask))
     _write_rows(run.path("surgery.csv"), ["key", "value"], [
         ["degree", S.P.degree],
         ["degree_dc", S.d_c],
         ["t_cr", visits.t_cr],
-        ["t0", T0],
+        ["t0", surgery.T0],
         ["max_visits_critical", visits.max_visits_crit],
         ["max_visits_blend", visits.max_visits_blend],
         ["max_visits_total", visits.max_visits_total],
@@ -305,9 +316,10 @@ def _write_conjugacy(run: Run) -> list[Verdict]:
 
 def _write_figure1(run: Run) -> list[Verdict]:
     """The composite image and the summary of every verdict so far."""
+    from . import grid, render
     scene, res = run.scene, run.sweep
-    wedges = PixelRaster(scene.grid, [w.boundary for w in run.family.wedges
-                                      if w.boundary is not None])
+    wedges = grid.PixelRaster(scene.grid, [w.boundary for w in run.family.wedges
+                                           if w.boundary is not None])
     img = render.render_scene_image(res.kp, res.avoiding, res.esc_steps, wedges.bits)
     for ray in run.rays:
         render.draw_polyline(img, scene.grid, ray.points, render.COLOR_RAY)

@@ -118,12 +118,10 @@ class Wedge:
 
 def _ray_with_potential_point(P: Polynomial, ray: RayPolyline, g0: float) -> RayPolyline:
     """The ray truncated at g0, with an exactly solved point at potential g0."""
-    keep = ray.potentials < g0 * (1 - 1e-12)
-    pts = ray.points[keep]
-    pot = ray.potentials[keep]
+    keep = [i for i, t in enumerate(ray.potentials) if t < g0 * (1 - 1e-12)]
     top = bottcher_point(P, g0, ray.angle)
-    return RayPolyline(ray.angle, np.concatenate([[top], pts]),
-                       np.concatenate([[g0], pot]), ray.landing)
+    return RayPolyline(ray.angle, (top, *(ray.points[i] for i in keep)),
+                       (g0, *(ray.potentials[i] for i in keep)), ray.landing)
 
 
 @dataclass(frozen=True)
@@ -336,7 +334,7 @@ def check_admissible(P: Polynomial, family: CutFamily) -> FamilyReport:
 def _cut_samples(cut: Cut) -> list[complex]:
     out = [cut.root]
     for ray in ([cut.ray_r] if cut.degenerate else [cut.ray_r, cut.ray_l]):
-        pts = ray.points
+        pts = np.asarray(ray.points)
         idx = np.unique(np.linspace(0, len(pts) - 1, 36).astype(int))
         out.extend(complex(p) for p in pts[idx])
     return out

@@ -1,4 +1,5 @@
-"""Pixel grids, boolean masks, polygon rasterization and mask I/O."""
+"""Boolean masks and lookup rasters on a `GridSpec` window, polygon
+rasterization, the pixel sweep driver and mask I/O."""
 
 from __future__ import annotations
 
@@ -11,55 +12,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GridMismatch
+from .scene import GridSpec
 
 MASK_MAGIC = b"APLMASK1"
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Square pixel window: n x n pixels, row-major, top row = max imaginary.
-
-    Pixel (i, j) has center  re = cx - w/2 + (j+0.5)*w/n,
-                             im = cy + w/2 - (i+0.5)*w/n.
-    """
-
-    center: complex
-    width: float
-    resolution: int
-
-    def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError("width must be positive")
-        if self.resolution < 16:
-            raise ValueError("resolution must be at least 16")
-
-    @property
-    def pixel(self) -> float:
-        return self.width / self.resolution
-
-    def centers(self) -> np.ndarray:
-        return self.rows_centers(0, self.resolution)
-
-    def rows_centers(self, i0: int, i1: int) -> np.ndarray:
-        n = self.resolution
-        px = self.pixel
-        re = self.center.real - self.width / 2 + (np.arange(n) + 0.5) * px
-        im = self.center.imag + self.width / 2 - (np.arange(i0, i1) + 0.5) * px
-        return re[np.newaxis, :] + 1j * im[:, np.newaxis]
-
-    def center_of(self, i: int, j: int) -> complex:
-        px = self.pixel
-        return complex(self.center.real - self.width / 2 + (j + 0.5) * px,
-                       self.center.imag + self.width / 2 - (i + 0.5) * px)
-
-    def index_arrays(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        px = self.pixel
-        j = np.floor((z.real - (self.center.real - self.width / 2)) / px).astype(np.int64)
-        i = np.floor(((self.center.imag + self.width / 2) - z.imag) / px).astype(np.int64)
-        return i, j
-
-    def subdivide(self, factor: int) -> "GridSpec":
-        return GridSpec(self.center, self.width, self.resolution * factor)
 
 
 @dataclass

@@ -1,15 +1,19 @@
-"""Monic polynomial dynamics: iteration, escape, critical points, cycles, potential."""
+"""Monic polynomial dynamics: iteration, escape, critical points, cycles, potential.
+
+The scalar path runs on Python complex; numpy is imported inside the array
+code (companion roots, the cycle census, Horner on arrays) where it runs."""
 
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import NonConvergence, RenormError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MONIC_TOL = 1e-12
 CYCLE_RESIDUAL_TOL = 1e-9
@@ -33,13 +37,14 @@ def _finite(z: complex) -> bool:
 
 
 def _horner(cs: Sequence[complex], z):
-    """Horner's rule, `w = w * z + c` from the leading coefficient down; an
-    array is evaluated in place on one complex buffer, with one allocation."""
-    if not isinstance(z, np.ndarray):
+    """Horner's rule, `w = w * z + c` from the leading coefficient down; a
+    number takes the scalar loop, an array is evaluated in place on one buffer."""
+    if isinstance(z, complex) or not getattr(z, "ndim", 0):
         w = cs[-1]
         for c in reversed(cs[:-1]):
             w = w * z + c
         return w
+    import numpy as np
     w = np.full(z.shape, cs[-1], dtype=np.result_type(z, complex))
     for c in reversed(cs[:-1]):
         w *= z
@@ -129,6 +134,7 @@ class Polynomial:
 
     def preimages(self, w: complex) -> np.ndarray:
         """All d solutions of P(z) = w, as companion-matrix roots."""
+        import numpy as np
         arr = np.array(self.coeffs[::-1], dtype=complex)
         arr[-1] -= w
         return np.roots(arr)
@@ -156,10 +162,10 @@ class Polynomial:
                 return z, dp
         # Newton degenerates when the preimage sits near a critical point; the
         # companion matrix solves the full fiber and the seed picks the branch.
-        roots = self.preimages(w)
-        if not np.all(np.isfinite(roots)):
+        roots = [complex(r) for r in self.preimages(w)]
+        if not all(map(_finite, roots)):
             raise NonConvergence(f"preimage solve failed for target {w:.6g}")
-        z = complex(roots[int(np.argmin(np.abs(roots - seed)))])
+        z = min(roots, key=lambda r: abs(r - seed))
         return z, self.deriv(z)
 
 
@@ -221,6 +227,7 @@ def critical_points(P: Polynomial) -> list[complex]:
     Each root must leave |P'(r)| within 1e-8 times sum k |c_k| |r|^(k-1),
     the scale of its evaluation, else NonConvergence.
     """
+    import numpy as np
     dcs = P.deriv_coeffs
     roots = np.roots(np.array(dcs[::-1], dtype=complex))  # highest degree first
     d2cs = [k * (k - 1) * c for k, c in enumerate(P.coeffs)][2:]  # of P''
@@ -280,6 +287,7 @@ def _newton_ratios(P: Polynomial, z: np.ndarray, n: int) -> np.ndarray:
     w / (d^(n-k) (P^k)'(z)).  Iterating on would overflow, and one inf or NaN
     poisons every root through Aberth's pairwise sum.
     """
+    import numpy as np
     d, out, idx = P.degree, np.empty_like(z), np.arange(z.size)
     huge = ORBIT_HUGE ** (1.0 / d)
     w, dw = z.copy(), np.ones_like(z)
@@ -305,6 +313,7 @@ def _periodic_roots(P: Polynomial, n: int) -> np.ndarray:
     step is below 1e-14 of its size.  At a multiple root (a parabolic cycle)
     roots converge only linearly, to a noise shell, within 500 sweeps.
     """
+    import numpy as np
     z = np.array([P.escape_radius * cmath.exp(0.7757j)])  # off the real axis
     for _ in range(n):
         z = np.concatenate([P.preimages(w) for w in z])
@@ -329,6 +338,7 @@ def _periodic_roots(P: Polynomial, n: int) -> np.ndarray:
 
 def _near(z: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
     """Whether each z lies within tol of some point, by real-part windows."""
+    import numpy as np
     p = np.sort_complex(points)
     lo, hi = np.searchsorted(p.real, np.stack([z.real - tol, z.real + tol]))
     hit = np.zeros(z.size, dtype=bool)
@@ -346,6 +356,7 @@ def find_cycles(P: Polynomial, max_period: int) -> list[Cycle]:
     starts a cycle, orbits deduplicated to DEDUP_TOL.  Every root must lie
     within LOWER_PERIOD_TOL of a point of a cycle whose period divides n.
     """
+    import numpy as np
     if P.degree**max_period > MAX_CENSUS_POINTS:
         raise RenormError(f"cycle census: d^n = {P.degree}^{max_period} exceeds "
                           f"the bound MAX_CENSUS_POINTS = {MAX_CENSUS_POINTS}")

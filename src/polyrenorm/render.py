@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, Mask
+from .grid import Mask
+from .scene import GridSpec
 
 # Figure palette
 COLOR_AVOIDING = (64, 64, 64)     # dark grey

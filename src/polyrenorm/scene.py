@@ -1,22 +1,74 @@
-"""Scene files: JSON descriptions of a polynomial, cuts, grid and budgets."""
+"""Scene files: JSON descriptions of a polynomial, cuts, grid and budgets.
+Numpy-free: `GridSpec`'s array methods import numpy where they run."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .angles import Angle
 from .errors import SceneError
-from .grid import GridSpec
 from .poly import MONIC_TOL, Polynomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_RHO = math.exp(-0.125)  # outer equipotential at potential 1/8
 DEFAULT_SEED = 0x5EEDC0DE
 MAX_ITER = 65535  # escape steps are stored as uint16
 _MAX_ITER_MSG = f"expected an integer in [1, {MAX_ITER}]"
 _RESOLUTION_MSG = "expected an integer >= 16"
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Square pixel window: n x n pixels, row-major, top row = max imaginary.
+
+    Pixel (i, j) has center  re = cx - w/2 + (j+0.5)*w/n,
+                             im = cy + w/2 - (i+0.5)*w/n.
+    """
+
+    center: complex
+    width: float
+    resolution: int
+
+    def __post_init__(self) -> None:
+        if self.width <= 0:
+            raise ValueError("width must be positive")
+        if self.resolution < 16:
+            raise ValueError("resolution must be at least 16")
+
+    @property
+    def pixel(self) -> float:
+        return self.width / self.resolution
+
+    def centers(self) -> np.ndarray:
+        return self.rows_centers(0, self.resolution)
+
+    def rows_centers(self, i0: int, i1: int) -> np.ndarray:
+        import numpy as np
+        n = self.resolution
+        px = self.pixel
+        re = self.center.real - self.width / 2 + (np.arange(n) + 0.5) * px
+        im = self.center.imag + self.width / 2 - (np.arange(i0, i1) + 0.5) * px
+        return re[np.newaxis, :] + 1j * im[:, np.newaxis]
+
+    def center_of(self, i: int, j: int) -> complex:
+        px = self.pixel
+        return complex(self.center.real - self.width / 2 + (j + 0.5) * px,
+                       self.center.imag + self.width / 2 - (i + 0.5) * px)
+
+    def index_arrays(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+        px = self.pixel
+        j = np.floor((z.real - (self.center.real - self.width / 2)) / px).astype(np.int64)
+        i = np.floor(((self.center.imag + self.width / 2) - z.imag) / px).astype(np.int64)
+        return i, j
+
+    def subdivide(self, factor: int) -> "GridSpec":
+        return GridSpec(self.center, self.width, self.resolution * factor)
 
 
 @dataclass

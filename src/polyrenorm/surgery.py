@@ -24,8 +24,9 @@ from .bottcher import (Spine, bottcher_point, equipotential_points, equipotentia
 from .carrots import Carrot, build_carrot, carrots_disjoint
 from .cuts import CutFamily, check_legal
 from .errors import CarrotOverlap, ContinuityGap, DegreeMismatch, RenormError
-from .grid import POOL_AFTER, GridSpec, Mask, PixelRaster, iterate_orbits, sweep_pixels
+from .grid import POOL_AFTER, Mask, PixelRaster, iterate_orbits, sweep_pixels
 from .poly import Polynomial, green_potential
+from .scene import GridSpec
 
 T0 = 1  # the exterior cap spans potentials g0 .. d**T0 * g0
 SIDE_SAMPLES = 1000  # side-arc nodes checked against P

@@ -78,9 +78,10 @@ def test_side_boundary_dynamics(fig1_carrots, fig1_surgery):
     src = fig1_carrots[0]
     img = fig1_surgery.image_carrots[0]
     n = min(len(src.side_r.points), len(img.side_r.points))
-    gap = np.abs(CUBIC(src.side_r.points[:n]) - img.side_r.points[:n]).max()
+    gap = np.abs(CUBIC(np.asarray(src.side_r.points[:n])) - img.side_r.points[:n]).max()
     assert gap < 1e-5
-    assert np.abs(3 * src.side_r.potentials[:n] - img.side_r.potentials[:n]).max() < 1e-12
+    pots = np.asarray(src.side_r.potentials[:n])
+    assert np.abs(3 * pots - img.side_r.potentials[:n]).max() < 1e-12
 
 
 def test_koenigs_examples():

@@ -124,7 +124,7 @@ def test_cut_forward_consistency(fig1_family):
     worst = 0.0
     for k in range(0, len(cut.ray_r.points), 9):
         t = cut.ray_r.potentials[k]
-        j = int(np.argmin(np.abs(img.ray_r.potentials - 3 * t)))
+        j = int(np.argmin(np.abs(np.asarray(img.ray_r.potentials) - 3 * t)))
         if abs(img.ray_r.potentials[j] - 3 * t) < 1e-9 * t:
             worst = max(worst, abs(CUBIC(complex(cut.ray_r.points[k]))
                                    - img.ray_r.points[j]))

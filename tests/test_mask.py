@@ -664,6 +664,6 @@ def test_wedge_raster_matches_reference_fill(fig1_family, fig1_raster):
 
 def test_surgery_window_matches_reference_loop(fig1_surgery):
     S = fig1_surgery
-    outer = equipotential_polyline(CUBIC, CUBIC.degree * S.g0, 256)
+    outer = np.asarray(equipotential_polyline(CUBIC, CUBIC.degree * S.g0, 256))
     ref, _ = _reference_window(CUBIC, [outer] + [c.boundary() for c in S.carrots])
     assert S.window == ref

@@ -1,7 +1,10 @@
 """Module layout: no module reaches into a sibling's private names, no
-module imports a name it never uses, and nothing imports scipy."""
+module imports a name it never uses, nothing imports scipy, `ray` and
+`--help` run without numpy, and the package re-exports each public name
+from the module that defines it."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -49,10 +52,74 @@ def test_no_unused_imports():
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy is a test-only dependency; its import alone costs 0.3 s a process
-    code = "import sys, polyrenorm.cli; sys.exit('scipy' in sys.modules)"
+    # scipy is a test-only dependency; its import alone costs 0.3 s a process.
+    # numpy costs about 0.15 s, and only the subcommands doing array work load it.
+    loaded = ("\nleft = sorted({'numpy', 'scipy'} & set(sys.modules))"
+              "\nsys.exit(f'loaded {left}' if left else 0)")
+    help_ = ("\nimport contextlib, io\nwith contextlib.suppress(SystemExit), "
+             "contextlib.redirect_stdout(io.StringIO()):\n    polyrenorm.cli.main(['--help'])")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    for code in ("import sys, polyrenorm.cli", "import sys, polyrenorm.cli" + help_):
+        run = subprocess.run([sys.executable, "-c", code + loaded], env=env, timeout=60,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+
+
+def test_ray_runs_without_numpy(tmp_path):
+    scene = SRC.parent.parent / "tests" / "scenes" / "rabbit.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    csvs = []
+    for block in ("sys.modules['numpy'] = None; ", ""):
+        out = tmp_path / ("blocked" if block else "plain")
+        code = (f"import sys; {block}from polyrenorm.cli import main; "
+                f"sys.exit(main(['ray', '--scene', {str(scene)!r}, '--angle', '1/7', "
+                f"'--out', {str(out)!r}]))")
+        run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout + run.stderr
+        csvs.append((out / "rays.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+# every name the package re-exports, by the module that defines it
+EXPORTS = {
+    "angles": ["Angle", "tuple_orbit"],
+    "avoiding": ["compare_masks", "connected_components", "escape_analysis", "wedge_raster"],
+    "bottcher": ["Landing", "RayPolyline", "SpiralArc", "bottcher_point",
+                 "equipotential_polyline", "external_angle", "land_ray", "landing_point",
+                 "trace_ray", "trace_spiral"],
+    "carrots": ["Carrot", "GeometryEstimate", "ProtoCarrot", "build_carrot", "build_carrots",
+                "carrot_geometry", "koenigs_coordinate", "koenigs_radius", "proto_contains",
+                "proto_image_check", "quasi_arc_constant", "transversality_gap",
+                "transversality_profile", "weak_qs_constant"],
+    "cuts": ["Cut", "CutFamily", "Wedge", "build_cut", "build_family", "check_admissible",
+             "check_legal", "classify_root"],
+    "grid": ["Mask", "PixelRaster", "load_mask_raw", "save_mask_raw"],
+    "poly": ["Cycle", "EscapeResult", "Polynomial", "classify_multiplier", "critical_points",
+             "escape_time", "find_cycles", "green_potential"],
+    "scene": ["GridSpec", "Scene", "figure1_scene", "load_scene", "scene_from_dict"],
+    "surgery": ["SurgeryMap", "VisitReport", "build_surgery", "degree_dc",
+                "dilatation_report", "nonescaping_mask", "visit_count_experiment"],
+    "verify": ["ConjugacyReport", "conjugacy_report", "cycles_in_region"],
+}
+
+
+def test_package_exports_resolve_to_their_defining_module():
+    import polyrenorm
+    listed = dir(polyrenorm)
+    for module, names in EXPORTS.items():
+        mod = importlib.import_module(f"polyrenorm.{module}")
+        for name in names:
+            scope: dict = {}
+            exec(f"from polyrenorm import {name}", scope)
+            assert scope[name] is getattr(mod, name), name
+            assert scope[name].__module__ == mod.__name__, name
+            assert name in listed, name
+    assert sorted(polyrenorm.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    with pytest.raises(AttributeError):
+        polyrenorm.no_such_name
+    with pytest.raises(ImportError):
+        exec("from polyrenorm import no_such_name", {})
 
 
 def test_no_module_imports_scipy():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyrenorm import scene_from_dict
-from polyrenorm.cli import main
+from polyrenorm.cli import COMMANDS, main
 from polyrenorm.errors import SceneError
 from polyrenorm.poly import MAX_CENSUS_POINTS
 from polyrenorm.render import ppm_bytes
@@ -353,6 +353,24 @@ def test_cli_bad_renorm_threads_is_a_scene_error(tmp_path, capsys, monkeypatch, 
     monkeypatch.setenv("RENORM_THREADS", value)
     assert main(["julia", "--scene", str(scene), "--out", str(tmp_path / "o")]) == 1
     assert "scene error: RENORM_THREADS:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["--threads", "RENORM_THREADS"])
+@pytest.mark.parametrize("cmd", list(COMMANDS))
+def test_every_subcommand_validates_threads(tmp_path, capsys, monkeypatch, cmd, source):
+    # ray, cuts-check, carrot and verify sweep no pixels, yet reject a bad
+    # thread count as the sweeping subcommands do
+    scene = tmp_path / "figure1.json"
+    scene.write_text(json.dumps(FIGURE1_64))
+    out = tmp_path / "out"
+    argv = [cmd, "--scene", str(scene), "--out", str(out)]
+    if source == "--threads":
+        argv += ["--threads", "-1"]
+    else:
+        monkeypatch.setenv("RENORM_THREADS", "-1")
+    assert main(argv) == 1
+    assert f"scene error: {source}: expected a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()  # nothing ran
 
 
 def test_cli_overrides_apply(tmp_path, capsys, monkeypatch):

@@ -10,8 +10,8 @@ _EXPORTS = {
     "angles": "Angle tuple_orbit",
     "avoiding": "compare_masks connected_components escape_analysis wedge_raster",
     "bottcher": "Landing RayPolyline SpiralArc bottcher_point equipotential_polyline "
-                "external_angle land_ray landing_point trace_ray trace_spiral",
-    "carrots": "Carrot GeometryEstimate ProtoCarrot build_carrot build_carrots carrot_geometry "
+                "external_angle land_rays landing_point trace_ray trace_spirals",
+    "carrots": "Carrot GeometryEstimate ProtoCarrot build_carrots carrot_geometry "
                "koenigs_coordinate koenigs_radius proto_contains proto_image_check "
                "quasi_arc_constant transversality_gap transversality_profile weak_qs_constant",
     "cuts": "Cut CutFamily Wedge build_cut build_family check_admissible check_legal "

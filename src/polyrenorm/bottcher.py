@@ -10,8 +10,10 @@ g_top*d^(-k/s).  P maps the curve through theta at level k onto the curve
 through d*theta one degree step (s levels) higher, so each point is a single
 pullback of its parent, seeded by the point one level up on the same curve;
 a ray to potential t costs O(levels) instead of O(levels*depth).  Ladders
-are cached per polynomial, slope, top potential and substeps, and land_ray
-deepens a ray by extending its ladder in place.
+belong to one call, not to the polynomial: `land_rays` and `trace_spirals`
+trace all of a stage's curves on ladders keyed by slope, top potential and
+substeps that live only as long as the call, and `land_rays` deepens a ray
+by extending its ladder in place.  No state outlives a call.
 
 Single points, equipotentials and external angles walk one pullback chain
 over (potential, offset) nodes (`_walk`): a node's chain climbs to potential
@@ -377,22 +379,18 @@ class _OrbitLadder:
         return z
 
 
-# Orbit ladders keyed by everything that shapes a trace: the polynomial, the
-# slope, the top potential and the substeps.  Curves through one angle orbit
-# share a ladder, and deeper requests extend it in place.
-_ray_cache: dict[tuple, _OrbitLadder] = {}
-
-
-def _on_ladder(P: Polynomial, slope: int, g_top: float, substeps: int, fn):
-    """fn(ladder, keep) on the cached ladder with `substeps` levels per degree
-    step, retried on twice and four times as fine a ladder after a branch
-    jump; keep = ladder substeps / substeps thins the result back."""
+def _on_ladder(ladders: dict[tuple, _OrbitLadder], P: Polynomial, slope: int,
+               g_top: float, substeps: int, fn):
+    """fn(ladder, keep) on the ladder in `ladders` (one call's, keyed by slope,
+    top potential and substeps) with `substeps` levels per degree step,
+    retried on twice and four times as fine a ladder after a branch jump;
+    keep = ladder substeps / substeps thins the result back."""
     last_exc: Exception | None = None
     for keep in (1, 2, 4):
-        key = (P.coeffs, slope, g_top, keep * substeps)
-        lad = _ray_cache.get(key)
+        key = (slope, g_top, keep * substeps)
+        lad = ladders.get(key)
         if lad is None:
-            lad = _ray_cache[key] = _OrbitLadder(P, slope, g_top, keep * substeps)
+            lad = ladders[key] = _OrbitLadder(P, slope, g_top, keep * substeps)
         try:
             return fn(lad, keep)
         except BranchJump as exc:
@@ -416,7 +414,7 @@ def trace_ray(P: Polynomial, theta: Angle, g_start: float, g_end: float,
     """
     if not (g_start > g_end > 0):
         raise ValueError("need g_start > g_end > 0")
-    return _on_ladder(P, 0, g_start, substeps,
+    return _on_ladder({}, P, 0, g_start, substeps,
                       lambda lad, keep: _ray_on(lad, theta, g_end, keep))
 
 
@@ -484,18 +482,19 @@ def landing_point(ray: RayPolyline, P: Polynomial) -> Landing:
     return Landing(est, False, "none")
 
 
-def land_ray(P: Polynomial, theta: Angle, *, g_start: float = 2.0,
-             g_land: float = LAND_POTENTIAL) -> RayPolyline:
-    """Trace a ray deep enough to land it and attach the landing record.
+def land_rays(P: Polynomial, thetas: Sequence[Angle], *, g_start: float = 2.0,
+              g_land: float = LAND_POTENTIAL) -> list[RayPolyline]:
+    """Trace each ray deep enough to land it and attach the landing record.
 
-    Slowly repelling landing points (multiplier close to the unit circle)
-    contract the tail only like a small power of the potential; the trace is
-    deepened adaptively, with the required depth estimated from the observed
-    approach exponent, by extending the ray's orbit ladder.  Parabolic
-    approaches cannot reach the landing point at representable potentials and
-    keep their polished landing.
+    The rays share this call's orbit ladders.  Slowly repelling landing
+    points (multiplier close to the unit circle) contract the tail only like
+    a small power of the potential; each ray is deepened adaptively, to its
+    own depth, with the required depth estimated from the observed approach
+    exponent, by extending its orbit ladder.  Parabolic approaches cannot
+    reach the landing point at representable potentials and keep their
+    polished landing.
     """
-    def land(lad: _OrbitLadder, keep: int) -> RayPolyline:
+    def land(theta: Angle, lad: _OrbitLadder, keep: int) -> RayPolyline:
         ray = _ray_on(lad, theta, g_land, keep)
         landing = landing_point(ray, P)
         g_cur = g_land
@@ -520,7 +519,10 @@ def land_ray(P: Polynomial, theta: Angle, *, g_start: float = 2.0,
             landing = landing_point(ray, P)
         return RayPolyline(ray.angle, ray.points, ray.potentials, landing)
 
-    return _on_ladder(P, 0, g_start, DEFAULT_SUBSTEPS, land)
+    ladders: dict[tuple, _OrbitLadder] = {}
+    return [_on_ladder(ladders, P, 0, g_start, DEFAULT_SUBSTEPS,
+                       lambda lad, keep: land(theta, lad, keep))
+            for theta in thetas]
 
 
 def equipotential_polyline(P: Polynomial, g0: float, n: int = 256) -> list[complex]:
@@ -551,27 +553,31 @@ class SpiralArc:
     potentials: tuple[float, ...]
 
 
-def trace_spiral(P: Polynomial, base: Angle, sign: int, g_hi: float, g_lo: float,
-                 substeps: int = 16) -> SpiralArc:
-    """Trace the slope-one logarithmic spiral through the angle `base`.
+def trace_spirals(P: Polynomial, sides: Sequence[tuple[Angle, int]], g_hi: float,
+                  g_lo: float, substeps: int) -> list[SpiralArc]:
+    """Trace the slope-one logarithmic spiral through `base` in the sense
+    `sign` for each (base, sign) of `sides`.
 
     The polynomial maps the spiral through theta onto the spiral through
-    d*theta at d times the potential, so the angle orbit is traced together
-    on one geometric ladder from g_hi down to the last level above g_lo (see
-    `_OrbitLadder`).  Carrot sides for periodic and preperiodic cuts are both
-    instances of this.
+    d*theta at d times the potential, so each angle orbit is traced together
+    on one geometric ladder of this call from g_hi down to the last level
+    above g_lo (see `_OrbitLadder`).  Carrot sides for periodic and
+    preperiodic cuts are both instances of this.
     """
-    if sign not in (-1, 1):
+    if any(sign not in (-1, 1) for _, sign in sides):
         raise ValueError("sign must be +1 or -1")
     if g_hi > 1.0:
         raise ValueError("spiral tracing starts below potential 1")
 
-    def spiral(lad: _OrbitLadder, keep: int) -> SpiralArc:
+    def spiral(base: Angle, lad: _OrbitLadder, keep: int) -> SpiralArc:
         n = lad.levels_above(g_lo)
         pts = lad.curve(base, n)[:n:keep]
         return SpiralArc(tuple(pts), tuple(lad.potentials[:n:keep]))
 
-    return _on_ladder(P, sign, g_hi, substeps, spiral)
+    ladders: dict[tuple, _OrbitLadder] = {}
+    return [_on_ladder(ladders, P, sign, g_hi, substeps,
+                       lambda lad, keep: spiral(base, lad, keep))
+            for base, sign in sides]
 
 
 def external_angle(P: Polynomial, z: complex, *, g: Optional[float] = None) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -10,8 +11,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .angles import Angle, reduce_offset
-from .bottcher import SpiralArc, equipotential_arc, trace_spiral
-from .cuts import Cut, CutFamily
+from .bottcher import SpiralArc, equipotential_arc, trace_spirals
+from .cuts import Cut
 from .errors import CarrotOverlap, InsufficientSamples, NonConvergence, \
     OutsideLinearizationDomain, WrongPullback
 from .grid import crossing_parity
@@ -147,83 +148,64 @@ class Carrot:
         ])
 
 
-def build_carrot(P: Polynomial, cut: Cut, rho: float) -> Carrot:
-    """Carrot of a cut at parameter rho.
+def build_carrots(P: Polynomial, cuts: Sequence[Cut], rho: float) -> list[Carrot]:
+    """Carrots of the cuts at parameter rho, in the order of the cuts.
 
-    Both cases share one construction: the sides are the slope-one spirals
-    through theta_r (positive sense) and theta_l (negative sense); pullbacks
-    of spirals are spirals, so the preperiodic case needs no separate
-    continuation machinery.  The landing condition is checked a posteriori.
+    Every carrot shares one construction: the sides are the slope-one
+    spirals through theta_r (positive sense) and theta_l (negative sense),
+    all traced in one `trace_spirals` call; pullbacks of spirals are
+    spirals, so the preperiodic case needs no separate continuation
+    machinery.  The landing condition is checked a posteriori.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
     g0 = -math.log(rho)
-    width = float(cut.arc_width())
-    if not cut.degenerate and width - 2 * g0 <= 1e-9:
-        raise CarrotOverlap(
-            f"carrot sides of cut ({cut.theta_r},{cut.theta_l}) cross before "
-            f"reaching the equipotential: need g0 < {width / 2:.4g}, got {g0:.4g}")
-    side_r = trace_spiral(P, cut.theta_r, +1, g0, SIDE_T_MIN, SIDE_SUBSTEPS)
-    side_l = trace_spiral(P, cut.theta_l, -1, g0, SIDE_T_MIN, SIDE_SUBSTEPS)
-    for name, side in (("right", side_r), ("left", side_l)):
-        gap = abs(side.points[-1] - cut.root)
-        if gap > SIDE_ROOT_TOL:
-            raise WrongPullback(
-                f"{name} side spiral of cut ({cut.theta_r},{cut.theta_l}) "
-                f"ends {gap:.3g} from the root")
-    if cut.degenerate:
-        lo = cut.theta_r.as_float() - g0
-        hi = cut.theta_r.as_float() + g0
-    else:
-        lo = cut.theta_r.as_float() + g0
-        hi = cut.theta_r.as_float() + width - g0
-    arc = equipotential_arc(P, g0, cut.theta_r.fraction(),
-                            lo - cut.theta_r.as_float(), hi - cut.theta_r.as_float(),
-                            max_step=ARC_MAX_STEP)
-    if cut.degenerate:
-        arc[0] = side_l.points[0]
-        arc[-1] = side_r.points[0]
-    else:
-        arc[0] = side_r.points[0]
-        arc[-1] = side_l.points[0]
-    return Carrot(cut, rho, g0, side_r, side_l, np.array(arc), lo, hi)
-
-
-def build_carrots(P: Polynomial, family: CutFamily, rho: float) -> list[Carrot]:
-    """Carrots for the whole family, image cuts first along each orbit."""
-    order: list[int] = []
-    remaining = set(range(len(family)))
-    while remaining:
-        progressed = False
-        for i in sorted(remaining):
-            tgt = family.forward_map[i]
-            if tgt is None or tgt == i or tgt in order:
-                order.append(i)
-                remaining.discard(i)
-                progressed = True
-        if not progressed:  # cycle of cuts; order within it is immaterial
-            i = sorted(remaining)[0]
-            order.append(i)
-            remaining.discard(i)
-    carrots: list[Optional[Carrot]] = [None] * len(family)
-    for i in order:
-        carrots[i] = build_carrot(P, family.cuts[i], rho)
-    return carrots  # type: ignore[return-value]
+    for cut in cuts:
+        width = float(cut.arc_width())
+        if not cut.degenerate and width - 2 * g0 <= 1e-9:
+            raise CarrotOverlap(
+                f"carrot sides of cut ({cut.theta_r},{cut.theta_l}) cross before "
+                f"reaching the equipotential: need g0 < {width / 2:.4g}, got {g0:.4g}")
+    sides = trace_spirals(P, [side for cut in cuts for side in ((cut.theta_r, +1),
+                                                                (cut.theta_l, -1))],
+                          g0, SIDE_T_MIN, SIDE_SUBSTEPS)
+    carrots = []
+    for cut, side_r, side_l in zip(cuts, sides[::2], sides[1::2]):
+        for name, side in (("right", side_r), ("left", side_l)):
+            gap = abs(side.points[-1] - cut.root)
+            if gap > SIDE_ROOT_TOL:
+                raise WrongPullback(
+                    f"{name} side spiral of cut ({cut.theta_r},{cut.theta_l}) "
+                    f"ends {gap:.3g} from the root")
+        theta = cut.theta_r.as_float()
+        if cut.degenerate:
+            lo, hi = theta - g0, theta + g0
+        else:
+            lo, hi = theta + g0, theta + float(cut.arc_width()) - g0
+        arc = equipotential_arc(P, g0, cut.theta_r.fraction(), lo - theta, hi - theta,
+                                max_step=ARC_MAX_STEP)
+        if cut.degenerate:
+            arc[0], arc[-1] = side_l.points[0], side_r.points[0]
+        else:
+            arc[0], arc[-1] = side_r.points[0], side_l.points[0]
+        carrots.append(Carrot(cut, rho, g0, side_r, side_l, np.array(arc), lo, hi))
+    return carrots
 
 
 def carrots_disjoint(carrots: Sequence[Carrot]) -> bool:
-    """Sampled pairwise disjointness of carrot regions (160 boundary points)."""
-    for i, a in enumerate(carrots):
-        for b in carrots[i + 1:]:
-            pts = b.boundary()
-            idx = np.unique(np.linspace(0, len(pts) - 1, 160).astype(int))
-            probe = pts[idx]
-            # skip shared root contacts
-            probe = probe[np.abs(probe - a.cut.root) > 1e-9]
-            if any(a.contains(z) for z in probe):
-                return False
-            if a.contains(_interior_probe(b)):
-                return False
+    """Sampled pairwise disjointness of carrot regions: no carrot holds one
+    of another's 160 boundary samples or its interior probe, checked in both
+    orders so that a carrot nested inside another is caught."""
+    for a, b in itertools.permutations(carrots, 2):
+        pts = b.boundary()
+        idx = np.unique(np.linspace(0, len(pts) - 1, 160).astype(int))
+        probe = pts[idx]
+        # skip shared root contacts
+        probe = probe[np.abs(probe - a.cut.root) > 1e-9]
+        if any(a.contains(z) for z in probe):
+            return False
+        if a.contains(_interior_probe(b)):
+            return False
     return True
 
 

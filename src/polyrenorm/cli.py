@@ -19,7 +19,7 @@ import sys
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .bottcher import RayPolyline, land_ray
+from .bottcher import RayPolyline, land_rays
 from .errors import RenormError, SceneError
 from .poly import MAX_CENSUS_POINTS
 from .scene import GridSpec, Scene, figure1_scene, integer_field, load_scene, override, parse_angle
@@ -148,14 +148,14 @@ class Run:
     def rays(self) -> list[RayPolyline]:
         """The landed rays of the angles, else those of the cut family."""
         if self.angles is not None:
-            return [land_ray(self.scene.polynomial, theta) for theta in self.angles]
+            return land_rays(self.scene.polynomial, self.angles)
         return [ray for cut in self.family.cuts
                 for ray in ((cut.ray_r,) if cut.degenerate else (cut.ray_r, cut.ray_l))]
 
     @cached_property
     def carrots(self) -> list[Carrot]:
         from .carrots import build_carrots
-        return build_carrots(self.scene.polynomial, self.family, self.scene.rho)
+        return build_carrots(self.scene.polynomial, self.family.cuts, self.scene.rho)
 
     @cached_property
     def conjugacy(self) -> ConjugacyReport:
@@ -173,7 +173,8 @@ def _write_julia(run: Run) -> list[Verdict]:
     scene = run.scene
     res = avoiding.escape_analysis(scene.polynomial, None, scene.grid, scene.max_iter,
                                    threads=run.threads, supersample=run.supersample)
-    render.write_ppm(run.path("julia.ppm"), render.render_mask(res.kp, res.esc_steps))
+    render.write_ppm(run.path("julia.ppm"),
+                     render.render_scene_image(res.kp, res.kp, res.esc_steps))
     grid.save_mask_raw(res.kp, run.path("julia_mask.raw"))
     return [("filled Julia mask", True, f"{res.kp.count()} pixels, "
              f"{avoiding.connected_components(res.kp)} component(s) after closing")]
@@ -262,7 +263,7 @@ def _write_surgery(run: Run) -> list[Verdict]:
     cmp_ = avoiding.compare_masks(fmask, plain, band=2)
     dil = surgery.dilatation_report(S, n=32)
     grid.save_mask_raw(fmask, run.path("nonescaping_mask.raw"))
-    render.write_ppm(run.path("nonescaping.ppm"), render.render_mask(fmask))
+    render.write_ppm(run.path("nonescaping.ppm"), render.render_scene_image(fmask, fmask))
     _write_rows(run.path("surgery.csv"), ["key", "value"], [
         ["degree", S.P.degree],
         ["degree_dc", S.d_c],

@@ -11,7 +11,7 @@ import numpy as np
 
 from .angles import Angle, angle_in_arc, tuple_orbit
 from .bottcher import (RayPolyline, bottcher_point, equipotential_arc, external_angle,
-                       land_ray)
+                       land_rays)
 from .errors import NoColanding, RayNotConverged
 from .grid import crossing_parity, distance_to_polyline
 from .poly import (Cycle, Polynomial, critical_points, find_cycles, green_potential,
@@ -50,27 +50,23 @@ class Cut:
         return Fraction(0) if self.degenerate else self.theta_r.ccw_to(self.theta_l)
 
 
-def build_cut(P: Polynomial, theta_r: Angle, theta_l: Angle, *,
-              g_start: float = 2.0) -> Cut:
-    """Trace both rays, verify co-landing, and assemble the cut.
+def build_cut(ray_r: RayPolyline, ray_l: RayPolyline) -> Cut:
+    """Verify that two landed rays co-land and assemble their cut.
 
     The bounded wedge is the side whose external angles lie on the ccw arc
-    from theta_r to theta_l, so the caller's argument order fixes orientation.
+    from ray_r's angle to ray_l's, so the caller's argument order fixes
+    orientation.  Equal angles make the degenerate cut of one ray.
     """
-    ray_r = land_ray(P, theta_r, g_start=g_start)
-    if not ray_r.landing.converged:
-        raise RayNotConverged(f"ray {theta_r} did not land")
-    if theta_r == theta_l:
-        return Cut(theta_r, theta_l, ray_r.landing.point, True, ray_r, ray_r)
-    ray_l = land_ray(P, theta_l, g_start=g_start)
-    if not ray_l.landing.converged:
-        raise RayNotConverged(f"ray {theta_l} did not land")
+    for ray in (ray_r, ray_l):
+        if not ray.landing.converged:
+            raise RayNotConverged(f"ray {ray.angle} did not land")
     gap = abs(ray_r.landing.point - ray_l.landing.point)
     if gap > COLAND_TOL:
         raise NoColanding(
-            f"rays {theta_r} and {theta_l} land {gap:.3g} apart "
+            f"rays {ray_r.angle} and {ray_l.angle} land {gap:.3g} apart "
             f"({ray_r.landing.point:.6g} vs {ray_l.landing.point:.6g})")
-    return Cut(theta_r, theta_l, ray_r.landing.point, False, ray_r, ray_l)
+    return Cut(ray_r.angle, ray_l.angle, ray_r.landing.point, ray_r.angle == ray_l.angle,
+               ray_r, ray_l)
 
 
 @dataclass
@@ -158,7 +154,10 @@ class CutFamily:
 
 def build_family(P: Polynomial, pairs: Sequence[tuple[Angle, Angle]], *,
                  g0: float) -> CutFamily:
-    cuts = [build_cut(P, tr, tl, g_start=max(2.0, 2 * g0)) for tr, tl in pairs]
+    # every distinct angle landed once, in order of first appearance
+    angles = list(dict.fromkeys(theta for pair in pairs for theta in pair))
+    rays = dict(zip(angles, land_rays(P, angles, g_start=max(2.0, 2 * g0))))
+    cuts = [build_cut(rays[tr], rays[tl]) for tr, tl in pairs]
     d = P.degree
     index = {c.pair: i for i, c in enumerate(cuts)}
     forward = tuple(index.get(c.image_pair(d)) for c in cuts)

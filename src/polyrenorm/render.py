@@ -35,22 +35,12 @@ def exterior_shade(esc_steps: np.ndarray) -> np.ndarray:
     return (255 - 2 * t).astype(np.uint8)
 
 
-def render_mask(mask: Mask, esc_steps: np.ndarray | None = None) -> np.ndarray:
-    n = mask.grid.resolution
-    img = np.full((n, n, 3), 255, dtype=np.uint8)
-    if esc_steps is not None:
-        shade = exterior_shade(esc_steps)
-        for c in range(3):
-            img[:, :, c] = shade
-    img[mask.bits] = COLOR_AVOIDING
-    return img
-
-
-def render_scene_image(kp: Mask, avoiding: Mask | None,
+def render_scene_image(kp: Mask, avoiding: Mask,
                        esc_steps: np.ndarray | None = None,
                        wedge_bits: np.ndarray | None = None) -> np.ndarray:
     """Compose: shaded exterior, light-grey removed set, dark-grey avoiding
-    set, wedge highlight beneath the sets."""
+    set, wedge highlight beneath the sets.  With avoiding = kp this is the
+    image of one mask."""
     n = kp.grid.resolution
     img = np.full((n, n, 3), 255, dtype=np.uint8)
     if esc_steps is not None:
@@ -60,8 +50,7 @@ def render_scene_image(kp: Mask, avoiding: Mask | None,
     if wedge_bits is not None:
         img[wedge_bits & ~kp.bits] = COLOR_WEDGE
     img[kp.bits] = COLOR_KP_ONLY
-    if avoiding is not None:
-        img[avoiding.bits] = COLOR_AVOIDING
+    img[avoiding.bits] = COLOR_AVOIDING
     return img
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .avoiding import covering_window, interior_trap
 from .bottcher import (Spine, bottcher_point, equipotential_points, equipotential_polyline,
                        external_angle)
-from .carrots import Carrot, build_carrot, carrots_disjoint
+from .carrots import Carrot, build_carrots, carrots_disjoint
 from .cuts import CutFamily, check_legal
 from .errors import CarrotOverlap, ContinuityGap, DegreeMismatch, RenormError
 from .grid import POOL_AFTER, Mask, PixelRaster, iterate_orbits, sweep_pixels
@@ -424,16 +424,14 @@ def build_surgery(P: Polynomial, family: CutFamily, rho: float,
     critical = family.critical_indices()
     d_c = degree_dc(P, family)
 
-    patches: dict[int, CoonsPatch] = {}
-    image_carrots: dict[int, Carrot] = {}
-    side_worst = 0.0
-    rho_d = rho ** P.degree
     for i in critical:
-        tgt_idx = family.forward_map[i]
-        if tgt_idx is None:
+        if family.forward_map[i] is None:
             raise RenormError(f"critical cut {i} has no image cut in the family")
-        image = build_carrot(P, family.cuts[tgt_idx], rho_d)
-        image_carrots[i] = image
+    image_carrots = dict(zip(critical, build_carrots(
+        P, [family.cuts[family.forward_map[i]] for i in critical], rho ** P.degree)))
+    patches: dict[int, CoonsPatch] = {}
+    side_worst = 0.0
+    for i, image in image_carrots.items():
         patch = CoonsPatch.build(P, carrots[i], image)
         patches[i] = patch
         n = len(patch.src_left)

@@ -27,7 +27,7 @@ def fig1_family():
 
 @pytest.fixture(scope="session")
 def fig1_carrots(fig1_family):
-    return build_carrots(CUBIC, fig1_family, RHO)
+    return build_carrots(CUBIC, fig1_family.cuts, RHO)
 
 
 @pytest.fixture(scope="session")

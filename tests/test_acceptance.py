@@ -13,7 +13,7 @@ import pytest
 from polyrenorm import (GridSpec, build_carrots, build_family,
                         build_surgery, compare_masks, conjugacy_report,
                         connected_components, escape_analysis, find_cycles,
-                        green_potential, land_ray, nonescaping_mask,
+                        green_potential, land_rays, nonescaping_mask,
                         proto_image_check, quasi_arc_constant,
                         transversality_profile, visit_count_experiment,
                         weak_qs_constant)
@@ -56,12 +56,8 @@ def test_criterion_1_baseline_dynamics():
 
 def test_criterion_2_figure1_landing():
     with criterion(2, "rays 1/3, 2/3 co-land at -2; ray 0 lands at 0"):
-        from polyrenorm import bottcher
-        bottcher._ray_cache.clear()
         t0 = time.monotonic()
-        r13 = land_ray(CUBIC, Angle(1, 3))
-        r23 = land_ray(CUBIC, Angle(2, 3))
-        r0 = land_ray(CUBIC, Angle(0, 1))
+        r13, r23, r0 = land_rays(CUBIC, [Angle(1, 3), Angle(2, 3), Angle(0, 1)])
         assert r13.landing.converged and abs(r13.landing.point + 2) < 1e-6
         assert r23.landing.converged and abs(r23.landing.point + 2) < 1e-6
         assert abs(r13.landing.point - r23.landing.point) < 1e-6
@@ -120,7 +116,7 @@ def test_criterion_6_proto_equivariance():
 
 def test_criterion_7_carrot_geometry(family):
     with criterion(7, "carrot geometry estimators positive and stable"):
-        carrots = build_carrots(CUBIC, family, RHO)
+        carrots = build_carrots(CUBIC, family.cuts, RHO)
         periodic = carrots[1]
         pair = periodic.side_pair_points()
         c1 = quasi_arc_constant(pair, 300)
@@ -147,7 +143,7 @@ def test_criterion_7_carrot_geometry(family):
 def test_criterion_8_surgery(family):
     with criterion(8, "surgery: d_c = 2, visit bound, non-escaping set matches"):
         t0 = time.monotonic()
-        carrots = build_carrots(CUBIC, family, RHO)
+        carrots = build_carrots(CUBIC, family.cuts, RHO)
         S = build_surgery(CUBIC, family, RHO, carrots)  # includes preimage cross-check
         assert S.d_c == 2
         grid = GridSpec(complex(-1.25, 0.0), 4.5, 512)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from polyrenorm import (build_carrot, find_cycles, koenigs_coordinate,
-                        koenigs_radius, quasi_arc_constant, transversality_gap,
-                        transversality_profile, weak_qs_constant)
+from polyrenorm import (Carrot, Cut, SpiralArc, build_carrots, find_cycles,
+                        koenigs_coordinate, koenigs_radius, quasi_arc_constant,
+                        transversality_gap, transversality_profile, weak_qs_constant)
+from polyrenorm.angles import Angle
 from polyrenorm.carrots import carrot_geometry, carrots_disjoint
 from polyrenorm.errors import (CarrotOverlap, InsufficientSamples,
                                OutsideLinearizationDomain)
@@ -32,10 +33,30 @@ def test_carrots_disjoint(fig1_carrots):
     assert carrots_disjoint(fig1_carrots)
 
 
+def _square_carrot(center: complex, h: float) -> Carrot:
+    """A carrot shaped as the square of half-side h about center, rooted at
+    the middle of its bottom edge."""
+    top_r, top_l = center + h + 1j * h, center - h + 1j * h
+    root = center - 1j * h
+    side_r = SpiralArc((top_r, center + h, center + h - 1j * h), (3.0, 2.0, 1.0))
+    side_l = SpiralArc((top_l, center - h, center - h - 1j * h), (3.0, 2.0, 1.0))
+    cut = Cut(Angle(0, 1), Angle(1, 2), root, False, None, None)
+    return Carrot(cut, 0.5, 1.0, side_r, side_l, np.array([top_r, top_l]), 0.0, 0.5)
+
+
+def test_carrots_disjoint_catches_nesting_in_either_order():
+    outer = _square_carrot(0j, 2.0)
+    inner = _square_carrot(1.0 + 0.5j, 0.4)  # off the outer carrot's interior probe
+    apart = _square_carrot(10.0 + 0j, 0.4)
+    assert not carrots_disjoint([outer, inner])
+    assert not carrots_disjoint([inner, outer])
+    assert carrots_disjoint([outer, apart]) and carrots_disjoint([apart, outer])
+
+
 def test_carrot_overlap_when_rho_too_small(fig1_family):
     # critical cut arc width is 1/3; sides cross once g0 >= 1/6
     with pytest.raises(CarrotOverlap):
-        build_carrot(CUBIC, fig1_family.cuts[0], math.exp(-0.5))
+        build_carrots(CUBIC, fig1_family.cuts[:1], math.exp(-0.5))
 
 
 def test_periodic_carrot_touches_filled_set_only_at_root(fig1_carrots, fig1_masks,

@@ -7,7 +7,13 @@ The scenes in tests/scenes run at 64 pixels and 64 iterations:
   and `ray` has nothing to trace;
 - rabbit: the Douady rabbit with the three cuts at its alpha fixed point,
   which are periodic and nondegenerate, so illegal;
-- basilica: z^2 - z with the cut (1/3, 2/3) at its parabolic fixed point.
+- basilica: z^2 - z with the cut (1/3, 2/3) at its parabolic fixed point;
+- figure1_rho_near_one: figure1's cuts at rho = 1 - 1e-9, so g0 = 1e-9.
+  `julia` and `ray` need no carrot or wedge and pass; every other
+  subcommand ends at once in the wedge's equipotential sweep, which would
+  need billions of nodes;
+- z2_minus_5_4: z^2 - 5/4 with no cuts.  Its parabolic 2-cycle gets no
+  trap, so each bounded pixel iterates for the whole budget.
 
 The landings at parabolic points (figure1's 1/3, the basilica's 1/3) sit a
 noise-level distance from the root; their digits follow the landing polish.
@@ -23,6 +29,8 @@ SCENES = Path(__file__).parent / "scenes"
 CARROT_CROSS = ("error: carrot sides of cut (1/7,2/7) cross before reaching the "
                 "equipotential: need g0 < 0.07143, got 0.125")
 SPIRAL = "error: right side spiral of cut (1/3,2/3) ends 0.126 from the root"
+SWEEP = ("error: equipotential sweep at potential 1e-09 over an angle span of 0.333 "
+         "needs 6666666877 nodes, more than 100000")
 CONJUGACY = "conjugacy: cycle counts and non-repelling multipliers match"
 DEGREE = "[PASS] surgery-degree: d_c = 2 by formula and preimage count"
 EXPECTED = {
@@ -65,6 +73,26 @@ EXPECTED = {
         "surgery": (1, SPIRAL),
         "verify": (2, "[FAIL] " + CONJUGACY),
         "figure1": (1, SPIRAL),
+    },
+    "figure1_rho_near_one": {
+        "julia": (0, "filled Julia mask: 214 pixels, 1 component(s) after closing"),
+        "ray": (0, "ray 1/3: lands at -2+1.05958609e-08j (polished)"),
+        "cuts-check": (1, SWEEP),
+        "avoid": (1, SWEEP),
+        "carrot": (1, SWEEP),
+        "surgery": (1, SWEEP),
+        "verify": (1, SWEEP),
+        "figure1": (1, SWEEP),
+    },
+    "z2_minus_5_4": {
+        "julia": (0, "filled Julia mask: 164 pixels, 5 component(s) after closing"),
+        "ray": (1, "scene error: --angle: no angles: give --angle or a scene with cuts"),
+        "cuts-check": (0, "[PASS] admissible: 1 checks"),
+        "avoid": (2, "[FAIL] avoiding-strict-subset: 164 of 164 pixels"),
+        "carrot": (0, ""),
+        "surgery": (0, DEGREE),
+        "verify": (0, "[PASS] " + CONJUGACY),
+        "figure1": (2, "[PASS] admissible: 1 checks"),
     },
 }
 

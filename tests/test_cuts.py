@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyrenorm import (Polynomial, build_cut, build_family, check_admissible,
+from polyrenorm import (Polynomial, build_family, check_admissible,
                         check_legal, classify_root, find_cycles)
 from polyrenorm.angles import Angle
 from polyrenorm.cuts import _terminal_cycle
@@ -28,7 +28,7 @@ def test_build_cut_degenerate(fig1_family):
 
 def test_build_cut_no_colanding():
     with pytest.raises(NoColanding):
-        build_cut(SQUARE, Angle(1, 3), Angle(2, 3))
+        build_family(SQUARE, [(Angle(1, 3), Angle(2, 3))], g0=G0)
 
 
 def test_forward_map_and_flags(fig1_family):

@@ -1,7 +1,7 @@
 """Module layout: no module reaches into a sibling's private names, no
-module imports a name it never uses, nothing imports scipy, `ray` and
-`--help` run without numpy, and the package re-exports each public name
-from the module that defines it."""
+module imports a name it never uses, nothing imports scipy, no module keeps
+mutable state at module level, `ray` and `--help` run without numpy, and
+the package re-exports each public name from the module that defines it."""
 
 import ast
 import importlib
@@ -51,6 +51,49 @@ def test_no_unused_imports():
     assert not offenders, "; ".join(offenders)
 
 
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict"}
+
+
+def _called_name(node):
+    if isinstance(node, ast.Call):
+        f = node.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    return None
+
+
+def test_no_module_global_state():
+    # a module-level container or cache makes a call's answer depend on the
+    # calls before it; UPPER_CASE names are constant tables
+    offenders, checked = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        checked += 1
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if not (isinstance(value, MUTABLE_DISPLAYS) or _called_name(value) in MUTABLE_CALLS):
+                continue
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if not (name.isupper() or (name.startswith("__") and name.endswith("__")))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                offenders.append(f"{path.name}:{node.lineno} global {', '.join(node.names)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                offenders += [f"{path.name}:{node.lineno} imports functools.{a.name}"
+                              for a in node.names if a.name in ("cache", "lru_cache")]
+            elif (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                offenders.append(f"{path.name}:{node.lineno} functools.{node.attr}")
+    assert checked > 10, f"only {checked} modules under {SRC}"
+    assert not offenders, "; ".join(offenders)
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is a test-only dependency; its import alone costs 0.3 s a process.
     # numpy costs about 0.15 s, and only the subcommands doing array work load it.
@@ -86,9 +129,9 @@ EXPORTS = {
     "angles": ["Angle", "tuple_orbit"],
     "avoiding": ["compare_masks", "connected_components", "escape_analysis", "wedge_raster"],
     "bottcher": ["Landing", "RayPolyline", "SpiralArc", "bottcher_point",
-                 "equipotential_polyline", "external_angle", "land_ray", "landing_point",
-                 "trace_ray", "trace_spiral"],
-    "carrots": ["Carrot", "GeometryEstimate", "ProtoCarrot", "build_carrot", "build_carrots",
+                 "equipotential_polyline", "external_angle", "land_rays", "landing_point",
+                 "trace_ray", "trace_spirals"],
+    "carrots": ["Carrot", "GeometryEstimate", "ProtoCarrot", "build_carrots",
                 "carrot_geometry", "koenigs_coordinate", "koenigs_radius", "proto_contains",
                 "proto_image_check", "quasi_arc_constant", "transversality_gap",
                 "transversality_profile", "weak_qs_constant"],

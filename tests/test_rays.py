@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polyrenorm import (Polynomial, equipotential_polyline, find_cycles,
-                        green_potential, land_ray, landing_point, trace_ray,
-                        trace_spiral)
+                        green_potential, land_rays, landing_point, trace_ray,
+                        trace_spirals)
 from polyrenorm import bottcher
 from polyrenorm.angles import Angle
 from polyrenorm.bottcher import bottcher_point, external_angle
@@ -28,7 +28,7 @@ def test_ray_zero_of_square_is_positive_real():
 
 
 def test_ray_half_of_square_is_negative_real():
-    ray = land_ray(SQUARE, Angle(1, 2))
+    ray = land_rays(SQUARE, [Angle(1, 2)])[0]
     pts = np.asarray(ray.points)
     assert np.abs(pts.imag).max() < 1e-12
     assert (pts.real < 0).all()
@@ -36,7 +36,7 @@ def test_ray_half_of_square_is_negative_real():
 
 
 def test_ray_third_of_square():
-    ray = land_ray(SQUARE, Angle(1, 3))
+    ray = land_rays(SQUARE, [Angle(1, 3)])[0]
     assert abs(ray.landing.point - np.exp(2j * np.pi / 3)) < 1e-9
 
 
@@ -53,16 +53,16 @@ def test_ray_potential_accuracy():
 
 
 def test_cubic_ray_landings():
-    r13 = land_ray(CUBIC, Angle(1, 3))
-    r23 = land_ray(CUBIC, Angle(2, 3))
-    r0 = land_ray(CUBIC, Angle(0, 1))
+    r13 = land_rays(CUBIC, [Angle(1, 3)])[0]
+    r23 = land_rays(CUBIC, [Angle(2, 3)])[0]
+    r0 = land_rays(CUBIC, [Angle(0, 1)])[0]
     assert r13.landing.converged and abs(r13.landing.point + 2) < 1e-6
     assert r23.landing.converged and abs(r23.landing.point + 2) < 1e-6
     assert r0.landing.converged and abs(r0.landing.point) < 1e-6
 
 
 def test_landing_tail_near_point():
-    ray = land_ray(CUBIC, Angle(0, 1))
+    ray = land_rays(CUBIC, [Angle(0, 1)])[0]
     assert np.abs(np.asarray(ray.points[-10:]) - ray.landing.point).max() < 1e-6
 
 
@@ -83,7 +83,7 @@ def test_landing_consistency_with_cycles():
     # rational landing points eventually reach a repelling/parabolic cycle
     cycles = find_cycles(CUBIC, 2)
     for name in ("0", "1/3", "2/3", "1/4"):
-        ray = land_ray(CUBIC, Angle.parse(name))
+        ray = land_rays(CUBIC, [Angle.parse(name)])[0]
         assert ray.landing.converged
         z = ray.landing.point
         hit = False
@@ -138,7 +138,7 @@ def test_rabbit_orbit_lands_at_alpha():
     # smaller modulus
     alpha = complex(min(np.roots([1, -1, RABBIT_C]), key=abs))
     for name in ("1/7", "2/7", "4/7"):
-        ray = land_ray(RABBIT, Angle.parse(name))
+        ray = land_rays(RABBIT, [Angle.parse(name)])[0]
         assert ray.landing.converged
         assert abs(ray.landing.point - alpha) < 1e-6
         assert ray.potentials[-1] < 1e-40  # slowly repelling: deepened
@@ -175,19 +175,21 @@ def test_orbit_longer_than_chain_depth():
         assert abs(ray.points[k] - z) < 1e-12
 
 
-def test_ray_cache_respects_landing_depth():
-    bottcher._ray_cache.clear()
-    cold_deep = land_ray(SQUARE, Angle(0, 1), g_land=1e-12)
-    cold = land_ray(SQUARE, Angle(1, 2))
-    bottcher._ray_cache.clear()
-    shallow = land_ray(SQUARE, Angle(0, 1))
-    deep = land_ray(SQUARE, Angle(0, 1), g_land=1e-12)
-    again = land_ray(SQUARE, Angle(1, 2))
-    assert shallow.potentials[-1] == 1e-9
+def test_rays_of_one_call_keep_their_own_depth():
+    # rays landed in one call share its ladder; each is deepened to its own
+    # depth, bit for bit as when landed alone
+    angles = [Angle(1, 7), Angle(2, 7), Angle(4, 7)]
+    together = land_rays(RABBIT, angles)
+    for ray, theta in zip(together, angles):
+        alone, = land_rays(RABBIT, [theta])
+        assert ray.potentials == alone.potentials
+        assert ray.points == alone.points
+        assert ray.landing == alone.landing
+    assert len({ray.potentials[-1] for ray in together}) == 3
+    deep, = land_rays(SQUARE, [Angle(0, 1)], g_land=1e-12)
+    shallow, = land_rays(SQUARE, [Angle(0, 1)])
     assert deep.potentials[-1] == 1e-12
-    for warm, ref in ((deep, cold_deep), (again, cold)):
-        assert np.array_equal(warm.potentials, ref.potentials)
-        assert np.array_equal(warm.points, ref.points)
+    assert shallow.potentials[-1] == 1e-9
 
 
 def test_ray_retry_keeps_requested_density(monkeypatch):
@@ -208,7 +210,7 @@ def test_ray_retry_keeps_requested_density(monkeypatch):
 
 def test_spiral_retry_at_requested_density():
     # this spiral jumps branches at 8 substeps and is traced at 16
-    arc = trace_spiral(CUBIC, Angle(1, 3), +1, 0.1, 1e-4, 8)
+    arc, = trace_spirals(CUBIC, [(Angle(1, 3), +1)], 0.1, 1e-4, 8)
     pots = np.asarray(arc.potentials)
     ratios = pots[1:] / pots[:-1]
     assert np.allclose(ratios, 3 ** (-1 / 8), rtol=1e-12, atol=0)

@@ -60,7 +60,7 @@ def test_cap_sweep_matches_per_point_apply(fig1_surgery, scale):
 
 def test_surgery_requires_legal_family():
     fam = build_family(CUBIC, [(Angle(1, 3), Angle(2, 3))], g0=G0)
-    carrots = build_carrots(CUBIC, fam, RHO)
+    carrots = build_carrots(CUBIC, fam.cuts, RHO)
     with pytest.raises(Exception):
         build_surgery(CUBIC, fam, RHO, carrots)
 
@@ -69,12 +69,12 @@ def test_surgery_carrot_overlap():
     fam = build_family(CUBIC, [(Angle(1, 3), Angle(2, 3)),
                                (Angle(0, 1), Angle(0, 1))], g0=G0)
     with pytest.raises(CarrotOverlap):
-        build_surgery(CUBIC, fam, math.exp(-0.5), build_carrots(CUBIC, fam, math.exp(-0.5)))
+        build_surgery(CUBIC, fam, math.exp(-0.5), build_carrots(CUBIC, fam.cuts, math.exp(-0.5)))
 
 
 def test_no_critical_cuts_means_f_equals_p():
     fam = build_family(CUBIC, [(Angle(0, 1), Angle(0, 1))], g0=G0)
-    S = build_surgery(CUBIC, fam, RHO, build_carrots(CUBIC, fam, RHO))
+    S = build_surgery(CUBIC, fam, RHO, build_carrots(CUBIC, fam.cuts, RHO))
     assert S.d_c == 3
     for z in (-1 + 0j, 0.2 + 0.1j, -2.5 + 0j):
         if green_potential(CUBIC, z) < S.g0:
@@ -180,7 +180,7 @@ def test_visit_experiment_matches_reference_loop(where, fig1_surgery, fig1_grid)
 
 def test_no_critical_cuts_no_visits(fig1_grid):
     fam = build_family(CUBIC, [(Angle(0, 1), Angle(0, 1))], g0=G0)
-    S = build_surgery(CUBIC, fam, RHO, build_carrots(CUBIC, fam, RHO))
+    S = build_surgery(CUBIC, fam, RHO, build_carrots(CUBIC, fam.cuts, RHO))
     visits = visit_count_experiment(S, 2000, 128, window=fig1_grid)
     assert visits.max_visits_crit == 0
 
@@ -208,7 +208,7 @@ def test_nonescaping_matches_avoiding(fig1_surgery, fig1_family, fig1_grid,
 
 def test_nonescaping_trivial_family(fig1_grid):
     fam = build_family(CUBIC, [(Angle(0, 1), Angle(0, 1))], g0=G0)
-    S = build_surgery(CUBIC, fam, RHO, build_carrots(CUBIC, fam, RHO))
+    S = build_surgery(CUBIC, fam, RHO, build_carrots(CUBIC, fam.cuts, RHO))
     fmask = nonescaping_mask(S, fig1_grid, 256)
     res = escape_analysis(CUBIC, fam, fig1_grid, 256)
     cmp_ = compare_masks(fmask, res.avoiding, band=2)

@@ -1,8 +1,19 @@
-"""External rays, equipotentials and spiral arcs via Boettcher continuation.
+"""External rays, equipotentials and spiral arcs in Boettcher coordinates.
 
-Every point is a pullback: a Newton solve of P(z) = parent seeded near the
-wanted branch, rejected as a jump to a sibling branch when it steps much
-farther than the step before it (`_pullback`).
+The inverse Boettcher map psi = Phi^-1 is a Laurent series at infinity
+(`poly.InverseBottcher`, kept on the polynomial as `P.inverse_bottcher`).
+It converges above g_max, the largest Green potential of a critical point
+(0 when the Julia set is connected), and two floors above g_max divide the
+work:
+
+- the direct band, potential g >= g_max + SERIES_DIRECT: a point or an
+  equipotential sweep is the series itself (`_direct`), with no pullback;
+- below it, a point is the bottom of a pullback chain (`_chain_solve`).
+  Level j sits at potential g*d^j, up to the first level m at or above
+  g_max + SERIES_TOP, whose point is psi(w) and whose tangent is
+  d^m*w*psi'(w).  Each lower level is a Newton solve of P(z) = parent seeded
+  near the wanted branch, rejected as a jump to a sibling branch when it
+  steps much farther than the step before it (`_pullback`).
 
 Rays and carrot-side spirals are traced on an orbit ladder: the curves
 through an angle orbit share one geometric potential ladder, level k at
@@ -13,25 +24,27 @@ a ray to potential t costs O(levels) instead of O(levels*depth).  Ladders
 belong to one call, not to the polynomial: `land_rays` and `trace_spirals`
 trace all of a stage's curves on ladders keyed by slope, top potential and
 substeps that live only as long as the call, and `land_rays` deepens a ray
-by extending its ladder in place.  No state outlives a call.
+by extending its ladder in place.  Parents above a ladder's top are points
+of their own, in the direct band the series.
 
-Single points, equipotentials and external angles walk one pullback chain
-over (potential, offset) nodes (`_walk`): a node's chain climbs to potential
-G*d^m large enough that z = exp(G' + 2pi*i*theta') approximates the
-Boettcher inverse to high accuracy, and each lower level is pulled back
-seeded by the previous node's chain moved along its tangent (a first-order
-predictor).  Points and sweeps walk from a descent spine (`Spine`): the
-chains down one ray from a safely high potential, kept on a fixed ladder,
-from which a point at potential g is one node on and an equipotential sweeps
-the offset at fixed potential.  A caller that needs many points near one
-angle, such as the surgery's Coons patch, keeps one spine and pays for the
-descent once.  A rejected step inserts the midpoint node.  Angles are
-carried as an exact rational part plus a float offset that scales with the
-potential, so deep tails lose no angular precision.
+Below the direct floor, points, equipotentials and external angles walk one
+pullback chain over (potential, offset) nodes (`_walk`): each node's chain
+is seeded by the previous node's chain moved along its tangent (a
+first-order predictor), and its levels above the previous chain's top by
+the series.  Points and sweeps walk from a descent spine (`Spine`): the
+chains down one ray from the direct floor, kept on a fixed ladder, from
+which a point at potential g is one node on and an equipotential sweeps the
+offset at fixed potential.  A caller that needs many points near one angle,
+such as the surgery's Coons patch, keeps one spine and pays for the descent
+once.  A rejected step inserts the midpoint node.  Angles are carried as an
+exact rational part plus a float offset that scales with the potential, so
+deep tails lose no angular precision.
 
-A scalar engine that imports no numpy, so `polyrenorm ray` starts without it:
+A scalar engine on Python complex, so `polyrenorm ray` starts without numpy:
 rays, spirals and equipotentials are tuples or lists of Python complex and
-float, which callers doing array math convert with `np.asarray`.
+float, which callers doing array math convert with `np.asarray`.  Only a
+direct-band sweep of ARRAY_SWEEP_MIN or more offsets imports numpy, to
+evaluate the series on an array.
 """
 
 from __future__ import annotations
@@ -47,14 +60,15 @@ from typing import Optional, Sequence
 
 from .angles import Angle, tuple_orbit
 from .errors import BranchJump, NonConvergence, RenormError
-from .poly import Polynomial, green_potential, newton
+from .poly import InverseBottcher, Polynomial, green_potential, newton
 
-ANCHOR_MIN = 18.0  # exp(-18) relative Boettcher error at the chain top
-SEED_DIRECT_MIN = 2.0  # below this potential cold direct seeds are unsafe
-# Above this potential the direct approximation beats any neighbour seed:
-# its absolute error is bounded by the subleading coefficient while sibling
-# preimages are separated by 2*pi*exp(G)/d.
-DIRECT_SEED_SAFE = 4.0
+# The two floors, as margins above the largest critical Green potential g_max
+# (`InverseBottcher.g_max`), where the inverse Boettcher series converges:
+# a chain's top is its first level at or above g_max + SERIES_TOP (at most
+# 76 terms), and a point at or above g_max + SERIES_DIRECT is the series
+# itself (at most 391 terms).
+SERIES_TOP = 0.5
+SERIES_DIRECT = 0.1
 # Accepted Newton displacement vs the previous same-level spacing.  Natural
 # steps shrink by only d^(-1/substeps) per step while a sibling-branch jump
 # exceeds the spacing by orders of magnitude, so a factor slightly above 1
@@ -65,10 +79,7 @@ MAX_SUBDIV = 20
 LAND_POTENTIAL = 1e-9
 DEFAULT_SUBSTEPS = 8
 MAX_SWEEP_NODES = 100_000  # bound on the nodes of one equipotential sweep
-
-
-def anchor_potential(P: Polynomial) -> float:
-    return max(math.log(10.0 * P.escape_radius), ANCHOR_MIN)
+ARRAY_SWEEP_MIN = 16  # direct-band sweeps with this many offsets run on arrays
 
 
 def _pullback(P: Polynomial, w: complex, seed: complex, ref: complex,
@@ -110,10 +121,10 @@ class _Chain:
 
 
 def _chain_solve(P: Polynomial, t: float, frac: Fraction, off: float,
-                 prev: Optional[_Chain], anchor: float) -> _Chain:
+                 prev: Optional[_Chain], psi: InverseBottcher) -> _Chain:
     d = P.degree
     m = 0
-    while t * d**m < anchor:
+    while t * d**m < psi.g_max + SERIES_TOP:
         m += 1
     # the rational part as integer numerators over q: num/q rounds exactly
     # as float(Fraction(num, q)) does
@@ -121,10 +132,14 @@ def _chain_solve(P: Polynomial, t: float, frac: Fraction, off: float,
     nums = [frac.numerator % q]
     for _ in range(m):
         nums.append(nums[-1] * d % q)
+
+    def w(j: int) -> complex:
+        return cmath.rect(math.exp(t * d**j), 2.0 * math.pi * (nums[j] / q + off * d**j))
+
     pts: list[complex] = [0j] * (m + 1)
     tans: list[complex] = [0j] * (m + 1)
-    pts[m] = cmath.rect(math.exp(t * d**m), 2.0 * math.pi * (nums[m] / q + off * d**m))
-    tans[m] = d**m * pts[m]
+    pts[m], tans[m] = psi.with_tangent(w(m), t * d**m)
+    tans[m] *= d**m
     known, dzeta, grow = 0, 0.0, 1.0
     if prev is not None:
         known = len(prev.points)
@@ -136,12 +151,8 @@ def _chain_solve(P: Polynomial, t: float, frac: Fraction, off: float,
             # no branch jump
             grow = max(1.0, dzeta / prev.dzeta)
     for j in range(m - 1, -1, -1):
-        tj = t * d**j
         near = j < known
-        if near and tj < DIRECT_SEED_SAFE:
-            seed = prev.points[j] + prev.tangents[j] * step
-        else:
-            seed = cmath.rect(math.exp(tj), 2.0 * math.pi * (nums[j] / q + off * d**j))
+        seed = prev.points[j] + prev.tangents[j] * step if near else psi(w(j), t * d**j)
         pts[j], dp = _pullback(P, pts[j + 1], seed, prev.points[j] if near else seed,
                                grow * prev.spacings[j] if near else math.inf)
         tans[j] = tans[j + 1] / dp if dp != 0 else 0j
@@ -160,13 +171,13 @@ def _walk(P: Polynomial, frac: Fraction, nodes: Sequence[tuple[float, float, boo
     geometric in potential and arithmetic in offset; only requested nodes
     appear in the output.
     """
-    anchor = anchor_potential(P)
+    psi = P.inverse_bottcher
     out: list[complex] = []
     stack = [(t, off, 0, requested) for t, off, requested in reversed(nodes)]
     while stack:
         t, off, depth, requested = stack.pop()
         try:
-            ch = _chain_solve(P, t, frac, off, prev, anchor)
+            ch = _chain_solve(P, t, frac, off, prev, psi)
         except (BranchJump, NonConvergence) as exc:
             if depth >= MAX_SUBDIV or prev is None:
                 raise BranchJump(f"continuation failed at potential {t:.3e} "
@@ -191,30 +202,43 @@ def _levels_above(pots: list[float], r: float, g: float) -> int:
     return max(1, bisect.bisect_left(pots, -thr, key=operator.neg))
 
 
+def _direct(P: Polynomial, g: float, frac: Fraction, offs: Sequence[float]) -> list[complex]:
+    """The series psi at potential g and angles frac + off for the offsets
+    `offs`, for g in the direct band: on Python complex for a few offsets,
+    in one array pass for ARRAY_SWEEP_MIN or more."""
+    psi = P.inverse_bottcher
+    base = (frac.numerator % frac.denominator) / frac.denominator
+    if len(offs) < ARRAY_SWEEP_MIN:
+        return [psi(cmath.rect(math.exp(g), 2.0 * math.pi * (base + o)), g) for o in offs]
+    import numpy as np
+    return psi(np.exp(g + 2j * math.pi * (base + np.asarray(offs))), g).tolist()
+
+
 class Spine:
     """The radial descent at angle frac + off, kept for points and sweeps at
     any potential.
 
-    Its chains sit on the fixed ladder 3*d^(-k/8), each walked from the one
-    above, and are extended on demand and kept: a chain's bits do not depend
-    on how deep the spine went before.  The point (g, off) is seeded cold
-    from SEED_DIRECT_MIN up; below, it is one node on from the deepest
-    ladder chain above g*(1+1e-12) (in floats that factor exceeds 1 by
-    1.00009e-12, so that chain is never within 1e-12 of g).
+    From the direct floor g_max + SERIES_DIRECT up, points are the series
+    (`_direct`) and no chain is walked.  Below it, the spine's chains sit on
+    the ladder floor*d^(-k/8), the first one cold at the floor and each
+    other walked from the one above; they are extended on demand and kept:
+    a chain's bits do not depend on how deep the spine went before.  The
+    point (g, off) is one node on from the deepest ladder chain above
+    g*(1+1e-12) (in floats that factor exceeds 1 by 1.00009e-12, so that
+    chain is never within 1e-12 of g).
     """
 
     def __init__(self, P: Polynomial, frac: Fraction, off: float):
         self.P = P
         self.frac = frac
         self.off = off
+        self.floor = P.inverse_bottcher.g_max + SERIES_DIRECT
         self._r = P.degree ** (-1.0 / DEFAULT_SUBSTEPS)
-        self._potentials = [SEED_DIRECT_MIN * 1.5]
+        self._potentials = [self.floor]
         self._chains: list[_Chain] = []
 
     def _descend(self, g: float) -> _Chain:
-        """The chain at (g, off)."""
-        if g >= SEED_DIRECT_MIN:
-            return _walk(self.P, self.frac, [(g, self.off, False)], None)[1]
+        """The chain at (g, off), for g below the floor."""
         k = _levels_above(self._potentials, self._r, g)
         chains = self._chains
         while len(chains) < k:
@@ -226,18 +250,21 @@ class Spine:
         """Points at potential g and angles frac + o for the non-decreasing
         offsets `offs` (lifted reals).
 
-        The walk descends to (g, off) and sweeps out from there to the
-        offsets on either side.  Angular steps amplify by d per chain level,
-        so a sweep step is at most 0.05*g, and each gap takes at least one:
-        the node count grows like the span over g, and a sweep needing more
-        than MAX_SWEEP_NODES nodes raises RenormError before any walk.
+        At or above the floor they are the series.  Below it, the walk
+        descends to (g, off) and sweeps out from there to the offsets on
+        either side.  Angular steps amplify by d per chain level, so a sweep
+        step is at most 0.05*g, and each gap takes at least one: the node
+        count grows like the span over g, and a sweep needing more than
+        MAX_SWEEP_NODES nodes raises RenormError before any walk.
         """
         if g <= 0:
             raise ValueError("potential must be positive")
-        max_step = 0.05 * g
         for a, b in zip(offs[:-1], offs[1:]):
             if b < a:
                 raise ValueError("offsets must be non-decreasing")
+        if g >= self.floor:
+            return _direct(self.P, g, self.frac, offs)
+        max_step = 0.05 * g
         split = bisect.bisect_left(offs, self.off)
         legs = [[(a, b, max(1, math.ceil(abs(b - a) / max_step)))
                  for a, b in zip(side[:-1], side[1:])]
@@ -256,7 +283,10 @@ class Spine:
 
 
 def _point(P: Polynomial, g: float, frac: Fraction, off: float) -> complex:
-    return Spine(P, frac, off)._descend(g).points[0]
+    spine = Spine(P, frac, off)
+    if g >= spine.floor:
+        return _direct(P, g, frac, [off])[0]
+    return spine._descend(g).points[0]
 
 
 def bottcher_point(P: Polynomial, g: float, theta: Angle | Fraction | float) -> complex:
@@ -598,11 +628,14 @@ def external_angle(P: Polynomial, z: complex, *, g: Optional[float] = None) -> f
     k = dists.index(min(dists[:-1]))
     lo = offs[k] - 1.0 / coarse
     hi = offs[k] + 1.0 / coarse
-    chain = Spine(P, Fraction(0), lo)._descend(g)
+    spine = Spine(P, Fraction(0), lo)
+    chain = spine._descend(g) if g < spine.floor else None
 
     def point_at(off: float) -> complex:
         # golden-section steps are short: one node on from the last chain
         nonlocal chain
+        if chain is None:
+            return _direct(P, g, Fraction(0), [off])[0]
         pts, chain = _walk(P, Fraction(0), [(g, off, True)], chain)
         return pts[0]
 

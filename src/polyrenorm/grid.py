@@ -73,7 +73,13 @@ def _crossings(x0, y0, x1, y1, y: float) -> np.ndarray:
 
 
 def fill_polygon(bits: np.ndarray, grid: GridSpec, polygon: np.ndarray) -> None:
-    """OR the even-odd interior of a closed polygon into `bits` (pixel centers)."""
+    """OR the even-odd interior of a closed polygon into `bits` (pixel centers).
+
+    Scanlines over the edge list: each edge crosses the contiguous run of
+    pixel-center rows between its ends (half-open, as `_crossings`), so all
+    crossings come from one `_crossings` call; sorted by row and x, they pair
+    into spans that are ORed row by row.
+    """
     pts = np.asarray(polygon, dtype=complex)
     if abs(pts[0] - pts[-1]) > 0:
         pts = np.append(pts, pts[0])
@@ -85,14 +91,25 @@ def fill_polygon(bits: np.ndarray, grid: GridSpec, polygon: np.ndarray) -> None:
     top = grid.center.imag + grid.width / 2
     i_lo = max(0, int(np.floor((top - pts.imag.max()) / px - 0.5)))
     i_hi = min(n - 1, int(np.ceil((top - pts.imag.min()) / px - 0.5)))
-    for i in range(i_lo, i_hi + 1):
-        xs = np.sort(_crossings(x0, y0, x1, y1, top - (i + 0.5) * px))
-        for k in range(0, len(xs) - 1, 2):
-            ja = int(np.ceil((xs[k] - left) / px - 0.5))
-            jb = int(np.floor((xs[k + 1] - left) / px - 0.5))
-            if jb < 0 or ja > n - 1 or jb < ja:
-                continue
-            bits[i, max(ja, 0):min(jb, n - 1) + 1] = True
+    rows = np.arange(i_hi, i_lo - 1, -1)  # the scanlines bottom up, y ascending
+    ys = top - (rows + 0.5) * px
+    first = np.searchsorted(ys, np.minimum(y0, y1))
+    counts = np.searchsorted(ys, np.maximum(y0, y1)) - first
+    edge = np.repeat(np.arange(x0.size), counts)
+    k = np.arange(edge.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    xs = _crossings(x0[edge], y0[edge], x1[edge], y1[edge], ys[k])
+    order = np.lexsort((xs, k))
+    k, xs = k[order], xs[order]
+    # crossings 2m and 2m+1 of each row bound a span
+    row_start = np.flatnonzero(np.diff(k, prepend=-1))
+    pos = np.arange(k.size) - np.repeat(row_start, np.diff(row_start, append=k.size))
+    a = np.flatnonzero((pos % 2 == 0)[:-1] & (k[1:] == k[:-1]))
+    ja = np.ceil((xs[a] - left) / px - 0.5)
+    jb = np.floor((xs[a + 1] - left) / px - 0.5)
+    keep = (jb >= 0) & (ja <= n - 1) & (jb >= ja)
+    for i, lo, hi in zip(rows[k[a[keep]]].tolist(), np.maximum(ja[keep], 0).astype(int).tolist(),
+                         np.minimum(jb[keep], n - 1).astype(int).tolist()):
+        bits[i, lo:hi + 1] = True
 
 
 def crossing_parity(poly: np.ndarray, z: complex) -> bool:

@@ -1,4 +1,5 @@
-"""Monic polynomial dynamics: iteration, escape, critical points, cycles, potential.
+"""Monic polynomial dynamics: iteration, escape, critical points, cycles,
+potential and the inverse Boettcher series.
 
 The scalar path runs on Python complex; numpy is imported inside the array
 code (companion roots, the cycle census, Horner on arrays) where it runs."""
@@ -7,7 +8,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import NonConvergence, RenormError
@@ -30,6 +33,7 @@ ORBIT_HUGE = 1e200  # _newton_ratios stops an orbit before its image passes this
 CRITICAL_ORBIT_STEPS = 2000
 CRITICAL_ORBIT_MAX_LAG = 64
 NEWTON_STEPS = 400  # newton's bound on steps; its noise-floor stop ends it first
+ABERTH_SWEEPS = 200  # _aberth's bound on sweeps
 
 
 def _finite(z: complex) -> bool:
@@ -89,6 +93,12 @@ class Polynomial:
 
     def __call__(self, z):
         return _horner(self.coeffs, z)
+
+    @cached_property
+    def inverse_bottcher(self) -> InverseBottcher:
+        """The Laurent series of P's inverse Boettcher map, built on first use
+        and extended in place, so every caller on this P shares it."""
+        return InverseBottcher(self)
 
     def deriv(self, z):
         return _horner(self.deriv_coeffs, z)
@@ -219,22 +229,56 @@ def newton(fdf, z: complex, bail: float = math.inf) -> complex | None:
     return z
 
 
+def _aberth(cs: Sequence[complex]) -> list[complex]:
+    """All roots of sum cs[k] z^k (constant term first, leading term non-zero),
+    with multiplicity, by Aberth-Ehrlich iteration on Python complex (Aberth
+    1973; Bini, Numer. Algorithms 13, 1996).
+
+    Trailing zero coefficients give exact zero roots.  The rest start on a
+    circle of radius |c_0/c_n|^(1/n), turned off the axes, and sweep
+    Gauss-Seidel until every step is below 1e-14 of its root's size; at a
+    multiple root the steps shrink only linearly, to its noise shell, within
+    ABERTH_SWEEPS sweeps.
+    """
+    zeros = 0
+    while cs[zeros] == 0:
+        zeros += 1
+    cs = list(cs[zeros:])
+    n = len(cs) - 1
+    dcs = [k * c for k, c in enumerate(cs)][1:]
+    radius = abs(cs[0] / cs[-1]) ** (1.0 / n) if n else 0.0
+    z = [cmath.rect(radius, 2.0 * math.pi * k / n + 0.4) for k in range(n)]
+    for _ in range(ABERTH_SWEEPS):
+        moving = False
+        for i, zi in enumerate(z):
+            p = _horner(cs, zi)
+            if p == 0:
+                continue
+            denom = _horner(dcs, zi) - p * sum(1.0 / (zi - zj) for j, zj in enumerate(z) if j != i)
+            if denom == 0:
+                continue
+            step = p / denom
+            z[i] = zi - step
+            moving |= abs(step) > 1e-14 * max(1.0, abs(z[i]))
+        if not moving:
+            break
+    return [0j] * zeros + z
+
+
 def critical_points(P: Polynomial) -> list[complex]:
     """The d-1 roots of P', with multiplicity.
 
-    Companion-matrix roots polished by `newton`; multiple roots keep the
-    companion value (Newton stalls there but the cluster is already accurate).
-    Each root must leave |P'(r)| within 1e-8 times sum k |c_k| |r|^(k-1),
-    the scale of its evaluation, else NonConvergence.
+    `_aberth` roots polished by `newton`; multiple roots keep the Aberth
+    value (Newton stalls there but the cluster is already accurate).  Each
+    root must leave |P'(r)| within 1e-8 times sum k |c_k| |r|^(k-1), the
+    scale of its evaluation, else NonConvergence.  Python complex throughout,
+    so `polyrenorm ray` needs no numpy for it.
     """
-    import numpy as np
     dcs = P.deriv_coeffs
-    roots = np.roots(np.array(dcs[::-1], dtype=complex))  # highest degree first
     d2cs = [k * (k - 1) * c for k, c in enumerate(P.coeffs)][2:]  # of P''
     scale_cs = [abs(c) for c in dcs]
     out = []
-    for r in roots:
-        r = complex(r)
+    for r in _aberth(dcs):
         polished = newton(lambda z: (P.deriv(z), _horner(d2cs, z)), r)
         if polished is not None and abs(P.deriv(polished)) <= abs(P.deriv(r)):
             r = polished
@@ -450,6 +494,8 @@ def green_potential(P: Polynomial, z: complex) -> float:
     """
     R = P.escape_radius
     d = P.degree
+    # P(z) inline: `_horner`'s operations in its order, so the same bits
+    top, rest = P.coeffs[-1], P.coeffs[-2::-1]
     z = complex(z)
     scale = 1.0  # d^n
     est = None
@@ -461,6 +507,76 @@ def green_potential(P: Polynomial, z: complex) -> float:
             est = cur
             if abs(z) > 1e80:
                 return cur
-        z = P(z)
+        w = top
+        for c in rest:
+            w = w * z + c
+        z = w
         scale *= d
     return 0.0 if est is None else est
+
+
+class InverseBottcher:
+    """The inverse Boettcher map psi = Phi^-1 of P near infinity, as a
+    Laurent series psi(w) = w * sum_k s_k w^-k with s_0 = 1.
+
+    The coefficients follow order by order from P(psi(w)) = psi(w^d)
+    (Jungreis, Duke Math. J. 52, 1985; Ewing & Schober, Numer. Math. 61,
+    1992), at O(d n^2) for n of them, and are extended on demand.  The series
+    converges for |w| > R = exp(g_max), where g_max is the largest Green
+    potential of a critical point (0 when the Julia set is connected).  The
+    area theorem bounds |s_k| <= R^k / sqrt(k - 1), so they are kept scaled,
+    sigma_k = s_k R^-k, and psi(w) = w * sum_k sigma_k x^k with x = R/w:
+    `terms(g)` of them bring the truncation at |w| = e^g below 2^-53 of |w|.
+    """
+
+    def __init__(self, P: Polynomial):
+        d = P.degree
+        self.g_max = max(green_potential(P, c) for c in critical_points(P))
+        self._R = R = math.exp(self.g_max)
+        # the order-k equation in x: sum_j a_j R^(j-d) x^(d-j) S^j = S(x^d / R^(d-1))
+        self._a = [c * R ** (j - d) for j, c in enumerate(P.coeffs[:-1])]
+        self._r = R ** (1.0 / d - 1.0)
+        self._sigma = [1 + 0j]
+        self._powers = [[1 + 0j] for _ in range(d - 1)]  # S^2 .. S^d
+
+    def terms(self, g: float) -> int:
+        """Coefficients that bring the truncation at potential g > g_max below
+        2^-53 relative: the tail is at most e^(-K delta) / (1 - e^-delta)."""
+        delta = g - self.g_max
+        return math.ceil((53.0 * math.log(2.0) - math.log1p(-math.exp(-delta))) / delta)
+
+    def _scaled(self, n: int) -> list[complex]:
+        """The first n scaled coefficients sigma_k, extending the list."""
+        s, powers, a = self._sigma, self._powers, self._a
+        d = len(powers) + 1
+        for k in range(len(s), n):
+            # [x^k] S^j for j = 2 .. d, with sigma_k still 0 (and s_0 = 1)
+            prev = s
+            for pw in powers:
+                low = prev[k] if len(prev) > k else 0j
+                pw.append(low + sum(map(operator.mul, s[1:k], reversed(prev[1:k])), 0j))
+                prev = pw
+            # sum_{j<d} a_j [x^(k-d+j)] S^j, where S^0 = 1 and S^1 = S
+            rest = sum((a[j] * (powers[j - 2][k - d + j] if j > 1 else s[k - d + 1])
+                        for j in range(max(1, d - k), d)), a[0] if k == d else 0j)
+            rhs = s[k // d] * self._r ** k if k % d == 0 else 0j
+            sk = (rhs - powers[-1][k] - rest) / d
+            s.append(sk)
+            for j, pw in enumerate(powers, start=2):
+                pw[k] += j * sk
+        return s[:n]
+
+    def __call__(self, w, g: float):
+        """psi(w) at |w| = e^g (g > g_max): a Python complex or an array."""
+        return w * _horner(self._scaled(self.terms(g)), self._R / w)
+
+    def with_tangent(self, w: complex, g: float) -> tuple[complex, complex]:
+        """(psi(w), w psi'(w)) at a scalar w with |w| = e^g, in one Horner pass:
+        w psi'(w) = w (S(x) - x S'(x))."""
+        cs = self._scaled(self.terms(g))
+        x = self._R / w
+        p, dp = cs[-1], 0j
+        for c in reversed(cs[:-1]):
+            dp = dp * x + p
+            p = p * x + c
+        return w * p, w * (p - x * dp)

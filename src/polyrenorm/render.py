@@ -56,17 +56,20 @@ def render_scene_image(kp: Mask, avoiding: Mask,
 
 def draw_polyline(img: np.ndarray, grid: GridSpec, points: np.ndarray,
                   color: tuple[int, int, int]) -> None:
-    """Stamp a polyline by dense per-segment sampling (deterministic)."""
+    """Stamp a polyline by dense per-segment sampling (deterministic): a
+    segment of length L takes s = int(L / (px/2)) + 1 steps, at the
+    parameters k*(1/s) with the last one 1.0, which are the bits of
+    np.linspace(0, 1, s + 1); all segments are sampled in one pass."""
     pts = np.asarray(points, dtype=complex)
     if len(pts) < 2:
         return
-    px = grid.pixel
-    col = np.array(color, dtype=np.uint8)
+    a, ab = pts[:-1], pts[1:] - pts[:-1]
+    steps = np.maximum(1, (np.abs(ab) / (0.5 * grid.pixel)).astype(np.int64) + 1)
+    ends = np.cumsum(steps + 1)  # one past each segment's last sample
+    seg = np.repeat(np.arange(a.size), steps + 1)
+    ts = (np.arange(ends[-1]) - np.repeat(ends - steps - 1, steps + 1)) * (1.0 / steps[seg])
+    ts[ends - 1] = 1.0
+    i, j = grid.index_arrays(a[seg] + ts * ab[seg])
     n = grid.resolution
-    for a, b in zip(pts[:-1], pts[1:]):
-        steps = max(1, int(abs(b - a) / (0.5 * px)) + 1)
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        zs = a + ts * (b - a)
-        i, j = grid.index_arrays(zs)
-        ok = (i >= 0) & (i < n) & (j >= 0) & (j < n)
-        img[i[ok], j[ok]] = col
+    ok = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+    img[i[ok], j[ok]] = np.array(color, dtype=np.uint8)

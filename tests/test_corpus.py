@@ -13,7 +13,12 @@ The scenes in tests/scenes run at 64 pixels and 64 iterations:
   subcommand ends at once in the wedge's equipotential sweep, which would
   need billions of nodes;
 - z2_minus_5_4: z^2 - 5/4 with no cuts.  Its parabolic 2-cycle gets no
-  trap, so each bounded pixel iterates for the whole budget.
+  trap, so each bounded pixel iterates for the whole budget;
+- cubic_escaping: z^3 - 3z + 3 with no cuts.  Its critical point -1 escapes
+  (g_max = 0.525), so the Julia set is disconnected and the inverse
+  Boettcher series converges only above g_max: the surgery's exterior cap
+  is evaluated there.  Its model degree is d_c = 3, so the quadratic
+  candidate is refused.
 
 The landings at parabolic points (figure1's 1/3, the basilica's 1/3) sit a
 noise-level distance from the root; their digits follow the landing polish.
@@ -33,6 +38,7 @@ SWEEP = ("error: equipotential sweep at potential 1e-09 over an angle span of 0.
          "needs 6666666877 nodes, more than 100000")
 CONJUGACY = "conjugacy: cycle counts and non-repelling multipliers match"
 DEGREE = "[PASS] surgery-degree: d_c = 2 by formula and preimage count"
+CANDIDATE = "error: candidate degree 2 != expected d_c 3"
 EXPECTED = {
     "figure1_64": {
         "julia": (0, "filled Julia mask: 214 pixels, 1 component(s) after closing"),
@@ -66,7 +72,7 @@ EXPECTED = {
     },
     "basilica": {
         "julia": (0, "filled Julia mask: 536 pixels, 1 component(s) after closing"),
-        "ray": (0, "ray 1/3: lands at -8.62113018e-11+2.91152632e-09j (polished)"),
+        "ray": (0, "ray 1/3: lands at 4.15040351e-12+7.49589907e-09j (polished)"),
         "cuts-check": (2, "[FAIL] admissible: 1 checks; forward-invariance cut0(1/3,2/3) failed"),
         "avoid": (2, "[PASS] avoiding-strict-subset: 0 of 536 pixels"),
         "carrot": (1, SPIRAL),
@@ -93,6 +99,16 @@ EXPECTED = {
         "surgery": (0, DEGREE),
         "verify": (0, "[PASS] " + CONJUGACY),
         "figure1": (2, "[PASS] admissible: 1 checks"),
+    },
+    "cubic_escaping": {
+        "julia": (0, "filled Julia mask: 86 pixels, 1 component(s) after closing"),
+        "ray": (1, "scene error: --angle: no angles: give --angle or a scene with cuts"),
+        "cuts-check": (0, "[PASS] admissible: 1 checks"),
+        "avoid": (2, "[FAIL] avoiding-strict-subset: 86 of 86 pixels"),
+        "carrot": (0, ""),
+        "surgery": (0, "[PASS] surgery-degree: d_c = 3 by formula and preimage count"),
+        "verify": (1, CANDIDATE),
+        "figure1": (1, CANDIDATE),
     },
 }
 

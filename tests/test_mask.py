@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
+from polyrenorm import render
 from polyrenorm import (GridSpec, Mask, PixelRaster, Polynomial, compare_masks,
                         connected_components, equipotential_polyline, escape_analysis,
                         load_mask_raw, nonescaping_mask, save_mask_raw, wedge_raster)
@@ -258,6 +259,113 @@ def test_crossing_parity_matches_fill_polygon(fig1_carrots, fig1_family, fig1_gr
         parity = np.array([[crossing_parity(poly, z) for z in row] for row in centers])
         assert bits.any()
         assert (parity == bits).all()
+
+
+def _reference_fill(bits, grid, polygon):
+    # the per-row scanline loop that the edge-list fill replaced
+    pts = np.asarray(polygon, dtype=complex)
+    if abs(pts[0] - pts[-1]) > 0:
+        pts = np.append(pts, pts[0])
+    x0, y0, x1, y1 = pts[:-1].real, pts[:-1].imag, pts[1:].real, pts[1:].imag
+    n, px = grid.resolution, grid.pixel
+    left = grid.center.real - grid.width / 2
+    top = grid.center.imag + grid.width / 2
+    i_lo = max(0, int(np.floor((top - pts.imag.max()) / px - 0.5)))
+    i_hi = min(n - 1, int(np.ceil((top - pts.imag.min()) / px - 0.5)))
+    for i in range(i_lo, i_hi + 1):
+        y = top - (i + 0.5) * px
+        hit = (y0 <= y) != (y1 <= y)
+        xs = np.sort(x0[hit] + (y - y0[hit]) * (x1[hit] - x0[hit]) / (y1[hit] - y0[hit]))
+        for k in range(0, len(xs) - 1, 2):
+            ja = int(np.ceil((xs[k] - left) / px - 0.5))
+            jb = int(np.floor((xs[k + 1] - left) / px - 0.5))
+            if jb < 0 or ja > n - 1 or jb < ja:
+                continue
+            bits[i, max(ja, 0):min(jb, n - 1) + 1] = True
+
+
+def _scanline(grid, i):
+    return grid.center.imag + grid.width / 2 - (i + 0.5) * grid.pixel
+
+
+def _column(grid, j):
+    return grid.center.real - grid.width / 2 + (j + 0.5) * grid.pixel
+
+
+_FILL_GRID = GridSpec(0.1 + 0.05j, 2.0, 64)
+_FILL_POLYGONS = {
+    # vertices exactly on pixel-centre scanlines and columns
+    "on-scanlines": [complex(_column(_FILL_GRID, j), _scanline(_FILL_GRID, i))
+                     for j, i in ((5, 5), (40, 5), (40, 30), (20, 50), (5, 30))],
+    # horizontal edges, on and between scanlines, and a closed point list
+    "horizontal": [complex(-0.7, _scanline(_FILL_GRID, 10)), complex(0.6, _scanline(_FILL_GRID, 10)),
+                   0.6 - 0.3j, 0.2 - 0.3j, 0.2 - 0.6j, -0.7 - 0.6j,
+                   complex(-0.7, _scanline(_FILL_GRID, 10))],
+    # a pentagram: self-intersecting, its centre outside by even-odd
+    "pentagram": [0.8 * np.exp(2j * np.pi * (0.25 + 0.4 * k)) for k in range(5)],
+    # parts above, below and to both sides of the window
+    "overhanging": [-1.5 - 0.2j, 0.4 - 1.7j, 1.6 + 0.1j, 0.3 + 1.9j, -0.2 + 0.4j],
+    "outside": [3 + 3j, 4 + 3j, 4 + 4j],
+    # thinner than a pixel, between two scanlines
+    "sliver": [-0.5 + 0.01j, 0.5 + 0.011j, -0.5 + 0.012j],
+}
+
+
+@pytest.mark.parametrize("name", list(_FILL_POLYGONS))
+def test_fill_polygon_matches_the_row_loop(name):
+    poly = np.array(_FILL_POLYGONS[name])
+    for grid in (_FILL_GRID, _FILL_GRID.subdivide(4)):
+        n = grid.resolution
+        bits, ref = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+        fill_polygon(bits, grid, poly)
+        _reference_fill(ref, grid, poly)
+        assert (bits == ref).all()
+    assert bits.any() == (name not in ("outside", "sliver"))  # the sliver misses every row
+    if name == "pentagram":
+        assert not bits[n // 2 - 10, n // 2 - 3]  # the centre: wound twice
+
+
+def test_fill_polygon_matches_the_row_loop_on_figure1(fig1_carrots, fig1_family, fig1_grid):
+    polys = [c.boundary() for c in fig1_carrots]
+    polys += [w.boundary for w in fig1_family.wedges if w.boundary is not None]
+    n = fig1_grid.resolution
+    for poly in polys:
+        bits, ref = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+        fill_polygon(bits, fig1_grid, poly)
+        _reference_fill(ref, fig1_grid, poly)
+        assert (bits == ref).all()
+
+
+def _reference_polyline(img, grid, points, color):
+    # the per-segment loop that the one-pass sampling replaced
+    pts = np.asarray(points, dtype=complex)
+    n = grid.resolution
+    for a, b in zip(pts[:-1], pts[1:]):
+        steps = max(1, int(abs(b - a) / (0.5 * grid.pixel)) + 1)
+        zs = a + np.linspace(0.0, 1.0, steps + 1) * (b - a)
+        i, j = grid.index_arrays(zs)
+        ok = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+        img[i[ok], j[ok]] = np.array(color, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("name", list(_FILL_POLYGONS))
+def test_draw_polyline_matches_the_segment_loop(name):
+    pts = np.array(_FILL_POLYGONS[name] + [_FILL_POLYGONS[name][0], 0j, 0j, 1e-9 + 0j])
+    for grid in (_FILL_GRID, _FILL_GRID.subdivide(4)):
+        n = grid.resolution
+        img, ref = np.zeros((n, n, 3), dtype=np.uint8), np.zeros((n, n, 3), dtype=np.uint8)
+        render.draw_polyline(img, grid, pts, (1, 2, 3))
+        _reference_polyline(ref, grid, pts, (1, 2, 3))
+        assert (img == ref).all()
+        assert img.any()
+
+
+def test_linspace_is_the_product_with_the_reciprocal():
+    # draw_polyline's sampling parameters: k*(1/s), the last one 1.0
+    for s in range(1, 1001):
+        ts = np.arange(s + 1) * (1.0 / s)
+        ts[-1] = 1.0
+        assert (ts == np.linspace(0.0, 1.0, s + 1)).all()
 
 
 # -- reference sweeps: the plain loops the pixel sweeps must reproduce bit for bit

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -81,6 +82,16 @@ def test_critical_points():
     crit3 = critical_points(Polynomial((0, 0, 0, 1)))  # z^3, double root
     assert len(crit3) == 2
     assert all(abs(c) < 1e-8 for c in crit3)
+
+    # multiple critical points: z^4's three at 0 come out exactly (a
+    # nonzero root would leave |P'| at its whole evaluation scale there);
+    # elsewhere a cluster within its noise shell
+    assert critical_points(Polynomial((0, 0, 0, 0, 1))) == [0j, 0j, 0j]
+    assert critical_points(Polynomial((0.5, 0, 0, 1))) == [0j, 0j]
+    double = critical_points(Polynomial((0, 3, 3, 1)))  # P' = 3 (z + 1)^2
+    assert len(double) == 2 and all(abs(c + 1) < 1e-7 for c in double)
+    triple = critical_points(Polynomial((5, 4, 6, 4, 1)))  # P' = 4 (z + 1)^3
+    assert len(triple) == 3 and all(abs(c + 1) < 1e-4 for c in triple)
 
     # z^3 + 3e5 z^2 + 1e6 z: at the critical point near -2e5 the terms of P'
     # are ~1e11, so rounding leaves |P'| ~ 1e-6 there, far above any absolute
@@ -393,6 +404,29 @@ def test_iterate_with_deriv_matches_chain_rule(P):
             assert [_bits(v) for v in got] == [_bits(v) for v in ref]
 
 
+def _ref_green_potential(P, z):
+    # the loop before P(z) was inlined, to pin the inline Horner to its bits
+    R, d, scale, est = P.escape_radius, P.degree, 1.0, None
+    for _ in range(4096):
+        if abs(z) > R:
+            cur = math.log(abs(z)) / scale
+            if est is not None and abs(cur - est) < 1e-13:
+                return cur
+            est = cur
+            if abs(z) > 1e80:
+                return cur
+        z = P(z)
+        scale *= d
+    return 0.0 if est is None else est
+
+
+@pytest.mark.parametrize("P", KERNEL_POLYS, ids=lambda P: f"degree{P.degree}")
+def test_green_potential_matches_the_reference_loop(P):
+    rng = np.random.default_rng(1330 + P.degree)
+    for z in _kernel_points(rng, 60) + [c for c in critical_points(P)]:
+        assert green_potential(P, z) == _ref_green_potential(P, z)
+
+
 def test_preimage_near_falls_back_to_companion_roots():
     # P'(-2) = 0 on the cubic z(z+2)^2: Newton cannot start, and the companion
     # matrix root nearest the seed comes back with P' at that root
@@ -402,3 +436,26 @@ def test_preimage_near_falls_back_to_companion_roots():
     root = complex(roots[int(np.argmin(np.abs(roots - seed)))])
     assert CUBIC.preimage_near(w, seed) == (root, CUBIC.deriv(root))
     assert _ref_preimage_near(CUBIC, w, seed) == root
+
+
+def test_inverse_bottcher_series():
+    # psi(w) = w - c/(2w) - (c^2 + 2c)/(8w^3) + ... for z^2 + c, and the
+    # cubic z(z+2)^2 is not centred: psi(w) = w - 4/3 + ...
+    c = complex(-0.12256116687665362, 0.7448617666197442)
+    series = Polynomial((c, 0, 1)).inverse_bottcher
+    assert series.g_max == 0.0
+    want = [1, 0, -c / 2, 0, -(c * c + 2 * c) / 8]
+    assert all(abs(s - w) < 1e-15 for s, w in zip(series._scaled(5), want))
+    cubic = CUBIC.inverse_bottcher
+    assert cubic._scaled(2) == [1, -4 / 3]
+    # truncated below 2^-53 relative: at the direct floor and the chain top
+    assert (cubic.terms(0.1), cubic.terms(0.5)) == (391, 76)
+    # P(psi(w)) = psi(w^d) to rounding, also on a disconnected Julia set,
+    # where the coefficients are kept scaled by exp(g_max)^-k
+    for P in (CUBIC, Polynomial((3, -3, 0, 1)), Polynomial((0, 1e6, 3e5, 1))):
+        psi = P.inverse_bottcher
+        for g in (psi.g_max + 0.1, psi.g_max + 0.5, psi.g_max + 3.0):
+            for a in (0.0, 0.2137, 0.75):
+                w = cmath.rect(math.exp(g), 2 * math.pi * a)
+                z = psi(w, g)
+                assert abs(P(z) - psi(w ** P.degree, P.degree * g)) <= 1e-13 * abs(P(z))

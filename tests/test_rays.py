@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 from fractions import Fraction
@@ -312,15 +313,17 @@ def test_sweep_node_bound_is_a_renorm_error(monkeypatch):
     assert bottcher.MAX_SWEEP_NODES < 6666666
 
 
-# The descent as it was before the spine: one node list from potential 3
-# down the ladder 3*d^(-k/8) to g (g itself appended unless the last ladder
-# point is within 1e-12 of it), or a cold node from SEED_DIRECT_MIN up.
+# The descent as a node list: from the direct floor g_max + SERIES_DIRECT
+# down the ladder floor*d^(-k/8) to g (g itself appended unless the last
+# ladder point is within 1e-12 of it), the first node a cold chain.
+
+def _floor(P):
+    return P.inverse_bottcher.g_max + bottcher.SERIES_DIRECT
+
 
 def _old_descent(P, g, off):
-    if g >= bottcher.SEED_DIRECT_MIN:
-        return [(g, off, False)]
     r = P.degree ** (-1.0 / 8)
-    ts = [3.0]
+    ts = [_floor(P)]
     while ts[-1] * r > g * (1.0 + 1e-12):
         ts.append(ts[-1] * r)
     if abs(ts[-1] - g) > 1e-12 * g:
@@ -341,26 +344,39 @@ def _old_sweep(P, g, frac, offs):
 
 
 def _ladder_point(P, k):
-    t = 3.0
+    t = _floor(P)
     for _ in range(k):
         t *= P.degree ** (-1.0 / 8)
     return t
 
 
+def _series(P, g, angle):
+    return P.inverse_bottcher(cmath.rect(math.exp(g), 2.0 * math.pi * angle), g)
+
+
 @pytest.mark.parametrize("P", [CUBIC, BASILICA], ids=["cubic", "basilica"])
-@pytest.mark.parametrize("where", ["cold", "below-top", "ladder", "near-ladder-above",
-                                   "near-ladder-below", "deep"])
+@pytest.mark.parametrize("where", ["cold", "at-floor", "below-top", "ladder",
+                                   "near-ladder-above", "near-ladder-below", "deep"])
 def test_points_and_sweeps_keep_the_descent_nodes(P, where):
-    # a throwaway spine walks the node list of the descent it replaced, so
-    # points and sweeps keep their bits
+    # at and above the direct floor, points and sweeps are the series; below
+    # it, a throwaway spine walks the node list of the descent from the
+    # floor, so points and sweeps keep its bits
     t = _ladder_point(P, 37)
-    g = {"cold": 2.5, "below-top": 1.99, "ladder": t, "near-ladder-above": t * (1 + 5e-13),
+    g = {"cold": 2.5, "at-floor": _floor(P), "below-top": _floor(P) * (1 - 1e-3),
+         "ladder": t, "near-ladder-above": t * (1 + 5e-13),
          "near-ladder-below": t * (1 - 5e-13), "deep": 6.3e-12}[where]
     for frac, off in ((Fraction(0), 0.0), (Fraction(1, 3), 0.0), (Fraction(0), 0.2137)):
         theta = frac + Fraction(off)
+        offs = [off + g * (k / 8 - 1) for k in range(17)]
+        if g >= _floor(P):
+            assert bottcher_point(P, g, theta) == _series(P, g, float(theta))
+            assert bottcher._point(P, g, frac, off) == _series(P, g, float(frac) + off)
+            swept = bottcher.equipotential_points(P, g, frac, offs)  # on arrays
+            for z, o in zip(swept, offs):
+                assert abs(z - _series(P, g, float(frac) + o)) <= 1e-14 * abs(z)
+            continue
         assert bottcher_point(P, g, theta) == _old_point(P, g, theta, 0.0)
         assert bottcher._point(P, g, frac, off) == _old_point(P, g, frac, off)
-        offs = [off + g * (k / 8 - 1) for k in range(17)]
         assert bottcher.equipotential_points(P, g, frac, offs) == _old_sweep(P, g, frac, offs)
 
 
@@ -390,3 +406,55 @@ def test_spine_sweeps_straddle_its_offset():
         assert abs(z - ref) <= 1e-12 * abs(ref)
     with pytest.raises(ValueError, match="non-decreasing"):
         spine.sweep(g, offs[::-1])
+
+
+ESCAPING = Polynomial((3, -3, 0, 1))  # z^3 - 3z + 3: P(-1) = 5 escapes, g_max = 0.525
+
+
+def _mp_point(P, g, theta):
+    """The point at potential g and angle theta by a 50-digit pullback chain
+    from potential 60, where exp(zeta) is the Boettcher inverse to 1e-26; each
+    level is seeded by the float chain (bottcher_point's own chain below the
+    direct floor, the series above it) and polished far past its bits."""
+    import mpmath
+    d = P.degree
+    frac, off = (theta, 0.0) if isinstance(theta, Fraction) else (Fraction(0), theta)
+    exact = frac + Fraction(off)
+    seeds = list(bottcher.Spine(P, frac, off)._descend(g).points) if g < _floor(P) else []
+    m = 0
+    while g * d**m < 60:
+        m += 1
+    seeds += [bottcher_point(P, g * d**j, exact * d**j % 1) for j in range(len(seeds), m)]
+    with mpmath.workdps(50):
+        cs = [mpmath.mpc(c) for c in P.coeffs]
+        top = exact * d**m % 1
+        z = mpmath.exp(g * d**m + 2j * mpmath.pi * top.numerator / top.denominator)
+        for seed in reversed(seeds):
+            w, z = z, mpmath.mpc(seed)
+            for _ in range(100):
+                p, dp = cs[-1], 0
+                for c in reversed(cs[:-1]):
+                    p, dp = p * z + c, dp * z + p
+                step = (p - w) / dp
+                z -= step
+                if abs(step) < mpmath.mpf(10) ** -45 * abs(z):
+                    break
+        return complex(z)
+
+
+_ORACLE_POTENTIALS = (3, 2, 1, 0.3, 0.1, 1e-2, 1e-3, 1e-4)
+
+
+@pytest.mark.parametrize("name", ["cubic", "basilica", "rabbit", "escaping"])
+def test_bottcher_point_against_mpmath(name):
+    # the chain top and the direct band are the inverse Boettcher series,
+    # accurate to rounding; exp(zeta) at potential 18 was off by 2.7e-9 on the
+    # cubic (not centred) at g = 2 and by 6.3e-11 on the basilica at g = 0.3.
+    # The escaping cubic's series converges only above g_max: from its floor up
+    P = {"cubic": CUBIC, "basilica": BASILICA, "rabbit": RABBIT, "escaping": ESCAPING}[name]
+    gs = ([_floor(P) + x for x in (0.0, 0.2, 0.5, 1.0, 2.0)] if name == "escaping"
+          else _ORACLE_POTENTIALS)
+    for g in gs:
+        for theta in (Fraction(0), Fraction(1, 7), Fraction(1, 3), 0.2137):
+            z, ref = bottcher_point(P, g, theta), _mp_point(P, g, theta)
+            assert abs(z - ref) <= 1e-13 * abs(ref), (g, theta)

@@ -102,7 +102,9 @@ class Carrot:
     """Dynamical carrot of a cut: two spiral sides plus an equipotential arc.
 
     Sides are ordered by decreasing potential with the root appended last.
-    `arc_lo/arc_hi` are lifted angles of the equipotential arc (ccw).
+    `equip_arc` runs from side_r's end to side_l's end: ccw from lifted
+    angle `arc_lo` to `arc_hi`, or from `arc_hi` down to `arc_lo` on a
+    degenerate cut.
     """
 
     cut: Cut
@@ -114,30 +116,18 @@ class Carrot:
     arc_lo: float
     arc_hi: float
 
-    def boundary(self) -> np.ndarray:
-        """Simple closed polygon: root, side_r up, arc, side_l down, root."""
-        sr = self.side_r.points[::-1]
-        sl = self.side_l.points
-        if self.cut.degenerate:
-            # arc stored lo->hi; side_r tops out at the high end
-            arc = self.equip_arc[::-1]
-        else:
-            arc = self.equip_arc
-        return np.concatenate([
-            np.array([self.cut.root]),
-            sr,                    # rising potential to g0
-            arc[1:-1],
-            sl,                    # falling potential back to the root
-            np.array([self.cut.root]),
-        ])
-
     @cached_property
-    def polygon(self) -> np.ndarray:
-        """`boundary()`, kept for the membership tests."""
-        return self.boundary()
+    def boundary(self) -> np.ndarray:
+        """Simple closed polygon, read-only: root, side_r up, arc, side_l
+        down, root."""
+        root = np.array([self.cut.root])
+        polygon = np.concatenate([root, self.side_r.points[::-1], self.equip_arc[1:-1],
+                                  self.side_l.points, root])
+        polygon.flags.writeable = False
+        return polygon
 
     def contains(self, z: complex) -> bool:
-        return crossing_parity(self.polygon, z)
+        return crossing_parity(self.boundary, z)
 
     def side_pair_points(self) -> np.ndarray:
         """The union side_r + root + side_l as one simple arc (root in the middle)."""
@@ -184,10 +174,9 @@ def build_carrots(P: Polynomial, cuts: Sequence[Cut], rho: float) -> list[Carrot
             lo, hi = theta + g0, theta + float(cut.arc_width()) - g0
         arc = equipotential_arc(P, g0, cut.theta_r.fraction(), lo - theta, hi - theta,
                                 max_step=ARC_MAX_STEP)
-        if cut.degenerate:
-            arc[0], arc[-1] = side_l.points[0], side_r.points[0]
-        else:
-            arc[0], arc[-1] = side_r.points[0], side_l.points[0]
+        if cut.degenerate:  # side_r ends at the high angle
+            arc.reverse()
+        arc[0], arc[-1] = side_r.points[0], side_l.points[0]
         carrots.append(Carrot(cut, rho, g0, side_r, side_l, np.array(arc), lo, hi))
     return carrots
 
@@ -197,7 +186,7 @@ def carrots_disjoint(carrots: Sequence[Carrot]) -> bool:
     of another's 160 boundary samples or its interior probe, checked in both
     orders so that a carrot nested inside another is caught."""
     for a, b in itertools.permutations(carrots, 2):
-        pts = b.boundary()
+        pts = b.boundary
         idx = np.unique(np.linspace(0, len(pts) - 1, 160).astype(int))
         probe = pts[idx]
         # skip shared root contacts

@@ -230,7 +230,7 @@ def _write_avoiding(run: Run) -> list[Verdict]:
 def _write_boundaries(run: Run) -> list[Verdict]:
     _write_rows(run.path("carrot_boundaries.csv"), ["carrot", "re", "im"],
                 [[i, repr(float(z.real)), repr(float(z.imag))]
-                 for i, c in enumerate(run.carrots) for z in c.boundary()])
+                 for i, c in enumerate(run.carrots) for z in c.boundary])
     return []
 
 
@@ -325,7 +325,7 @@ def _write_figure1(run: Run) -> list[Verdict]:
     for ray in run.rays:
         render.draw_polyline(img, scene.grid, ray.points, render.COLOR_RAY)
     for c in run.carrots:
-        render.draw_polyline(img, scene.grid, c.boundary(), render.COLOR_CARROT)
+        render.draw_polyline(img, scene.grid, c.boundary, render.COLOR_CARROT)
     render.write_ppm(run.path("figure1.ppm"), img)
     with open(run.path("summary.txt"), "w") as fh:
         fh.write("".join(_tagged(*v) + "\n" for v in run.verdicts))

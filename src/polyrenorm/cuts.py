@@ -123,7 +123,6 @@ def _ray_with_potential_point(P: Polynomial, ray: RayPolyline, g0: float) -> Ray
 @dataclass(frozen=True)
 class CutFlags:
     periodic: bool
-    preperiodic: bool
     critical_root: bool
     fictitious: bool
 
@@ -187,9 +186,7 @@ def build_family(P: Polynomial, pairs: Sequence[tuple[Angle, Angle]], *,
     for i, c in enumerate(cuts):
         critical_root = min((abs(c.root - cp) for cp in crit), default=math.inf) < ROOT_MATCH_TOL
         fict = c.degenerate and not reaches_nondeg[i]
-        flags.append(CutFlags(periodic=periodic_flags[i],
-                              preperiodic=not periodic_flags[i],
-                              critical_root=critical_root,
+        flags.append(CutFlags(periodic=periodic_flags[i], critical_root=critical_root,
                               fictitious=fict))
     wedges = tuple(Wedge.build(P, c, g0) for c in cuts)
     fam = CutFamily(P, tuple(cuts), g0, wedges, forward, tuple(flags), cycles)

@@ -52,15 +52,10 @@ def degree_dc(P: Polynomial, family: CutFamily) -> int:
     return dc
 
 
-def _interp(arr, t):
-    """Linear interpolation along a polyline by normalized parameter; t is a
-    float, evaluated in the arithmetic of arr's items, or an array."""
+def _interp(arr: np.ndarray, t) -> np.ndarray:
+    """Linear interpolation along a polyline by normalized parameter, at
+    every entry of t."""
     m = len(arr) - 1
-    if not isinstance(t, np.ndarray):
-        x = min(max(t, 0.0), 1.0) * m
-        i = min(int(x), m - 1)
-        f = x - i
-        return arr[i] * (1.0 - f) + arr[i + 1] * f
     x = np.clip(t, 0.0, 1.0) * m
     i = np.minimum(x.astype(int), m - 1)
     f = x - i
@@ -107,31 +102,19 @@ class CoonsPatch:
         src_right = np.concatenate([[src.cut.root], src.side_l.points[:n][::-1]])
         tgt_left = np.concatenate([[tgt.cut.root], tgt.side_r.points[:n][::-1]])
         tgt_right = np.concatenate([[tgt.cut.root], tgt.side_l.points[:n][::-1]])
-        src_top = src.equip_arc if not src.cut.degenerate else src.equip_arc[::-1]
         tgt_g = np.concatenate([[0.0], tgt.side_r.potentials[:n][::-1]])
         th_r = tgt.cut.theta_r.as_float()
         th_l = th_r + float(tgt.cut.arc_width())
-        return cls(P, src_left, src_right, src_top,
+        return cls(P, src_left, src_right, src.equip_arc,
                    tgt_left, tgt_right, tgt_g, th_r, th_l, tgt.cut.root)
 
-    @cached_property
-    def _src_edges(self) -> tuple[list[complex], list[complex], list[complex]]:
-        """The source edges as lists of Python complex, for scalar blends."""
-        return self.src_left.tolist(), self.src_right.tolist(), self.src_top.tolist()
-
-    def phi_src(self, s, t):
-        """The source blend at (s, t): floats, on Python complex, or
-        broadcastable arrays."""
-        if isinstance(s, np.ndarray) or isinstance(t, np.ndarray):
-            left, right, top = self.src_left, self.src_right, self.src_top
-        else:
-            left, right, top = self._src_edges
-        L = _interp(left, t)
-        R = _interp(right, t)
+    def phi_src(self, s, t) -> np.ndarray:
+        """The source blend at the broadcast pairs (s, t)."""
+        top = self.src_top
+        L = _interp(self.src_left, t)
+        R = _interp(self.src_right, t)
         T = _interp(top, s)
-        top0 = complex(top[0])
-        top1 = complex(top[-1])
-        return (1 - s) * L + s * R + t * (T - (1 - s) * top0 - s * top1)
+        return (1 - s) * L + s * R + t * (T - (1 - s) * top[0] - s * top[-1])
 
     @cached_property
     def spine(self) -> Spine:
@@ -139,74 +122,66 @@ class CoonsPatch:
         offsets straddle."""
         return Spine(self.P, Fraction(0), (self.tgt_th_r + self.tgt_th_l) / 2)
 
-    def phi_tgt(self, s: float, t: float) -> complex:
-        g = float(_interp(self.tgt_g, t))
-        if g <= 0.0:
-            return self.tgt_root
-        s = min(max(s, 0.0), 1.0)
-        theta = (1.0 - s) * (self.tgt_th_r + g) + s * (self.tgt_th_l - g)
-        return self.spine.sweep(g, [theta])[0]
+    def phi_tgt(self, s, t) -> np.ndarray:
+        """The target at the broadcast pairs (s, t): one equipotential sweep
+        out from the spine per distinct row potential, deepest first; rows
+        at potential 0 are the root."""
+        s, t = np.broadcast_arrays(np.clip(s, 0.0, 1.0), t)
+        g = _interp(self.tgt_g, t)
+        out = np.full(s.shape, self.tgt_root, dtype=complex)
+        for gj in np.unique(g[g > 0.0]):
+            row = g == gj
+            offs = (1.0 - s[row]) * (self.tgt_th_r + gj) + s[row] * (self.tgt_th_l - gj)
+            order = np.argsort(offs, kind="stable")
+            pts = np.empty(offs.size, dtype=complex)
+            pts[order] = self.spine.sweep(float(gj), offs[order].tolist())
+            out[row] = pts
+        return out
 
-    def invert_src(self, z: complex) -> tuple[float, float]:
-        """Numerically invert the source blend; best-effort on folds.  Newton
-        starts at the first closest node of a 22 x 22 grid unless (0.5, 0.5)
-        is as close, and runs on Python complex (each part divided by a real)."""
-        phi = self.phi_src
+    def invert_src(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Numerically invert the source blend at every point of z;
+        best-effort on folds.  Newton starts at the first closest node of a
+        22 x 22 grid unless (0.5, 0.5) is as close, takes central-difference
+        steps clamped to 0.25, and retires each point on its own.  Each part
+        of a difference is divided by the real width, as Python divides a
+        complex by a float."""
+        z = np.asarray(z, dtype=complex)
         nodes = np.arange(22) / 21.0
-        dist = np.abs(self.phi_src(nodes[:, None], nodes[None, :]) - z)
-        k, m = np.unravel_index(np.argmin(dist), dist.shape)
-        s, t = 0.5, 0.5
-        if dist[k, m] < abs(phi(s, t) - z):
-            s, t = float(nodes[k]), float(nodes[m])
+        dist = np.abs(self.phi_src(nodes[:, None], nodes[None, :]).ravel() - z[:, None])
+        k = np.argmin(dist, axis=1)
+        near = dist[np.arange(z.size), k] < np.abs(self.phi_src(0.5, 0.5) - z)
+        s = np.where(near, nodes[k // 22], 0.5)
+        t = np.where(near, nodes[k % 22], 0.5)
         h = 1e-6
+        live = np.arange(z.size)
         for _ in range(50):
-            f = phi(s, t) - z
-            if abs(f) < 1e-9:
-                break
-            fs = (phi(min(s + h, 1.0), t) - phi(max(s - h, 0.0), t)) / (
-                min(s + h, 1.0) - max(s - h, 0.0))
-            ft = (phi(s, min(t + h, 1.0)) - phi(s, max(t - h, 0.0))) / (
-                min(t + h, 1.0) - max(t - h, 0.0))
-            a, b_ = fs.real, ft.real
-            c, d_ = fs.imag, ft.imag
-            det = a * d_ - b_ * c
-            if det == 0:
-                break
-            ds = (-f.real * d_ + f.imag * b_) / det
+            sl, tl = s[live], t[live]
+            f = self.phi_src(sl, tl) - z[live]
+            s0, s1 = np.maximum(sl - h, 0.0), np.minimum(sl + h, 1.0)
+            t0, t1 = np.maximum(tl - h, 0.0), np.minimum(tl + h, 1.0)
+            fs = self.phi_src(s1, tl) - self.phi_src(s0, tl)
+            ft = self.phi_src(sl, t1) - self.phi_src(sl, t0)
+            a, c = fs.real / (s1 - s0), fs.imag / (s1 - s0)
+            b, d = ft.real / (t1 - t0), ft.imag / (t1 - t0)
+            det = a * d - b * c
+            go = (np.abs(f) >= 1e-9) & (det != 0)
+            live, f, a, b, c, d, det = (x[go] for x in (live, f, a, b, c, d, det))
+            ds = (-f.real * d + f.imag * b) / det
             dt = (-a * f.imag + c * f.real) / det
-            step = max(abs(ds), abs(dt))
-            if step > 0.25:
-                ds *= 0.25 / step
-                dt *= 0.25 / step
-            s = min(max(s + ds, 0.0), 1.0)
-            t = min(max(t + dt, 0.0), 1.0)
-            if max(abs(ds), abs(dt)) < 1e-13:
+            step = np.maximum(np.abs(ds), np.abs(dt))
+            big = step > 0.25
+            ds[big] *= 0.25 / step[big]
+            dt[big] *= 0.25 / step[big]
+            s[live] = np.clip(s[live] + ds, 0.0, 1.0)
+            t[live] = np.clip(t[live] + dt, 0.0, 1.0)
+            live = live[np.maximum(np.abs(ds), np.abs(dt)) >= 1e-13]
+            if live.size == 0:
                 break
         return s, t
 
-    def forward(self, z: complex) -> complex:
-        s, t = self.invert_src(z)
-        return self.phi_tgt(s, t)
-
-    def _tgt_rows(self, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """phi_tgt on a grid: each t-row is one equipotential sweep out from
-        the patch's spine, deepest row last, so the spine descends once."""
-        out = np.empty((len(ss), len(ts)), dtype=complex)
-        gs = [float(_interp(self.tgt_g, float(t))) for t in ts]
-        for j in sorted(range(len(ts)), key=lambda j: -gs[j]):
-            g = gs[j]
-            if g <= 0.0:
-                out[:, j] = self.tgt_root
-                continue
-            a0 = self.tgt_th_r + g
-            a1 = self.tgt_th_l - g
-            offs = [(1.0 - float(s)) * a0 + float(s) * a1 for s in ss]
-            flip = offs[0] > offs[-1]
-            if flip:
-                offs = offs[::-1]
-            pts = self.spine.sweep(g, offs)
-            out[:, j] = pts[::-1] if flip else pts
-        return out
+    def forward(self, z: np.ndarray) -> np.ndarray:
+        """The patch map, target of source^{-1}, at every point of z."""
+        return self.phi_tgt(*self.invert_src(z))
 
     def dilatation_grid(self, n: int = 32) -> tuple[float, float]:
         """(max singular-value ratio, fraction of orientation-reversing cells)
@@ -214,7 +189,7 @@ class CoonsPatch:
         shared (s, t) grid so the target map is evaluated once per node."""
         ss = np.linspace(0.0, 1.0, n + 1)
         js = _grid_jacobians(self.phi_src(ss[:, None], ss[None, :]))
-        jt = _grid_jacobians(self._tgt_rows(ss, ss))
+        jt = _grid_jacobians(self.phi_tgt(ss[:, None], ss[None, :]))
         ok = np.abs(np.linalg.det(js)) >= 1e-14
         A = jt[ok] @ np.linalg.inv(js[ok])
         sv = np.linalg.svd(A, compute_uv=False)
@@ -307,20 +282,20 @@ class ExteriorCap:
                 return ghat, (1.0 - s) * (A + B * thw) + s * self.dc * thw, k
         raise RuntimeError("angle not covered by the boundary trace")
 
-    def apply(self, g: float, theta: float) -> complex:
+    def apply(self, g: float, thetas: np.ndarray) -> np.ndarray:
+        """The cap at potential g >= g0 and every angle of thetas, by
+        equipotential sweeps in wrapped-angle order, so each sweep's offsets
+        are monotone, and evenly spaced where the angles are.  Below d**T0*g0
+        that is one sweep per boundary segment; from there on the cap is pure
+        degree-d_c stretching, one sweep at d_c*g."""
+        thetas = np.asarray(thetas, dtype=float)
+        wrapped = self.start + (thetas - self.start) % 1.0
+        order = np.argsort(wrapped, kind="stable")
         if g >= self.P.degree ** T0 * self.g0:
-            return bottcher_point(self.P, self.dc * g, (self.dc * theta) % 1.0)
-        ghat, alpha, _ = self._blend(g, theta)
-        return bottcher_point(self.P, ghat, alpha % 1.0)
-
-    def apply_sweep(self, g: float, thetas: np.ndarray) -> np.ndarray:
-        """`apply(g, theta)` for g0 <= g < d*g0 at every angle, by one
-        equipotential sweep per boundary segment in wrapped-angle order, so
-        each sweep's offsets are monotone, and evenly spaced where the angles
-        are."""
+            blends = [(self.dc * g, self.dc * float(wrapped[i]), 0) for i in order]
+        else:
+            blends = [self._blend(g, float(thetas[i])) for i in order]
         out = np.empty(len(thetas), dtype=complex)
-        order = np.argsort(self.start + (thetas - self.start) % 1.0, kind="stable")
-        blends = [self._blend(g, float(thetas[i])) for i in order]
         for k in sorted({seg for _, _, seg in blends}):
             idx = [i for i, (_, _, seg) in zip(order, blends) if seg == k]
             alphas = [alpha for _, alpha, seg in blends if seg == k]
@@ -357,11 +332,11 @@ class SurgeryMap:
     def window(self) -> GridSpec:
         """Covers the non-escaping set, the carrots and the equipotential at d*g0."""
         outer = equipotential_polyline(self.P, self.P.degree * self.g0, 256)
-        return covering_window(self.P, [outer] + [c.boundary() for c in self.carrots])
+        return covering_window(self.P, [outer] + [c.boundary for c in self.carrots])
 
     @cached_property
     def crit(self) -> PixelRaster:
-        return PixelRaster(self.window, [self.carrots[i].boundary() for i in self.critical])
+        return PixelRaster(self.window, [self.carrots[i].boundary for i in self.critical])
 
     @cached_property
     def u_rho(self) -> PixelRaster:
@@ -376,17 +351,21 @@ class SurgeryMap:
     def evaluate(self, z: complex) -> complex:
         g = green_potential(self.P, z)
         if g < self.g0 * (1.0 - 1e-12):
-            return self.interior(z)
+            return complex(self.interior(np.array([z]))[0])
         theta = external_angle(self.P, z, g=g)
-        return self.cap.apply(g, theta)
+        return complex(self.cap.apply(g, [theta])[0])
 
-    def interior(self, z: complex) -> complex:
-        """The map inside the outer equipotential: the patch on a critical
-        carrot, P elsewhere."""
+    def interior(self, z: np.ndarray) -> np.ndarray:
+        """The map inside the outer equipotential at every point of z: the
+        patch on a critical carrot, P elsewhere."""
+        out = self.P(z)
+        free = np.ones(len(z), dtype=bool)
         for i in self.critical:
-            if self.carrots[i].contains(z):
-                return self.patches[i].forward(z)
-        return self.P(z)
+            inside = free & np.array([self.carrots[i].contains(w) for w in z], dtype=bool)
+            if inside.any():
+                out[inside] = self.patches[i].forward(z[inside])
+                free &= ~inside
+        return out
 
     def preimage_count(self, w: complex) -> int:
         count = 0
@@ -466,15 +445,13 @@ def _cap_continuity_gap(P, carrots, critical, patches, cap: ExteriorCap,
         c = carrots[i]
         pos = (ths - c.arc_lo % 1.0) % 1.0
         width = c.arc_hi - c.arc_lo
-        idx = np.nonzero(free & (pos <= width))[0]
-        if idx.size:
-            idx = idx[np.argsort(pos[idx], kind="stable")]
-            # inside limit on a carrot arc is the patch's top edge value
-            inner[idx] = patches[i]._tgt_rows(pos[idx] / width, np.array([1.0]))[:, 0]
-            free[idx] = False
+        arc = free & (pos <= width)
+        # inside limit on a carrot arc is the patch's top edge value
+        inner[arc] = patches[i].phi_tgt(pos[arc] / width, 1.0)
+        free &= ~arc
     if free.any():
         inner[free] = P(np.array(equipotential_points(P, g0, Fraction(0), list(ths[free]))))
-    outer = cap.apply_sweep(g0 * (1 + 1e-9), ths)
+    outer = cap.apply(g0 * (1 + 1e-9), ths)
     return float(np.abs(inner - outer).max())
 
 
@@ -554,8 +531,7 @@ def visit_count_experiment(S: SurgeryMap, n_seeds: int, max_iter: int, *,
         visits_crit[live[in_crit]] += 1
         visits_blend[live[blend]] += 1
         out = S.P(z)
-        for m in np.nonzero(in_crit)[0]:
-            out[m] = S.interior(complex(z[m]))  # P at raster edge effects
+        out[in_crit] = S.interior(z[in_crit])  # P at raster edge effects
         good = np.isfinite(out) & in_ud  # retire orbits beyond the outer annulus
         return out[good], live[good]
 

@@ -23,10 +23,15 @@ def test_sides_terminate_at_root(fig1_carrots):
 
 def test_boundary_simple_closed(fig1_carrots):
     for c in fig1_carrots:
-        poly = c.boundary()
+        poly = c.boundary
         assert poly[0] == poly[-1]
         # consecutive points distinct
         assert (np.abs(np.diff(poly)) > 0).all()
+        assert not poly.flags.writeable  # one cached polygon serves every caller
+    # every arc runs from side_r's end to side_l's end, degenerate cut included
+    assert [c.cut.degenerate for c in fig1_carrots] == [False, True]
+    for c in fig1_carrots:
+        assert (c.equip_arc[0], c.equip_arc[-1]) == (c.side_r.points[0], c.side_l.points[0])
 
 
 def test_carrots_disjoint(fig1_carrots):
@@ -88,7 +93,7 @@ def test_critical_carrot_contains_removed_set(fig1_carrots, fig1_masks, fig1_gri
             continue
         if not carrot.contains(z):
             # tolerate pixels that straddle the carrot boundary
-            if distance_to_polyline(carrot.boundary(), z) > 2 * px:
+            if distance_to_polyline(carrot.boundary, z) > 2 * px:
                 misses += 1
     assert misses == 0
 

@@ -34,7 +34,7 @@ def test_build_cut_no_colanding():
 def test_forward_map_and_flags(fig1_family):
     assert fig1_family.forward_map == (1, 1)
     f0, f1 = fig1_family.flags
-    assert f0.preperiodic and f0.critical_root and not f0.fictitious
+    assert not f0.periodic and f0.critical_root and not f0.fictitious
     assert f1.periodic and not f1.critical_root and not f1.fictitious
 
 

@@ -249,7 +249,7 @@ def test_load_mask_raw_rejects_wrong_length(tmp_path, case):
 def test_crossing_parity_matches_fill_polygon(fig1_carrots, fig1_family, fig1_grid):
     # one even-odd rule: pointwise membership at every pixel centre equals
     # the scanline fill
-    polys = [c.boundary() for c in fig1_carrots]
+    polys = [c.boundary for c in fig1_carrots]
     polys += [w.boundary for w in fig1_family.wedges if w.boundary is not None]
     n = fig1_grid.resolution
     centers = fig1_grid.centers()
@@ -326,7 +326,7 @@ def test_fill_polygon_matches_the_row_loop(name):
 
 
 def test_fill_polygon_matches_the_row_loop_on_figure1(fig1_carrots, fig1_family, fig1_grid):
-    polys = [c.boundary() for c in fig1_carrots]
+    polys = [c.boundary for c in fig1_carrots]
     polys += [w.boundary for w in fig1_family.wedges if w.boundary is not None]
     n = fig1_grid.resolution
     for poly in polys:
@@ -773,5 +773,5 @@ def test_wedge_raster_matches_reference_fill(fig1_family, fig1_raster):
 def test_surgery_window_matches_reference_loop(fig1_surgery):
     S = fig1_surgery
     outer = np.asarray(equipotential_polyline(CUBIC, CUBIC.degree * S.g0, 256))
-    ref, _ = _reference_window(CUBIC, [outer] + [c.boundary() for c in S.carrots])
+    ref, _ = _reference_window(CUBIC, [outer] + [c.boundary for c in S.carrots])
     assert S.window == ref

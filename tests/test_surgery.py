@@ -49,13 +49,27 @@ def test_build_surgery_fig1(fig1_surgery):
 
 @pytest.mark.parametrize("scale", [1 + 1e-9, 1.5, 2.0])
 def test_cap_sweep_matches_per_point_apply(fig1_surgery, scale):
-    # one equipotential sweep per boundary segment, against one descent per angle
+    # one equipotential sweep per boundary segment, against one descent per
+    # angle at the blend's potential and lifted angle
     cap = fig1_surgery.cap
     g = scale * cap.g0
     ths = (np.arange(48) + 0.31) / 48
-    swept = cap.apply_sweep(g, ths)
+    swept = cap.apply(g, ths)
     for th, z in zip(ths, swept):
-        assert abs(z - cap.apply(g, float(th))) <= 1e-13 * max(1.0, abs(z))
+        ghat, alpha, _ = cap._blend(g, float(th))
+        assert abs(z - bottcher_point(CUBIC, ghat, alpha % 1.0)) <= 1e-13 * max(1.0, abs(z))
+
+
+def test_cap_stretch_matches_per_point_descents(fig1_surgery):
+    # from d**T0 * g0 on the cap is pure degree-d_c stretching, one sweep
+    cap = fig1_surgery.cap
+    g = 3.5 * cap.g0
+    assert g >= CUBIC.degree ** T0 * cap.g0
+    ths = (np.arange(48) + 0.31) / 48
+    swept = cap.apply(g, ths)
+    for th, z in zip(ths, swept):
+        w = bottcher_point(CUBIC, cap.dc * g, (cap.dc * th) % 1.0)
+        assert abs(z - w) <= 1e-13 * max(1.0, abs(z))
 
 
 def test_surgery_requires_legal_family():
@@ -106,7 +120,7 @@ def test_patch_sends_decorations_into_image_carrot(fig1_surgery):
     S = fig1_surgery
     fz = S.evaluate(-2.5 + 0j)  # decoration point inside the critical carrot
     img = S.image_carrots[0]
-    assert img.contains(fz) or distance_to_polyline(img.boundary(), fz) < 1e-6
+    assert img.contains(fz) or distance_to_polyline(img.boundary, fz) < 1e-6
 
 
 def test_preimage_counts_at_generic_points(fig1_surgery):
@@ -155,7 +169,7 @@ def _reference_visits(S, n_seeds, max_iter, win, seed):
             visits_blend[live[in_ud & ~in_u & ~in_crit]] += 1
             out = S.P(zz)
             for m in np.nonzero(in_crit)[0]:
-                out[m] = S.interior(complex(zz[m]))
+                out[m] = S.interior(zz[m:m + 1])[0]
             good = np.isfinite(out) & in_ud
             live = live[good]
             zz = out[good]
@@ -335,7 +349,7 @@ def _ref_dilatation_grid(patch, n):
         for j, t in enumerate(ss):
             zs[i, j] = _ref_phi_src(patch, s, t)
     # the target rows' potentials are pinned by test_coons_patch_matches_scalar_reference
-    zt = patch._tgt_rows(ss, ss)
+    zt = patch.phi_tgt(ss[:, None], ss[None, :])
     worst, neg, total = 0.0, 0, 0
     for i in range(1, n):
         for j in range(1, n):
@@ -352,10 +366,12 @@ def _ref_dilatation_grid(patch, n):
     return worst, (neg / total if total else 0.0)
 
 
-def test_coons_patch_matches_scalar_reference(fig1_surgery):
-    patch = fig1_surgery.patches[0]
-    carrot = fig1_surgery.carrots[0]
-    box = carrot.boundary()
+def _reference_points(S):
+    """150 random points of the critical carrot, then ties: the start point
+    itself, and grid nodes, several of which share the root's value on the
+    t = 0 row.  Python complex, so that the references run on it."""
+    patch, carrot = S.patches[0], S.carrots[0]
+    box = carrot.boundary
     rng = np.random.default_rng(2024)
     zs = []
     while len(zs) < 150:
@@ -363,17 +379,34 @@ def test_coons_patch_matches_scalar_reference(fig1_surgery):
                     rng.uniform(box.imag.min(), box.imag.max()))
         if carrot.contains(z):
             zs.append(z)
-    # ties: the start point itself, and grid nodes, several of which share
-    # the root's value on the t = 0 row
     zs.append(_ref_phi_src(patch, 0.5, 0.5))
     zs += [_ref_phi_src(patch, k / 21.0, m / 21.0)
            for k, m in ((0, 0), (5, 0), (21, 0), (3, 7), (11, 11), (21, 21), (0, 21))]
-    assert patch.invert_src(zs[150]) == (0.5, 0.5)
-    for z in zs:
-        assert patch.invert_src(z) == _ref_invert_src(patch, z), z
-        assert patch.forward(z) == patch.phi_tgt(*_ref_invert_src(patch, z)), z
-    for t in np.linspace(-0.1, 1.1, 97):
-        assert float(_interp(patch.tgt_g, float(t))) == float(_ref_interp(patch.tgt_g, float(t)))
+    return zs
+
+
+def test_coons_patch_matches_scalar_reference(fig1_surgery):
+    patch = fig1_surgery.patches[0]
+    zs = _reference_points(fig1_surgery)
+    s, t = patch.invert_src(np.array(zs))
+    assert (s[150], t[150]) == (0.5, 0.5)
+    ref = [_ref_invert_src(patch, z) for z in zs]
+    for z, got, want in zip(zs, zip(s, t), ref):
+        assert got == want, z
+    assert (patch.forward(np.array(zs)) == patch.phi_tgt(*np.array(ref).T)).all()
+    ts = np.linspace(-0.1, 1.1, 97)
+    assert _interp(patch.tgt_g, ts).tolist() == [_ref_interp(patch.tgt_g, t) for t in ts.tolist()]
+    ss = np.linspace(0.0, 1.0, 9)
+    grid = patch.phi_src(ss[:, None], ss[None, :])
+    assert all(grid[i, j] == _ref_phi_src(patch, a, b)
+               for i, a in enumerate(ss) for j, b in enumerate(ss))
+
+
+def test_forward_batched_matches_one_point_calls(fig1_surgery):
+    patch = fig1_surgery.patches[0]
+    zs = _reference_points(fig1_surgery)
+    batched = patch.forward(np.array(zs))
+    assert all(w == patch.forward(np.array([z]))[0] for z, w in zip(zs, batched))
 
 
 def test_dilatation_grid_matches_scalar_reference(fig1_surgery):
@@ -388,12 +421,16 @@ def test_invert_src_tie_rule():
         return CoonsPatch(CUBIC, np.array(left, complex), np.array(right, complex),
                           np.array(top, complex), None, None, np.zeros(2), 0.0, 0.0, 0j)
 
+    def invert(p, z):
+        s, t = p.invert_src(np.array([z]))
+        return float(s[0]), float(t[0])
+
     flat = patch([0, 0], [0, 0], [0, 0])
-    assert flat.invert_src(0j) == _ref_invert_src(flat, 0j) == (0.5, 0.5)
+    assert invert(flat, 0j) == _ref_invert_src(flat, 0j) == (0.5, 0.5)
     diag = patch([0, 1], [1, 2], [1, 2])
     z = 5 / 21.0
     assert diag.phi_src(0.0, z) == diag.phi_src(z, 0.0) == z
-    assert diag.invert_src(z) == _ref_invert_src(diag, z) == (0.0, z)
+    assert invert(diag, z) == _ref_invert_src(diag, z) == (0.0, z)
 
 
 # The target side walks out from the patch's spine; per-point descents and
@@ -406,8 +443,8 @@ def _close(a, b, rel=1e-13):
 def test_tgt_rows_match_per_row_sweeps(fig1_surgery):
     patch = fig1_surgery.patches[0]
     ss = np.linspace(0.0, 1.0, 33)
-    rows = patch._tgt_rows(ss, ss)
-    gs = [float(_interp(patch.tgt_g, float(t))) for t in ss]
+    rows = patch.phi_tgt(ss[:, None], ss[None, :])
+    gs = _interp(patch.tgt_g, ss).tolist()
     assert min(g for g in gs if g > 0) < 6.4e-12
     for j, g in enumerate(gs):
         if g <= 0.0:
@@ -422,11 +459,11 @@ def test_tgt_rows_match_per_row_sweeps(fig1_surgery):
 
 def test_phi_tgt_matches_bottcher_point(fig1_surgery):
     patch = fig1_surgery.patches[0]
-    rng = np.random.default_rng(77)
-    for s, t in rng.uniform(0.0, 1.0, (200, 2)):
-        g = float(_interp(patch.tgt_g, t))
+    ss, ts = np.random.default_rng(77).uniform(0.0, 1.0, (2, 200))
+    zs = patch.phi_tgt(ss, ts)
+    for s, g, z in zip(ss, _interp(patch.tgt_g, ts), zs):
         theta = (1.0 - s) * (patch.tgt_th_r + g) + s * (patch.tgt_th_l - g)
-        assert _close(patch.phi_tgt(s, t), bottcher_point(CUBIC, g, theta)), (s, t)
+        assert _close(z, bottcher_point(CUBIC, g, theta)), (s, g)
 
 
 def test_tgt_rows_pullback_budget(fig1_surgery, monkeypatch):
@@ -441,5 +478,5 @@ def test_tgt_rows_pullback_budget(fig1_surgery, monkeypatch):
 
     monkeypatch.setattr(bottcher, "_pullback", counted)
     ss = np.linspace(0.0, 1.0, 33)
-    patch._tgt_rows(ss, ss)
+    patch.phi_tgt(ss[:, None], ss[None, :])
     assert calls[0] <= 40_000

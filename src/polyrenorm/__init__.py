@@ -20,8 +20,8 @@ _EXPORTS = {
     "poly": "Cycle EscapeResult Polynomial classify_multiplier critical_points "
             "escape_time find_cycles green_potential",
     "scene": "GridSpec Scene figure1_scene load_scene scene_from_dict",
-    "surgery": "SurgeryMap VisitReport build_surgery degree_dc dilatation_report "
-               "nonescaping_mask visit_count_experiment",
+    "surgery": "SurgeryMap VisitReport build_surgery dilatation_report nonescaping_mask "
+               "visit_count_experiment",
     "verify": "ConjugacyReport conjugacy_report cycles_in_region",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -10,7 +10,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .cuts import CutFamily
-from .grid import POOL_AFTER, Mask, PixelRaster, sweep_pixels
+from .grid import Mask, PixelRaster, sweep_pixels
 from .errors import GridMismatch
 from .poly import Polynomial, critical_cycles, unity_order
 from .scene import GridSpec
@@ -28,7 +28,7 @@ def covering_window(P: Polynomial, polylines: Sequence[Sequence[complex]]) -> Gr
     square is centered at 0 with half-width 1.
     """
     coarse = GridSpec(0j, 2.0 * P.escape_radius, 160)
-    bounded = escape_analysis(P, None, coarse, 96).kp.bits
+    bounded = escape_analysis(P, coarse, 96).kp.bits
     center, half = 0j, 1.0
     if bounded.any():
         zs = coarse.centers()[bounded]
@@ -45,8 +45,7 @@ def covering_window(P: Polynomial, polylines: Sequence[Sequence[complex]]) -> Gr
 
 def wedge_raster(P: Polynomial, family: CutFamily) -> PixelRaster:
     """Rasterized union of the family's wedges on their covering window."""
-    walls = [w.boundary for w in family.wedges if w.boundary is not None]
-    return PixelRaster(covering_window(P, walls), walls)
+    return PixelRaster(covering_window(P, family.walls), family.walls)
 
 
 # -- certified interior traps -------------------------------------------------
@@ -395,42 +394,31 @@ class EscapeAnalysis:
     esc_steps: np.ndarray  # uint16, 0 = bounded within budget
 
 
-def escape_analysis(P: Polynomial, family: Optional[CutFamily], grid: GridSpec,
-                    max_iter: int, *, threads: int = 1, supersample: int = 1,
-                    raster: Optional[PixelRaster] = None) -> EscapeAnalysis:
+def escape_analysis(P: Polynomial, grid: GridSpec, max_iter: int, *,
+                    raster: Optional[PixelRaster] = None, threads: int = 1,
+                    supersample: int = 1) -> EscapeAnalysis:
     """One sweep classifying pixels: escape step, and wedge-orbit hits.
 
     Pixel centers are iterated; a pixel belongs to the avoiding set when it
     neither escapes within the budget (|P^k(z)| > R for some k in
     1 .. max_iter, which sets its escape step to k) nor has an iterate
-    P^k(z), k in 0 .. max_iter - 1, inside a wedge.
+    P^k(z), k in 0 .. max_iter - 1, on a True pixel of `raster` (the
+    family's `wedge_raster`).  Without a raster there is no avoiding mask.
 
-    A pixel whose iterate enters the scene's `interior_trap` from iteration
-    POOL_AFTER on is retired there: the trap certifies that the rest of its
-    orbit within the budget stays bounded and at least a raster pixel away
-    from every wedge, so the escape step (0) and wedge bits are exactly those
-    of the full loop.  The same certificate holds from an earlier entry, so
-    testing late changes nothing but the cost: few pixels enter in the first
-    iterations, and the test at POOL_AFTER keeps the trapped ones out of the
-    pooled tail.  A scene with no attracting cycle and no parabolic fixed
-    point that certifies has an empty trap and runs the full loop.
+    The sweep retires the pixels that enter the scene's `interior_trap`
+    (see `sweep_pixels`): the trap certifies that the rest of such an orbit
+    stays bounded and at least a raster pixel away from every wedge, so
+    their escape step (0) and wedge bits are exactly those of the full loop.
     """
     if supersample not in (1, 2):
         raise ValueError("supersample must be 1 or 2")
-    if family is not None and raster is None:
-        raster = wedge_raster(P, family)
     work = grid.subdivide(supersample) if supersample == 2 else grid
     n = work.resolution
     R = P.escape_radius
     esc = np.zeros(n * n, dtype=np.uint16)
     hit = np.zeros(n * n, dtype=bool)
-    trap = interior_trap(P, max_iter, avoid=(raster,) if raster is not None else ())
 
     def step(z, idx, it):
-        if trap and it >= POOL_AFTER:  # retired: bounded, and no later iterate in a wedge
-            free = ~trap.contains(z)
-            if not free.all():
-                z, idx = z[free], idx[free]
         if raster is not None:
             hit[idx[raster.lookup(z)]] = True
         z = P(z)
@@ -440,18 +428,16 @@ def escape_analysis(P: Polynomial, family: Optional[CutFamily], grid: GridSpec,
         esc[idx[~keep]] = it
         return z[keep], idx[keep]
 
-    sweep_pixels(work, max_iter, step, threads)
+    trap = interior_trap(P, max_iter, avoid=(raster,) if raster is not None else ())
+    sweep_pixels(work, max_iter, step, threads, trap)
     esc, hit = esc.reshape(n, n), hit.reshape(n, n)
 
-    kp_bits = esc == 0
-    a_bits = kp_bits & ~hit if family is not None else None
-    if supersample == 2:
-        kp_bits = _downsample_majority(kp_bits)
-        if a_bits is not None:
-            a_bits = _downsample_majority(a_bits)
-        esc = esc[::2, ::2]
-    return EscapeAnalysis(Mask(grid, kp_bits),
-                          Mask(grid, a_bits) if a_bits is not None else None, esc)
+    def mask(bits):
+        return Mask(grid, _downsample_majority(bits) if supersample == 2 else bits)
+
+    kp = esc == 0
+    return EscapeAnalysis(mask(kp), mask(kp & ~hit) if raster is not None else None,
+                          esc[::supersample, ::supersample])
 
 
 def _downsample_majority(bits: np.ndarray) -> np.ndarray:

@@ -27,18 +27,18 @@ substeps that live only as long as the call, and `land_rays` deepens a ray
 by extending its ladder in place.  Parents above a ladder's top are points
 of their own, in the direct band the series.
 
-Below the direct floor, points, equipotentials and external angles walk one
-pullback chain over (potential, offset) nodes (`_walk`): each node's chain
-is seeded by the previous node's chain moved along its tangent (a
-first-order predictor), and its levels above the previous chain's top by
-the series.  Points and sweeps walk from a descent spine (`Spine`): the
+Below the direct floor, points and equipotentials walk one pullback chain
+over (potential, offset) nodes (`_walk`): each node's chain is seeded by
+the previous node's chain moved along its tangent (a first-order
+predictor), and its levels above the previous chain's top by the series.  Points and sweeps walk from a descent spine (`Spine`): the
 chains down one ray from the direct floor, kept on a fixed ladder, from
 which a point at potential g is one node on and an equipotential sweeps the
 offset at fixed potential.  A caller that needs many points near one angle,
 such as the surgery's Coons patch, keeps one spine and pays for the descent
 once.  A rejected step inserts the midpoint node.  Angles are carried as an
 exact rational part plus a float offset that scales with the potential, so
-deep tails lose no angular precision.
+deep tails lose no angular precision.  An external angle below the floor is
+found in the direct band and pulled back along the orbit.
 
 A scalar engine on Python complex, so `polyrenorm ray` starts without numpy:
 rays, spirals and equipotentials are tuples or lists of Python complex and
@@ -60,7 +60,7 @@ from typing import Optional, Sequence
 
 from .angles import Angle, tuple_orbit
 from .errors import BranchJump, NonConvergence, RenormError
-from .poly import InverseBottcher, Polynomial, green_potential, newton
+from .poly import InverseBottcher, Polynomial, green_potential, newton_preperiodic
 
 # The two floors, as margins above the largest critical Green potential g_max
 # (`InverseBottcher.g_max`), where the inverse Boettcher series converges:
@@ -448,38 +448,18 @@ def trace_ray(P: Polynomial, theta: Angle, g_start: float, g_end: float,
                       lambda lad, keep: _ray_on(lad, theta, g_end, keep))
 
 
-def _polish_preperiodic(P: Polynomial, z: complex, preperiod: int,
-                        period: int) -> Optional[complex]:
-    """`newton` on P^(l+p)(z) - P^l(z) from z; None if it fails or ends
-    farther than 2 (1 + |z|) from z.
-
-    Multiple roots (parabolic landing points) converge only linearly and
-    bottom out on a cancellation-noise shell whose radius depends on where
-    the point sits; the polish stops there, so it is a locator, not a
-    residual minimizer.
-    """
-    def fdf(w):
-        a, da = P.iterate_with_deriv(w, preperiod + period)
-        b, db = P.iterate_with_deriv(w, preperiod)
-        return a - b, da - db
-
-    root = newton(fdf, z)
-    if root is None or abs(root - z) > 2.0 * (1.0 + abs(z)):
-        return None
-    return root
-
-
 def landing_point(ray: RayPolyline, P: Polynomial) -> Landing:
     """Landing analysis of a deeply traced ray.
 
     Primary test: geometric contraction of the tail (ratio < 0.95 over the
     last 10 levels) with the tail already inside a 1e-6 neighbourhood.
-    Rational angles are then polished by `newton` on the preperiodic
+    Rational angles are then polished by `newton_preperiodic` on the
     equation identified by the angle orbit, down to its rounding noise:
     about 1e-8 at a double root (a precritical landing), a few 1e-6 at a
-    triple one (a parabolic landing).  Parabolic landings approach only like
-    a power of 1/log(1/potential), so they are accepted through the polished
-    root when the tail moves monotonically toward it.
+    triple one (a parabolic landing); a polish that ends farther than
+    2 (1 + |z|) from the tail's end z is dropped.  Parabolic landings
+    approach only like a power of 1/log(1/potential), so they are accepted
+    through the polished root when the tail moves monotonically toward it.
     """
     if ray.potentials[-1] >= 1e-8:
         raise ValueError("ray must be traced to potential below 1e-8")
@@ -490,7 +470,9 @@ def landing_point(ray: RayPolyline, P: Polynomial) -> Landing:
     est = pts[-1]
 
     preperiod, period, _ = tuple_orbit(ray.angle, P.degree)
-    polished = _polish_preperiodic(P, est, preperiod, period)
+    polished = newton_preperiodic(P, est, preperiod, period)
+    if polished is not None and abs(polished - est) > 2.0 * (1.0 + abs(est)):
+        polished = None
 
     if polished is not None and abs(polished - est) < 1e-6:
         if all(abs(z - polished) < 1e-6 for z in tail):
@@ -611,33 +593,41 @@ def trace_spirals(P: Polynomial, sides: Sequence[tuple[Angle, int]], g_hi: float
 
 
 def external_angle(P: Polynomial, z: complex, *, g: Optional[float] = None) -> float:
-    """External angle (turns) of an escaping point, by equipotential search.
+    """External angle (turns) of an escaping point.
 
-    Robust near the filled Julia set where argument-tracking products are
-    branch-ambiguous: scan the equipotential through z, then minimize the
-    distance along it.
+    Below the direct floor z is mapped forward into the direct band, and
+    the angle found there (`_direct_angle`) is pulled back a level at a
+    time: of the d candidates (theta + m)/d, whose points are the preimages
+    of the point a level up, the one whose point lies nearest the orbit.
     """
     if g is None:
         g = green_potential(P, z)
     if g <= 0:
         raise ValueError("point does not escape; no external angle")
-    coarse = 96  # equipotential nodes scanned before the golden-section refinement
+    d = P.degree
+    orbit = [z]
+    while g * d ** (len(orbit) - 1) < P.inverse_bottcher.g_max + SERIES_DIRECT:
+        orbit.append(P(orbit[-1]))
+    theta = _direct_angle(P, orbit[-1], g * d ** (len(orbit) - 1))
+    for j in range(len(orbit) - 2, -1, -1):
+        theta = min(((theta + m) / d for m in range(d)),
+                    key=lambda t: abs(bottcher_point(P, g * d**j, t) - orbit[j]))
+    return theta
+
+
+def _direct_angle(P: Polynomial, z: complex, g: float) -> float:
+    """External angle of z at potential g in the direct band: the nearest of
+    96 equipotential nodes, refined by golden-section search on the distance."""
+    coarse = 96
     offs = [j / coarse for j in range(coarse + 1)]
     pts = equipotential_points(P, g, Fraction(0), offs)
     dists = [abs(p - z) for p in pts]
     k = dists.index(min(dists[:-1]))
     lo = offs[k] - 1.0 / coarse
     hi = offs[k] + 1.0 / coarse
-    spine = Spine(P, Fraction(0), lo)
-    chain = spine._descend(g) if g < spine.floor else None
 
     def point_at(off: float) -> complex:
-        # golden-section steps are short: one node on from the last chain
-        nonlocal chain
-        if chain is None:
-            return _direct(P, g, Fraction(0), [off])[0]
-        pts, chain = _walk(P, Fraction(0), [(g, off, True)], chain)
-        return pts[0]
+        return _direct(P, g, Fraction(0), [off])[0]
 
     # golden-section on |point(theta) - z|
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -120,9 +120,9 @@ class Run:
 
     def _sweep(self, grid: GridSpec, supersample: int) -> EscapeAnalysis:
         from .avoiding import escape_analysis
-        return escape_analysis(self.scene.polynomial, self.family, grid, self.scene.max_iter,
-                               threads=self.threads, supersample=supersample,
-                               raster=self.raster)
+        return escape_analysis(self.scene.polynomial, grid, self.scene.max_iter,
+                               raster=self.raster, threads=self.threads,
+                               supersample=supersample)
 
     @cached_property
     def sweep(self) -> EscapeAnalysis:
@@ -171,7 +171,7 @@ Writer = Callable[[Run], list[Verdict]]
 def _write_julia(run: Run) -> list[Verdict]:
     from . import avoiding, grid, render
     scene = run.scene
-    res = avoiding.escape_analysis(scene.polynomial, None, scene.grid, scene.max_iter,
+    res = avoiding.escape_analysis(scene.polynomial, scene.grid, scene.max_iter,
                                    threads=run.threads, supersample=run.supersample)
     render.write_ppm(run.path("julia.ppm"),
                      render.render_scene_image(res.kp, res.kp, res.esc_steps))
@@ -319,8 +319,7 @@ def _write_figure1(run: Run) -> list[Verdict]:
     """The composite image and the summary of every verdict so far."""
     from . import grid, render
     scene, res = run.scene, run.sweep
-    wedges = grid.PixelRaster(scene.grid, [w.boundary for w in run.family.wedges
-                                           if w.boundary is not None])
+    wedges = grid.PixelRaster(scene.grid, run.family.walls)
     img = render.render_scene_image(res.kp, res.avoiding, res.esc_steps, wedges.bits)
     for ray in run.rays:
         render.draw_polyline(img, scene.grid, ray.points, render.COLOR_RAY)

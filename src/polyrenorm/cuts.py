@@ -12,7 +12,7 @@ import numpy as np
 from .angles import Angle, angle_in_arc, tuple_orbit
 from .bottcher import (RayPolyline, bottcher_point, equipotential_arc, external_angle,
                        land_rays)
-from .errors import NoColanding, RayNotConverged
+from .errors import DegreeMismatch, NoColanding, RayNotConverged
 from .grid import crossing_parity, distance_to_polyline
 from .poly import (Cycle, Polynomial, critical_points, find_cycles, green_potential,
                    unity_order)
@@ -143,12 +143,44 @@ class CutFamily:
     def __len__(self) -> int:
         return len(self.cuts)
 
+    @property
+    def walls(self) -> list[np.ndarray]:
+        """The boundary polygons of the wedges of the non-degenerate cuts."""
+        return [w.boundary for w in self.wedges if w.boundary is not None]
+
     def wedge_hit(self, z: complex) -> bool:
         return any(w.contains(z) for w in self.wedges)
 
     def critical_indices(self) -> list[int]:
         return [i for i, (c, f) in enumerate(zip(self.cuts, self.flags))
                 if f.critical_root and not c.degenerate]
+
+    def orbit(self, i: int) -> list[int]:
+        """Cut i and its images under `forward_map`, up to the first repeat
+        or missing image."""
+        out = [i]
+        while (j := self.forward_map[out[-1]]) is not None and j not in out:
+            out.append(j)
+        return out
+
+    def degree_dc(self) -> int:
+        """d_c = d - sum over critical cuts of d*|I|, each term an exact
+        integer because the arc endpoints of a critical cut have the same
+        image angle; d for a family with no critical cut."""
+        d = self.P.degree
+        drop = 0
+        for i in self.critical_indices():
+            k = self.cuts[i].arc_width() * d
+            if k.denominator != 1:
+                raise DegreeMismatch(
+                    f"cut {i}: d*|I| = {k} is not an integer; angles are not a critical pair")
+            drop += int(k)
+        dc = d - drop
+        if dc < 2:
+            raise DegreeMismatch(
+                f"modified degree would be {dc} < 2; the restriction to the "
+                "avoiding set would be injective and the construction degenerates")
+        return dc
 
 
 def build_family(P: Polynomial, pairs: Sequence[tuple[Angle, Angle]], *,
@@ -171,25 +203,16 @@ def build_family(P: Polynomial, pairs: Sequence[tuple[Angle, Angle]], *,
         max_angle_period = max(max_angle_period, per_r, per_l)
     cycles = tuple(find_cycles(P, max_angle_period))
 
-    # fictitious: degenerate cuts with no nondegenerate cut in their in-family
-    # backward orbit
-    reaches_nondeg = [not c.degenerate for c in cuts]
-    changed = True
-    while changed:
-        changed = False
-        for i, tgt in enumerate(forward):
-            if tgt is not None and reaches_nondeg[i] and not reaches_nondeg[tgt]:
-                reaches_nondeg[tgt] = True
-                changed = True
-
-    flags = []
-    for i, c in enumerate(cuts):
-        critical_root = min((abs(c.root - cp) for cp in crit), default=math.inf) < ROOT_MATCH_TOL
-        fict = c.degenerate and not reaches_nondeg[i]
-        flags.append(CutFlags(periodic=periodic_flags[i], critical_root=critical_root,
-                              fictitious=fict))
     wedges = tuple(Wedge.build(P, c, g0) for c in cuts)
-    fam = CutFamily(P, tuple(cuts), g0, wedges, forward, tuple(flags), cycles)
+    fam = CutFamily(P, tuple(cuts), g0, wedges, forward, (), cycles)
+    # fictitious: degenerate cuts in no nondegenerate cut's forward orbit
+    reached = {j for i, c in enumerate(cuts) if not c.degenerate for j in fam.orbit(i)}
+    fam.flags = tuple(
+        CutFlags(periodic=periodic_flags[i],
+                 critical_root=min((abs(c.root - cp) for cp in crit),
+                                   default=math.inf) < ROOT_MATCH_TOL,
+                 fictitious=c.degenerate and i not in reached)
+        for i, c in enumerate(cuts))
     fam.root_class = tuple(classify_root(P, fam, c) for c in cuts)
     return fam
 
@@ -353,23 +376,18 @@ def check_legal(P: Polynomial, family: CutFamily) -> FamilyReport:
                          "no nondegenerate periodic cuts"
                          if not any(r.check == "periodic-nondegenerate" for r in rows)
                          else "Z_pc is nonempty"))
-    for i, (cut, fl) in enumerate(zip(family.cuts, family.flags)):
+    for i, cut in enumerate(family.cuts):
         if cut.degenerate:
             continue
         subj = f"cut{i}({cut.theta_r},{cut.theta_l})"
-        # walk the forward orbit within the family
-        seen = set()
-        j: Optional[int] = i
-        hits_critical = fl.critical_root
+        # the forward orbit within the family, up to its first degenerate cut
+        hits_critical = False
         terminal: Optional[int] = None
-        while j is not None and j not in seen:
-            seen.add(j)
-            if family.flags[j].critical_root:
-                hits_critical = True
+        for j in family.orbit(i):
+            hits_critical |= family.flags[j].critical_root
             if family.cuts[j].degenerate:
                 terminal = j
                 break
-            j = family.forward_map[j]
         rows.append(CheckRow("precritical", subj, hits_critical,
                              f"root {cut.root:.6g} "
                              + ("is (or maps onto) a critical root"

@@ -223,7 +223,7 @@ def iterate_orbits(z: np.ndarray, idx: np.ndarray, its, step):
     return z, idx
 
 
-def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int) -> None:
+def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int, trap) -> None:
     """`iterate_orbits` on the pixel centers of `grid`, labelled by flat
     pixel index, for it = 1 .. max_iter.
 
@@ -232,8 +232,25 @@ def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int) -> None:
     array that the calling thread finishes, so the few slow pixels cost one
     numpy call per operation rather than one per block.  Each pixel sees the
     same elementwise operations in whichever array it sits.
+
+    From iteration POOL_AFTER on, the orbits inside `trap` (an
+    `avoiding.InteriorTrap`) retire before `step` sees them: the trap
+    certifies that the rest of such an orbit stays bounded and clear of the
+    pixels the sweep forbids, so every record is that of the full loop.
+    Testing from an earlier entry would change only the cost; few pixels
+    enter before POOL_AFTER, the last head iteration, and testing there
+    keeps the trapped ones out of the pooled tail.
     """
     n = grid.resolution
+    if trap:
+        step_free = step
+
+        def step(z, idx, it):
+            if it >= POOL_AFTER:
+                free = ~trap.contains(z)
+                if not free.all():
+                    z, idx = z[free], idx[free]
+            return step_free(z, idx, it)
 
     def block(i0):
         i1 = min(i0 + 64, n)

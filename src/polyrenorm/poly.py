@@ -229,6 +229,23 @@ def newton(fdf, z: complex, bail: float = math.inf) -> complex | None:
     return z
 
 
+def newton_preperiodic(P: Polynomial, z: complex, preperiod: int, period: int,
+                       bail: float = math.inf) -> complex | None:
+    """`newton` from z on P^(l+p)(w) - P^l(w), l = preperiod and p = period,
+    with P^l, P^(l+p) and both derivatives from one chain-rule pass.  At a
+    multiple root the steps stop on a noise shell, so each caller applies
+    its own acceptance test."""
+    def fdf(w):
+        b, db = P.iterate_with_deriv(w, preperiod)
+        a, da = b, db
+        for _ in range(period):
+            a, dp = P.value_and_deriv(a)
+            da *= dp
+        return a - b, da - db
+
+    return newton(fdf, z, bail)
+
+
 def _aberth(cs: Sequence[complex]) -> list[complex]:
     """All roots of sum cs[k] z^k (constant term first, leading term non-zero),
     with multiplicity, by Aberth-Ehrlich iteration on Python complex (Aberth
@@ -468,18 +485,14 @@ def critical_cycles(P: Polynomial) -> list[Cycle]:
 
 
 def _newton_cycle_point(P: Polynomial, n: int, z: complex) -> complex | None:
-    """`newton` on P^n(z) - z; None if it fails, bails past 3R or leaves a
-    residual of CYCLE_RESIDUAL_TOL or more.
+    """`newton_preperiodic` on P^n(z) - z; None if it fails, bails past 3R
+    or leaves a residual of CYCLE_RESIDUAL_TOL or more.
 
     Near a parabolic point the residual is tiny on a whole shell; the polish
     runs on to the noise floor, which slides such candidates into the actual
     periodic point (where the minimal-period filter then discards them).
     """
-    def fdf(w):
-        wn, dw = P.iterate_with_deriv(w, n)
-        return wn - w, dw - 1.0
-
-    z = newton(fdf, z, bail=3.0 * P.escape_radius)
+    z = newton_preperiodic(P, z, 0, n, bail=3.0 * P.escape_radius)
     if z is None:
         return None
     zn, _ = P.iterate_with_deriv(z, n)

@@ -24,32 +24,13 @@ from .bottcher import (Spine, bottcher_point, equipotential_points, equipotentia
 from .carrots import Carrot, build_carrots, carrots_disjoint
 from .cuts import CutFamily, check_legal
 from .errors import CarrotOverlap, ContinuityGap, DegreeMismatch, RenormError
-from .grid import POOL_AFTER, Mask, PixelRaster, iterate_orbits, sweep_pixels
+from .grid import Mask, PixelRaster, iterate_orbits, sweep_pixels
 from .poly import Polynomial, green_potential
 from .scene import GridSpec
 
 T0 = 1  # the exterior cap spans potentials g0 .. d**T0 * g0
 SIDE_SAMPLES = 1000  # side-arc nodes checked against P
 CAP_SAMPLES = 250  # angles checked for continuity across the outer equipotential
-
-
-def degree_dc(P: Polynomial, family: CutFamily) -> int:
-    """d_c = d - sum over critical cuts of d*|I|, each term an exact integer
-    because the arc endpoints of a critical cut have the same image angle."""
-    d = P.degree
-    drop = 0
-    for i in family.critical_indices():
-        k = family.cuts[i].arc_width() * d
-        if k.denominator != 1:
-            raise DegreeMismatch(
-                f"cut {i}: d*|I| = {k} is not an integer; angles are not a critical pair")
-        drop += int(k)
-    dc = d - drop
-    if dc < 2:
-        raise DegreeMismatch(
-            f"modified degree would be {dc} < 2; the restriction to the "
-            "avoiding set would be injective and the construction degenerates")
-    return dc
 
 
 def _interp(arr: np.ndarray, t) -> np.ndarray:
@@ -401,7 +382,7 @@ def build_surgery(P: Polynomial, family: CutFamily, rho: float,
     if not carrots_disjoint(carrots):
         raise CarrotOverlap("carrots are not pairwise disjoint; increase rho")
     critical = family.critical_indices()
-    d_c = degree_dc(P, family)
+    d_c = family.degree_dc()
 
     for i in critical:
         if family.forward_map[i] is None:
@@ -555,21 +536,15 @@ def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,
     all lie in `u_rho` and outside `crit` and iterates 1 .. max_iter are
     finite.
 
-    A pixel whose iterate enters, from iteration POOL_AFTER on, the
-    `interior_trap` certified to stay at least a raster pixel inside `u_rho`
-    and away from `crit` for max_iter steps is retired as surviving, exactly
-    as the full loop would find it; a map of P with nothing certifiable runs
-    the full loop.
+    The sweep retires the pixels that enter the `interior_trap` certified
+    to stay at least a raster pixel inside `u_rho` and away from `crit` for
+    max_iter steps (see `sweep_pixels`): they survive, exactly as the full
+    loop would find them.
     """
     crit, u_rho = S.crit, S.u_rho
-    trap = interior_trap(S.P, max_iter, avoid=(crit,), stay_in=(u_rho,))
     alive = np.ones(grid.resolution ** 2, dtype=bool)
 
     def step(z, idx, it):
-        if trap and it >= POOL_AFTER:  # retired alive: stays in u_rho and out of crit
-            free = ~trap.contains(z)
-            if not free.all():
-                z, idx = z[free], idx[free]
         k = crit.index(z)  # both rasters share the covering window
         inside = u_rho.at(k) & ~crit.at(k)
         if not inside.all():
@@ -582,7 +557,8 @@ def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,
         alive[idx[~ok]] = False
         return z[ok], idx[ok]
 
-    sweep_pixels(grid, max_iter, step, threads)
+    trap = interior_trap(S.P, max_iter, avoid=(crit,), stay_in=(u_rho,))
+    sweep_pixels(grid, max_iter, step, threads, trap)
     return Mask(grid, alive.reshape(grid.resolution, -1))
 
 

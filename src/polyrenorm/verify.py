@@ -10,7 +10,6 @@ from .cuts import CutFamily
 from .errors import DegreeMismatch
 from .grid import distance_to_polyline
 from .poly import Cycle, Polynomial, find_cycles
-from .surgery import degree_dc
 
 MULTIPLIER_TOL = 1e-6
 AMBIGUOUS_TOL = 1e-6
@@ -97,7 +96,7 @@ def conjugacy_report(P: Polynomial, family: CutFamily, Q: Polynomial,
     All cycles of Q lie in its filled Julia set, so no filtering is needed on
     the candidate side.
     """
-    expected = degree_dc(P, family) if len(family) else P.degree
+    expected = family.degree_dc()
     if Q.degree != expected:
         raise DegreeMismatch(f"candidate degree {Q.degree} != expected d_c {expected}")
     restricted, ambiguous = cycles_in_region(P, family, max_period)

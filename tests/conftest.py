@@ -3,7 +3,7 @@ import math
 import pytest
 
 from polyrenorm import (GridSpec, Polynomial, build_carrots, build_family,
-                        build_surgery, escape_analysis)
+                        build_surgery, escape_analysis, wedge_raster)
 from polyrenorm.angles import Angle
 
 CUBIC = Polynomial((0, 4, 4, 1))  # z(z+2)^2
@@ -42,4 +42,4 @@ def fig1_grid():
 
 @pytest.fixture(scope="session")
 def fig1_masks(fig1_family, fig1_grid):
-    return escape_analysis(CUBIC, fig1_family, fig1_grid, 256)
+    return escape_analysis(CUBIC, fig1_grid, 256, raster=wedge_raster(CUBIC, fig1_family))

@@ -16,7 +16,7 @@ from polyrenorm import (GridSpec, build_carrots, build_family,
                         green_potential, land_rays, nonescaping_mask,
                         proto_image_check, quasi_arc_constant,
                         transversality_profile, visit_count_experiment,
-                        weak_qs_constant)
+                        weak_qs_constant, wedge_raster)
 from polyrenorm.angles import Angle
 from polyrenorm.carrots import ProtoCarrot, _subsample
 from polyrenorm.cli import main
@@ -44,7 +44,7 @@ def test_criterion_1_baseline_dynamics():
     with criterion(1, "baseline: unit-disk mask and logarithmic potential of z^2"):
         t0 = time.monotonic()
         grid = GridSpec(0j, 4.0, 512)
-        mask = escape_analysis(SQUARE, None, grid, 256).kp
+        mask = escape_analysis(SQUARE, grid, 256).kp
         exact = np.abs(grid.centers()) <= 1.0
         assert (mask.bits ^ exact).mean() < 0.01
         rng = np.random.default_rng(1)
@@ -96,11 +96,12 @@ def test_criterion_5_avoiding_set(family):
     with criterion(5, "avoiding set at 1024^2: strict subset, connected, stable"):
         t0 = time.monotonic()
         grid = GridSpec(complex(-1.25, 0.0), 4.5, 1024)
-        res = escape_analysis(CUBIC, family, grid, 512)
+        raster = wedge_raster(CUBIC, family)
+        res = escape_analysis(CUBIC, grid, 512, raster=raster)
         assert (res.avoiding.bits <= res.kp.bits).all()
         assert res.avoiding.count() < res.kp.count()
         assert connected_components(res.avoiding) == 1
-        res2 = escape_analysis(CUBIC, family, grid, 1024)
+        res2 = escape_analysis(CUBIC, grid, 1024, raster=raster)
         changed = (res.avoiding.bits ^ res2.avoiding.bits).mean()
         assert changed < 0.005
         assert time.monotonic() - t0 < 120.0
@@ -150,7 +151,7 @@ def test_criterion_8_surgery(family):
         visits = visit_count_experiment(S, 10000, 512, window=grid)
         assert visits.max_visits_crit <= 1
         fmask = nonescaping_mask(S, grid, 512)
-        av = escape_analysis(CUBIC, family, grid, 512).avoiding
+        av = escape_analysis(CUBIC, grid, 512, raster=wedge_raster(CUBIC, family)).avoiding
         cmp_ = compare_masks(fmask, av, band=2)
         assert cmp_.agreement_outside_band >= 0.97
         assert time.monotonic() - t0 < 300.0

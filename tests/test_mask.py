@@ -23,7 +23,7 @@ RABBIT = Polynomial((complex(-0.12256116687665362, 0.7448617666197442), 0, 1))
 
 def test_square_julia_is_unit_disk():
     grid = GridSpec(0j, 4.0, 256)
-    mask = escape_analysis(SQUARE, None, grid, 128).kp
+    mask = escape_analysis(SQUARE, grid, 128).kp
     exact = np.abs(grid.centers()) <= 1.0
     assert (mask.bits ^ exact).mean() < 0.01
 
@@ -48,7 +48,7 @@ def test_avoiding_subset_and_empty_family(fig1_masks, fig1_grid, fig1_family):
     # empty family: avoiding mask equals the plain filled-Julia mask
     from polyrenorm import build_family
     empty = build_family(CUBIC, [], g0=0.125)
-    res = escape_analysis(CUBIC, empty, fig1_grid, 256)
+    res = escape_analysis(CUBIC, fig1_grid, 256, raster=wedge_raster(CUBIC, empty))
     assert (res.avoiding.bits == res.kp.bits).all()
 
 
@@ -207,15 +207,15 @@ def test_kp_vs_avoiding_disagree(fig1_masks):
     assert cmp_.agreement < 1.0  # decorations removed
 
 
-def test_supersample_mode(fig1_family, fig1_grid):
-    res = escape_analysis(CUBIC, fig1_family, fig1_grid, 128, supersample=2)
+def test_supersample_mode(fig1_raster, fig1_grid):
+    res = escape_analysis(CUBIC, fig1_grid, 128, raster=fig1_raster, supersample=2)
     assert res.avoiding.bits.shape == (256, 256)
     assert (res.avoiding.bits <= res.kp.bits).all()
 
 
-def test_threads_deterministic(fig1_family, fig1_grid):
-    a = escape_analysis(CUBIC, fig1_family, fig1_grid, 128, threads=1)
-    b = escape_analysis(CUBIC, fig1_family, fig1_grid, 128, threads=8)
+def test_threads_deterministic(fig1_raster, fig1_grid):
+    a = escape_analysis(CUBIC, fig1_grid, 128, raster=fig1_raster, threads=1)
+    b = escape_analysis(CUBIC, fig1_grid, 128, raster=fig1_raster, threads=8)
     assert (a.kp.bits == b.kp.bits).all()
     assert (a.avoiding.bits == b.avoiding.bits).all()
     assert (a.esc_steps == b.esc_steps).all()
@@ -451,8 +451,8 @@ def test_escape_analysis_matches_reference_loop(case, fig1_family):
     P, family = (SQUARE, None) if case == "square" else (CUBIC, fig1_family)
     grid = GridSpec(complex(-1.25, 0.0), 4.5, 128) if P is CUBIC else GridSpec(0j, 4.0, 128)
     ss = 2 if case == "cubic-supersample" else 1
-    res = escape_analysis(P, family, grid, 256, supersample=ss)
     raster = wedge_raster(P, family) if family is not None else None
+    res = escape_analysis(P, grid, 256, raster=raster, supersample=ss)
     esc, hit = _reference_escape(P, raster, grid.subdivide(ss) if ss == 2 else grid, 256)
     kp = esc == 0
     av = kp & ~hit
@@ -592,7 +592,7 @@ def test_no_trap_falls_back_to_full_loop(c):
     P = Polynomial((c, 0, 1))
     assert not interior_trap(P, 256)
     grid = GridSpec(0j, 4.5, 64)
-    res = escape_analysis(P, None, grid, 256)
+    res = escape_analysis(P, grid, 256)
     esc, _ = _reference_escape(P, None, grid, 256)
     assert (res.esc_steps == esc).all()
 
@@ -606,7 +606,7 @@ def test_trapped_sweep_matches_reference_threads_and_supersample(name, fig1_fami
     assert interior_trap(P, 256, avoid=(raster,) if raster is not None else ())
     esc, hit = _reference_escape(P, raster, grid.subdivide(2), 256)
     kp, av = _majority(esc == 0), _majority((esc == 0) & ~hit)
-    res = escape_analysis(P, family, grid, 256, supersample=2, threads=2)
+    res = escape_analysis(P, grid, 256, raster=raster, supersample=2, threads=2)
     assert (res.esc_steps == esc[::2, ::2]).all()
     assert (res.kp.bits == kp).all()
     if family is not None:
@@ -643,11 +643,11 @@ def fig1_raster(fig1_family):
 
 @pytest.mark.parametrize("max_iter", POOL_CASES)
 @pytest.mark.parametrize("threads, ss", [(1, 1), (2, 2)])
-def test_escape_analysis_pool_boundaries(max_iter, threads, ss, fig1_family, fig1_raster):
+def test_escape_analysis_pool_boundaries(max_iter, threads, ss, fig1_raster):
     # 100 rows: one full 64-row block and one short one
     grid = GridSpec(complex(-1.25, 0.0), 4.5, 100)
-    res = escape_analysis(CUBIC, fig1_family, grid, max_iter, threads=threads,
-                          supersample=ss, raster=fig1_raster)
+    res = escape_analysis(CUBIC, grid, max_iter, raster=fig1_raster, threads=threads,
+                          supersample=ss)
     esc, hit = _reference_escape(CUBIC, fig1_raster, grid.subdivide(ss), max_iter)
     kp, av = esc == 0, (esc == 0) & ~hit
     if ss == 2:
@@ -682,7 +682,7 @@ def test_empty_pool_matches_reference():
     esc, _ = _reference_escape(SQUARE, None, grid, 256)
     assert (esc == 0).any() and (esc > 0).any()
     for threads in (1, 2):
-        assert (escape_analysis(SQUARE, None, grid, 256, threads=threads).esc_steps
+        assert (escape_analysis(SQUARE, grid, 256, threads=threads).esc_steps
                 == esc).all()
 
 
@@ -696,18 +696,18 @@ def test_empty_trap_runs_through_the_pool():
     esc, _ = _reference_escape(P, None, grid, 256)
     assert (esc == 0).any()
     for threads in (1, 2):
-        assert (escape_analysis(P, None, grid, 256, threads=threads).esc_steps == esc).all()
+        assert (escape_analysis(P, grid, 256, threads=threads).esc_steps == esc).all()
 
 
-def test_blocks_share_outputs_under_fast_thread_switching(fig1_family, fig1_raster):
+def test_blocks_share_outputs_under_fast_thread_switching(fig1_raster):
     # the row blocks write into the same grid-sized arrays at disjoint flat
     # indices; switching threads every microsecond must lose no write
     grid = GridSpec(complex(-1.25, 0.0), 4.5, 320)  # five blocks, eight workers
-    one = escape_analysis(CUBIC, fig1_family, grid, 64, raster=fig1_raster)
+    one = escape_analysis(CUBIC, grid, 64, raster=fig1_raster)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        many = escape_analysis(CUBIC, fig1_family, grid, 64, threads=8, raster=fig1_raster)
+        many = escape_analysis(CUBIC, grid, 64, raster=fig1_raster, threads=8)
     finally:
         sys.setswitchinterval(old)
     assert (many.esc_steps == one.esc_steps).all()

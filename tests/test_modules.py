@@ -1,7 +1,9 @@
 """Module layout: no module reaches into a sibling's private names, no
 module imports a name it never uses, nothing imports scipy, no module keeps
-mutable state at module level, `ray` and `--help` run without numpy, and
-the package re-exports each public name from the module that defines it."""
+mutable state at module level, `ray` and `--help` run without numpy,
+`verify` loads neither the sweeps nor the surgery, only `grid` knows when
+a sweep retires trapped orbits, and the package re-exports each public name
+from the module that defines it."""
 
 import ast
 import importlib
@@ -108,6 +110,29 @@ def test_cli_import_leaves_scipy_out():
         assert run.returncode == 0, run.stderr
 
 
+def test_verify_loads_no_sweep_or_surgery_module():
+    # the conjugacy evidence reads the cut family (d_c included), not the
+    # masks, the carrots or the surgery
+    code = ("import sys, polyrenorm.verify\n"
+            "left = sorted(m for m in ('polyrenorm.surgery', 'polyrenorm.avoiding', "
+            "'polyrenorm.carrots') if m in sys.modules)\n"
+            "sys.exit(f'loaded {left}' if left else 0)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_only_grid_names_pool_after():
+    # the head/tail split of `sweep_pixels` and the trap retirement tied to it
+    # are grid's; the sweeps pass their trap and know nothing of when it acts
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 10, f"only {len(paths)} modules under {SRC}"
+    assert "POOL_AFTER" in (SRC / "grid.py").read_text()
+    offenders = [p.name for p in paths if p.name != "grid.py" and "POOL_AFTER" in p.read_text()]
+    assert not offenders, offenders
+
+
 def test_ray_runs_without_numpy(tmp_path):
     scene = SRC.parent.parent / "tests" / "scenes" / "rabbit.json"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -141,7 +166,7 @@ EXPORTS = {
     "poly": ["Cycle", "EscapeResult", "Polynomial", "classify_multiplier", "critical_points",
              "escape_time", "find_cycles", "green_potential"],
     "scene": ["GridSpec", "Scene", "figure1_scene", "load_scene", "scene_from_dict"],
-    "surgery": ["SurgeryMap", "VisitReport", "build_surgery", "degree_dc",
+    "surgery": ["SurgeryMap", "VisitReport", "build_surgery",
                 "dilatation_report", "nonescaping_mask", "visit_count_experiment"],
     "verify": ["ConjugacyReport", "conjugacy_report", "cycles_in_region"],
 }

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from polyrenorm import (build_carrots, build_family, build_surgery, compare_masks,
-                        degree_dc, escape_analysis, green_potential,
-                        nonescaping_mask, visit_count_experiment)
+                        escape_analysis, green_potential,
+                        nonescaping_mask, visit_count_experiment, wedge_raster)
 from polyrenorm import bottcher
 from polyrenorm.angles import Angle
 from polyrenorm.bottcher import bottcher_point, equipotential_points
@@ -20,12 +20,12 @@ from conftest import CUBIC, G0, RHO
 
 
 def test_degree_formula(fig1_family):
-    assert degree_dc(CUBIC, fig1_family) == 2
+    assert fig1_family.degree_dc() == 2
 
 
 def test_degree_no_critical_cuts():
     fam = build_family(CUBIC, [(Angle(0, 1), Angle(0, 1))], g0=G0)
-    assert degree_dc(CUBIC, fam) == 3
+    assert fam.degree_dc() == 3
 
 
 def test_degree_rejects_injective_restriction():
@@ -36,7 +36,7 @@ def test_degree_rejects_injective_restriction():
                               (Angle(1, 2), Angle(1, 2)),
                               (Angle(0, 1), Angle(0, 1))], g0=0.1)
     with pytest.raises(DegreeMismatch):
-        degree_dc(cheb, fam)
+        fam.degree_dc()
 
 
 def test_build_surgery_fig1(fig1_surgery):
@@ -224,7 +224,7 @@ def test_nonescaping_trivial_family(fig1_grid):
     fam = build_family(CUBIC, [(Angle(0, 1), Angle(0, 1))], g0=G0)
     S = build_surgery(CUBIC, fam, RHO, build_carrots(CUBIC, fam.cuts, RHO))
     fmask = nonescaping_mask(S, fig1_grid, 256)
-    res = escape_analysis(CUBIC, fam, fig1_grid, 256)
+    res = escape_analysis(CUBIC, fig1_grid, 256, raster=wedge_raster(CUBIC, fam))
     cmp_ = compare_masks(fmask, res.avoiding, band=2)
     assert cmp_.agreement_outside_band >= 0.97
 

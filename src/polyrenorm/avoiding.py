@@ -12,7 +12,7 @@ from numpy.polynomial import polynomial as npp
 from .cuts import CutFamily
 from .grid import Mask, PixelRaster, sweep_pixels
 from .errors import GridMismatch
-from .poly import Polynomial, critical_cycles, unity_order
+from .poly import Polynomial, unity_order
 from .scene import GridSpec
 
 RASTER_RES = 4096  # side of every lookup raster on a covering window
@@ -367,7 +367,7 @@ def interior_trap(P: Polynomial, max_iter: int, avoid: Sequence[PixelRaster] = (
     """The certified trap of a pixel sweep of P with budget max_iter.
 
     Disks at the attracting cycles and lobes at the parabolic fixed points
-    found by `critical_cycles`.  Every float orbit entering the trap stays,
+    found by `P.critical_cycles`.  Every float orbit entering the trap stays,
     for max_iter steps, bounded by the escape radius and at least one pixel
     away from the bits of each `avoid` raster and from the outside of each
     `stay_in` raster (its window's outside included).  Parabolic cycles of
@@ -379,7 +379,7 @@ def interior_trap(P: Polynomial, max_iter: int, avoid: Sequence[PixelRaster] = (
                 and all(_clear_of(r, True, center, radius, may_meet) for r in stay_in))
 
     disks, lobes = [], []
-    for cycle in critical_cycles(P):
+    for cycle in P.critical_cycles:
         if cycle.kind == "attracting":
             disks += _attracting_disks(P, cycle, clear)
         else:

@@ -30,21 +30,24 @@ of their own, in the direct band the series.
 Below the direct floor, points and equipotentials walk one pullback chain
 over (potential, offset) nodes (`_walk`): each node's chain is seeded by
 the previous node's chain moved along its tangent (a first-order
-predictor), and its levels above the previous chain's top by the series.  Points and sweeps walk from a descent spine (`Spine`): the
-chains down one ray from the direct floor, kept on a fixed ladder, from
-which a point at potential g is one node on and an equipotential sweeps the
-offset at fixed potential.  A caller that needs many points near one angle,
-such as the surgery's Coons patch, keeps one spine and pays for the descent
-once.  A rejected step inserts the midpoint node.  Angles are carried as an
+predictor), and its levels above the previous chain's top by the series.
+Points and sweeps walk from a descent spine (`Spine`): the chains down one
+ray from the direct floor, kept on a fixed ladder, from which a point at
+potential g is one node on and an equipotential sweeps the offset at fixed
+potential.  A caller that needs many points near one angle, such as the
+surgery's Coons patch, keeps one spine and pays for the descent once.  A
+rejected step inserts the midpoint node.  Angles are carried as an
 exact rational part plus a float offset that scales with the potential, so
 deep tails lose no angular precision.  An external angle below the floor is
 found in the direct band and pulled back along the orbit.
 
 A scalar engine on Python complex, so `polyrenorm ray` starts without numpy:
 rays, spirals and equipotentials are tuples or lists of Python complex and
-float, which callers doing array math convert with `np.asarray`.  Only a
-direct-band sweep of ARRAY_SWEEP_MIN or more offsets imports numpy, to
-evaluate the series on an array.
+float, which callers doing array math convert with `np.asarray`.  Two paths
+import numpy, both only for ARRAY_SWEEP_MIN or more offsets: a direct-band
+sweep evaluates the series on an array, and `Spine.sweeps` walks the legs
+of many rows below the floor together (`wavefront`), keeping every point's
+bits.
 """
 
 from __future__ import annotations
@@ -246,6 +249,29 @@ class Spine:
             chains.append(_walk(self.P, self.frac, [node], chains[-1] if chains else None)[1])
         return _walk(self.P, self.frac, [(g, self.off, False)], chains[k - 1])[1]
 
+    def _legs(self, g: float, offs: Sequence[float]):
+        """The node lists (g, offset, requested) of the sweep's two legs out
+        from (g, off), right then left, or None at or above the floor."""
+        if g <= 0:
+            raise ValueError("potential must be positive")
+        for a, b in zip(offs[:-1], offs[1:]):
+            if b < a:
+                raise ValueError("offsets must be non-decreasing")
+        if g >= self.floor:
+            return None
+        max_step = 0.05 * g
+        split = bisect.bisect_left(offs, self.off)
+        legs = [[(a, b, max(1, math.ceil(abs(b - a) / max_step)))
+                 for a, b in zip(side[:-1], side[1:])]
+                for side in ([self.off, *offs[split:]], [self.off, *offs[:split][::-1]])]
+        total = sum(k for leg in legs for _, _, k in leg)
+        if total > MAX_SWEEP_NODES:
+            raise RenormError(f"equipotential sweep at potential {g:.3g} over an angle span "
+                              f"of {offs[-1] - offs[0]:.3g} needs {total} nodes, "
+                              f"more than {MAX_SWEEP_NODES}")
+        return [[(g, a + (b - a) * i / k, i == k) for a, b, k in leg for i in range(1, k + 1)]
+                for leg in legs]
+
     def sweep(self, g: float, offs: Sequence[float]) -> list[complex]:
         """Points at potential g and angles frac + o for the non-decreasing
         offsets `offs` (lifted reals).
@@ -257,29 +283,39 @@ class Spine:
         count grows like the span over g, and a sweep needing more than
         MAX_SWEEP_NODES nodes raises RenormError before any walk.
         """
-        if g <= 0:
-            raise ValueError("potential must be positive")
-        for a, b in zip(offs[:-1], offs[1:]):
-            if b < a:
-                raise ValueError("offsets must be non-decreasing")
-        if g >= self.floor:
+        legs = self._legs(g, offs)
+        if legs is None:
             return _direct(self.P, g, self.frac, offs)
-        max_step = 0.05 * g
-        split = bisect.bisect_left(offs, self.off)
-        legs = [[(a, b, max(1, math.ceil(abs(b - a) / max_step)))
-                 for a, b in zip(side[:-1], side[1:])]
-                for side in ([self.off, *offs[split:]], [self.off, *offs[:split][::-1]])]
-        total = sum(k for leg in legs for _, _, k in leg)
-        if total > MAX_SWEEP_NODES:
-            raise RenormError(f"equipotential sweep at potential {g:.3g} over an angle span "
-                              f"of {offs[-1] - offs[0]:.3g} needs {total} nodes, "
-                              f"more than {MAX_SWEEP_NODES}")
         start = self._descend(g)
-        right, left = (_walk(self.P, self.frac,
-                             [(g, a + (b - a) * i / k, i == k)
-                              for a, b, k in leg for i in range(1, k + 1)], start)[0]
-                       for leg in legs)
+        right, left = (_walk(self.P, self.frac, leg, start)[0] for leg in legs)
         return left[::-1] + right
+
+    def sweeps(self, rows: Sequence[tuple[float, Sequence[float]]]) -> list[list[complex]]:
+        """`sweep(g, offs)` for each (g, offs) of rows, the same bits and the
+        same first error.  Below the floor, the legs of the rows with
+        ARRAY_SWEEP_MIN or more offsets are walked together on arrays
+        (`wavefront.walk_legs`) after their descents, and a leg the arrays
+        give up on is walked again by `_walk`, in order; a lone row's two
+        legs are not worth it, so `sweep` stays scalar."""
+        out: list = [None] * len(rows)
+        batch = []  # (row, start chain, right leg, left leg)
+        try:
+            for r, (g, offs) in enumerate(rows):
+                legs = self._legs(g, offs) if len(offs) >= ARRAY_SWEEP_MIN else None
+                if legs is not None:
+                    batch.append((r, self._descend(g), *legs))
+                else:
+                    out[r] = self.sweep(g, offs)
+        finally:
+            # rows before one that fails are still walked, and fail first
+            if batch:
+                from .wavefront import walk_legs
+                legs = [(start, leg) for _, start, *sides in batch for leg in sides]
+                pts = [p if p is not None else _walk(self.P, self.frac, leg, start)[0]
+                       for (start, leg), p in zip(legs, walk_legs(self.P, self.frac, legs))]
+                for k, (r, *_) in enumerate(batch):
+                    out[r] = pts[2 * k + 1][::-1] + pts[2 * k]
+        return out
 
 
 def _point(P: Polynomial, g: float, frac: Fraction, off: float) -> complex:

@@ -365,7 +365,13 @@ def transversality_gap(R_pts: np.ndarray, L_pts: np.ndarray, a: complex, *,
 
 
 def weak_qs_constant(samples: Sequence[tuple[complex, complex]]) -> float:
-    """kappa-hat = max over triples with d(x,y) <= d(x,z) of d(fx,fy)/d(fx,fz)."""
+    """kappa-hat = max over triples with d(x,y) <= d(x,z) of d(fx,fy)/d(fx,fz),
+    y and z other than x and d(fx,fz) > 0.
+
+    For fixed x and y the largest ratio has the smallest admissible
+    denominator (r/a >= r/b for a <= b, rounding included), so each row of
+    distances from x is sorted once and the denominators are read off a
+    suffix minimum at the first position tied with d(x,y): O(m^2 log m)."""
     if len(samples) < 100:
         raise InsufficientSamples("need at least 100 samples")
     x = np.array([p[0] for p in samples], dtype=complex)
@@ -373,18 +379,17 @@ def weak_qs_constant(samples: Sequence[tuple[complex, complex]]) -> float:
     m = len(x)
     Dx = np.abs(x[:, None] - x[None, :])
     Df = np.abs(f[:, None] - f[None, :])
-    kappa = 0.0
-    for i in range(m):
-        dy = Dx[i]
-        fy = Df[i]
-        valid = np.ones(m, dtype=bool)
-        valid[i] = False
-        cond = (dy[:, None] <= dy[None, :]) & valid[:, None] & valid[None, :]
-        denom = fy[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(cond & (denom > 0), fy[:, None] / denom, 0.0)
-        kappa = max(kappa, float(ratio.max()))
-    return kappa
+    order = np.argsort(Dx, axis=1, kind="stable")
+    dy = np.take_along_axis(Dx, order, axis=1)
+    fy = np.take_along_axis(Df, order, axis=1)
+    other = order != np.arange(m)[:, None]
+    den = np.where(other & (fy > 0), fy, np.inf)
+    suffix_min = np.minimum.accumulate(den[:, ::-1], axis=1)[:, ::-1]
+    # the first position of each run of tied distances
+    starts = np.diff(dy, axis=1, prepend=-1.0) != 0
+    first = np.maximum.accumulate(np.where(starts, np.arange(m), 0), axis=1)
+    ratio = fy / np.take_along_axis(suffix_min, first, axis=1)
+    return max(0.0, float(ratio[other].max()))
 
 
 def carrot_geometry(P: Polynomial, carrot: Carrot, samples: int = 200) -> GeometryEstimate:

@@ -2,7 +2,8 @@
 potential and the inverse Boettcher series.
 
 The scalar path runs on Python complex; numpy is imported inside the array
-code (companion roots, the cycle census, Horner on arrays) where it runs."""
+code (companion roots, the cycle census, Horner on arrays, CPython's complex
+arithmetic on real arrays) where it runs."""
 
 from __future__ import annotations
 
@@ -56,6 +57,25 @@ def _horner(cs: Sequence[complex], z):
     return w
 
 
+def complex_mul(ar, ai, br, bi):
+    """CPython's complex product on real arrays, so the same bits; numpy's
+    own complex ops may round differently."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def complex_div(ar, ai, br, bi):
+    """CPython's complex quotient (`_Py_c_quot`, Smith's method) on real
+    arrays.  Its branch for |b.imag| > |b.real| is the other one applied to
+    (-i*a)/(-i*b), negation being exact."""
+    import numpy as np
+    by_real = np.abs(br) >= np.abs(bi)
+    u, v = np.where(by_real, br, bi), np.where(by_real, bi, -br)
+    x, y = np.where(by_real, ar, ai), np.where(by_real, ai, -ar)
+    ratio = v / u
+    denom = u + v * ratio
+    return (x + y * ratio) / denom, (y - x * ratio) / denom
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """A monic polynomial, coefficients stored constant term first.
@@ -99,6 +119,43 @@ class Polynomial:
         """The Laurent series of P's inverse Boettcher map, built on first use
         and extended in place, so every caller on this P shares it."""
         return InverseBottcher(self)
+
+    @cached_property
+    def critical_cycles(self) -> tuple[Cycle, ...]:
+        """The attracting and parabolic cycles, found from the critical
+        orbits once per polynomial.
+
+        By Fatou's theorem each such cycle attracts a critical point, so no
+        cycle census is needed.  After CRITICAL_ORBIT_STEPS iterates a bounded
+        critical orbit that has settled near a cycle nearly repeats with some
+        lag k <= CRITICAL_ORBIT_MAX_LAG (the period, times the rotation order
+        of the multiplier at a parabolic cycle); Newton on P^n(z) - z from the
+        last iterate, over the divisors n of k, then finds a cycle point.
+        Neutral cycles with an irrational rotation are left out.
+        """
+        R = self.escape_radius
+        found: list[Cycle] = []
+        for c in critical_points(self):
+            orbit = [c]
+            for _ in range(CRITICAL_ORBIT_STEPS):
+                orbit.append(self(orbit[-1]))
+                if not abs(orbit[-1]) <= R:
+                    break
+            z = orbit[-1]
+            if not abs(z) <= R or any(cyc.contains(z, 1e-2) for cyc in found):
+                continue  # escaped, or settled near a cycle already found
+            lag = next((k for k in range(1, CRITICAL_ORBIT_MAX_LAG + 1)
+                        if abs(z - orbit[-1 - k]) < 1e-3 * max(1.0, abs(z))), 0)
+            for n in (n for n in range(1, lag + 1) if lag % n == 0):
+                p = _newton_cycle_point(self, n, z)
+                if p is None:
+                    continue
+                _, lam = self.iterate_with_deriv(p, n)
+                kind = classify_multiplier(lam)
+                if kind in ("attracting", "parabolic"):
+                    found.append(Cycle(tuple(self.iterate(p, k) for k in range(n)), n, lam, kind))
+                    break
+        return tuple(found)
 
     def deriv(self, z):
         return _horner(self.deriv_coeffs, z)
@@ -448,42 +505,6 @@ def find_cycles(P: Polynomial, max_period: int) -> list[Cycle]:
     return cycles
 
 
-def critical_cycles(P: Polynomial) -> list[Cycle]:
-    """The attracting and parabolic cycles, found from the critical orbits.
-
-    By Fatou's theorem each such cycle attracts a critical point, so no cycle
-    census is needed.  After CRITICAL_ORBIT_STEPS iterates a bounded critical
-    orbit that has settled near a cycle nearly repeats with some lag
-    k <= CRITICAL_ORBIT_MAX_LAG (the period, times the rotation order of the
-    multiplier at a parabolic cycle); Newton on P^n(z) - z from the last
-    iterate, over the divisors n of k, then finds a cycle point.  Neutral
-    cycles with an irrational rotation are left out.
-    """
-    R = P.escape_radius
-    found: list[Cycle] = []
-    for c in critical_points(P):
-        orbit = [c]
-        for _ in range(CRITICAL_ORBIT_STEPS):
-            orbit.append(P(orbit[-1]))
-            if not abs(orbit[-1]) <= R:
-                break
-        z = orbit[-1]
-        if not abs(z) <= R or any(cyc.contains(z, 1e-2) for cyc in found):
-            continue  # escaped, or settled near a cycle already found
-        lag = next((k for k in range(1, CRITICAL_ORBIT_MAX_LAG + 1)
-                    if abs(z - orbit[-1 - k]) < 1e-3 * max(1.0, abs(z))), 0)
-        for n in (n for n in range(1, lag + 1) if lag % n == 0):
-            p = _newton_cycle_point(P, n, z)
-            if p is None:
-                continue
-            _, lam = P.iterate_with_deriv(p, n)
-            kind = classify_multiplier(lam)
-            if kind in ("attracting", "parabolic"):
-                found.append(Cycle(tuple(P.iterate(p, k) for k in range(n)), n, lam, kind))
-                break
-    return found
-
-
 def _newton_cycle_point(P: Polynomial, n: int, z: complex) -> complex | None:
     """`newton_preperiodic` on P^n(z) - z; None if it fails, bails past 3R
     or leaves a residual of CYCLE_RESIDUAL_TOL or more.
@@ -593,3 +614,31 @@ class InverseBottcher:
             dp = dp * x + p
             p = p * x + c
         return w * p, w * (p - x * dp)
+
+    def with_tangents(self, w, g: Sequence[float]):
+        """`with_tangent` at each w of an array with |w| = e^g, bit for bit,
+        as ((psi.real, psi.imag), (w psi'.real, w psi'.imag)): one Horner
+        pass on CPython's complex arithmetic (`complex_mul`), each point
+        joining it at its own number of terms."""
+        import numpy as np
+        n = np.array([self.terms(gk) for gk in g], dtype=int)
+        # most terms first, so the points still in the pass are a prefix
+        order = np.argsort(-n, kind="stable")
+        back = np.argsort(order)
+        cs = np.array(self._scaled(int(n.max(initial=0))))
+        n, wr, wi = n[order], w.real[order], w.imag[order]
+        xr, xi = complex_div(self._R, 0.0, wr, wi)
+        pr, pi = cs.real[n - 1], cs.imag[n - 1]
+        dr, di = np.zeros_like(wr), np.zeros_like(wr)
+        for k in range(cs.size - 2, -1, -1):
+            a = np.count_nonzero(n >= k + 2)
+            dr[:a], di[:a] = complex_mul(dr[:a], di[:a], xr[:a], xi[:a])
+            dr[:a] += pr[:a]
+            di[:a] += pi[:a]
+            pr[:a], pi[:a] = complex_mul(pr[:a], pi[:a], xr[:a], xi[:a])
+            pr[:a] += cs[k].real
+            pi[:a] += cs[k].imag
+        tr, ti = complex_mul(xr, xi, dr, di)
+        tr, ti = complex_mul(wr, wi, pr - tr, pi - ti)
+        pr, pi = complex_mul(wr, wi, pr, pi)
+        return (pr[back], pi[back]), (tr[back], ti[back])

@@ -105,17 +105,20 @@ class CoonsPatch:
 
     def phi_tgt(self, s, t) -> np.ndarray:
         """The target at the broadcast pairs (s, t): one equipotential sweep
-        out from the spine per distinct row potential, deepest first; rows
-        at potential 0 are the root."""
+        out from the spine per distinct row potential, deepest first, in one
+        `Spine.sweeps` call; rows at potential 0 are the root."""
         s, t = np.broadcast_arrays(np.clip(s, 0.0, 1.0), t)
         g = _interp(self.tgt_g, t)
         out = np.full(s.shape, self.tgt_root, dtype=complex)
+        rows = []
         for gj in np.unique(g[g > 0.0]):
             row = g == gj
             offs = (1.0 - s[row]) * (self.tgt_th_r + gj) + s[row] * (self.tgt_th_l - gj)
             order = np.argsort(offs, kind="stable")
-            pts = np.empty(offs.size, dtype=complex)
-            pts[order] = self.spine.sweep(float(gj), offs[order].tolist())
+            rows.append((row, order, float(gj), offs[order].tolist()))
+        for (row, order, _, _), swept in zip(rows, self.spine.sweeps([r[2:] for r in rows])):
+            pts = np.empty(order.size, dtype=complex)
+            pts[order] = swept
             out[row] = pts
         return out
 

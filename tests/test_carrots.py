@@ -7,7 +7,7 @@ from polyrenorm import (Carrot, Cut, SpiralArc, build_carrots, find_cycles,
                         koenigs_coordinate, koenigs_radius, quasi_arc_constant,
                         transversality_gap, transversality_profile, weak_qs_constant)
 from polyrenorm.angles import Angle
-from polyrenorm.carrots import carrot_geometry, carrots_disjoint
+from polyrenorm.carrots import _subsample, carrot_geometry, carrots_disjoint
 from polyrenorm.errors import (CarrotOverlap, InsufficientSamples,
                                OutsideLinearizationDomain)
 from polyrenorm.grid import distance_to_polyline
@@ -209,6 +209,45 @@ def test_weak_qs_identity_and_similarity():
     pts = [complex(x, 0.1 * x * x) for x in np.linspace(0, 1, 150)]
     assert weak_qs_constant([(z, z) for z in pts]) == pytest.approx(1.0)
     assert weak_qs_constant([(z, 2j * z + 3) for z in pts]) == pytest.approx(1.0)
+
+
+def _weak_qs_reference(samples):
+    """The O(m^3) triple loop: for each x, every pair (y, z) of other samples
+    with d(x,y) <= d(x,z) and d(fx,fz) > 0."""
+    x = np.array([p[0] for p in samples], dtype=complex)
+    f = np.array([p[1] for p in samples], dtype=complex)
+    m = len(x)
+    Dx = np.abs(x[:, None] - x[None, :])
+    Df = np.abs(f[:, None] - f[None, :])
+    kappa = 0.0
+    for i in range(m):
+        dy, fy = Dx[i], Df[i]
+        valid = np.ones(m, dtype=bool)
+        valid[i] = False
+        cond = (dy[:, None] <= dy[None, :]) & valid[:, None] & valid[None, :]
+        denom = fy[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(cond & (denom > 0), fy[:, None] / denom, 0.0)
+        kappa = max(kappa, float(ratio.max()))
+    return kappa
+
+
+def test_weak_qs_matches_triple_loop(fig1_carrots):
+    # carrot_geometry's samples on figure1's carrots, and lattice samples
+    # with many tied distances and repeated images
+    sets = [[(complex(z), complex(CUBIC(z))) for z in _subsample(c.side_pair_points(), 200)]
+            for c in fig1_carrots]
+    rng = np.random.default_rng(3)
+    for k in range(40):
+        n = 100 + k
+        x = rng.integers(0, 6, n) + 1j * rng.integers(0, 6, n)
+        f = x**2 + rng.integers(0, 3, n)
+        if k % 3 == 0:
+            f[:5] = f[5]
+        sets.append(list(zip(x.tolist(), f.tolist())))
+    for samples in sets:
+        assert weak_qs_constant(samples) == _weak_qs_reference(samples)
+    assert [weak_qs_constant(s) for s in sets[:2]] == [3.315377659570967, 1.9354836938770785]
 
 
 def test_weak_qs_needs_samples():

@@ -8,7 +8,7 @@ import pytest
 from polyrenorm import (Polynomial, classify_multiplier, critical_points,
                         escape_time, find_cycles, green_potential, poly)
 from polyrenorm.errors import RenormError
-from polyrenorm.poly import NEWTON_STEPS, critical_cycles, newton, unity_order
+from polyrenorm.poly import NEWTON_STEPS, newton, unity_order
 
 from conftest import BASILICA, CUBIC, SQUARE
 
@@ -318,7 +318,7 @@ def test_green_functional_equation():
     (1j, [])])                              # critical orbit strictly preperiodic
 def test_critical_cycles(c, expected):
     P = Polynomial((c, 0, 1))
-    got = critical_cycles(P)
+    got = P.critical_cycles
     assert [(cyc.period, cyc.kind) for cyc in got] == [e[:2] for e in expected]
     for cyc, (_, _, point) in zip(got, expected):
         assert abs(P.iterate(cyc.points[0], cyc.period) - cyc.points[0]) < 1e-9

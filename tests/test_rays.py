@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from polyrenorm import (Polynomial, equipotential_polyline, find_cycles,
                         green_potential, land_rays, landing_point, trace_ray,
                         trace_spirals)
-from polyrenorm import bottcher
+from polyrenorm import bottcher, wavefront
 from polyrenorm.angles import Angle
 from polyrenorm.bottcher import bottcher_point, external_angle
 from polyrenorm.errors import BranchJump, RenormError
@@ -285,6 +285,77 @@ def test_functional_equation_on_sweeps_and_points(name, exponent, theta):
     imgs = bottcher.equipotential_points(P, d * g, image, [d * o for o in offs])
     assert all(agrees(z, w) for z, w in zip(pts, imgs))
     assert agrees(bottcher_point(P, g, theta), bottcher_point(P, d * g, image))
+
+
+# Below the floor, `Spine.sweeps` walks the legs of its rows of
+# ARRAY_SWEEP_MIN or more offsets together on arrays; row-by-row scalar
+# sweeps (`_walk`) are the oracle, to the bit.
+
+def _rows(g, width, count, shift):
+    """Three rows of `count` offsets straddling the spine's offset 0 and one
+    of five, their spans scaling with the potential."""
+    rows = []
+    for f, n in ((1.0, count), (0.61, count + 3), (0.29, count), (0.8, 5)):
+        span = width * f * g
+        rows.append((f * g, [span * (k / (n - 1) - shift) for k in range(n)]))
+    return rows
+
+
+@pytest.mark.parametrize("name", list(_FE_POLYS))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(exponent=st.floats(-12.0, math.log10(0.09)), theta=st.fractions(0, 1, max_denominator=12),
+       width=st.floats(0.05, 3.0), count=st.integers(16, 40), shift=st.floats(0.0, 1.0))
+def test_batched_rows_match_row_sweeps(name, exponent, theta, width, count, shift):
+    P = _FE_POLYS[name]
+    rows = _rows(10.0 ** exponent, width, count, shift)
+    spine = bottcher.Spine(P, theta, 0.0)
+    assert spine.sweeps(rows) == [spine.sweep(g, offs) for g, offs in rows]
+
+
+def test_batched_leg_that_fails_is_walked_again(monkeypatch):
+    # a leg the arrays give up on (here: Newton declared stuck at the first
+    # element of the fifth anti-diagonal) is walked again by `_walk` from its
+    # start chain, and only that leg
+    spine = bottcher.Spine(CUBIC, Fraction(1, 7), 0.0)
+    rows = _rows(1e-6, 1.5, 20, 0.4)[:3]
+    want = [spine.sweep(g, offs) for g, offs in rows]
+    newton, walk, calls, walked = wavefront.preimages_near, bottcher._walk, [0], []
+
+    def stuck(*args):
+        out = newton(*args)
+        calls[0] += 1
+        if calls[0] == 5:
+            out[-1][0] = False
+        return out
+
+    def recorded(P, frac, nodes, prev):
+        walked.append(len(nodes))
+        return walk(P, frac, nodes, prev)
+
+    monkeypatch.setattr(wavefront, "preimages_near", stuck)
+    monkeypatch.setattr(bottcher, "_walk", recorded)
+    assert spine.sweeps(rows) == want
+    assert calls[0] > 5
+    assert len([n for n in walked if n > 1]) == 1
+
+
+def test_sweeps_walk_the_rows_before_a_failing_one(monkeypatch):
+    # a row past the node bound fails as its lone sweep would, after the
+    # legs of the rows before it are walked (and could fail first)
+    spine = bottcher.Spine(CUBIC, Fraction(0), 0.0)
+    rows = _rows(1e-4, 1.0, 16, 0.5)
+    walk_legs, batches = wavefront.walk_legs, []
+
+    def recorded(P, frac, legs):
+        batches.append(len(legs))
+        return walk_legs(P, frac, legs)
+
+    monkeypatch.setattr(wavefront, "walk_legs", recorded)
+    with pytest.raises(RenormError, match="needs .* nodes"):
+        spine.sweeps(rows[:2] + [(1e-9, [0.0, 1 / 3])] + rows[2:])
+    assert batches == [4]
+    with pytest.raises(ValueError, match="non-decreasing"):
+        spine.sweeps([(g, offs[::-1]) for g, offs in rows])
 
 
 def test_sweep_with_alternating_offset_gaps(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from polyrenorm import (build_carrots, build_family, build_surgery, compare_masks,
                         escape_analysis, green_potential,
                         nonescaping_mask, visit_count_experiment, wedge_raster)
-from polyrenorm import bottcher
+from polyrenorm import bottcher, wavefront
 from polyrenorm.angles import Angle
 from polyrenorm.bottcher import bottcher_point, equipotential_points
 from polyrenorm.errors import CarrotOverlap, DegreeMismatch
@@ -467,16 +467,66 @@ def test_phi_tgt_matches_bottcher_point(fig1_surgery):
 
 
 def test_tgt_rows_pullback_budget(fig1_surgery, monkeypatch):
-    # one descent per patch: the 33 rows cost their sweeps and one spine
+    # one descent per patch: the 33 rows cost their sweeps and one spine;
+    # the scalar pullbacks and the elements of the batched level solves
+    # both count
     patch = dataclasses.replace(fig1_surgery.patches[0])  # a spine not yet walked
     calls = [0]
-    pullback = bottcher._pullback
+    pullback, newton = bottcher._pullback, wavefront.preimages_near
 
     def counted(*args):
         calls[0] += 1
         return pullback(*args)
 
+    def counted_batch(P, wr, *args):
+        calls[0] += wr.size
+        return newton(P, wr, *args)
+
     monkeypatch.setattr(bottcher, "_pullback", counted)
+    monkeypatch.setattr(wavefront, "preimages_near", counted_batch)
     ss = np.linspace(0.0, 1.0, 33)
     patch.phi_tgt(ss[:, None], ss[None, :])
     assert calls[0] <= 40_000
+
+
+def _tgt_rows(patch, ss):
+    """phi_tgt's rows on the grid ss x ss: (mask, potential, offsets
+    in sweep order, their order)."""
+    s, t = np.broadcast_arrays(ss[:, None], ss[None, :])
+    g = _interp(patch.tgt_g, t)
+    for gj in np.unique(g[g > 0.0]):
+        row = g == gj
+        offs = (1.0 - s[row]) * (patch.tgt_th_r + gj) + s[row] * (patch.tgt_th_l - gj)
+        order = np.argsort(offs, kind="stable")
+        yield row, float(gj), offs[order].tolist(), order
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_tgt_grid_matches_row_sweeps_to_the_bit(fig1_surgery, n):
+    # the batched rows against each row's scalar sweep on the same spine
+    patch = dataclasses.replace(fig1_surgery.patches[0])
+    ss = np.linspace(0.0, 1.0, n + 1)
+    grid = patch.phi_tgt(ss[:, None], ss[None, :])
+    rows = list(_tgt_rows(patch, ss))
+    assert len(rows) == n
+    for row, g, offs, order in rows:
+        assert grid[row][order].tolist() == patch.spine.sweep(g, offs), g
+
+
+def test_tgt_grid_walks_only_the_row_descents(fig1_surgery, monkeypatch):
+    # every leg of the 33 x 33 grid's rows stays in the array pass: `_walk`
+    # only extends the spine's ladder and takes each row's one descent node
+    patch = dataclasses.replace(fig1_surgery.patches[0])
+    walk, walked = bottcher._walk, []
+
+    def recorded(P, frac, nodes, prev):
+        walked.append(list(nodes))
+        return walk(P, frac, nodes, prev)
+
+    monkeypatch.setattr(bottcher, "_walk", recorded)
+    ss = np.linspace(0.0, 1.0, 33)
+    patch.phi_tgt(ss[:, None], ss[None, :])
+    assert all(len(nodes) == 1 and not nodes[0][2] for nodes in walked)
+    row_gs = {g for _, g, _, _ in _tgt_rows(patch, ss) if g < patch.spine.floor}
+    assert len(row_gs) >= 30 and row_gs <= {nodes[0][0] for nodes in walked}
+    assert len(walked) == len(patch.spine._chains) + len(row_gs)

@@ -4,38 +4,46 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .cuts import CutFamily
 from .grid import Mask, PixelRaster, sweep_pixels
 from .errors import GridMismatch
 from .poly import Polynomial, unity_order
 from .scene import GridSpec
 
+if TYPE_CHECKING:
+    from .cuts import CutFamily
+
 RASTER_RES = 4096  # side of every lookup raster on a covering window
+
+
+def bounded_square(P: Polynomial) -> tuple[complex, float]:
+    """(center, half-width) of the square around the pixels of a coarse sweep
+    of |z| <= R that stay bounded for 96 steps, widened by 1/2; (0, 1) when
+    no pixel stays bounded.  `Polynomial.bounded_square` keeps it, so one
+    coarse sweep serves every covering window of a polynomial."""
+    coarse = GridSpec(0j, 2.0 * P.escape_radius, 160)
+    bounded = escape_analysis(P, coarse, 96).kp.bits
+    if not bounded.any():
+        return 0j, 1.0
+    zs = coarse.centers()[bounded]
+    re_lo, re_hi = zs.real.min(), zs.real.max()
+    im_lo, im_hi = zs.imag.min(), zs.imag.max()
+    return (complex((re_lo + re_hi) / 2, (im_lo + im_hi) / 2),
+            max(re_hi - re_lo, im_hi - im_lo) / 2 + 0.5)
 
 
 def covering_window(P: Polynomial, polylines: Sequence[Sequence[complex]]) -> GridSpec:
     """A RASTER_RES window over the non-escaping set and every polyline, so
     that one lookup raster serves every iterate of a bounded orbit.
 
-    The square around the pixels of a coarse sweep of |z| <= R that stay
-    bounded for 96 steps, widened by 1/2, then as far as each polyline
-    reaches from its center, then by 2%; when no pixel stays bounded the
-    square is centered at 0 with half-width 1.
+    P's `bounded_square`, widened as far as each polyline reaches from its
+    center, then by 2%.
     """
-    coarse = GridSpec(0j, 2.0 * P.escape_radius, 160)
-    bounded = escape_analysis(P, coarse, 96).kp.bits
-    center, half = 0j, 1.0
-    if bounded.any():
-        zs = coarse.centers()[bounded]
-        re_lo, re_hi = zs.real.min(), zs.real.max()
-        im_lo, im_hi = zs.imag.min(), zs.imag.max()
-        center = complex((re_lo + re_hi) / 2, (im_lo + im_hi) / 2)
-        half = max(re_hi - re_lo, im_hi - im_lo) / 2 + 0.5
+    center, half = P.bounded_square
     for arr in map(np.asarray, polylines):
         half = max(half,
                    abs(arr.real.max() - center.real), abs(arr.real.min() - center.real),
@@ -394,8 +402,16 @@ class EscapeAnalysis:
     esc_steps: np.ndarray  # uint16, 0 = bounded within budget
 
 
+def escape_trap(P: Polynomial, max_iter: int,
+                raster: Optional[PixelRaster] = None) -> InteriorTrap:
+    """The trap `escape_analysis` retires pixels into: certified for
+    max_iter steps, and clear of `raster`'s wedges when there is one."""
+    return interior_trap(P, max_iter, avoid=(raster,) if raster is not None else ())
+
+
 def escape_analysis(P: Polynomial, grid: GridSpec, max_iter: int, *,
-                    raster: Optional[PixelRaster] = None, threads: int = 1,
+                    raster: Optional[PixelRaster] = None,
+                    trap: Optional[InteriorTrap] = None, threads: int = 1,
                     supersample: int = 1) -> EscapeAnalysis:
     """One sweep classifying pixels: escape step, and wedge-orbit hits.
 
@@ -405,10 +421,12 @@ def escape_analysis(P: Polynomial, grid: GridSpec, max_iter: int, *,
     P^k(z), k in 0 .. max_iter - 1, on a True pixel of `raster` (the
     family's `wedge_raster`).  Without a raster there is no avoiding mask.
 
-    The sweep retires the pixels that enter the scene's `interior_trap`
-    (see `sweep_pixels`): the trap certifies that the rest of such an orbit
-    stays bounded and at least a raster pixel away from every wedge, so
-    their escape step (0) and wedge bits are exactly those of the full loop.
+    The sweep retires the pixels that enter `escape_trap(P, max_iter,
+    raster)` (see `sweep_pixels`), which a caller running several sweeps of
+    one raster passes as `trap` to build it once: the trap certifies that
+    the rest of such an orbit stays bounded and at least a raster pixel away
+    from every wedge, so their escape step (0) and wedge bits are exactly
+    those of the full loop.
     """
     if supersample not in (1, 2):
         raise ValueError("supersample must be 1 or 2")
@@ -418,17 +436,17 @@ def escape_analysis(P: Polynomial, grid: GridSpec, max_iter: int, *,
     esc = np.zeros(n * n, dtype=np.uint16)
     hit = np.zeros(n * n, dtype=bool)
 
-    def step(z, idx, it):
+    def step(z, idx, it, buf):
         if raster is not None:
             hit[idx[raster.lookup(z)]] = True
-        z = P(z)
-        keep = np.abs(z) <= R  # False beyond R, at inf and at NaN
-        if keep.all():
-            return z, idx
-        esc[idx[~keep]] = it
-        return z[keep], idx[keep]
+        np.abs(P(z, out=buf.out), out=buf.mod)
+        keep = np.less_equal(buf.mod, R, out=buf.keep)  # False beyond R, at inf and at NaN
+        if not keep.all():
+            esc[idx[~keep]] = it
+        return keep
 
-    trap = interior_trap(P, max_iter, avoid=(raster,) if raster is not None else ())
+    if trap is None:
+        trap = escape_trap(P, max_iter, raster)
     sweep_pixels(work, max_iter, step, threads, trap)
     esc, hit = esc.reshape(n, n), hit.reshape(n, n)
 

@@ -25,7 +25,7 @@ from .poly import MAX_CENSUS_POINTS
 from .scene import GridSpec, Scene, figure1_scene, integer_field, load_scene, override, parse_angle
 
 if TYPE_CHECKING:
-    from .avoiding import EscapeAnalysis
+    from .avoiding import EscapeAnalysis, InteriorTrap
     from .carrots import Carrot
     from .cuts import CutFamily
     from .grid import Mask, PixelRaster
@@ -118,10 +118,16 @@ class Run:
         from .avoiding import wedge_raster
         return wedge_raster(self.scene.polynomial, self.family)
 
+    @cached_property
+    def trap(self) -> InteriorTrap:
+        """The interior trap of the sweeps below, certified once for them all."""
+        from .avoiding import escape_trap
+        return escape_trap(self.scene.polynomial, self.scene.max_iter, self.raster)
+
     def _sweep(self, grid: GridSpec, supersample: int) -> EscapeAnalysis:
         from .avoiding import escape_analysis
         return escape_analysis(self.scene.polynomial, grid, self.scene.max_iter,
-                               raster=self.raster, threads=self.threads,
+                               raster=self.raster, trap=self.trap, threads=self.threads,
                                supersample=supersample)
 
     @cached_property

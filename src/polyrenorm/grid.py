@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -28,7 +27,7 @@ class Mask:
         n = self.grid.resolution
         if self.bits.shape != (n, n):
             raise ValueError("mask dimensions must match the grid")
-        self.bits = self.bits.astype(bool)
+        self.bits = np.asarray(self.bits, dtype=bool)  # no copy when already bool
 
     def count(self) -> int:
         return int(self.bits.sum())
@@ -59,7 +58,7 @@ def load_mask_raw(path: str, grid: GridSpec) -> Mask:
     bits = np.unpackbits(body.reshape(h, row_bytes), axis=1, bitorder="big")[:, :w]
     if (w, h) != (grid.resolution, grid.resolution):
         raise GridMismatch("stored mask size differs from grid")
-    return Mask(grid, bits.astype(bool))
+    return Mask(grid, bits)
 
 
 def _crossings(x0, y0, x1, y1, y: float) -> np.ndarray:
@@ -192,46 +191,111 @@ class PixelRaster:
         return self._padded.ravel().take(k)
 
     def lookup(self, z: np.ndarray) -> np.ndarray:
-        """Bits at the points z; outside the box, NaN included, False."""
+        """Bits at the points z; outside the box, NaN included, False.
+
+        The real parts are tested on a contiguous copy, which numpy compares
+        about ten times faster than the strided `z.real`, and the imaginary
+        parts only at the points inside the box's real band.
+        """
         z = np.asarray(z)
+        flat = z.ravel()
         re_lo, re_hi, im_lo, im_hi = self._box
-        box = z.real >= re_lo
-        box &= z.real <= re_hi
-        box &= z.imag >= im_lo
-        box &= z.imag <= im_hi
+        re = np.ascontiguousarray(flat.real)
+        band = re >= re_lo
+        band &= re <= re_hi
+        sel = np.flatnonzero(band)
+        im = flat.imag[sel]
+        sel = sel[(im >= im_lo) & (im <= im_hi)]
         out = np.zeros(z.shape, dtype=bool)
-        out[box] = self.at(self.index(z[box]))
+        out.ravel()[sel] = self.at(self.index(flat[sel]))
         return out
 
 
 POOL_AFTER = 16  # iterations each row block runs before its survivors are pooled
 
 
-def iterate_orbits(z: np.ndarray, idx: np.ndarray, its, step):
-    """Run step(z, idx, it) -> (z, idx) for each `it` in `its`, or until no
-    orbit is left; returns the last (z, idx).
+class StepBuffers(NamedTuple):
+    """What the orbit loop hands a step, each as long as the step's z:
+    `out` receives P(z), `mod` and `keep` are scratch for |P(z)| and the
+    keep mask the step returns."""
 
-    `z` holds the current iterates and `idx` their labels (flat pixel or
-    seed indices); the step records what it finds by label and returns the
-    survivors.  Overflow to inf and NaN are left to the step to retire.
+    out: np.ndarray
+    mod: np.ndarray
+    keep: np.ndarray
+
+
+class _Orbits:
+    """The orbit loop's buffers: the points `z` labelled `idx` become its
+    own, beside an `out` of the same size and the steps' scratch, and every
+    step and every row block of one worker reuses them.
+
+    The first `m` entries of `z` hold the iterates and those of `idx` their
+    labels.  A step writes P(z) into `out`; the survivors then move to the
+    front of `z` (`z[:k] = out[keep]`), or `z` and `out` swap when every
+    orbit survives.  Trap retirement compacts `z` the same way.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in its:
-            if idx.size == 0:
-                break
-            z, idx = step(z, idx, it)
-    return z, idx
+
+    def __init__(self, z: np.ndarray, idx: np.ndarray) -> None:
+        self.z, self.idx, self.m = z, idx, z.size
+        self.out = np.empty_like(z)
+        self.mod = np.empty(z.size)
+        self.keep = np.empty(z.size, dtype=bool)
+
+    def _compact(self, keep: np.ndarray, src: np.ndarray) -> None:
+        """Keep the orbits where `keep`, their iterates read from `src`."""
+        m = self.m
+        k = int(np.count_nonzero(keep))
+        if k < m:
+            self.z[:k] = src[:m][keep]
+            self.idx[:k] = self.idx[:m][keep]
+        elif src is self.out:
+            self.z, self.out = self.out, self.z
+        self.m = k
+
+    def run(self, its, step, trap) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for it in its:
+                m = self.m
+                if m == 0:
+                    break
+                if trap and it >= POOL_AFTER:
+                    free = trap.contains(self.z[:m])
+                    self._compact(np.logical_not(free, out=free), self.z)
+                    m = self.m
+                keep = step(self.z[:m], self.idx[:m], it,
+                            StepBuffers(self.out[:m], self.mod[:m], self.keep[:m]))
+                self._compact(keep, self.out)
+
+
+def iterate_orbits(z: np.ndarray, idx: np.ndarray, its, step, trap=None) -> None:
+    """Run step(z, idx, it, buffers) -> keep for each `it` in `its`, or until
+    no orbit is left.
+
+    `z` (complex) holds the starting points and `idx` (intp) their labels,
+    flat pixel or seed indices; the loop takes both arrays over as buffers
+    and overwrites them.  The step writes P(z) into `buffers.out`, records
+    what it finds by label, and returns a bool mask of the orbits to keep,
+    `buffers.keep` or its own; the loop carries on with the kept entries of
+    `out`.  Overflow to inf and NaN are left to the step to retire.  From
+    it = POOL_AFTER on, the orbits inside `trap` retire before the step
+    sees them (see `sweep_pixels`).
+    """
+    _Orbits(z, idx).run(its, step, trap)
 
 
 def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int, trap) -> None:
-    """`iterate_orbits` on the pixel centers of `grid`, labelled by flat
-    pixel index, for it = 1 .. max_iter.
+    """The orbit loop of `iterate_orbits` on the pixel centers of `grid`,
+    labelled by flat pixel index, for it = 1 .. max_iter.
 
     The first POOL_AFTER iterations run on 64-row blocks, `threads` at a
-    time; the blocks' survivors are then pooled, in block order, into one
-    array that the calling thread finishes, so the few slow pixels cost one
-    numpy call per operation rather than one per block.  Each pixel sees the
-    same elementwise operations in whichever array it sits.
+    time.  Each worker owns one set of loop buffers, one block long, and
+    reuses it for every block it runs, so a head step allocates nothing the
+    size of a block but the survivors' compaction.  The blocks' survivors
+    are then pooled, in block order, into one loop that the calling thread
+    finishes, so the few slow pixels cost one numpy call per operation
+    rather than one per block.  Each pixel sees the same elementwise
+    operations in whichever array it sits.  Every buffer is released when
+    the sweep returns.
 
     From iteration POOL_AFTER on, the orbits inside `trap` (an
     `avoiding.InteriorTrap`) retire before `step` sees them: the trap
@@ -242,26 +306,32 @@ def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int, trap) -> Non
     keeps the trapped ones out of the pooled tail.
     """
     n = grid.resolution
-    if trap:
-        step_free = step
-
-        def step(z, idx, it):
-            if it >= POOL_AFTER:
-                free = ~trap.contains(z)
-                if not free.all():
-                    z, idx = z[free], idx[free]
-            return step_free(z, idx, it)
+    starts = range(0, n, 64)
+    labels = np.arange(min(64, n) * n)
+    # one buffer set a worker: at most `threads` blocks run at once, and
+    # list.pop and list.append are atomic
+    idle = [_Orbits(np.empty(labels.size, dtype=complex), np.empty_like(labels))
+            for _ in range(min(threads, len(starts)))]
 
     def block(i0):
-        i1 = min(i0 + 64, n)
-        return iterate_orbits(grid.rows_centers(i0, i1).ravel(), np.arange(i0 * n, i1 * n),
-                              range(1, min(max_iter, POOL_AFTER) + 1), step)
+        orbits = idle.pop()
+        try:
+            i1 = min(i0 + 64, n)
+            m = orbits.m = (i1 - i0) * n
+            grid.rows_centers(i0, i1, out=orbits.z[:m].reshape(i1 - i0, n))
+            np.add(labels[:m], i0 * n, out=orbits.idx[:m])
+            orbits.run(range(1, min(max_iter, POOL_AFTER) + 1), step, trap)
+            return orbits.z[:orbits.m].copy(), orbits.idx[:orbits.m].copy()
+        finally:
+            idle.append(orbits)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(block, range(0, n, 64)))
+            parts = list(ex.map(block, starts))
     else:
-        parts = [block(i0) for i0 in range(0, n, 64)]
-    z, idx = zip(*parts)
-    iterate_orbits(np.concatenate(z), np.concatenate(idx),
-                   range(POOL_AFTER + 1, max_iter + 1), step)
+        parts = [block(i0) for i0 in starts]
+    del idle[:], labels
+    z, idx = map(np.concatenate, zip(*parts))
+    del parts
+    iterate_orbits(z, idx, range(POOL_AFTER + 1, max_iter + 1), step, trap)

@@ -41,16 +41,18 @@ def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
-def _horner(cs: Sequence[complex], z):
+def _horner(cs: Sequence[complex], z, out=None):
     """Horner's rule, `w = w * z + c` from the leading coefficient down; a
-    number takes the scalar loop, an array is evaluated in place on one buffer."""
+    number takes the scalar loop, an array is evaluated in place on one
+    buffer: `out` (not z itself) when given, else a new array."""
     if isinstance(z, complex) or not getattr(z, "ndim", 0):
         w = cs[-1]
         for c in reversed(cs[:-1]):
             w = w * z + c
         return w
     import numpy as np
-    w = np.full(z.shape, cs[-1], dtype=np.result_type(z, complex))
+    w = np.empty(z.shape, dtype=np.result_type(z, complex)) if out is None else out
+    w.fill(cs[-1])
     for c in reversed(cs[:-1]):
         w *= z
         w += c
@@ -111,14 +113,22 @@ class Polynomial:
     def escape_radius(self) -> float:
         return max(2.0, 1.0 + sum(abs(c) for c in self.coeffs[:-1]))
 
-    def __call__(self, z):
-        return _horner(self.coeffs, z)
+    def __call__(self, z, out=None):
+        """P(z); an array's values go into `out` when given (see `_horner`)."""
+        return _horner(self.coeffs, z, out)
 
     @cached_property
     def inverse_bottcher(self) -> InverseBottcher:
         """The Laurent series of P's inverse Boettcher map, built on first use
         and extended in place, so every caller on this P shares it."""
         return InverseBottcher(self)
+
+    @cached_property
+    def bounded_square(self) -> tuple[complex, float]:
+        """The square of P's coarse bounded pixels that every covering window
+        starts from (`avoiding.bounded_square`), swept once per polynomial."""
+        from .avoiding import bounded_square
+        return bounded_square(self)
 
     @cached_property
     def critical_cycles(self) -> tuple[Cycle, ...]:

@@ -15,24 +15,24 @@ COLOR_RAY = (0, 0, 0)
 COLOR_CARROT = (220, 40, 40)
 
 
-def ppm_bytes(rgb: np.ndarray) -> bytes:
-    """Binary P6: ASCII header then raw RGB, row-major, top row first."""
+def _ppm_header(rgb: np.ndarray) -> bytes:
     if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
         raise ValueError("expected an (h, w, 3) uint8 array")
     h, w = rgb.shape[:2]
-    return b"P6\n" + f"{w} {h}\n255\n".encode() + rgb.tobytes()
+    return b"P6\n" + f"{w} {h}\n255\n".encode()
+
+
+def ppm_bytes(rgb: np.ndarray) -> bytes:
+    """Binary P6: ASCII header then raw RGB, row-major, top row first."""
+    return _ppm_header(rgb) + rgb.tobytes()
 
 
 def write_ppm(path: str, rgb: np.ndarray) -> None:
+    """Write `ppm_bytes(rgb)`: the header, then the array's own buffer."""
+    header = _ppm_header(rgb)
     with open(path, "wb") as fh:
-        fh.write(ppm_bytes(rgb))
-
-
-def exterior_shade(esc_steps: np.ndarray) -> np.ndarray:
-    """Greyscale ramp from iteration counts; pure integer math for
-    byte-stable output."""
-    t = np.minimum(esc_steps.astype(np.int32), 40)
-    return (255 - 2 * t).astype(np.uint8)
+        fh.write(header)
+        fh.write(np.ascontiguousarray(rgb))
 
 
 def render_scene_image(kp: Mask, avoiding: Mask,
@@ -40,17 +40,30 @@ def render_scene_image(kp: Mask, avoiding: Mask,
                        wedge_bits: np.ndarray | None = None) -> np.ndarray:
     """Compose: shaded exterior, light-grey removed set, dark-grey avoiding
     set, wedge highlight beneath the sets.  With avoiding = kp this is the
-    image of one mask."""
+    image of one mask.
+
+    Each pixel gets one uint8 class, and one palette lookup turns the
+    classes into RGB.  Classes 0 .. 40 are the exterior grey 255 - 2 t of
+    escape step t = min(k, 40) (0, white, without `esc_steps`); 41, 42 and
+    43 are the wedge, the removed set and the avoiding set, each painted
+    over the classes below it, so painting is a maximum.  Pure integer
+    math, so the bytes are stable.
+    """
     n = kp.grid.resolution
-    img = np.full((n, n, 3), 255, dtype=np.uint8)
+    cls = np.zeros((n, n), dtype=np.uint8)
     if esc_steps is not None:
-        shade = exterior_shade(esc_steps)
-        for c in range(3):
-            img[:, :, c] = shade
-    if wedge_bits is not None:
-        img[wedge_bits & ~kp.bits] = COLOR_WEDGE
-    img[kp.bits] = COLOR_KP_ONLY
-    img[avoiding.bits] = COLOR_AVOIDING
+        np.minimum(esc_steps, 40, out=cls, casting="unsafe")
+    layer = np.empty_like(cls)
+    for c, bits in ((41, wedge_bits), (42, kp.bits), (43, avoiding.bits)):
+        if bits is not None:
+            np.maximum(cls, np.multiply(bits, np.uint8(c), out=layer), out=cls)
+    del layer
+    palette = np.empty((44, 3), dtype=np.uint8)
+    palette[:41] = (255 - 2 * np.arange(41))[:, np.newaxis]
+    palette[41:] = (COLOR_WEDGE, COLOR_KP_ONLY, COLOR_AVOIDING)
+    img = np.empty((n, n, 3), dtype=np.uint8)
+    for i in range(0, n, 16):  # `take` widens each chunk's classes to intp
+        np.take(palette, cls[i:i + 16], axis=0, out=img[i:i + 16])
     return img
 
 

@@ -47,13 +47,19 @@ class GridSpec:
     def centers(self) -> np.ndarray:
         return self.rows_centers(0, self.resolution)
 
-    def rows_centers(self, i0: int, i1: int) -> np.ndarray:
+    def rows_centers(self, i0: int, i1: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The centers of pixel rows i0 .. i1 - 1, written into `out` (a
+        complex (i1 - i0, n) array) when one is given."""
         import numpy as np
         n = self.resolution
         px = self.pixel
         re = self.center.real - self.width / 2 + (np.arange(n) + 0.5) * px
         im = self.center.imag + self.width / 2 - (np.arange(i0, i1) + 0.5) * px
-        return re[np.newaxis, :] + 1j * im[:, np.newaxis]
+        if out is None:
+            out = np.empty((i1 - i0, n), dtype=complex)
+        out.real = re[np.newaxis, :]
+        out.imag = im[:, np.newaxis]
+        return out
 
     def center_of(self, i: int, j: int) -> complex:
         px = self.pixel

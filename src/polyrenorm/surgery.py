@@ -507,17 +507,18 @@ def visit_count_experiment(S: SurgeryMap, n_seeds: int, max_iter: int, *,
     visits_crit = np.zeros(n_seeds, dtype=np.int32)
     visits_blend = np.zeros(n_seeds, dtype=np.int32)
 
-    def step(z, live, it):
+    def step(z, live, it, buf):
         k = crit.index(z)  # the three rasters share the covering window
         in_crit = crit.at(k)
         in_ud = u_rho_d.at(k)
         blend = in_ud & ~u_rho.at(k) & ~in_crit
         visits_crit[live[in_crit]] += 1
         visits_blend[live[blend]] += 1
-        out = S.P(z)
+        out = S.P(z, out=buf.out)
         out[in_crit] = S.interior(z[in_crit])  # P at raster edge effects
-        good = np.isfinite(out) & in_ud  # retire orbits beyond the outer annulus
-        return out[good], live[good]
+        keep = np.isfinite(out, out=buf.keep)
+        keep &= in_ud  # retire orbits beyond the outer annulus
+        return keep
 
     iterate_orbits(re + 1j * im, np.arange(n_seeds), range(max_iter), step)
     t_cr = len(S.critical)
@@ -547,18 +548,14 @@ def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,
     crit, u_rho = S.crit, S.u_rho
     alive = np.ones(grid.resolution ** 2, dtype=bool)
 
-    def step(z, idx, it):
+    def step(z, idx, it, buf):
         k = crit.index(z)  # both rasters share the covering window
-        inside = u_rho.at(k) & ~crit.at(k)
-        if not inside.all():
-            alive[idx[~inside]] = False
-            z, idx = z[inside], idx[inside]
-        z = S.P(z)
-        ok = np.isfinite(z)
-        if ok.all():
-            return z, idx
-        alive[idx[~ok]] = False
-        return z[ok], idx[ok]
+        keep = np.isfinite(S.P(z, out=buf.out), out=buf.keep)
+        keep &= u_rho.at(k)
+        keep &= ~crit.at(k)
+        if not keep.all():
+            alive[idx[~keep]] = False
+        return keep
 
     trap = interior_trap(S.P, max_iter, avoid=(crit,), stay_in=(u_rho,))
     sweep_pixels(grid, max_iter, step, threads, trap)

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
-from polyrenorm import render
+from polyrenorm import avoiding, render
 from polyrenorm import (GridSpec, Mask, PixelRaster, Polynomial, compare_masks,
                         connected_components, equipotential_polyline, escape_analysis,
                         load_mask_raw, nonescaping_mask, save_mask_raw, wedge_raster)
 from polyrenorm.avoiding import (InteriorTrap, _laurent, count_components, covering_window,
                                  dilate, erode, interior_trap)
 from polyrenorm.errors import GridMismatch
-from polyrenorm.grid import POOL_AFTER, crossing_parity, distance_to_polyline, fill_polygon
+from polyrenorm.grid import (POOL_AFTER, crossing_parity, distance_to_polyline, fill_polygon,
+                             sweep_pixels)
 
 from conftest import BASILICA, CUBIC, SQUARE
 
@@ -39,6 +40,30 @@ def test_grid_affine_contract():
     assert centers[63, 0] == grid.center_of(63, 0)
     i, j = grid.index_arrays(np.array([grid.center_of(10, 20)]))
     assert (i[0], j[0]) == (10, 20)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(complex(-1.25, 0.0), 4.5, 100),
+                                  GridSpec(complex(0.1, -0.3), 0.37, 33),
+                                  GridSpec(0j, 4.0, 16)])
+def test_rows_centers_match_the_broadcast_sum(grid):
+    # the centers were re + 1j * im broadcast; written part by part they
+    # keep every bit, signed zeros included
+    n, px = grid.resolution, grid.pixel
+    re = grid.center.real - grid.width / 2 + (np.arange(n) + 0.5) * px
+    im = grid.center.imag + grid.width / 2 - (np.arange(n) + 0.5) * px
+    ref = re[np.newaxis, :] + 1j * im[:, np.newaxis]
+    assert grid.centers().tobytes() == ref.tobytes()
+    out = np.empty((7, n), dtype=complex)
+    assert grid.rows_centers(5, 12, out=out) is out
+    assert out.tobytes() == ref[5:12].tobytes()
+
+
+def test_mask_keeps_bool_bits_without_a_copy():
+    grid = GridSpec(0j, 2.0, 16)
+    bits = np.zeros((16, 16), dtype=bool)
+    assert Mask(grid, bits).bits is bits
+    converted = Mask(grid, 3 * np.eye(16, dtype=np.uint8)).bits
+    assert converted.dtype == bool and (converted == np.eye(16, dtype=bool)).all()
 
 
 def test_avoiding_subset_and_empty_family(fig1_masks, fig1_grid, fig1_family):
@@ -699,6 +724,62 @@ def test_empty_trap_runs_through_the_pool():
         assert (escape_analysis(P, grid, 256, threads=threads).esc_steps == esc).all()
 
 
+def _recording_step(P, seen, last):
+    """A sweep step that adds every iterate it sees to `seen` and the
+    iteration to `last`, by label, and keeps the orbits with |P(z)| <= R."""
+    R = P.escape_radius
+
+    def step(z, idx, it, buf):
+        assert buf.out.size == buf.mod.size == buf.keep.size == z.size == idx.size
+        seen[idx] += z
+        last[idx] = it
+        np.abs(P(z, out=buf.out), out=buf.mod)
+        return np.less_equal(buf.mod, R, out=buf.keep)
+    return step
+
+
+def _reference_recording(P, grid, max_iter, trap):
+    """The recording step's sweep as one plain loop over fresh arrays, the
+    orbits in the trap retired from iteration POOL_AFTER on."""
+    z = grid.centers().ravel()
+    seen = np.zeros(z.size, dtype=complex)
+    last = np.zeros(z.size, dtype=np.int64)
+    live = np.arange(z.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            if trap and it >= POOL_AFTER:
+                free = ~trap.contains(z)
+                z, live = z[free], live[free]
+            seen[live] += z
+            last[live] = it
+            z = _reference_P(P, z)
+            keep = np.abs(z) <= P.escape_radius
+            z, live = z[keep], live[keep]
+    return seen, last
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("trapped", [False, True])
+@pytest.mark.parametrize("name, n", [("cubic", 150), ("basilica", 64), ("square", 40)])
+def test_buffered_sweep_matches_plain_loop(name, n, trapped, threads):
+    # 150 rows: two full 64-row blocks and a short one, with more blocks than
+    # threads, so each worker reuses its buffers; 40 rows: one short block
+    P = {"cubic": CUBIC, "basilica": BASILICA, "square": SQUARE}[name]
+    grid = GridSpec(complex(-1.25, 0.0), 4.5, n) if P is CUBIC else GridSpec(0j, 3.5, n)
+    trap = interior_trap(P, 64) if trapped else InteriorTrap()
+    assert bool(trap) == trapped
+    seen = np.zeros(n * n, dtype=complex)
+    last = np.zeros(n * n, dtype=np.int64)
+    sweep_pixels(grid, 64, _recording_step(P, seen, last), threads, trap)
+    ref_seen, ref_last = _reference_recording(P, grid, 64, trap)
+    assert np.array_equal(last, ref_last)
+    assert seen.tobytes() == ref_seen.tobytes()
+    assert (last < POOL_AFTER).any()
+    # with the trap, some bounded orbits retire before the budget ends
+    untrapped = ref_last if not trapped else _reference_recording(P, grid, 64, InteriorTrap())[1]
+    assert (last < untrapped).any() == trapped
+
+
 def test_blocks_share_outputs_under_fast_thread_switching(fig1_raster):
     # the row blocks write into the same grid-sized arrays at disjoint flat
     # indices; switching threads every microsecond must lose no write
@@ -758,6 +839,22 @@ def test_covering_window_matches_reference_loop(name):
     # and z^2 + 10 has a Cantor Julia set: both take the empty-box branch
     assert any_bounded == (name not in ("z2-2", "z2+10"))
     assert covering_window(P, []) == ref
+
+
+def test_covering_windows_of_one_polynomial_share_one_coarse_sweep(monkeypatch):
+    P = Polynomial(CUBIC.coeffs)  # a fresh polynomial, nothing kept on it yet
+    sweeps = []
+    real = avoiding.escape_analysis
+
+    def counting(*args, **kwargs):
+        sweeps.append(args[1].resolution)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(avoiding, "escape_analysis", counting)
+    far = np.array([6 + 6j, -6 - 6j])
+    assert covering_window(P, []) == _reference_window(CUBIC, [])[0]
+    assert covering_window(P, [far]) == _reference_window(CUBIC, [far])[0]
+    assert sweeps == [160]
 
 
 def test_wedge_raster_matches_reference_fill(fig1_family, fig1_raster):

@@ -215,6 +215,21 @@ FIGURE1_64 = {
 }
 
 
+def test_julia_loads_neither_cuts_nor_a_thread_pool(tmp_path):
+    # julia sweeps without a cut family, and one thread needs no executor
+    scene = tmp_path / "figure1.json"
+    scene.write_text(json.dumps(FIGURE1_64))
+    code = ("import sys; from polyrenorm.cli import main; "
+            f"rc = main(['julia', '--scene', {str(scene)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "left = sorted(m for m in ('polyrenorm.cuts', 'concurrent.futures') "
+            "if m in sys.modules); "
+            "sys.exit(f'loaded {left}' if left else rc)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
 @pytest.mark.parametrize("command", ["julia", "avoid"])
 def test_mask_commands_run_without_scipy(command, tmp_path):
     scene = tmp_path / "figure1.json"

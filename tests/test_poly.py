@@ -459,3 +459,17 @@ def test_inverse_bottcher_series():
                 w = cmath.rect(math.exp(g), 2 * math.pi * a)
                 z = psi(w, g)
                 assert abs(P(z) - psi(w ** P.degree, P.degree * g)) <= 1e-13 * abs(P(z))
+
+
+def test_array_call_into_out_keeps_the_bits():
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=500) * 3 + 1j * rng.normal(size=500) * 3
+    z[:3] = [1e200, np.nan, np.inf]
+    for P in (CUBIC, BASILICA, Polynomial((0.3 - 0.2j, 1j, 0, 2, 1))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = np.full_like(z, P.coeffs[-1])
+            for c in reversed(P.coeffs[:-1]):
+                ref = ref * z + c
+            out = np.full_like(z, 7.0)
+            assert P(z, out=out) is out
+            assert out.tobytes() == ref.tobytes() == P(z).tobytes()

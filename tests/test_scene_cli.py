@@ -147,6 +147,31 @@ def test_cli_julia(tmp_path):
     assert (out / "julia_mask.raw").exists()
 
 
+def test_figure1_certifies_each_trap_once(tmp_path, monkeypatch):
+    # --supersample 2 makes the comparison sweep a second sweep of the wedge
+    # raster; the coarse sweep of the covering windows runs once as well
+    from polyrenorm import avoiding, surgery
+    traps, sweeps = [], []
+    real_trap, real_sweep = avoiding.interior_trap, avoiding.escape_analysis
+
+    def trap(P, max_iter, avoid=(), stay_in=()):
+        traps.append((max_iter, tuple(map(id, avoid)), tuple(map(id, stay_in))))
+        return real_trap(P, max_iter, avoid, stay_in)
+
+    def sweep(P, grid, max_iter, **kwargs):
+        sweeps.append((grid.resolution, max_iter))
+        return real_sweep(P, grid, max_iter, **kwargs)
+
+    monkeypatch.setattr(avoiding, "interior_trap", trap)
+    monkeypatch.setattr(surgery, "interior_trap", trap)
+    monkeypatch.setattr(avoiding, "escape_analysis", sweep)
+    code = main(["figure1", "--resolution", "64", "--max-iter", "64", "--seeds", "200",
+                 "--supersample", "2", "--out", str(tmp_path / "out")])
+    assert code in (0, 2)
+    assert sorted(sweeps) == [(64, 64), (64, 64), (160, 96)]
+    assert len(traps) == len(set(traps)) == 3
+
+
 def test_cli_ray_csv(tmp_path):
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(json.dumps(GOOD_SCENE))

@@ -38,8 +38,8 @@ potential.  A caller that needs many points near one angle, such as the
 surgery's Coons patch, keeps one spine and pays for the descent once.  A
 rejected step inserts the midpoint node.  Angles are carried as an
 exact rational part plus a float offset that scales with the potential, so
-deep tails lose no angular precision.  An external angle below the floor is
-found in the direct band and pulled back along the orbit.
+deep tails lose no angular precision.  An external angle is read off the
+Boettcher product formula far out on the orbit and pulled back along it.
 
 A scalar engine on Python complex, so `polyrenorm ray` starts without numpy:
 rays, spirals and equipotentials are tuples or lists of Python complex and
@@ -628,59 +628,38 @@ def trace_spirals(P: Polynomial, sides: Sequence[tuple[Angle, int]], g_hi: float
             for base, sign in sides]
 
 
-def external_angle(P: Polynomial, z: complex, *, g: Optional[float] = None) -> float:
+def external_angle(P: Polynomial, z: complex) -> float:
     """External angle (turns) of an escaping point.
 
-    Below the direct floor z is mapped forward into the direct band, and
-    the angle found there (`_direct_angle`) is pulled back a level at a
-    time: of the d candidates (theta + m)/d, whose points are the preimages
-    of the point a level up, the one whose point lies nearest the orbit.
+    z is mapped forward to the first w with |w| >= 2 and sum_{j<d} |c_j|
+    |w|^(j-d) <= 1/2.  On that forward-invariant neighbourhood of infinity
+    P(w)/w^d lies within 1/2 of 1, so the Boettcher map is the product
+    w * prod_k (P(w_k)/w_k^d)^(1/d^(k+1)) over the orbit of w, on principal
+    branches (Milnor, Dynamics in One Complex Variable, Thm 9.1); its argument
+    is summed until a term falls below rounding.  The angle is then pulled
+    back a level at a time to the candidate (theta + m)/d whose point lies
+    nearest the orbit.
     """
-    if g is None:
-        g = green_potential(P, z)
+    g = green_potential(P, z)
     if g <= 0:
         raise ValueError("point does not escape; no external angle")
-    d = P.degree
-    orbit = [z]
-    while g * d ** (len(orbit) - 1) < P.inverse_bottcher.g_max + SERIES_DIRECT:
+    d, cs = P.degree, P.coeffs
+    orbit = [complex(z)]
+    while abs(orbit[-1]) < 2.0 or sum(abs(c) * abs(orbit[-1]) ** (j - d)
+                                      for j, c in enumerate(cs[:-1])) > 0.5:
         orbit.append(P(orbit[-1]))
-    theta = _direct_angle(P, orbit[-1], g * d ** (len(orbit) - 1))
+    arg, u, scale = cmath.phase(orbit[-1]), 1.0 / orbit[-1], 1
+    while u:
+        q = cs[0]  # P(w)/w^d as a polynomial in u = 1/w, so nothing overflows
+        for c in cs[1:]:
+            q = q * u + c
+        scale *= d
+        term = cmath.phase(q) / scale
+        if abs(term) <= EPS * abs(arg):
+            break
+        arg, u = arg + term, u**d / q
+    theta = (arg / (2.0 * math.pi)) % 1.0
     for j in range(len(orbit) - 2, -1, -1):
         theta = min(((theta + m) / d for m in range(d)),
                     key=lambda t: abs(bottcher_point(P, g * d**j, t) - orbit[j]))
     return theta
-
-
-def _direct_angle(P: Polynomial, z: complex, g: float) -> float:
-    """External angle of z at potential g in the direct band: the nearest of
-    96 equipotential nodes, refined by golden-section search on the distance."""
-    coarse = 96
-    offs = [j / coarse for j in range(coarse + 1)]
-    pts = equipotential_points(P, g, Fraction(0), offs)
-    dists = [abs(p - z) for p in pts]
-    k = dists.index(min(dists[:-1]))
-    lo = offs[k] - 1.0 / coarse
-    hi = offs[k] + 1.0 / coarse
-
-    def point_at(off: float) -> complex:
-        return _direct(P, g, Fraction(0), [off])[0]
-
-    # golden-section on |point(theta) - z|
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d_ = a + invphi * (b - a)
-    fc = abs(point_at(c) - z)
-    fd = abs(point_at(d_) - z)
-    for _ in range(60):
-        if fc < fd:
-            b, d_, fd = d_, c, fc
-            c = b - invphi * (b - a)
-            fc = abs(point_at(c) - z)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + invphi * (b - a)
-            fd = abs(point_at(d_) - z)
-        if b - a < 1e-12:
-            break
-    return ((a + b) / 2.0) % 1.0

@@ -102,9 +102,8 @@ class Carrot:
     """Dynamical carrot of a cut: two spiral sides plus an equipotential arc.
 
     Sides are ordered by decreasing potential with the root appended last.
-    `equip_arc` runs from side_r's end to side_l's end: ccw from lifted
-    angle `arc_lo` to `arc_hi`, or from `arc_hi` down to `arc_lo` on a
-    degenerate cut.
+    `equip_arc` spans the lifted angles `arc_lo` to `arc_hi`, from side_r's
+    end to side_l's end (`arc_ends`).
     """
 
     cut: Cut
@@ -125,6 +124,12 @@ class Carrot:
                                   self.side_l.points, root])
         polygon.flags.writeable = False
         return polygon
+
+    @property
+    def arc_ends(self) -> tuple[float, float]:
+        """Lifted angles of `equip_arc` at side_r's end and at side_l's end:
+        a degenerate cut's side_r ends at the high angle."""
+        return (self.arc_hi, self.arc_lo) if self.cut.degenerate else (self.arc_lo, self.arc_hi)
 
     def contains(self, z: complex) -> bool:
         return crossing_parity(self.boundary, z)
@@ -172,12 +177,14 @@ def build_carrots(P: Polynomial, cuts: Sequence[Cut], rho: float) -> list[Carrot
             lo, hi = theta - g0, theta + g0
         else:
             lo, hi = theta + g0, theta + float(cut.arc_width()) - g0
+        carrot = Carrot(cut, rho, g0, side_r, side_l, np.empty(0, dtype=complex), lo, hi)
         arc = equipotential_arc(P, g0, cut.theta_r.fraction(), lo - theta, hi - theta,
                                 max_step=ARC_MAX_STEP)
-        if cut.degenerate:  # side_r ends at the high angle
+        if carrot.arc_ends[0] > carrot.arc_ends[1]:
             arc.reverse()
         arc[0], arc[-1] = side_r.points[0], side_l.points[0]
-        carrots.append(Carrot(cut, rho, g0, side_r, side_l, np.array(arc), lo, hi))
+        carrot.equip_arc = np.array(arc)
+        carrots.append(carrot)
     return carrots
 
 

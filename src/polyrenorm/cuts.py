@@ -104,7 +104,7 @@ class Wedge:
             return False
         g = green_potential(self.P, z)
         if g > self.g0 * (1.0 + 1e-9) + 1e-12:
-            theta = external_angle(self.P, z, g=g)
+            theta = external_angle(self.P, z)
             return angle_in_arc(theta, self.cut.theta_r.as_float(),
                                 self.cut.theta_l.as_float(), margin=1e-9)
         if not crossing_parity(self.boundary, z):

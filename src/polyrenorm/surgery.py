@@ -213,17 +213,9 @@ class ExteriorCap:
               critical: Sequence[int], image_carrots: dict[int, "Carrot"],
               g0: float, dc: int) -> "ExteriorCap":
         d = P.degree
-        arcs = []
-        for i in critical:
-            c = carrots[i]
-            lo = c.arc_lo % 1.0
-            width = c.arc_hi - c.arc_lo
-            tgt = image_carrots[i]
-            if tgt.cut.degenerate:
-                a0, a1 = tgt.arc_hi, tgt.arc_lo
-            else:
-                a0, a1 = tgt.arc_lo, tgt.arc_hi
-            arcs.append((lo, width, a0, a1))
+        # (wrapped start, width, lifted image angles at the two ends) per arc
+        arcs = [(carrots[i].arc_lo % 1.0, carrots[i].arc_hi - carrots[i].arc_lo,
+                 *image_carrots[i].arc_ends) for i in critical]
         segments: list[tuple[float, float, float, float]] = []
         if not arcs:
             if dc != d:
@@ -336,7 +328,7 @@ class SurgeryMap:
         g = green_potential(self.P, z)
         if g < self.g0 * (1.0 - 1e-12):
             return complex(self.interior(np.array([z]))[0])
-        theta = external_angle(self.P, z, g=g)
+        theta = external_angle(self.P, z)
         return complex(self.cap.apply(g, [theta])[0])
 
     def interior(self, z: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from polyrenorm import (Carrot, Cut, SpiralArc, build_carrots, find_cycles,
                         koenigs_coordinate, koenigs_radius, quasi_arc_constant,
                         transversality_gap, transversality_profile, weak_qs_constant)
 from polyrenorm.angles import Angle
+from polyrenorm.bottcher import external_angle
 from polyrenorm.carrots import _subsample, carrot_geometry, carrots_disjoint
 from polyrenorm.errors import (CarrotOverlap, InsufficientSamples,
                                OutsideLinearizationDomain)
@@ -32,6 +33,9 @@ def test_boundary_simple_closed(fig1_carrots):
     assert [c.cut.degenerate for c in fig1_carrots] == [False, True]
     for c in fig1_carrots:
         assert (c.equip_arc[0], c.equip_arc[-1]) == (c.side_r.points[0], c.side_l.points[0])
+        # at the lifted angles `arc_ends` names, the high one first on a degenerate cut
+        for z, a in zip((c.side_r.points[0], c.side_l.points[0]), c.arc_ends):
+            assert abs((external_angle(CUBIC, z) - a + 0.5) % 1.0 - 0.5) < 1e-9
 
 
 def test_carrots_disjoint(fig1_carrots):

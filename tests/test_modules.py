@@ -149,6 +149,21 @@ def test_ray_runs_without_numpy(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+def test_external_angle_runs_without_numpy():
+    # the product formula and the pullback's descents are Python complex
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from polyrenorm.angles import Angle; "
+            "from polyrenorm.bottcher import bottcher_point, external_angle; "
+            "from polyrenorm.poly import Polynomial; "
+            "P = Polynomial((0, 4, 4, 1)); "  # z(z+2)^2
+            "theta = external_angle(P, bottcher_point(P, 1e-3, Angle(5, 7))); "
+            "assert abs(theta - 5 / 7) < 1e-14, theta")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
 # every name the package re-exports, by the module that defines it
 EXPORTS = {
     "angles": ["Angle", "tuple_orbit"],

@@ -123,19 +123,22 @@ def test_equipotential_needs_positive_potential():
 
 
 def test_external_angle_roundtrip():
-    # the direct band starts at g_max + 0.1: g_max = 0 for the cubic, and
-    # z^3 - 3z + 3 (tests/scenes/cubic_escaping.json) has an escaping
+    # from the product formula far out, pulled back: a few ulps of a turn at
+    # every potential, g_max = 0 for the cubic and the quartic z(z+4/3)^3,
+    # and z^3 - 3z + 3 (tests/scenes/cubic_escaping.json) has an escaping
     # critical point
     escaping = Polynomial((3, -3, 0, 1))
     g_max = escaping.inverse_bottcher.g_max
     assert g_max > 0.5
-    cases = [(CUBIC, g) for g in (0.2, 0.37, 1.1, 0.05, 1e-3)] + [(escaping, g_max + 0.05)]
+    cases = ([(CUBIC, g) for g in (0.2, 0.37, 1.1, 0.05, 1e-3, 3.0, 10.0)]
+             + [(escaping, g_max + 0.05), (escaping, g_max + 1e-3), (RABBIT, 1e-4),
+                (Polynomial((0, 64 / 27, 16 / 3, 4, 1)), 1e-3)])
     for P, g in cases:
         for frac in (Angle(1, 3), Angle(5, 7), Angle(0, 1)):
             z = bottcher_point(P, g, frac)
             theta = external_angle(P, complex(z))
             diff = min(abs(theta - frac.as_float()), 1 - abs(theta - frac.as_float()))
-            assert diff < 1e-9, (P, g, frac)
+            assert diff < 1e-14, (P, g, frac, diff)
 
 
 RABBIT_C = -0.12256116687665362 + 0.7448617666197442j

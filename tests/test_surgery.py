@@ -2,6 +2,7 @@ import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from polyrenorm import (build_carrots, build_family, build_surgery, compare_mask
 from polyrenorm import bottcher, wavefront
 from polyrenorm.angles import Angle
 from polyrenorm.bottcher import bottcher_point, equipotential_points
+from polyrenorm.carrots import Carrot
 from polyrenorm.errors import CarrotOverlap, DegreeMismatch
 from polyrenorm.grid import distance_to_polyline
-from polyrenorm.surgery import T0, CoonsPatch, VisitReport, _interp, dilatation_report
+from polyrenorm.surgery import (T0, CoonsPatch, ExteriorCap, VisitReport, _interp,
+                                dilatation_report)
 
 from conftest import CUBIC, G0, RHO
 
@@ -37,6 +40,36 @@ def test_degree_rejects_injective_restriction():
                               (Angle(0, 1), Angle(0, 1))], g0=0.1)
     with pytest.raises(DegreeMismatch):
         fam.degree_dc()
+
+
+def _arc_carrot(lo: float, hi: float) -> Carrot:
+    """A stand-in carrot on a non-degenerate cut: only its equipotential arc."""
+    return Carrot(SimpleNamespace(degenerate=False), RHO, G0, None, None,
+                  np.empty(0, dtype=complex), lo, hi)
+
+
+def test_exterior_cap_gap_between_critical_arcs():
+    # two critical arcs of width 0.2 with gaps of 0.3 between them, one given
+    # below 0, onto non-degenerate image arcs of width 0.1: the gaps stretch
+    # by d = 3, so the trace winds 3 * 0.6 + 2 * 0.1 = 2 = d_c
+    carrots = [_arc_carrot(0.1, 0.3), _arc_carrot(-0.4, -0.2)]
+    images = {0: _arc_carrot(0.3, 0.4), 1: _arc_carrot(1.8, 1.9)}
+    cap = ExteriorCap.build(CUBIC, carrots, [1, 0], images, G0, 2)
+    segs = cap.segments
+    assert cap.start == segs[0][0] == 0.1
+    assert segs[-1][1] == pytest.approx(cap.start + 1.0, abs=1e-12)
+    for (_, t1, A, B), (t0, _, A_next, B_next) in zip(segs, segs[1:]):
+        assert t1 == t0  # no holes
+        assert A + B * t1 == pytest.approx(A_next + B_next * t1, abs=1e-12)
+    assert [(round(t0, 12), round(t1, 12)) for t0, t1, _, _ in segs] == \
+        [(0.1, 0.3), (0.3, 0.6), (0.6, 0.8), (0.8, 1.1)]
+    assert [B for _, _, _, B in segs] == pytest.approx([0.5, 3.0, 0.5, 3.0])
+    # the lift starts at image 0's side_r end
+    assert segs[0][2] + segs[0][3] * segs[0][0] == pytest.approx(0.3, abs=1e-12)
+    (_, _, A0, B0), (_, t_end, A1, B1) = segs[0], segs[-1]
+    assert (A1 + B1 * t_end) - (A0 + B0 * cap.start) == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(DegreeMismatch):
+        ExteriorCap.build(CUBIC, carrots, [1, 0], images, G0, 3)
 
 
 def test_build_surgery_fig1(fig1_surgery):

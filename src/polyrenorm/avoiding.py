@@ -11,7 +11,7 @@ from numpy.polynomial import polynomial as npp
 
 from .grid import Mask, PixelRaster, sweep_pixels
 from .errors import GridMismatch
-from .poly import Polynomial, unity_order
+from .poly import MAX_PETALS, Polynomial, return_series, unity_order
 from .scene import GridSpec
 
 if TYPE_CHECKING:
@@ -59,7 +59,6 @@ def wedge_raster(P: Polynomial, family: CutFamily) -> PixelRaster:
 # -- certified interior traps -------------------------------------------------
 
 _U = 2.0 ** -53  # unit roundoff of float64
-MAX_PETALS = 12  # parabolic points with more petals get no trap
 # (M, K) for the lobes {Re phi > M, |phi| < K} in the order tried: the
 # lowest M first, and for each M the highest K
 _LOBE_LADDER = [(m, k) for m in (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0)
@@ -196,17 +195,7 @@ def _fatou_coordinate(t: list[complex], q: int) -> Optional[tuple[np.ndarray, np
     petal count exceeds MAX_PETALS or the expansion is degenerate.
     """
     F = np.array(t[1:], dtype=complex)
-    L = MAX_PETALS + 2
-    s = np.array([0, 1], dtype=complex)  # f^q, truncated below w^L
-    for _ in range(q):
-        acc = np.array([F[-1]])
-        for c in F[-2::-1]:
-            acc = npp.polymul(acc, s)[:L]
-            acc[0] += c
-        s = npp.polymul(acc, s)[:L]
-    s = np.pad(s, (0, L - len(s)))
-    s[1] -= 1.0
-    big = np.nonzero(np.abs(s[2:]) > 1e-8 * max(1.0, np.abs(F).max()))[0]
+    big = np.flatnonzero(return_series([t], q, MAX_PETALS + 2)[2:])
     if big.size == 0:
         return None
     m = int(big[0]) + 1  # f^q(w) = w + A w^(m+1) + ...
@@ -402,13 +391,6 @@ class EscapeAnalysis:
     esc_steps: np.ndarray  # uint16, 0 = bounded within budget
 
 
-def escape_trap(P: Polynomial, max_iter: int,
-                raster: Optional[PixelRaster] = None) -> InteriorTrap:
-    """The trap `escape_analysis` retires pixels into: certified for
-    max_iter steps, and clear of `raster`'s wedges when there is one."""
-    return interior_trap(P, max_iter, avoid=(raster,) if raster is not None else ())
-
-
 def escape_analysis(P: Polynomial, grid: GridSpec, max_iter: int, *,
                     raster: Optional[PixelRaster] = None,
                     trap: Optional[InteriorTrap] = None, threads: int = 1,
@@ -421,9 +403,10 @@ def escape_analysis(P: Polynomial, grid: GridSpec, max_iter: int, *,
     P^k(z), k in 0 .. max_iter - 1, on a True pixel of `raster` (the
     family's `wedge_raster`).  Without a raster there is no avoiding mask.
 
-    The sweep retires the pixels that enter `escape_trap(P, max_iter,
-    raster)` (see `sweep_pixels`), which a caller running several sweeps of
-    one raster passes as `trap` to build it once: the trap certifies that
+    The sweep retires the pixels that enter `interior_trap(P, max_iter,
+    avoid=(raster,))`, or `interior_trap(P, max_iter)` without a raster (see
+    `sweep_pixels`), which a caller running several sweeps of one raster
+    passes as `trap` to build it once: the trap certifies that
     the rest of such an orbit stays bounded and at least a raster pixel away
     from every wedge, so their escape step (0) and wedge bits are exactly
     those of the full loop.
@@ -446,7 +429,7 @@ def escape_analysis(P: Polynomial, grid: GridSpec, max_iter: int, *,
         return keep
 
     if trap is None:
-        trap = escape_trap(P, max_iter, raster)
+        trap = interior_trap(P, max_iter, avoid=(raster,) if raster is not None else ())
     sweep_pixels(work, max_iter, step, threads, trap)
     esc, hit = esc.reshape(n, n), hit.reshape(n, n)
 

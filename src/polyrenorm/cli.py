@@ -121,8 +121,8 @@ class Run:
     @cached_property
     def trap(self) -> InteriorTrap:
         """The interior trap of the sweeps below, certified once for them all."""
-        from .avoiding import escape_trap
-        return escape_trap(self.scene.polynomial, self.scene.max_iter, self.raster)
+        from .avoiding import interior_trap
+        return interior_trap(self.scene.polynomial, self.scene.max_iter, avoid=(self.raster,))
 
     def _sweep(self, grid: GridSpec, supersample: int) -> EscapeAnalysis:
         from .avoiding import escape_analysis

@@ -1,7 +1,11 @@
-"""Cuts, wedges and cut families: admissibility, legality, root classification."""
+"""Cuts, wedges and cut families: admissibility, legality, root classification.
+
+A root's terminal cycle comes from `poly.cycle_through` and its petals from
+`poly.return_series`; no cycle census runs here."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -14,8 +18,8 @@ from .bottcher import (RayPolyline, bottcher_point, equipotential_arc, external_
                        land_rays)
 from .errors import DegreeMismatch, NoColanding, RayNotConverged
 from .grid import crossing_parity, distance_to_polyline
-from .poly import (Cycle, Polynomial, critical_points, find_cycles, green_potential,
-                   unity_order)
+from .poly import (MAX_PETALS, Cycle, Polynomial, critical_points, cycle_through,
+                   green_potential, return_series, unity_order)
 
 COLAND_TOL = 1e-5
 ROOT_MATCH_TOL = 1e-6
@@ -137,7 +141,6 @@ class CutFamily:
     wedges: tuple[Wedge, ...]
     forward_map: tuple[Optional[int], ...]
     flags: tuple[CutFlags, ...]
-    cycles: tuple[Cycle, ...]
     root_class: tuple[str, ...] = field(default=())
 
     def __len__(self) -> int:
@@ -194,17 +197,10 @@ def build_family(P: Polynomial, pairs: Sequence[tuple[Angle, Angle]], *,
     forward = tuple(index.get(c.image_pair(d)) for c in cuts)
 
     crit = critical_points(P)
-    max_angle_period = 1
-    periodic_flags = []
-    for c in cuts:
-        pre_r, per_r, _ = tuple_orbit(c.theta_r, d)
-        pre_l, per_l, _ = tuple_orbit(c.theta_l, d)
-        periodic_flags.append(pre_r == 0 and pre_l == 0)
-        max_angle_period = max(max_angle_period, per_r, per_l)
-    cycles = tuple(find_cycles(P, max_angle_period))
-
+    periodic_flags = [tuple_orbit(c.theta_r, d)[0] == 0 and tuple_orbit(c.theta_l, d)[0] == 0
+                      for c in cuts]
     wedges = tuple(Wedge.build(P, c, g0) for c in cuts)
-    fam = CutFamily(P, tuple(cuts), g0, wedges, forward, (), cycles)
+    fam = CutFamily(P, tuple(cuts), g0, wedges, forward, ())
     # fictitious: degenerate cuts in no nondegenerate cut's forward orbit
     reached = {j for i, c in enumerate(cuts) if not c.degenerate for j in fam.orbit(i)}
     fam.flags = tuple(
@@ -217,14 +213,16 @@ def build_family(P: Polynomial, pairs: Sequence[tuple[Angle, Angle]], *,
     return fam
 
 
-def _terminal_cycle(P: Polynomial, family: CutFamily, cut: Cut) -> Optional[Cycle]:
-    """The cycle the cut's root eventually lands on, matched numerically."""
+def _terminal_cycle(P: Polynomial, cut: Cut) -> Optional[Cycle]:
+    """The cycle the cut's root eventually lands on: with l and p the
+    preperiod and period of theta_r, the cycle `cycle_through` finds from
+    P^l(root) for the least divisor n of p that returns a cycle through a
+    point within 1e-5 of P^l(root), or None."""
     pre_r, per_r, _ = tuple_orbit(cut.theta_r, P.degree)
-    z = cut.root
-    for _ in range(pre_r):
-        z = P(z)
-    for cyc in family.cycles:
-        if cyc.contains(z, tol=1e-5):
+    z = P.iterate(cut.root, pre_r)
+    for n in (n for n in range(1, per_r + 1) if per_r % n == 0):
+        cyc = cycle_through(P, z, n)
+        if cyc is not None and cyc.contains(z, tol=1e-5):
             return cyc
     return None
 
@@ -236,7 +234,7 @@ def classify_root(P: Polynomial, family: CutFamily, cut: Cut) -> str:
     a direction vector at the root points into some wedge of the family the
     root is outward-parabolic.
     """
-    cyc = _terminal_cycle(P, family, cut)
+    cyc = _terminal_cycle(P, cut)
     if cyc is None:
         return "unresolved"
     if cyc.kind == "repelling":
@@ -258,44 +256,26 @@ def classify_root(P: Polynomial, family: CutFamily, cut: Cut) -> str:
 
 
 def _attracting_directions(P: Polynomial, cyc: Cycle, a: complex) -> Optional[list[complex]]:
-    """Attracting direction vectors of the parabolic point a.
+    """Attracting directions at the point of the parabolic cycle nearest a.
 
-    Fits the leading term of P^(m q)(a + w) - (a + w) ~ C w^(k+1) from two
-    probe radii; k integer within 0.2 is required, otherwise None.
+    With q the order of the multiplier, the return map g = P^period of the
+    cycle listed from that point has g^q(w) - w = A w^(k+1) + ...
+    (`return_series`); the k attracting directions are the unit v with
+    A v^k < 0.  None when the multiplier is no root of unity or there are
+    more than MAX_PETALS petals.
     """
-    lam = cyc.multiplier
-    q = unity_order(lam)
+    q = unity_order(cyc.multiplier)
     if q is None:
         return None
-    m = cyc.period * q
-    r1, r2 = 1e-4, 2e-4
-    n_dir = 16
-
-    def mean_abs(r: float) -> float:
-        vals = []
-        for j in range(n_dir):
-            w = r * np.exp(2j * np.pi * j / n_dir)
-            vals.append(abs(P.iterate(a + w, m) - (a + w)))
-        return float(np.mean(vals))
-
-    g1, g2 = mean_abs(r1), mean_abs(r2)
-    if g1 == 0 or g2 == 0:
+    j = min(range(len(cyc.points)), key=lambda i: abs(cyc.points[i] - a))
+    taylors = [P.taylor(p) for p in cyc.points[j:] + cyc.points[:j]]
+    s = return_series(taylors, q, MAX_PETALS + 2)
+    big = np.flatnonzero(s[2:])
+    if big.size == 0:
         return None
-    slope = math.log(g2 / g1) / math.log(r2 / r1)
-    kp1 = round(slope)
-    if abs(slope - kp1) > 0.2 or kp1 < 2:
-        return None
-    k = kp1 - 1
-    # average C over directions
-    cs = []
-    for j in range(n_dir):
-        w = r1 * np.exp(2j * np.pi * (j + 0.37) / n_dir)
-        cs.append((P.iterate(a + w, m) - (a + w)) / w**kp1)
-    C = complex(np.mean(cs))
-    if C == 0:
-        return None
-    base = (math.pi - np.angle(C)) / k
-    return [np.exp(1j * (base + 2 * math.pi * j / k)) for j in range(k)]
+    k = int(big[0]) + 1
+    base = (math.pi - cmath.phase(s[k + 1])) / k
+    return [cmath.exp(1j * (base + 2 * math.pi * i / k)) for i in range(k)]
 
 
 @dataclass
@@ -397,7 +377,7 @@ def check_legal(P: Polynomial, family: CutFamily) -> FamilyReport:
                                  "forward orbit reaches no degenerate cut"))
         else:
             tcut = family.cuts[terminal]
-            cyc = _terminal_cycle(P, family, tcut)
+            cyc = _terminal_cycle(P, tcut)
             ok = cyc is not None and cyc.kind == "repelling"
             lam = cyc.multiplier if cyc is not None else float("nan")
             rows.append(CheckRow(

@@ -224,15 +224,23 @@ class StepBuffers(NamedTuple):
     keep: np.ndarray
 
 
-class _Orbits:
-    """The orbit loop's buffers: the points `z` labelled `idx` become its
-    own, beside an `out` of the same size and the steps' scratch, and every
-    step and every row block of one worker reuses them.
+class Orbits:
+    """The one loop over an array of orbits, with its buffers: the points
+    `z` (complex) labelled `idx` (intp; flat pixel or seed indices) become
+    its own and are overwritten, beside an `out` of the same size and the
+    steps' scratch, and every step and every row block of one worker reuses
+    them.
 
-    The first `m` entries of `z` hold the iterates and those of `idx` their
-    labels.  A step writes P(z) into `out`; the survivors then move to the
-    front of `z` (`z[:k] = out[keep]`), or `z` and `out` swap when every
-    orbit survives.  Trap retirement compacts `z` the same way.
+    `run(its, step, trap)` calls step(z, idx, it, buffers) -> keep for each
+    `it` in `its`, or until no orbit is left.  The first `m` entries of `z`
+    hold the iterates and those of `idx` their labels.  The step writes P(z)
+    into `buffers.out`, records what it finds by label, and returns a bool
+    mask of the orbits to keep, `buffers.keep` or its own; the survivors
+    then move to the front of `z` (`z[:k] = out[keep]`), or `z` and `out`
+    swap when every orbit survives.  Overflow to inf and NaN are left to the
+    step to retire.  From it = POOL_AFTER on, the orbits inside `trap`
+    retire before the step sees them (see `sweep_pixels`), compacting `z`
+    the same way.
     """
 
     def __init__(self, z: np.ndarray, idx: np.ndarray) -> None:
@@ -252,7 +260,7 @@ class _Orbits:
             self.z, self.out = self.out, self.z
         self.m = k
 
-    def run(self, its, step, trap) -> None:
+    def run(self, its, step, trap=None) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             for it in its:
                 m = self.m
@@ -267,24 +275,8 @@ class _Orbits:
                 self._compact(keep, self.out)
 
 
-def iterate_orbits(z: np.ndarray, idx: np.ndarray, its, step, trap=None) -> None:
-    """Run step(z, idx, it, buffers) -> keep for each `it` in `its`, or until
-    no orbit is left.
-
-    `z` (complex) holds the starting points and `idx` (intp) their labels,
-    flat pixel or seed indices; the loop takes both arrays over as buffers
-    and overwrites them.  The step writes P(z) into `buffers.out`, records
-    what it finds by label, and returns a bool mask of the orbits to keep,
-    `buffers.keep` or its own; the loop carries on with the kept entries of
-    `out`.  Overflow to inf and NaN are left to the step to retire.  From
-    it = POOL_AFTER on, the orbits inside `trap` retire before the step
-    sees them (see `sweep_pixels`).
-    """
-    _Orbits(z, idx).run(its, step, trap)
-
-
 def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int, trap) -> None:
-    """The orbit loop of `iterate_orbits` on the pixel centers of `grid`,
+    """The orbit loop of `Orbits` on the pixel centers of `grid`,
     labelled by flat pixel index, for it = 1 .. max_iter.
 
     The first POOL_AFTER iterations run on 64-row blocks, `threads` at a
@@ -310,7 +302,7 @@ def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int, trap) -> Non
     labels = np.arange(min(64, n) * n)
     # one buffer set a worker: at most `threads` blocks run at once, and
     # list.pop and list.append are atomic
-    idle = [_Orbits(np.empty(labels.size, dtype=complex), np.empty_like(labels))
+    idle = [Orbits(np.empty(labels.size, dtype=complex), np.empty_like(labels))
             for _ in range(min(threads, len(starts)))]
 
     def block(i0):
@@ -334,4 +326,4 @@ def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int, trap) -> Non
     del idle[:], labels
     z, idx = map(np.concatenate, zip(*parts))
     del parts
-    iterate_orbits(z, idx, range(POOL_AFTER + 1, max_iter + 1), step, trap)
+    Orbits(z, idx).run(range(POOL_AFTER + 1, max_iter + 1), step, trap)

@@ -1,9 +1,12 @@
 """Monic polynomial dynamics: iteration, escape, critical points, cycles,
 potential and the inverse Boettcher series.
 
+`cycle_through` polishes a point onto its cycle and classifies it for every
+caller; `return_series` composes a cycle's return map for every reader.
+
 The scalar path runs on Python complex; numpy is imported inside the array
-code (companion roots, the cycle census, Horner on arrays, CPython's complex
-arithmetic on real arrays) where it runs."""
+code (companion roots, the cycle census, the return-map series, Horner on
+arrays, CPython's complex arithmetic on real arrays) where it runs."""
 
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ DEDUP_TOL = 1e-7
 LOWER_PERIOD_TOL = 2e-5
 KIND_TOL = 1e-6
 MAX_UNITY_ORDER = 64
+MAX_PETALS = 12  # parabolic points with more petals get no trap and no petal directions
 MAX_CENSUS_POINTS = 10**4  # find_cycles' bound on d^n: an Aberth sweep costs O(d^2n)
 ORBIT_HUGE = 1e200  # _newton_ratios stops an orbit before its image passes this
 # critical_cycles: iterates before looking for a cycle, and the longest lag
@@ -157,13 +161,9 @@ class Polynomial:
             lag = next((k for k in range(1, CRITICAL_ORBIT_MAX_LAG + 1)
                         if abs(z - orbit[-1 - k]) < 1e-3 * max(1.0, abs(z))), 0)
             for n in (n for n in range(1, lag + 1) if lag % n == 0):
-                p = _newton_cycle_point(self, n, z)
-                if p is None:
-                    continue
-                _, lam = self.iterate_with_deriv(p, n)
-                kind = classify_multiplier(lam)
-                if kind in ("attracting", "parabolic"):
-                    found.append(Cycle(tuple(self.iterate(p, k) for k in range(n)), n, lam, kind))
+                cyc = cycle_through(self, z, n)
+                if cyc is not None and cyc.kind in ("attracting", "parabolic"):
+                    found.append(cyc)
                     break
         return tuple(found)
 
@@ -501,10 +501,9 @@ def find_cycles(P: Polynomial, max_period: int) -> list[Cycle]:
             free &= (n % k != 0) | ~(np.abs(w - z) < LOWER_PERIOD_TOL)
         free = np.flatnonzero(free)
         while free.size:
-            points = tuple(P.iterate(complex(z[free[0]]), k) for k in range(n))
-            _, lam = P.iterate_with_deriv(points[0], n)
-            cycles.append(Cycle(points, n, lam, classify_multiplier(lam)))
-            free = free[~_near(z[free], np.array(points), DEDUP_TOL)]
+            # cycle_through polishes roots[free[0]] again, to z[free[0]]
+            cycles.append(cycle_through(P, complex(roots[free[0]]), n))
+            free = free[~_near(z[free], np.array(cycles[-1].points), DEDUP_TOL)]
         divisors = np.array([p for c in cycles if n % c.period == 0 for p in c.points])
         missed = int((~_near(roots, divisors, LOWER_PERIOD_TOL)).sum())
         if missed:
@@ -528,6 +527,49 @@ def _newton_cycle_point(P: Polynomial, n: int, z: complex) -> complex | None:
         return None
     zn, _ = P.iterate_with_deriv(z, n)
     return z if abs(zn - z) < CYCLE_RESIDUAL_TOL else None
+
+
+def cycle_through(P: Polynomial, z: complex, n: int) -> Optional[Cycle]:
+    """The cycle through the point `_newton_cycle_point` polishes z to on
+    P^n(w) - w, listed from that point, with the multiplier of P^n there and
+    its kind; None where the polish fails.  The period recorded is n, which
+    the cycle's own period divides."""
+    p = _newton_cycle_point(P, n, z)
+    if p is None:
+        return None
+    _, lam = P.iterate_with_deriv(p, n)
+    return Cycle(tuple(P.iterate(p, k) for k in range(n)), n, lam, classify_multiplier(lam))
+
+
+def return_series(taylors: Sequence[Sequence[complex]], q: int, order: int) -> np.ndarray:
+    """Coefficients of g^q(w) - w below w^order, constant term first, for
+    the return map g = f_(n-1) o ... o f_0 of a cycle p_0, ..., p_(n-1).
+
+    taylors[j] holds the Taylor coefficients of P at p_j (`P.taylor`), so
+    f_j(w) = P(p_j + w) - p_(j+1) = w F_j(w) with F_j from taylors[j][1:];
+    the constant terms, zero on the cycle, are ignored.  Each f_j is
+    composed by Horner's rule on F_j, truncated below w^order, in orbit
+    order, q times over.  Coefficients within 1e-8 of the Taylor scale
+    max(1, |taylors[j][i]|) are rounding and read as 0.  At a parabolic
+    cycle with multiplier a primitive q-th root of unity, g^q(w) - w =
+    A w^(k+1) + ... with k petals at p_0: A is the first non-zero
+    coefficient past w (Milnor, *Dynamics in One Complex Variable*, §10).
+    """
+    import numpy as np
+    from numpy.polynomial import polynomial as npp
+    s = np.array([0, 1], dtype=complex)
+    for _ in range(q):
+        for t in taylors:
+            F = np.array(t[1:], dtype=complex)
+            acc = np.array([F[-1]])
+            for c in F[-2::-1]:
+                acc = npp.polymul(acc, s)[:order]
+                acc[0] += c
+            s = npp.polymul(acc, s)[:order]
+    s = np.pad(s, (0, order - len(s)))
+    s[1] -= 1.0
+    s[np.abs(s) <= 1e-8 * max(1.0, *(abs(c) for t in taylors for c in t[1:]))] = 0
+    return s
 
 
 def green_potential(P: Polynomial, z: complex) -> float:

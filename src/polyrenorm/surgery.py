@@ -24,7 +24,7 @@ from .bottcher import (Spine, bottcher_point, equipotential_points, equipotentia
 from .carrots import Carrot, build_carrots, carrots_disjoint
 from .cuts import CutFamily, check_legal
 from .errors import CarrotOverlap, ContinuityGap, DegreeMismatch, RenormError
-from .grid import Mask, PixelRaster, iterate_orbits, sweep_pixels
+from .grid import Mask, Orbits, PixelRaster, sweep_pixels
 from .poly import Polynomial, green_potential
 from .scene import GridSpec
 
@@ -512,7 +512,7 @@ def visit_count_experiment(S: SurgeryMap, n_seeds: int, max_iter: int, *,
         keep &= in_ud  # retire orbits beyond the outer annulus
         return keep
 
-    iterate_orbits(re + 1j * im, np.arange(n_seeds), range(max_iter), step)
+    Orbits(re + 1j * im, np.arange(n_seeds)).run(range(max_iter), step)
     t_cr = len(S.critical)
     pairs, seeds = np.unique(np.stack([visits_crit, visits_blend]), axis=1, return_counts=True)
     return VisitReport(int(visits_crit.max(initial=0)), int(visits_blend.max(initial=0)),

@@ -4,7 +4,8 @@ import pytest
 from polyrenorm import (Polynomial, build_family, check_admissible,
                         check_legal, classify_root, find_cycles)
 from polyrenorm.angles import Angle
-from polyrenorm.cuts import _terminal_cycle
+from polyrenorm.cuts import _attracting_directions, _terminal_cycle
+from polyrenorm.poly import cycle_through, unity_order
 from polyrenorm.errors import NoColanding
 
 from conftest import BASILICA, CUBIC, G0, SQUARE
@@ -69,7 +70,7 @@ def test_legal_fig1(fig1_family):
     terminus = [r for r in report.rows if r.check == "terminus"][0]
     assert "repelling" in terminus.detail and "multiplier 4" in terminus.detail
     # the identified terminal cycle really is the fixed point 0
-    cyc = _terminal_cycle(CUBIC, fig1_family, fig1_family.cuts[0])
+    cyc = _terminal_cycle(CUBIC, fig1_family.cuts[0])
     assert abs(cyc.points[0]) < 1e-9 and abs(cyc.multiplier - 4) < 1e-9
 
 
@@ -147,3 +148,26 @@ def test_classify_root_outward_parabolic():
     w = fam.wedges[0]
     assert w.contains(-1e-4 + 0j)
     assert not w.contains(1e-4 + 0j)
+
+
+@pytest.mark.parametrize("P, point, period, petals, expected", [
+    (BASILICA, 0j, 1, 2, [1, -1]),                      # multiplier -1
+    (Polynomial((0.25, 0, 1)), 0.5 + 0j, 1, 1, [-1]),   # multiplier 1
+    (Polynomial((-1.25, 0, 1)), (2**0.5 - 1) / 2 + 0j, 2, 2, None),  # 2-cycle, -1
+])
+def test_attracting_directions_are_the_exact_petals(P, point, period, petals, expected):
+    cyc = cycle_through(P, point + 1e-7, period)
+    assert cyc.kind == "parabolic" and cyc.period == period
+    dirs = _attracting_directions(P, cyc, point)
+    assert len(dirs) == petals
+    if expected is not None:
+        assert sorted(v.real for v in dirs) == pytest.approx(sorted(expected), abs=1e-12)
+    p = min(cyc.points, key=lambda z: abs(z - point))
+    # g = P^(period q) fixes p with multiplier 1: it pulls p + r v in along
+    # each attracting direction v and pushes out half a turn of a petal away
+    m, r = period * unity_order(cyc.multiplier), 1e-3
+    turn = np.exp(1j * np.pi / petals)
+    for v in dirs:
+        assert abs(v) == pytest.approx(1)
+        assert abs(P.iterate(p + r * v, m) - p) < r
+        assert abs(P.iterate(p + r * v * turn, m) - p) > r

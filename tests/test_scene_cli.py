@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyrenorm import scene_from_dict
+from polyrenorm import Polynomial, find_cycles, scene_from_dict
 from polyrenorm.cli import COMMANDS, main
-from polyrenorm.errors import SceneError
+from polyrenorm.errors import RenormError, SceneError
 from polyrenorm.poly import MAX_CENSUS_POINTS
 from polyrenorm.render import ppm_bytes
 from polyrenorm.scene import DEFAULT_RHO, DEFAULT_SEED
@@ -337,15 +337,20 @@ def test_cli_bad_command_option_is_a_scene_error(tmp_path, capsys, cmd, option, 
 
 
 def test_census_bound_is_a_renorm_error(tmp_path, capsys):
-    # the degenerate cut at 1/(3^9 - 1) has period 9 under tripling, so the
-    # family's census would need the 3^9 roots of P^9(z) - z
+    # a census of period 9 would need the 3^9 roots of P^9(z) - z
     assert 3**9 > MAX_CENSUS_POINTS
+    with pytest.raises(RenormError, match=f"MAX_CENSUS_POINTS = {MAX_CENSUS_POINTS}"):
+        find_cycles(Polynomial((0, 4, 4, 1)), 9)
+    # the degenerate cut at 1/(3^9 - 1) has period 9 under tripling; its
+    # terminal cycle needs no census, so the family gets its verdicts
     angle = f"1/{3**9 - 1}"
     scene = tmp_path / "census.json"
     scene.write_text(json.dumps(dict(FIGURE1_64, cuts=[{"theta_r": angle, "theta_l": angle}])))
-    assert main(["cuts-check", "--scene", str(scene), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: cycle census:") and str(MAX_CENSUS_POINTS) in err
+    out = tmp_path / "o"
+    assert main(["cuts-check", "--scene", str(scene), "--out", str(out)]) == 2
+    rows = (out / "checks.csv").read_text().splitlines()
+    assert any(r.startswith(f'forward-invariance,"cut0({angle},{angle})",FAIL,') for r in rows)
+    assert any(r.startswith(f'fictitious,"cut0({angle},{angle})",FAIL,') for r in rows)
 
 
 def test_sweep_past_the_node_bound_is_a_renorm_error(tmp_path, capsys):
@@ -360,13 +365,18 @@ def test_sweep_past_the_node_bound_is_a_renorm_error(tmp_path, capsys):
 
 def test_widely_scaled_cubic_ends_without_a_traceback(tmp_path, capsys):
     # z^3 + 3e5 z^2 + 1e6 z: the critical points pass their relative check;
-    # the census's absolute tolerances then end the construction with an error
+    # the census's absolute tolerances then end `verify` with an error, while
+    # `avoid`, which runs no census, ends with its verdicts
+    cubic = [[0, 0], [1e6, 0], [3e5, 0], [1, 0]]
     scene = tmp_path / "wide.json"
-    scene.write_text(json.dumps(_with(GOOD_SCENE, ("polynomial", "coeffs"),
-                                      [[0, 0], [1e6, 0], [3e5, 0], [1, 0]])))
+    scene.write_text(json.dumps(_with(_with(GOOD_SCENE, ("polynomial", "coeffs"), cubic),
+                                      ("candidate_q",), {"coeffs": cubic})))
     assert main(["julia", "--scene", str(scene), "--out", str(tmp_path / "j")]) == 0
     capsys.readouterr()
-    assert main(["avoid", "--scene", str(scene), "--out", str(tmp_path / "a")]) == 1
+    assert main(["avoid", "--scene", str(scene), "--out", str(tmp_path / "a")]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("[") and err == ""
+    assert main(["verify", "--scene", str(scene), "--out", str(tmp_path / "v")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cycle census: ") and "Traceback" not in err
 

@@ -11,7 +11,7 @@ from numpy.polynomial import polynomial as npp
 
 from .grid import Mask, PixelRaster, sweep_pixels
 from .errors import GridMismatch
-from .poly import MAX_PETALS, Polynomial, return_series, unity_order
+from .poly import Polynomial, return_petals, unity_order
 from .scene import GridSpec
 
 if TYPE_CHECKING:
@@ -192,13 +192,13 @@ def _fatou_coordinate(t: list[complex], q: int) -> Optional[tuple[np.ndarray, np
     phi(w) = sum a_k w^-k, m the number of petals, together with the
     polynomial N(w) = w^m F(w)^m (phi(f(w)) - phi(w) - 1), F = f / w, and a
     bound on the rounding in each of its coefficients.  None when the
-    petal count exceeds MAX_PETALS or the expansion is degenerate.
+    petal count exceeds `poly.MAX_PETALS` or the expansion is degenerate.
     """
     F = np.array(t[1:], dtype=complex)
-    big = np.flatnonzero(return_series([t], q, MAX_PETALS + 2)[2:])
-    if big.size == 0:
+    petals = return_petals([t], q)  # f^q(w) = w + A w^(m+1) + ...
+    if petals is None:
         return None
-    m = int(big[0]) + 1  # f^q(w) = w + A w^(m+1) + ...
+    m = petals[0]
     if m % q:
         return None
     # power series of G = 1/F, and of G^k for k <= m, to order m

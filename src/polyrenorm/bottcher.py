@@ -46,8 +46,8 @@ rays, spirals and equipotentials are tuples or lists of Python complex and
 float, which callers doing array math convert with `np.asarray`.  Two paths
 import numpy, both only for ARRAY_SWEEP_MIN or more offsets: a direct-band
 sweep evaluates the series on an array, and `Spine.sweeps` walks the legs
-of many rows below the floor together (`wavefront`), keeping every point's
-bits.
+of many rows below the floor together (`wavefront`).  Both keep every
+point's bits, so ARRAY_SWEEP_MIN chooses speed, never a point.
 """
 
 from __future__ import annotations
@@ -207,14 +207,15 @@ def _levels_above(pots: list[float], r: float, g: float) -> int:
 
 def _direct(P: Polynomial, g: float, frac: Fraction, offs: Sequence[float]) -> list[complex]:
     """The series psi at potential g and angles frac + off for the offsets
-    `offs`, for g in the direct band: on Python complex for a few offsets,
-    in one array pass for ARRAY_SWEEP_MIN or more."""
+    `offs`, for g in the direct band: each w by `cmath.rect`, then psi on it,
+    one array pass for ARRAY_SWEEP_MIN or more offsets to the same bits."""
     psi = P.inverse_bottcher
     base = (frac.numerator % frac.denominator) / frac.denominator
-    if len(offs) < ARRAY_SWEEP_MIN:
-        return [psi(cmath.rect(math.exp(g), 2.0 * math.pi * (base + o)), g) for o in offs]
+    ws = [cmath.rect(math.exp(g), 2.0 * math.pi * (base + o)) for o in offs]
+    if len(ws) < ARRAY_SWEEP_MIN:
+        return [psi(w, g) for w in ws]
     import numpy as np
-    return psi(np.exp(g + 2j * math.pi * (base + np.asarray(offs))), g).tolist()
+    return psi(np.array(ws), g).tolist()
 
 
 class Spine:
@@ -380,10 +381,6 @@ class _OrbitLadder:
         self.potentials = [g_top]
         self.points: dict[Angle, list[complex]] = {}
 
-    def levels_above(self, g: float) -> int:
-        """Number of levels above potential g (the top level always counts)."""
-        return _levels_above(self.potentials, self.r, g)
-
     def curve(self, theta: Angle, n: int) -> list[complex]:
         """The first n levels of theta's curve, tracing what is missing."""
         d = self.P.degree
@@ -465,7 +462,7 @@ def _on_ladder(ladders: dict[tuple, _OrbitLadder], P: Polynomial, slope: int,
 
 
 def _ray_on(lad: _OrbitLadder, theta: Angle, g_end: float, keep: int) -> RayPolyline:
-    n = lad.levels_above(g_end)
+    n = _levels_above(lad.potentials, lad.r, g_end)
     pts = lad.curve(theta, n)[:n:keep] + [lad.endpoint(theta, g_end, n)]
     pots = lad.potentials[:n:keep] + [g_end]
     return RayPolyline(theta, tuple(pts), tuple(pots))
@@ -618,7 +615,7 @@ def trace_spirals(P: Polynomial, sides: Sequence[tuple[Angle, int]], g_hi: float
         raise ValueError("spiral tracing starts below potential 1")
 
     def spiral(base: Angle, lad: _OrbitLadder, keep: int) -> SpiralArc:
-        n = lad.levels_above(g_lo)
+        n = _levels_above(lad.potentials, lad.r, g_lo)
         pts = lad.curve(base, n)[:n:keep]
         return SpiralArc(tuple(pts), tuple(lad.potentials[:n:keep]))
 

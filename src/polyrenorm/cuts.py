@@ -1,7 +1,7 @@
 """Cuts, wedges and cut families: admissibility, legality, root classification.
 
 A root's terminal cycle comes from `poly.cycle_through` and its petals from
-`poly.return_series`; no cycle census runs here."""
+`poly.return_petals`; no cycle census runs here."""
 
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from .bottcher import (RayPolyline, bottcher_point, equipotential_arc, external_
                        land_rays)
 from .errors import DegreeMismatch, NoColanding, RayNotConverged
 from .grid import crossing_parity, distance_to_polyline
-from .poly import (MAX_PETALS, Cycle, Polynomial, critical_points, cycle_through,
-                   green_potential, return_series, unity_order)
+from .poly import (Cycle, Polynomial, critical_points, cycle_through, green_potential,
+                   return_petals, unity_order)
 
 COLAND_TOL = 1e-5
 ROOT_MATCH_TOL = 1e-6
@@ -260,21 +260,20 @@ def _attracting_directions(P: Polynomial, cyc: Cycle, a: complex) -> Optional[li
 
     With q the order of the multiplier, the return map g = P^period of the
     cycle listed from that point has g^q(w) - w = A w^(k+1) + ...
-    (`return_series`); the k attracting directions are the unit v with
+    (`return_petals`); the k attracting directions are the unit v with
     A v^k < 0.  None when the multiplier is no root of unity or there are
-    more than MAX_PETALS petals.
+    more than `poly.MAX_PETALS` petals.
     """
     q = unity_order(cyc.multiplier)
     if q is None:
         return None
     j = min(range(len(cyc.points)), key=lambda i: abs(cyc.points[i] - a))
     taylors = [P.taylor(p) for p in cyc.points[j:] + cyc.points[:j]]
-    s = return_series(taylors, q, MAX_PETALS + 2)
-    big = np.flatnonzero(s[2:])
-    if big.size == 0:
+    petals = return_petals(taylors, q)
+    if petals is None:
         return None
-    k = int(big[0]) + 1
-    base = (math.pi - cmath.phase(s[k + 1])) / k
+    k, A = petals
+    base = (math.pi - cmath.phase(A)) / k
     return [cmath.exp(1j * (base + 2 * math.pi * i / k)) for i in range(k)]
 
 

@@ -2,11 +2,11 @@
 potential and the inverse Boettcher series.
 
 `cycle_through` polishes a point onto its cycle and classifies it for every
-caller; `return_series` composes a cycle's return map for every reader.
+caller; `return_petals` reads a cycle's petals off its return map.
 
 The scalar path runs on Python complex; numpy is imported inside the array
-code (companion roots, the cycle census, the return-map series, Horner on
-arrays, CPython's complex arithmetic on real arrays) where it runs."""
+code (companion roots, the cycle census, the return-map series, P and P' on
+arrays, the inverse Boettcher series on arrays as CPython rounds it)."""
 
 from __future__ import annotations
 
@@ -541,22 +541,22 @@ def cycle_through(P: Polynomial, z: complex, n: int) -> Optional[Cycle]:
     return Cycle(tuple(P.iterate(p, k) for k in range(n)), n, lam, classify_multiplier(lam))
 
 
-def return_series(taylors: Sequence[Sequence[complex]], q: int, order: int) -> np.ndarray:
-    """Coefficients of g^q(w) - w below w^order, constant term first, for
-    the return map g = f_(n-1) o ... o f_0 of a cycle p_0, ..., p_(n-1).
+def return_petals(taylors: Sequence[Sequence[complex]], q: int) -> Optional[tuple[int, complex]]:
+    """(k, A) with g^q(w) - w = A w^(k+1) + ... for the return map g =
+    f_(n-1) o ... o f_0 of a cycle p_0, ..., p_(n-1); None past MAX_PETALS.
 
     taylors[j] holds the Taylor coefficients of P at p_j (`P.taylor`), so
     f_j(w) = P(p_j + w) - p_(j+1) = w F_j(w) with F_j from taylors[j][1:];
     the constant terms, zero on the cycle, are ignored.  Each f_j is
-    composed by Horner's rule on F_j, truncated below w^order, in orbit
-    order, q times over.  Coefficients within 1e-8 of the Taylor scale
+    composed by Horner's rule on F_j, truncated past w^(MAX_PETALS+1), in
+    orbit order, q times over.  Coefficients within 1e-8 of the Taylor scale
     max(1, |taylors[j][i]|) are rounding and read as 0.  At a parabolic
-    cycle with multiplier a primitive q-th root of unity, g^q(w) - w =
-    A w^(k+1) + ... with k petals at p_0: A is the first non-zero
-    coefficient past w (Milnor, *Dynamics in One Complex Variable*, §10).
+    cycle with multiplier a primitive q-th root of unity, there are k petals
+    at p_0 (Milnor, *Dynamics in One Complex Variable*, §10).
     """
     import numpy as np
     from numpy.polynomial import polynomial as npp
+    order = MAX_PETALS + 2
     s = np.array([0, 1], dtype=complex)
     for _ in range(q):
         for t in taylors:
@@ -566,10 +566,9 @@ def return_series(taylors: Sequence[Sequence[complex]], q: int, order: int) -> n
                 acc = npp.polymul(acc, s)[:order]
                 acc[0] += c
             s = npp.polymul(acc, s)[:order]
-    s = np.pad(s, (0, order - len(s)))
-    s[1] -= 1.0
-    s[np.abs(s) <= 1e-8 * max(1.0, *(abs(c) for t in taylors for c in t[1:]))] = 0
-    return s
+    tol = 1e-8 * max(1.0, *(abs(c) for t in taylors for c in t[1:]))
+    big = np.flatnonzero(~(np.abs(s[2:]) <= tol))
+    return None if big.size == 0 else (int(big[0]) + 1, complex(s[big[0] + 2]))
 
 
 def green_potential(P: Polynomial, z: complex) -> float:
@@ -653,8 +652,21 @@ class InverseBottcher:
         return s[:n]
 
     def __call__(self, w, g: float):
-        """psi(w) at |w| = e^g (g > g_max): a Python complex or an array."""
-        return w * _horner(self._scaled(self.terms(g)), self._R / w)
+        """psi(w) at |w| = e^g (g > g_max): a Python complex, or an array, each
+        element bit-equal to that call (CPython's arithmetic, `complex_mul`)."""
+        cs = self._scaled(self.terms(g))
+        if isinstance(w, complex):
+            return w * _horner(cs, self._R / w)
+        import numpy as np
+        xr, xi = complex_div(self._R, 0.0, w.real, w.imag)
+        pr, pi = cs[-1].real, cs[-1].imag
+        for c in reversed(cs[:-1]):
+            pr, pi = complex_mul(pr, pi, xr, xi)
+            pr += c.real
+            pi += c.imag
+        out = np.empty(w.shape, dtype=complex)
+        out.real, out.imag = complex_mul(w.real, w.imag, pr, pi)
+        return out
 
     def with_tangent(self, w: complex, g: float) -> tuple[complex, complex]:
         """(psi(w), w psi'(w)) at a scalar w with |w| = e^g, in one Horner pass:

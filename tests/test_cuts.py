@@ -171,3 +171,18 @@ def test_attracting_directions_are_the_exact_petals(P, point, period, petals, ex
         assert abs(v) == pytest.approx(1)
         assert abs(P.iterate(p + r * v, m) - p) < r
         assert abs(P.iterate(p + r * v * turn, m) - p) > r
+
+
+def test_parabolic_root_with_no_petal_in_a_wedge():
+    # ray 0 of z^2 + 1/4 lands at the parabolic fixed point 1/2, whose one
+    # petal points along -1; the degenerate cut bounds no wedge, so no petal
+    # lies in one and the root is outward-repelling
+    P = Polynomial((0.25, 0, 1))
+    fam = build_family(P, [(Angle(0, 1), Angle(0, 1))], g0=G0)
+    cut = fam.cuts[0]
+    assert cut.degenerate and abs(cut.root - 0.5) < 1e-6
+    cyc = _terminal_cycle(P, cut)
+    assert cyc.kind == "parabolic" and cyc.contains(cut.root, tol=1e-5)
+    assert _attracting_directions(P, cyc, cut.root) == [pytest.approx(-1, abs=1e-12)]
+    assert classify_root(P, fam, cut) == "outward-repelling"
+    assert fam.root_class == ("outward-repelling",)

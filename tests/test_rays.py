@@ -315,6 +315,32 @@ def test_batched_rows_match_row_sweeps(name, exponent, theta, width, count, shif
     assert spine.sweeps(rows) == [spine.sweep(g, offs) for g, offs in rows]
 
 
+# In the direct band a sweep of ARRAY_SWEEP_MIN or more offsets is the series
+# on an array; one-point calls, on Python complex, are the oracle, to the bit.
+
+@pytest.mark.parametrize("name", list(_FE_POLYS))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(lift=st.floats(0.0, 1.0), theta=st.fractions(0, 1, max_denominator=12),
+       offs=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=64).map(sorted))
+def test_direct_sweep_is_its_one_point_calls(name, lift, theta, offs):
+    P = _FE_POLYS[name]
+    g = _floor(P) + lift * (4.0 - _floor(P))
+    swept = bottcher.equipotential_points(P, g, theta, offs)
+    assert swept == [bottcher.equipotential_points(P, g, theta, [o])[0] for o in offs]
+
+
+@pytest.mark.parametrize("P", [*_FE_POLYS.values(), Polynomial((3, -3, 0, 1))],
+                         ids=[*_FE_POLYS, "escaping"])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(lift=st.floats(0.0, 1.0), angles=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+def test_inverse_bottcher_on_an_array_is_its_scalar_calls(P, lift, angles):
+    # z^3 - 3z + 3 has an escaping critical point, so g_max > 0
+    psi = P.inverse_bottcher
+    g = _floor(P) + lift * 4.0
+    ws = [cmath.rect(math.exp(g), 2.0 * math.pi * a) for a in angles]
+    assert psi(np.array(ws), g).tobytes() == np.array([psi(w, g) for w in ws]).tobytes()
+
+
 def test_batched_leg_that_fails_is_walked_again(monkeypatch):
     # a leg the arrays give up on (here: Newton declared stuck at the first
     # element of the fifth anti-diagonal) is walked again by `_walk` from its
@@ -454,8 +480,7 @@ def test_points_and_sweeps_keep_the_descent_nodes(P, where):
             assert bottcher_point(P, g, theta) == _series(P, g, float(theta))
             assert bottcher._point(P, g, frac, off) == _series(P, g, float(frac) + off)
             swept = bottcher.equipotential_points(P, g, frac, offs)  # on arrays
-            for z, o in zip(swept, offs):
-                assert abs(z - _series(P, g, float(frac) + o)) <= 1e-14 * abs(z)
+            assert swept == [_series(P, g, float(frac) + o) for o in offs]
             continue
         assert bottcher_point(P, g, theta) == _old_point(P, g, theta, 0.0)
         assert bottcher._point(P, g, frac, off) == _old_point(P, g, frac, off)

@@ -53,7 +53,7 @@ def covering_window(P: Polynomial, polylines: Sequence[Sequence[complex]]) -> Gr
 
 def wedge_raster(P: Polynomial, family: CutFamily) -> PixelRaster:
     """Rasterized union of the family's wedges on their covering window."""
-    return PixelRaster(covering_window(P, family.walls), family.walls)
+    return PixelRaster(covering_window(P, family.walls), [family.walls])
 
 
 # -- certified interior traps -------------------------------------------------
@@ -129,15 +129,16 @@ def _taylor_bounds(P: Polynomial, z0: complex) -> tuple[list[complex], list[floa
     return t, [8 * (P.degree + 1) ** 2 * _U * abs(x) for x in tau]
 
 
-def _clear_of(raster: PixelRaster, keep_inside: bool, center: complex, radius: float,
-              may_meet) -> bool:
+def _clear_of(raster: PixelRaster, bit: int, keep_inside: bool, center: complex,
+              radius: float, may_meet) -> bool:
     """Whether a set inside the disk D(center, radius) keeps one pixel away
-    from every forbidden pixel of `raster`: its bits, or with `keep_inside`
-    everything outside them, the window's outside included.
+    from every forbidden pixel of `raster`: those with `bit` set, or with
+    `keep_inside` those without it, the window's outside included.
 
     `may_meet(x, s)` is False only where the disk D(x, s) surely misses the
     set; it is asked at the centers x of the forbidden pixels near the set,
-    with s covering the pixel's 3x3 block.
+    with s covering the pixel's 3x3 block, first at every 16th row and
+    column, so that a failing clearance usually stops there.
     """
     g = raster.grid
     n, px = g.resolution, g.pixel
@@ -151,10 +152,13 @@ def _clear_of(raster: PixelRaster, keep_inside: bool, center: complex, radius: f
     i1, j1 = min(i1, n - 1), min(j1, n - 1)
     if i1 < i0 or j1 < j0:
         return True
-    block = raster.bits[i0:i1 + 1, j0:j1 + 1]
-    ii, jj = np.nonzero(~block if keep_inside else block)
-    x = (left + (jj + j0 + 0.5) * px) + 1j * (top - (ii + i0 + 0.5) * px)
-    return not may_meet(x, s).any()
+    block = raster.layer(bit, i0, i1 + 1, j0, j1 + 1) ^ keep_inside
+    for step in (16, 1):
+        ii, jj = np.nonzero(block[::step, ::step])
+        x = (left + (jj * step + j0 + 0.5) * px) + 1j * (top - (ii * step + i0 + 0.5) * px)
+        if may_meet(x, s).any():
+            return False
+    return True
 
 
 def _attracting_disks(P: Polynomial, cycle, clear) -> list:
@@ -291,17 +295,22 @@ def _parabolic_lobes(P: Polynomial, cycle, max_iter: int, clear) -> list:
     def lower(r):  # |phi(w)| >= lower(|w|) while this decreases in |w|
         return float(absa[-1] * r ** -m - np.dot(absa[:-1], r ** -ks[:-1]))
 
-    R = P.escape_radius
-    for M, K in _LOBE_LADDER:
-        K_B = K + 1.0 + 3.0 * max_iter
-        # rho_lo: largest r with lower(r) >= K_B, where lower still decreases
+    def rho_lo_of(K_B):  # largest r with lower(r) >= K_B, where lower still decreases
         lo, hi = 1e-6 * (absa[-1] / K_B) ** (1 / m), (absa[-1] / K_B) ** (1 / m)
         if lower(lo) < K_B:
-            continue
+            return None
         for _ in range(60):
             mid = math.sqrt(lo * hi)
             lo, hi = (mid, hi) if lower(mid) >= K_B else (lo, mid)
-        rho_lo = lo
+        return lo
+
+    R = P.escape_radius
+    rho_los = {K: rho_lo_of(K + 1.0 + 3.0 * max_iter) for K in {k for _, k in _LOBE_LADDER}}
+    for M, K in _LOBE_LADDER:
+        K_B = K + 1.0 + 3.0 * max_iter
+        rho_lo = rho_los[K]  # one bisection per K of the ladder, not per (M, K)
+        if rho_lo is None:
+            continue
         if m * absa[-1] <= np.dot(ks[:-1] * absa[:-1], rho_lo ** (m - ks[:-1])):
             continue
         eta = 32 * (m + 2) * _U * float(np.dot(ks * absa, rho_lo ** -ks)) + 2 * _U * K
@@ -329,11 +338,13 @@ def _parabolic_lobes(P: Polynomial, cycle, max_iter: int, clear) -> list:
         def may_meet(w, s, M_B=M_B, K_B=K_B, rho_lo=rho_lo, rho_hi=rho_hi):
             """False where the disk D(w, s) surely misses B."""
             r = np.abs(w)
-            far = r > 2 * s
-            phi = _laurent(a, 1.0 / np.where(far, w, 1.0))
+            out = (r - s <= rho_hi) & (r + s >= rho_lo)
+            far = np.flatnonzero(out & (r > 2 * s))
+            w, r = w[far], r[far]
+            phi = _laurent(a, 1.0 / w)
             slack = lip_phi(np.maximum(r - s, s)) * s + 1e-9 * (1.0 + np.abs(phi))
-            maybe = (phi.real + slack >= M_B) & (np.abs(phi) - slack <= K_B)
-            return (r - s <= rho_hi) & (r + s >= rho_lo) & (~far | maybe)
+            out[far] = (phi.real + slack >= M_B) & (np.abs(phi) - slack <= K_B)
+            return out
 
         # D on a cover of B by boxes of side h, from its value at the box
         # centre and bounds on Nt, F and their derivatives over the box
@@ -359,21 +370,22 @@ def _parabolic_lobes(P: Polynomial, cycle, max_iter: int, clear) -> list:
     return []
 
 
-def interior_trap(P: Polynomial, max_iter: int, avoid: Sequence[PixelRaster] = (),
-                  stay_in: Sequence[PixelRaster] = ()) -> InteriorTrap:
+def interior_trap(P: Polynomial, max_iter: int, raster: Optional[PixelRaster] = None,
+                  avoid: int = 0, stay_in: int = 0) -> InteriorTrap:
     """The certified trap of a pixel sweep of P with budget max_iter.
 
     Disks at the attracting cycles and lobes at the parabolic fixed points
     found by `P.critical_cycles`.  Every float orbit entering the trap stays,
     for max_iter steps, bounded by the escape radius and at least one pixel
-    away from the bits of each `avoid` raster and from the outside of each
-    `stay_in` raster (its window's outside included).  Parabolic cycles of
-    period > 1, irrationally neutral cycles and cycles that do not certify
-    contribute nothing; with nothing certified the trap is empty.
+    away from the pixels of `raster` with the bit `avoid` set and from those
+    without the bit `stay_in` (the window's outside included); a zero bit
+    asks nothing.  Parabolic cycles of period > 1, irrationally neutral
+    cycles and cycles that do not certify contribute nothing; with nothing
+    certified the trap is empty.
     """
     def clear(center, radius, may_meet):
-        return (all(_clear_of(r, False, center, radius, may_meet) for r in avoid)
-                and all(_clear_of(r, True, center, radius, may_meet) for r in stay_in))
+        return all(_clear_of(raster, bit, inside, center, radius, may_meet)
+                   for bit, inside in ((avoid, False), (stay_in, True)) if bit)
 
     disks, lobes = [], []
     for cycle in P.critical_cycles:
@@ -404,7 +416,7 @@ def escape_analysis(P: Polynomial, grid: GridSpec, max_iter: int, *,
     family's `wedge_raster`).  Without a raster there is no avoiding mask.
 
     The sweep retires the pixels that enter `interior_trap(P, max_iter,
-    avoid=(raster,))`, or `interior_trap(P, max_iter)` without a raster (see
+    raster, avoid=1)`, or `interior_trap(P, max_iter)` without a raster (see
     `sweep_pixels`), which a caller running several sweeps of one raster
     passes as `trap` to build it once: the trap certifies that
     the rest of such an orbit stays bounded and at least a raster pixel away
@@ -429,7 +441,7 @@ def escape_analysis(P: Polynomial, grid: GridSpec, max_iter: int, *,
         return keep
 
     if trap is None:
-        trap = interior_trap(P, max_iter, avoid=(raster,) if raster is not None else ())
+        trap = interior_trap(P, max_iter, raster, avoid=1 if raster is not None else 0)
     sweep_pixels(work, max_iter, step, threads, trap)
     esc, hit = esc.reshape(n, n), hit.reshape(n, n)
 

@@ -114,7 +114,7 @@ class Run:
 
     @cached_property
     def raster(self) -> PixelRaster:
-        """The wedge raster the sweeps below read (16 MB), released after the last."""
+        """The wedge raster the sweeps below read (at most 16 MB), released after the last."""
         from .avoiding import wedge_raster
         return wedge_raster(self.scene.polynomial, self.family)
 
@@ -122,7 +122,7 @@ class Run:
     def trap(self) -> InteriorTrap:
         """The interior trap of the sweeps below, certified once for them all."""
         from .avoiding import interior_trap
-        return interior_trap(self.scene.polynomial, self.scene.max_iter, avoid=(self.raster,))
+        return interior_trap(self.scene.polynomial, self.scene.max_iter, self.raster, avoid=1)
 
     def _sweep(self, grid: GridSpec, supersample: int) -> EscapeAnalysis:
         from .avoiding import escape_analysis
@@ -325,8 +325,8 @@ def _write_figure1(run: Run) -> list[Verdict]:
     """The composite image and the summary of every verdict so far."""
     from . import grid, render
     scene, res = run.scene, run.sweep
-    wedges = grid.PixelRaster(scene.grid, run.family.walls)
-    img = render.render_scene_image(res.kp, res.avoiding, res.esc_steps, wedges.bits)
+    wedges = grid.PixelRaster(scene.grid, [run.family.walls]).layer(1)
+    img = render.render_scene_image(res.kp, res.avoiding, res.esc_steps, wedges)
     for ray in run.rays:
         render.draw_polyline(img, scene.grid, ray.points, render.COLOR_RAY)
     for c in run.carrots:

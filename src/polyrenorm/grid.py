@@ -1,12 +1,12 @@
-"""Boolean masks and lookup rasters on a `GridSpec` window, polygon
-rasterization, the pixel sweep driver and mask I/O."""
+"""Boolean masks on a `GridSpec` window and their I/O, polygon scanlines,
+the layered lookup raster (`PixelRaster`: one uint8 a pixel, a bit a layer,
+stored over the box of its set pixels only) and the pixel sweep driver."""
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -71,13 +71,14 @@ def _crossings(x0, y0, x1, y1, y: float) -> np.ndarray:
     return x0[hit] + (y - y0[hit]) * (x1[hit] - x0[hit]) / (y1[hit] - y0[hit])
 
 
-def fill_polygon(bits: np.ndarray, grid: GridSpec, polygon: np.ndarray) -> None:
-    """OR the even-odd interior of a closed polygon into `bits` (pixel centers).
+def polygon_spans(grid: GridSpec, polygon: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(row, first column, last column) of each run of pixel centers in the
+    even-odd interior of a closed polygon, clipped to the window.
 
     Scanlines over the edge list: each edge crosses the contiguous run of
     pixel-center rows between its ends (half-open, as `_crossings`), so all
     crossings come from one `_crossings` call; sorted by row and x, they pair
-    into spans that are ORed row by row.
+    into the runs.
     """
     pts = np.asarray(polygon, dtype=complex)
     if abs(pts[0] - pts[-1]) > 0:
@@ -99,15 +100,20 @@ def fill_polygon(bits: np.ndarray, grid: GridSpec, polygon: np.ndarray) -> None:
     xs = _crossings(x0[edge], y0[edge], x1[edge], y1[edge], ys[k])
     order = np.lexsort((xs, k))
     k, xs = k[order], xs[order]
-    # crossings 2m and 2m+1 of each row bound a span
+    # crossings 2m and 2m+1 of each row bound a run
     row_start = np.flatnonzero(np.diff(k, prepend=-1))
     pos = np.arange(k.size) - np.repeat(row_start, np.diff(row_start, append=k.size))
     a = np.flatnonzero((pos % 2 == 0)[:-1] & (k[1:] == k[:-1]))
     ja = np.ceil((xs[a] - left) / px - 0.5)
     jb = np.floor((xs[a + 1] - left) / px - 0.5)
     keep = (jb >= 0) & (ja <= n - 1) & (jb >= ja)
-    for i, lo, hi in zip(rows[k[a[keep]]].tolist(), np.maximum(ja[keep], 0).astype(int).tolist(),
-                         np.minimum(jb[keep], n - 1).astype(int).tolist()):
+    return (rows[k[a[keep]]], np.maximum(ja[keep], 0).astype(int),
+            np.minimum(jb[keep], n - 1).astype(int))
+
+
+def fill_polygon(bits: np.ndarray, grid: GridSpec, polygon: np.ndarray) -> None:
+    """Set the window-sized `bits` on the `polygon_spans` of a polygon."""
+    for i, lo, hi in zip(*(a.tolist() for a in polygon_spans(grid, polygon))):
         bits[i, lo:hi + 1] = True
 
 
@@ -131,67 +137,78 @@ def distance_to_polyline(poly: np.ndarray, z: complex) -> float:
 
 
 class PixelRaster:
-    """Lookup raster of the union of `polygons` (even-odd interiors at pixel
-    centers); points outside the window read False.
+    """Lookup raster of polygon layers: one uint8 a pixel, bit b set on the
+    `polygon_spans` of `layers[b]`'s polygons.
 
-    The bits sit inside an (n+2)^2 array whose one-pixel border stays False;
-    `bits` is a view of its interior.  Every raster on one grid shares the
-    flat indices of `index`, so a sweep over several rasters computes them
-    once per iterate and reads each raster with `at`.  `lookup` indexes only
-    the points inside the coordinate box of the True pixels widened by one
-    pixel, which absorbs the rounding of `index`.
+    Only the box of the set pixels is stored, inside a one-pixel border of
+    zeros, so the rest of the window and the plane beyond read 0 as the
+    border does.  A sweep testing several layers makes one `index` and one
+    `at` call per iterate and tests the bits.  `layer` reads one layer's
+    block of the window, False outside the box.  `lookup` indexes only the
+    points inside the coordinates of the stored pixels, border included,
+    which absorbs the rounding of `index`.
     """
 
-    def __init__(self, grid: GridSpec, polygons: Iterable[np.ndarray]) -> None:
-        n = grid.resolution
+    def __init__(self, grid: GridSpec, layers: Sequence[Iterable[np.ndarray]]) -> None:
         self.grid = grid
-        self._padded = np.zeros((n + 2, n + 2), dtype=bool)
-        self.bits = self._padded[1:-1, 1:-1]
-        for polygon in polygons:
-            fill_polygon(self.bits, grid, polygon)
-        rows = np.flatnonzero(self.bits.any(axis=1))
-        cols = np.flatnonzero(self.bits.any(axis=0))
-        if rows.size:
-            px = grid.pixel
-            left = grid.center.real - grid.width / 2
-            top = grid.center.imag + grid.width / 2
-            # (re_lo, re_hi, im_lo, im_hi)
-            self._box = (left + (cols[0] - 1) * px, left + (cols[-1] + 2) * px,
-                         top - (rows[-1] + 2) * px, top - (rows[0] - 1) * px)
-        else:
-            self._box = (math.inf, -math.inf, math.inf, -math.inf)
+        spans = [(1 << b, polygon_spans(grid, p)) for b, layer in enumerate(layers) for p in layer]
+        rows, los, his = (np.concatenate([np.zeros(0, int)] + [s[k] for _, s in spans])
+                          for k in range(3))
+        # the box of the set pixels: rows i0 .. i1 and columns j0 .. j1
+        i0, i1, j0, j1 = ((int(rows.min()), int(rows.max()), int(los.min()), int(his.max()))
+                          if rows.size else (0, -1, 0, -1))
+        self._clip = (i0 - 1, i1 + 1, j0 - 1, j1 + 1)  # the stored rows and columns
+        self._padded = np.zeros((i1 - i0 + 3, j1 - j0 + 3), dtype=np.uint8)
+        for bit, (rows, los, his) in spans:
+            for i, lo, hi in zip((rows - i0 + 1).tolist(), (los - j0 + 1).tolist(),
+                                 (his - j0 + 2).tolist()):
+                self._padded[i, lo:hi] |= bit
 
     def index(self, z: np.ndarray) -> np.ndarray:
-        """Flat indices of the pixels holding z in the padded raster.
-
-        Pixel indices are those of `GridSpec.index_arrays` (same formula,
-        computed in place), clipped to [-1, n] so that a point outside the
-        window lands on the border.  `fmax` sends a NaN coordinate to -1.
+        """Flat indices of the stored pixels holding z: those of
+        `GridSpec.index_arrays` (same formula, computed in place), clipped to
+        the stored rows and columns, so that a point outside the box, or with
+        a NaN coordinate (`fmax`), lands on the border.
         """
         g = self.grid
-        n = g.resolution
         px = g.pixel
+        i_lo, i_hi, j_lo, j_hi = self._clip
         j = np.subtract(z.real, g.center.real - g.width / 2)
         j /= px
         np.floor(j, out=j)
-        np.fmax(j, -1, out=j)
-        np.fmin(j, n, out=j)
+        np.fmax(j, j_lo, out=j)
+        np.fmin(j, j_hi, out=j)
         k = np.subtract(g.center.imag + g.width / 2, z.imag)
         k /= px
         np.floor(k, out=k)
-        np.fmax(k, -1, out=k)
-        np.fmin(k, n, out=k)
-        k *= n + 2
+        np.fmax(k, i_lo, out=k)
+        np.fmin(k, i_hi, out=k)
+        w = j_hi - j_lo + 1
+        k *= w
         k += j
-        k += n + 3
+        k -= i_lo * w + j_lo
         return k.astype(np.intp)
 
     def at(self, k: np.ndarray) -> np.ndarray:
-        """Bits at flat indices from `index` of any raster on this grid."""
+        """The uint8 pixels at flat indices from `index`."""
         return self._padded.ravel().take(k)
 
+    def layer(self, bit: int, i0: int = 0, i1: Optional[int] = None, j0: int = 0,
+              j1: Optional[int] = None) -> np.ndarray:
+        """Whether `bit` is set at the window pixels [i0, i1) x [j0, j1)
+        (the whole window by default); False outside the stored box."""
+        i1, j1 = (self.grid.resolution if x is None else x for x in (i1, j1))
+        out = np.zeros((i1 - i0, j1 - j0), dtype=bool)
+        i_lo, i_hi, j_lo, j_hi = self._clip
+        a0, a1, b0, b1 = max(i0, i_lo), min(i1, i_hi + 1), max(j0, j_lo), min(j1, j_hi + 1)
+        if a0 < a1 and b0 < b1:
+            out[a0 - i0:a1 - i0, b0 - j0:b1 - j0] = (
+                self._padded[a0 - i_lo:a1 - i_lo, b0 - j_lo:b1 - j_lo] & bit)
+        return out
+
     def lookup(self, z: np.ndarray) -> np.ndarray:
-        """Bits at the points z; outside the box, NaN included, False.
+        """Whether any bit is set at the points z; outside the coordinate
+        box of the stored pixels, NaN included, False.
 
         The real parts are tested on a contiguous copy, which numpy compares
         about ten times faster than the strided `z.real`, and the imaginary
@@ -199,7 +216,11 @@ class PixelRaster:
         """
         z = np.asarray(z)
         flat = z.ravel()
-        re_lo, re_hi, im_lo, im_hi = self._box
+        g, px = self.grid, self.grid.pixel
+        left, top = g.center.real - g.width / 2, g.center.imag + g.width / 2
+        i_lo, i_hi, j_lo, j_hi = self._clip
+        re_lo, re_hi = left + j_lo * px, left + (j_hi + 1) * px
+        im_lo, im_hi = top - (i_hi + 1) * px, top - i_lo * px
         re = np.ascontiguousarray(flat.real)
         band = re >= re_lo
         band &= re <= re_hi

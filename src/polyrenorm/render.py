@@ -53,17 +53,18 @@ def render_scene_image(kp: Mask, avoiding: Mask,
     cls = np.zeros((n, n), dtype=np.uint8)
     if esc_steps is not None:
         np.minimum(esc_steps, 40, out=cls, casting="unsafe")
-    layer = np.empty_like(cls)
-    for c, bits in ((41, wedge_bits), (42, kp.bits), (43, avoiding.bits)):
-        if bits is not None:
-            np.maximum(cls, np.multiply(bits, np.uint8(c), out=layer), out=cls)
-    del layer
     palette = np.empty((44, 3), dtype=np.uint8)
     palette[:41] = (255 - 2 * np.arange(41))[:, np.newaxis]
     palette[41:] = (COLOR_WEDGE, COLOR_KP_ONLY, COLOR_AVOIDING)
     img = np.empty((n, n, 3), dtype=np.uint8)
+    layer = np.empty((16, n), dtype=np.uint8)
     for i in range(0, n, 16):  # `take` widens each chunk's classes to intp
-        np.take(palette, cls[i:i + 16], axis=0, out=img[i:i + 16])
+        rows = cls[i:i + 16]
+        for c, bits in ((41, wedge_bits), (42, kp.bits), (43, avoiding.bits)):
+            if bits is not None:
+                np.maximum(rows, np.multiply(bits[i:i + 16], np.uint8(c), out=layer[:len(rows)]),
+                           out=rows)
+        np.take(palette, rows, axis=0, out=img[i:i + 16])
     return img
 
 

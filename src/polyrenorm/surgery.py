@@ -31,6 +31,7 @@ from .scene import GridSpec
 T0 = 1  # the exterior cap spans potentials g0 .. d**T0 * g0
 SIDE_SAMPLES = 1000  # side-arc nodes checked against P
 CAP_SAMPLES = 250  # angles checked for continuity across the outer equipotential
+CRIT, U_RHO, U_RHO_D = 1, 2, 4  # the bits of `SurgeryMap.regions`
 
 
 def _interp(arr: np.ndarray, t) -> np.ndarray:
@@ -311,17 +312,13 @@ class SurgeryMap:
         return covering_window(self.P, [outer] + [c.boundary for c in self.carrots])
 
     @cached_property
-    def crit(self) -> PixelRaster:
-        return PixelRaster(self.window, [self.carrots[i].boundary for i in self.critical])
-
-    @cached_property
-    def u_rho(self) -> PixelRaster:
-        return PixelRaster(self.window, [equipotential_polyline(self.P, self.g0, 1024)])
-
-    @cached_property
-    def u_rho_d(self) -> PixelRaster:
-        return PixelRaster(self.window,
-                           [equipotential_polyline(self.P, self.P.degree * self.g0, 1024)])
+    def regions(self) -> PixelRaster:
+        """The CRIT bit on the critical carrots, U_RHO inside the
+        equipotential at g0 and U_RHO_D inside the one at d*g0."""
+        P, g0 = self.P, self.g0
+        return PixelRaster(self.window, [[self.carrots[i].boundary for i in self.critical],
+                                         [equipotential_polyline(P, g0, 1024)],
+                                         [equipotential_polyline(P, P.degree * g0, 1024)]])
 
     # -- evaluation ---------------------------------------------------------
     def evaluate(self, z: complex) -> complex:
@@ -495,15 +492,15 @@ def visit_count_experiment(S: SurgeryMap, n_seeds: int, max_iter: int, *,
     rng = np.random.default_rng(seed)
     re = rng.uniform(win.center.real - win.width / 2, win.center.real + win.width / 2, n_seeds)
     im = rng.uniform(win.center.imag - win.width / 2, win.center.imag + win.width / 2, n_seeds)
-    crit, u_rho, u_rho_d = S.crit, S.u_rho, S.u_rho_d
+    regions = S.regions
     visits_crit = np.zeros(n_seeds, dtype=np.int32)
     visits_blend = np.zeros(n_seeds, dtype=np.int32)
 
     def step(z, live, it, buf):
-        k = crit.index(z)  # the three rasters share the covering window
-        in_crit = crit.at(k)
-        in_ud = u_rho_d.at(k)
-        blend = in_ud & ~u_rho.at(k) & ~in_crit
+        r = regions.at(regions.index(z))
+        in_crit = (r & CRIT) != 0
+        in_ud = (r & U_RHO_D) != 0
+        blend = (r & (CRIT | U_RHO | U_RHO_D)) == U_RHO_D
         visits_crit[live[in_crit]] += 1
         visits_blend[live[blend]] += 1
         out = S.P(z, out=buf.out)
@@ -529,27 +526,26 @@ def nonescaping_mask(S: SurgeryMap, grid: GridSpec, max_iter: int, *,
     cap, and entering a critical carrot lands the orbit in the image carrot
     family, which escapes as well; both are terminal events, so the sweep
     only ever iterates P.  A pixel survives when its iterates 0 .. max_iter - 1
-    all lie in `u_rho` and outside `crit` and iterates 1 .. max_iter are
-    finite.
+    all lie in U_RHO and outside CRIT of `S.regions` and iterates
+    1 .. max_iter are finite.
 
     The sweep retires the pixels that enter the `interior_trap` certified
-    to stay at least a raster pixel inside `u_rho` and away from `crit` for
+    to stay at least a raster pixel inside U_RHO and away from CRIT for
     max_iter steps (see `sweep_pixels`): they survive, exactly as the full
     loop would find them.
     """
-    crit, u_rho = S.crit, S.u_rho
+    regions = S.regions
     alive = np.ones(grid.resolution ** 2, dtype=bool)
 
     def step(z, idx, it, buf):
-        k = crit.index(z)  # both rasters share the covering window
+        r = regions.at(regions.index(z))
         keep = np.isfinite(S.P(z, out=buf.out), out=buf.keep)
-        keep &= u_rho.at(k)
-        keep &= ~crit.at(k)
+        keep &= np.bitwise_and(r, U_RHO | CRIT, out=r) == U_RHO
         if not keep.all():
             alive[idx[~keep]] = False
         return keep
 
-    trap = interior_trap(S.P, max_iter, avoid=(crit,), stay_in=(u_rho,))
+    trap = interior_trap(S.P, max_iter, regions, avoid=CRIT, stay_in=U_RHO)
     sweep_pixels(grid, max_iter, step, threads, trap)
     return Mask(grid, alive.reshape(grid.resolution, -1))
 

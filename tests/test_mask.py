@@ -7,16 +7,18 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from polyrenorm import avoiding, render
-from polyrenorm import (GridSpec, Mask, PixelRaster, Polynomial, compare_masks,
-                        connected_components, equipotential_polyline, escape_analysis,
-                        load_mask_raw, nonescaping_mask, save_mask_raw, wedge_raster)
+from polyrenorm import (GridSpec, Mask, PixelRaster, Polynomial, build_carrots, build_family,
+                        build_surgery, compare_masks, connected_components,
+                        equipotential_polyline, escape_analysis, load_mask_raw,
+                        nonescaping_mask, save_mask_raw, wedge_raster)
 from polyrenorm.avoiding import (InteriorTrap, _laurent, count_components, covering_window,
                                  dilate, erode, interior_trap)
 from polyrenorm.errors import GridMismatch
 from polyrenorm.grid import (POOL_AFTER, crossing_parity, distance_to_polyline, fill_polygon,
                              sweep_pixels)
+from polyrenorm.surgery import CRIT, U_RHO, U_RHO_D
 
-from conftest import BASILICA, CUBIC, SQUARE
+from conftest import BASILICA, CUBIC, G0, RHO, SQUARE
 
 STRUCT8 = np.ones((3, 3), dtype=bool)
 RABBIT = Polynomial((complex(-0.12256116687665362, 0.7448617666197442), 0, 1))
@@ -395,15 +397,15 @@ def test_linspace_is_the_product_with_the_reciprocal():
 
 # -- reference sweeps: the plain loops the pixel sweeps must reproduce bit for bit
 
-def _reference_lookup(raster, z):
-    """Bounds-masked 2-D lookup: points outside the window (or not finite)
-    read False."""
+def _reference_lookup(raster, z, bit=1):
+    """Bounds-masked 2-D lookup of one layer: points outside the window (or
+    not finite) read False."""
     with np.errstate(invalid="ignore"):
         i, j = raster.grid.index_arrays(z)
     n = raster.grid.resolution
     ok = (i >= 0) & (i < n) & (j >= 0) & (j < n)
     out = np.zeros(z.shape, dtype=bool)
-    out[ok] = raster.bits[i[ok], j[ok]]
+    out[ok] = raster.layer(bit)[i[ok], j[ok]]
     return out
 
 
@@ -442,8 +444,8 @@ def _majority(bits):
 
 def test_raster_lookup_matches_bounds_masked_reference(fig1_family):
     grid = GridSpec(complex(-2.2, 0.1), 1.0, 64)
-    raster = PixelRaster(grid, [fig1_family.wedges[0].boundary])  # crosses the window
-    assert raster.bits.any() and not raster.bits.all()
+    raster = PixelRaster(grid, [[fig1_family.wedges[0].boundary]])  # crosses the window
+    assert raster.layer(1).any() and not raster.layer(1).all()
     n, px = grid.resolution, grid.pixel
     left = grid.center.real - grid.width / 2
     top = grid.center.imag + grid.width / 2
@@ -466,7 +468,7 @@ def test_raster_lookup_matches_bounds_masked_reference(fig1_family):
     assert got.dtype == bool and got.shape == z.shape
     assert (got == _reference_lookup(raster, z)).all()
     assert got.any()
-    # the rasters of one grid share flat indices
+    # one `index` and one `at` call read the same bits
     k = raster.index(z)
     assert (raster.at(k) == got).all()
 
@@ -493,13 +495,12 @@ def test_escape_analysis_matches_reference_loop(case, fig1_family):
 
 
 def _reference_nonescaping(S, grid, max_iter):
-    crit, u_rho = S.crit, S.u_rho
     z = grid.centers().ravel()
     alive = np.ones(z.size, dtype=bool)
     live = np.arange(z.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            inside = _reference_lookup(u_rho, z) & ~_reference_lookup(crit, z)
+            inside = _reference_lookup(S.regions, z, U_RHO) & ~_reference_lookup(S.regions, z, CRIT)
             alive[live[~inside]] = False
             live, z = live[inside], _reference_P(S.P, z[inside])
             bad = ~np.isfinite(z.real) | ~np.isfinite(z.imag)
@@ -628,7 +629,7 @@ def test_trapped_sweep_matches_reference_threads_and_supersample(name, fig1_fami
                  "rabbit": (RABBIT, None)}[name]
     grid = GridSpec(complex(-1.25, 0.0), 4.5, 64) if P is CUBIC else GridSpec(0j, 3.5, 64)
     raster = wedge_raster(P, family) if family is not None else None
-    assert interior_trap(P, 256, avoid=(raster,) if raster is not None else ())
+    assert interior_trap(P, 256, raster, avoid=1 if raster is not None else 0)
     esc, hit = _reference_escape(P, raster, grid.subdivide(2), 256)
     kp, av = _majority(esc == 0), _majority((esc == 0) & ~hit)
     res = escape_analysis(P, grid, 256, raster=raster, supersample=2, threads=2)
@@ -640,14 +641,13 @@ def test_trapped_sweep_matches_reference_threads_and_supersample(name, fig1_fami
 
 def test_nonescaping_mask_threads_match(fig1_surgery):
     grid = GridSpec(complex(-1.25, 0.0), 4.5, 128)
-    crit, u_rho = fig1_surgery.crit, fig1_surgery.u_rho
-    assert interior_trap(CUBIC, 256, avoid=(crit,), stay_in=(u_rho,))
+    assert interior_trap(CUBIC, 256, fig1_surgery.regions, avoid=CRIT, stay_in=U_RHO)
     one = nonescaping_mask(fig1_surgery, grid, 256, threads=1).bits
     assert (nonescaping_mask(fig1_surgery, grid, 256, threads=2).bits == one).all()
 
 
 def test_trap_catches_bounded_pixels(fig1_masks, fig1_grid, fig1_family):
-    trap = interior_trap(CUBIC, 256, avoid=(wedge_raster(CUBIC, fig1_family),))
+    trap = interior_trap(CUBIC, 256, wedge_raster(CUBIC, fig1_family), avoid=1)
     z = fig1_grid.centers()[fig1_masks.kp.bits]
     caught = np.zeros(z.size, dtype=bool)
     for _ in range(256):
@@ -864,7 +864,7 @@ def test_wedge_raster_matches_reference_fill(fig1_family, fig1_raster):
     for poly in walls:
         fill_polygon(bits, win, poly)
     assert fig1_raster.grid == win
-    assert (fig1_raster.bits == bits).all()
+    assert (fig1_raster.layer(1) == bits).all()
 
 
 def test_surgery_window_matches_reference_loop(fig1_surgery):
@@ -872,3 +872,134 @@ def test_surgery_window_matches_reference_loop(fig1_surgery):
     outer = np.asarray(equipotential_polyline(CUBIC, CUBIC.degree * S.g0, 256))
     ref, _ = _reference_window(CUBIC, [outer] + [c.boundary for c in S.carrots])
     assert S.window == ref
+
+
+# -- the surgery's regions: one uint8 raster over the box of its set pixels
+
+@pytest.fixture(scope="module")
+def z2_minus_5_4_surgery():
+    # no cuts, so the critical layer is empty
+    P = Polynomial((-1.25, 0, 1))
+    family = build_family(P, [], g0=G0)
+    return build_surgery(P, family, RHO, build_carrots(P, family.cuts, RHO))
+
+
+@pytest.fixture(scope="module", params=["figure1", "z2_minus_5_4"])
+def regions_case(request, fig1_surgery, z2_minus_5_4_surgery):
+    """(surgery, {bit: the layer filled into a window-sized bool array})."""
+    S = fig1_surgery if request.param == "figure1" else z2_minus_5_4_surgery
+    P, n = S.P, S.window.resolution
+    polygons = {CRIT: [S.carrots[i].boundary for i in S.critical],
+                U_RHO: [equipotential_polyline(P, S.g0, 1024)],
+                U_RHO_D: [equipotential_polyline(P, P.degree * S.g0, 1024)]}
+    full = {}
+    for bit, polys in polygons.items():
+        full[bit] = np.zeros((n, n), dtype=bool)
+        for poly in polys:
+            fill_polygon(full[bit], S.window, poly)
+    assert full[CRIT].any() == (request.param == "figure1")
+    return S, full
+
+
+def test_region_layers_match_full_size_fill(regions_case):
+    S, full = regions_case
+    for bit, bits in full.items():
+        assert (S.regions.layer(bit) == bits).all()
+    # blocks straddling the edges of the set pixels and of the window
+    union = full[CRIT] | full[U_RHO] | full[U_RHO_D]
+    rows, cols = np.flatnonzero(union.any(axis=1)), np.flatnonzero(union.any(axis=0))
+    n = S.window.resolution
+    padded = np.pad(full[U_RHO_D], 10)
+    for i0, j0 in [(rows[0] - 3, cols[0] - 3), (rows[-1] - 2, cols[-1] - 2), (-2, -3),
+                   (n - 5, n - 5), (rows[0] + 40, cols[0] - 1)]:
+        i1, j1 = i0 + 7, j0 + 9
+        ref = padded[i0 + 10:i1 + 10, j0 + 10:j1 + 10]
+        assert (S.regions.layer(U_RHO_D, i0, i1, j0, j1) == ref).all()
+
+
+def test_region_index_at_matches_bounds_masked_reference(regions_case):
+    S, full = regions_case
+    grid, n, px = S.window, S.window.resolution, S.window.pixel
+    left = grid.center.real - grid.width / 2
+    top = grid.center.imag + grid.width / 2
+    union = full[CRIT] | full[U_RHO] | full[U_RHO_D]
+    rows, cols = np.flatnonzero(union.any(axis=1)), np.flatnonzero(union.any(axis=0))
+    rng = np.random.default_rng(5)
+    pts = [rng.uniform(left - 1, left + grid.width + 1, 20000)
+           + 1j * rng.uniform(top - grid.width - 1, top + 1, 20000)]
+    # pixel edges and centers on the rows and columns next to the edges of
+    # the set pixels, and on the window's own edges
+    steps = np.arange(-3, 4, 0.5)
+    ii = np.concatenate([rows[0] + steps, rows[-1] + 1 + steps, [-1, 0, n, n + 0.5]])
+    jj = np.concatenate([cols[0] + steps, cols[-1] + 1 + steps, [-1, 0, n, n + 0.5]])
+    xs, ys = left + jj * px, top - ii * px
+    xs_all, ys_all = left + np.arange(-1, n + 2, 0.5) * px, top - np.arange(-1, n + 2, 0.5) * px
+    pts.append((xs_all[np.newaxis, :] + 1j * ys[:, np.newaxis]).ravel())
+    pts.append((xs[np.newaxis, :] + 1j * ys_all[:, np.newaxis]).ravel())
+    special = [np.inf, -np.inf, np.nan, grid.center.real, grid.center.imag]
+    pts.append(np.array([complex(a, b) for a in special for b in special]))
+    z = np.concatenate(pts)
+    got = S.regions.at(S.regions.index(z))
+    assert got.dtype == np.uint8
+    with np.errstate(invalid="ignore"):
+        i, j = grid.index_arrays(z)
+    ok = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+    for bit, bits in full.items():
+        ref = np.zeros(z.shape, dtype=bool)
+        ref[ok] = bits[i[ok], j[ok]]
+        assert ((got & bit) > 0).tolist() == ref.tolist()
+        assert ((got & bit) > 0).any() == bits.any()
+
+
+def _reference_clear_of(bits, grid, keep_inside, center, radius, may_meet):
+    """`_clear_of` on a window-sized bool layer, as the plain block read."""
+    n, px = grid.resolution, grid.pixel
+    s = 1.5 * math.sqrt(2.0) * px
+    left, top = grid.center.real - grid.width / 2, grid.center.imag + grid.width / 2
+    j0, j1 = (math.floor((center.real + sgn * (radius + s) - left) / px) for sgn in (-1, 1))
+    i0, i1 = (math.floor((top - center.imag - sgn * (radius + s)) / px) for sgn in (1, -1))
+    if keep_inside and not (0 <= j0 and j1 < n and 0 <= i0 and i1 < n):
+        return False
+    i0, j0 = max(i0, 0), max(j0, 0)
+    i1, j1 = min(i1, n - 1), min(j1, n - 1)
+    if i1 < i0 or j1 < j0:
+        return True
+    block = bits[i0:i1 + 1, j0:j1 + 1]
+    ii, jj = np.nonzero(~block if keep_inside else block)
+    x = (left + (jj + j0 + 0.5) * px) + 1j * (top - (ii + i0 + 0.5) * px)
+    return not may_meet(x, s).any()
+
+
+def test_clear_of_on_the_regions_matches_full_raster_reference(regions_case):
+    S, full = regions_case
+    grid, px = S.window, S.window.pixel
+    union = full[CRIT] | full[U_RHO] | full[U_RHO_D]
+    rows, cols = np.flatnonzero(union.any(axis=1)), np.flatnonzero(union.any(axis=0))
+    rng = np.random.default_rng(11)
+    # centers near the corners of the set pixels' box, near the window's
+    # corners and anywhere, with radii of a few to a few hundred pixels
+    corners = [grid.center_of(i, j) for i in (rows[0], rows[-1], 0, grid.resolution - 1)
+               for j in (cols[0], cols[-1], 0, grid.resolution - 1)]
+    centers = [c + complex(*rng.normal(0, 20 * px, 2)) for c in corners for _ in range(2)]
+    centers += [grid.center_of(*rng.integers(0, grid.resolution, 2)) for _ in range(8)]
+    outcomes = set()
+    for center in centers:
+        radius = float(rng.choice([3, 30, 300])) * px
+        for may_meet in (lambda x, s: np.abs(x - center) <= radius + s,
+                         lambda x, s: np.ones(x.shape, dtype=bool)):
+            for bit, bits in full.items():
+                for keep_inside in (False, True):
+                    want = _reference_clear_of(bits, grid, keep_inside, center, radius, may_meet)
+                    assert avoiding._clear_of(S.regions, bit, keep_inside, center, radius,
+                                              may_meet) == want
+                    outcomes.add(want)
+    assert outcomes == {False, True}
+
+
+def test_surgery_regions_are_one_small_array(fig1_surgery):
+    # the three region rasters of figure1's surgery took 3 x 16.8 MB
+    S = fig1_surgery
+    arrays = [v for v in vars(S.regions).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0].dtype == np.uint8
+    assert arrays[0].nbytes <= 12e6
+    assert [k for k, v in vars(S).items() if isinstance(v, PixelRaster)] == ["regions"]

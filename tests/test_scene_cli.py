@@ -154,9 +154,9 @@ def test_figure1_certifies_each_trap_once(tmp_path, monkeypatch):
     traps, sweeps = [], []
     real_trap, real_sweep = avoiding.interior_trap, avoiding.escape_analysis
 
-    def trap(P, max_iter, avoid=(), stay_in=()):
-        traps.append((max_iter, tuple(map(id, avoid)), tuple(map(id, stay_in))))
-        return real_trap(P, max_iter, avoid, stay_in)
+    def trap(P, max_iter, raster=None, avoid=0, stay_in=0):
+        traps.append((max_iter, id(raster), avoid, stay_in))
+        return real_trap(P, max_iter, raster, avoid, stay_in)
 
     def sweep(P, grid, max_iter, **kwargs):
         sweeps.append((grid.resolution, max_iter))

@@ -16,8 +16,8 @@ from polyrenorm.bottcher import bottcher_point, equipotential_points
 from polyrenorm.carrots import Carrot
 from polyrenorm.errors import CarrotOverlap, DegreeMismatch
 from polyrenorm.grid import distance_to_polyline
-from polyrenorm.surgery import (T0, CoonsPatch, ExteriorCap, VisitReport, _interp,
-                                dilatation_report)
+from polyrenorm.surgery import (CRIT, T0, U_RHO, U_RHO_D, CoonsPatch, ExteriorCap,
+                                VisitReport, _interp, dilatation_report)
 
 from conftest import CUBIC, G0, RHO
 
@@ -196,8 +196,8 @@ def _reference_visits(S, n_seeds, max_iter, win, seed):
         for _ in range(max_iter):
             if live.size == 0:
                 break
-            k = S.crit.index(zz)
-            in_crit, in_ud, in_u = S.crit.at(k), S.u_rho_d.at(k), S.u_rho.at(k)
+            r = S.regions.at(S.regions.index(zz))
+            in_crit, in_ud, in_u = (r & CRIT) > 0, (r & U_RHO_D) > 0, (r & U_RHO) > 0
             visits_crit[live[in_crit]] += 1
             visits_blend[live[in_ud & ~in_u & ~in_crit]] += 1
             out = S.P(zz)

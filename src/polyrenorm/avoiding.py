@@ -11,7 +11,7 @@ from numpy.polynomial import polynomial as npp
 
 from .grid import Mask, PixelRaster, sweep_pixels
 from .errors import GridMismatch
-from .poly import Polynomial, return_petals, unity_order
+from .poly import Polynomial, horner_error, return_petals, unity_order
 from .scene import GridSpec
 
 if TYPE_CHECKING:
@@ -109,17 +109,6 @@ def _laurent(a, v):
     return acc
 
 
-def _abs_sum(cs, x: float) -> float:
-    return sum(abs(c) * x ** k for k, c in enumerate(cs))
-
-
-def _horner_error(P: Polynomial, x: float) -> float:
-    """Bound on |fl(P(z)) - P(z)| for |z| <= x under the in-place Horner of
-    `Polynomial.__call__`: d complex products, each within sqrt(2)*gamma_2 of
-    exact, and d sums, each within u; 8 d u covers both with room."""
-    return 8 * P.degree * _U * _abs_sum(P.coeffs, x)
-
-
 def _taylor_bounds(P: Polynomial, z0: complex) -> tuple[list[complex], list[float]]:
     """Float Taylor coefficients of P at z0 and bounds on their errors: the
     synthetic division runs at most (d+1)^2 multiply-adds on terms bounded by
@@ -176,7 +165,7 @@ def _attracting_disks(P: Polynomial, cycle, clear) -> list:
                 break
             radii.append(abs(t[0] - pts[(j + 1) % n]) + err[0]
                          + sum((abs(t[k]) + err[k]) * r ** k for k in range(1, len(t)))
-                         + _horner_error(P, abs(pts[j]) + r))
+                         + horner_error(P, abs(pts[j]) + r))
         else:
             if radii[n] > radii[0]:
                 continue
@@ -327,7 +316,7 @@ def _parabolic_lobes(P: Polynomial, cycle, max_iter: int, clear) -> list:
         if rho_hi <= rho_lo or abs(z0) + rho_hi > R * (1 - 1e-9) or F_min <= 0:
             continue
         delta = (abs(t[0] - z0) + err[0] + npp.polyval(rho_hi, [0.0] + err[1:])
-                 + _horner_error(P, abs(z0) + rho_hi))
+                 + horner_error(P, abs(z0) + rho_hi))
         u_lo = rho_lo * F_min - delta
         if u_lo <= 0:
             continue

@@ -40,6 +40,7 @@ rejected step inserts the midpoint node.  Angles are carried as an
 exact rational part plus a float offset that scales with the potential, so
 deep tails lose no angular precision.  An external angle is read off the
 Boettcher product formula far out on the orbit and pulled back along it.
+A ray lands at `poly.terminal_point`'s exact point by one rule (`landing_point`).
 
 A scalar engine on Python complex, so `polyrenorm ray` starts without numpy:
 rays, spirals and equipotentials are tuples or lists of Python complex and
@@ -63,7 +64,8 @@ from typing import Optional, Sequence
 
 from .angles import Angle, tuple_orbit
 from .errors import BranchJump, NonConvergence, RenormError
-from .poly import InverseBottcher, Polynomial, green_potential, newton_preperiodic
+from .poly import (Cycle, InverseBottcher, Polynomial, green_potential, newton_preperiodic,
+                   terminal_point)
 
 # The two floors, as margins above the largest critical Green potential g_max
 # (`InverseBottcher.g_max`), where the inverse Boettcher series converges:
@@ -346,9 +348,19 @@ def equipotential_points(P: Polynomial, g: float, frac: Fraction,
 
 @dataclass(frozen=True)
 class Landing:
+    """Where a ray lands and its terminal cycle (repelling or parabolic);
+    a ray that does not certifiably land has none and keeps its tail's end."""
+
     point: complex
-    converged: bool
-    method: str  # geometric | polished | cauchy | none
+    cycle: Optional[Cycle]
+
+    @property
+    def converged(self) -> bool:
+        return self.cycle is not None
+
+    @property
+    def kind(self) -> str:
+        return "none" if self.cycle is None else self.cycle.kind
 
 
 @dataclass(frozen=True)
@@ -482,49 +494,26 @@ def trace_ray(P: Polynomial, theta: Angle, g_start: float, g_end: float,
 
 
 def landing_point(ray: RayPolyline, P: Polynomial) -> Landing:
-    """Landing analysis of a deeply traced ray.
-
-    Primary test: geometric contraction of the tail (ratio < 0.95 over the
-    last 10 levels) with the tail already inside a 1e-6 neighbourhood.
-    Rational angles are then polished by `newton_preperiodic` on the
-    equation identified by the angle orbit, down to its rounding noise:
-    about 1e-8 at a double root (a precritical landing), a few 1e-6 at a
-    triple one (a parabolic landing); a polish that ends farther than
-    2 (1 + |z|) from the tail's end z is dropped.  Parabolic landings
-    approach only like a power of 1/log(1/potential), so they are accepted
-    through the polished root when the tail moves monotonically toward it.
-    """
+    """Landing of a deeply traced rational ray: the tail's end z polished by
+    `newton_preperiodic` on the angle orbit's equation (dropped farther than
+    2 (1 + |z|) away), then `terminal_point`'s point and cycle.  Over the
+    last 40 levels the tail must never move away from that point by more
+    than 1e-6 + 1e-9 times its distance and must end within 0.25 of it
+    (parabolic tails approach only like a power of 1/log(1/potential))."""
     if ray.potentials[-1] >= 1e-8:
         raise ValueError("ray must be traced to potential below 1e-8")
-    pts = ray.points
-    tail = pts[-11:]
-    diffs = [abs(b - a) for a, b in zip(tail, tail[1:])]
-    geometric = all(b <= 0.95 * a + 1e-15 for a, b in zip(diffs, diffs[1:]) if a != 0)
-    est = pts[-1]
-
+    est = ray.points[-1]
     preperiod, period, _ = tuple_orbit(ray.angle, P.degree)
     polished = newton_preperiodic(P, est, preperiod, period)
-    if polished is not None and abs(polished - est) > 2.0 * (1.0 + abs(est)):
-        polished = None
-
-    if polished is not None and abs(polished - est) < 1e-6:
-        if all(abs(z - polished) < 1e-6 for z in tail):
-            return Landing(polished, True, "geometric" if geometric else "polished")
-    spread = [abs(z - est) for z in tail]
-    if geometric and (not any(diffs) or max(spread[:-1]) < 1e-6):
-        return Landing(est, True, "geometric")
-
-    if polished is not None:
-        # sub-geometric (parabolic) approach: require monotone approach
-        dist = [abs(z - polished) for z in pts[-40:]]
-        monotone = all(b - a <= 1e-15 + 1e-9 * a for a, b in zip(dist, dist[1:]))
-        if monotone and dist[-1] < 0.25:
-            return Landing(polished, True, "polished")
-
-    # secondary Cauchy criterion for slow tails
-    if max(spread) < 1e-5:
-        return Landing(est, True, "cauchy")
-    return Landing(est, False, "none")
+    if polished is not None and abs(polished - est) <= 2.0 * (1.0 + abs(est)):
+        found = terminal_point(P, polished, preperiod, period)
+        if found is not None:
+            z, cyc = found
+            dist = [abs(w - z) for w in ray.points[-40:]]
+            if (all(b - a <= 1e-6 + 1e-9 * a for a, b in zip(dist, dist[1:]))
+                    and dist[-1] < 0.25):
+                return Landing(z, cyc)
+    return Landing(est, None)
 
 
 def land_rays(P: Polynomial, thetas: Sequence[Angle], *, g_start: float = 2.0,
@@ -536,8 +525,8 @@ def land_rays(P: Polynomial, thetas: Sequence[Angle], *, g_start: float = 2.0,
     a small power of the potential; each ray is deepened adaptively, to its
     own depth, with the required depth estimated from the observed approach
     exponent, by extending its orbit ladder.  Parabolic approaches cannot
-    reach the landing point at representable potentials and keep their
-    polished landing.
+    reach the landing point at representable potentials; they land by
+    `landing_point`'s approach test.
     """
     def land(theta: Angle, lad: _OrbitLadder, keep: int) -> RayPolyline:
         ray = _ray_on(lad, theta, g_land, keep)

@@ -197,14 +197,14 @@ def _write_rays(run: Run) -> list[Verdict]:
 def _landings(run: Run) -> list[Verdict]:
     return [(f"ray {ray.angle}", ray.landing.converged,
              f"{'lands' if ray.landing.converged else 'does not certifiably land'} "
-             f"at {ray.landing.point:.9g} ({ray.landing.method})") for ray in run.rays]
+             f"at {ray.landing.point:.9g} ({ray.landing.kind})") for ray in run.rays]
 
 
 def _write_checks(run: Run) -> list[Verdict]:
     from .cuts import check_admissible, check_legal
     P, family = run.scene.polynomial, run.family
     reports = {"admissible": check_admissible(P, family),
-               "legal": check_legal(P, family)}
+               "legal": check_legal(family)}
     _write_rows(run.path("checks.csv"), ["check", "subject", "verdict", "detail"],
                 [[r.check, r.subject, _pass(r.ok), r.detail]
                  for rep in reports.values() for r in rep.rows])

@@ -1,7 +1,8 @@
 """Cuts, wedges and cut families: admissibility, legality, root classification.
 
-A root's terminal cycle comes from `poly.cycle_through` and its petals from
-`poly.return_petals`; no cycle census runs here."""
+A root's terminal cycle is the one its rays land on (`bottcher.Landing`), its
+petals come from `poly.return_petals`, and it is critical when it is one of
+`poly.critical_points`, which a landing takes exactly; no census runs here."""
 
 from __future__ import annotations
 
@@ -18,11 +19,10 @@ from .bottcher import (RayPolyline, bottcher_point, equipotential_arc, external_
                        land_rays)
 from .errors import DegreeMismatch, NoColanding, RayNotConverged
 from .grid import crossing_parity, distance_to_polyline
-from .poly import (Cycle, Polynomial, critical_points, cycle_through, green_potential,
-                   return_petals, unity_order)
+from .poly import (Cycle, Polynomial, critical_points, green_potential, return_petals,
+                   unity_order)
 
 COLAND_TOL = 1e-5
-ROOT_MATCH_TOL = 1e-6
 BOUNDARY_EPS = 1e-9
 PETAL_RADIUS = 1e-4
 
@@ -205,45 +205,22 @@ def build_family(P: Polynomial, pairs: Sequence[tuple[Angle, Angle]], *,
     reached = {j for i, c in enumerate(cuts) if not c.degenerate for j in fam.orbit(i)}
     fam.flags = tuple(
         CutFlags(periodic=periodic_flags[i],
-                 critical_root=min((abs(c.root - cp) for cp in crit),
-                                   default=math.inf) < ROOT_MATCH_TOL,
+                 critical_root=c.root in crit,
                  fictitious=c.degenerate and i not in reached)
         for i, c in enumerate(cuts))
     fam.root_class = tuple(classify_root(P, fam, c) for c in cuts)
     return fam
 
 
-def _terminal_cycle(P: Polynomial, cut: Cut) -> Optional[Cycle]:
-    """The cycle the cut's root eventually lands on: with l and p the
-    preperiod and period of theta_r, the cycle `cycle_through` finds from
-    P^l(root) for the least divisor n of p that returns a cycle through a
-    point within 1e-5 of P^l(root), or None."""
-    pre_r, per_r, _ = tuple_orbit(cut.theta_r, P.degree)
-    z = P.iterate(cut.root, pre_r)
-    for n in (n for n in range(1, per_r + 1) if per_r % n == 0):
-        cyc = cycle_through(P, z, n)
-        if cyc is not None and cyc.contains(z, tol=1e-5):
-            return cyc
-    return None
-
-
 def classify_root(P: Polynomial, family: CutFamily, cut: Cut) -> str:
     """outward-repelling / outward-parabolic / unresolved.
 
-    A parabolic terminal cycle is probed through its attracting directions: if
-    a direction vector at the root points into some wedge of the family the
-    root is outward-parabolic.
+    A parabolic terminal cycle through the root (periodic angles) is probed
+    through its attracting directions: if a direction vector at the root
+    points into some wedge of the family the root is outward-parabolic.
     """
-    cyc = _terminal_cycle(P, cut)
-    if cyc is None:
-        return "unresolved"
-    if cyc.kind == "repelling":
-        return "outward-repelling"
-    if cyc.kind != "parabolic":
-        return "unresolved"
-    # the root itself must be on the parabolic cycle for petals to be attached
-    on_cycle = cyc.contains(cut.root, tol=1e-5)
-    if not on_cycle:
+    cyc = cut.ray_r.landing.cycle
+    if cyc.kind == "repelling" or tuple_orbit(cut.theta_r, P.degree)[0] > 0:
         return "outward-repelling"
     dirs = _attracting_directions(P, cyc, cut.root)
     if dirs is None:
@@ -338,7 +315,7 @@ def _cut_samples(cut: Cut) -> list[complex]:
     return out
 
 
-def check_legal(P: Polynomial, family: CutFamily) -> FamilyReport:
+def check_legal(family: CutFamily) -> FamilyReport:
     """Legality: no fictitious cuts, no nondegenerate periodic cuts, and every
     nondegenerate cut is (pre)critical with a repelling degenerate terminus."""
     rows: list[CheckRow] = []
@@ -376,14 +353,11 @@ def check_legal(P: Polynomial, family: CutFamily) -> FamilyReport:
                                  "forward orbit reaches no degenerate cut"))
         else:
             tcut = family.cuts[terminal]
-            cyc = _terminal_cycle(P, tcut)
-            ok = cyc is not None and cyc.kind == "repelling"
-            lam = cyc.multiplier if cyc is not None else float("nan")
+            cyc = tcut.ray_r.landing.cycle
             rows.append(CheckRow(
-                "terminus", subj, ok,
+                "terminus", subj, cyc.kind == "repelling",
                 f"root {cut.root:.6g} maps to degenerate cut at {tcut.root:.6g}; "
-                + (f"terminal cycle multiplier {lam:.6g} ({cyc.kind})" if cyc is not None
-                   else "terminal cycle unidentified")))
+                f"terminal cycle multiplier {cyc.multiplier:.6g} ({cyc.kind})"))
     for i, cls in enumerate(family.root_class):
         rows.append(CheckRow("outward-class", f"cut{i}", cls != "outward-parabolic",
                              cls))

@@ -2,7 +2,8 @@
 potential and the inverse Boettcher series.
 
 `cycle_through` polishes a point onto its cycle and classifies it for every
-caller; `return_petals` reads a cycle's petals off its return map.
+caller; `return_petals` reads a cycle's petals off its return map;
+`terminal_point` gives a rational ray's exact landing point and cycle.
 
 The scalar path runs on Python complex; numpy is imported inside the array
 code (companion roots, the cycle census, the return-map series, P and P' on
@@ -296,12 +297,19 @@ def newton(fdf, z: complex, bail: float = math.inf) -> complex | None:
     return z
 
 
+def horner_error(P: Polynomial, x: float) -> float:
+    """Bound on |fl(P(z)) - P(z)| for |z| <= x under the in-place Horner of
+    `Polynomial.__call__`: d complex products, each within sqrt(2)*gamma_2 of
+    exact, and d sums, each within u; 8 d u covers both with room."""
+    return 8 * P.degree * 2.0**-53 * sum(abs(c) * x**k for k, c in enumerate(P.coeffs))
+
+
 def newton_preperiodic(P: Polynomial, z: complex, preperiod: int, period: int,
                        bail: float = math.inf) -> complex | None:
     """`newton` from z on P^(l+p)(w) - P^l(w), l = preperiod and p = period,
     with P^l, P^(l+p) and both derivatives from one chain-rule pass.  At a
-    multiple root the steps stop on a noise shell, so each caller applies
-    its own acceptance test."""
+    multiple root the steps stop on a noise shell (`terminal_point` then
+    finds the exact point)."""
     def fdf(w):
         b, db = P.iterate_with_deriv(w, preperiod)
         a, da = b, db
@@ -539,6 +547,44 @@ def cycle_through(P: Polynomial, z: complex, n: int) -> Optional[Cycle]:
         return None
     _, lam = P.iterate_with_deriv(p, n)
     return Cycle(tuple(P.iterate(p, k) for k in range(n)), n, lam, classify_multiplier(lam))
+
+
+def terminal_point(P: Polynomial, est: complex, preperiod: int,
+                   period: int) -> Optional[tuple[complex, Cycle]]:
+    """(z, cycle) with z near est, P^l(z) on the cycle and its period
+    dividing p, l = preperiod and p = period: where a rational ray of that
+    preperiod and period lands (Milnor, *Dynamics in One Complex Variable*,
+    §18); None where no cycle is found.
+
+    The cycle is `cycle_through` P^l(est) for the least divisor n of p whose
+    cycle passes within 1e-5 of P^l(est), so its point is a simple root of
+    P^n(z) - z, found to rounding, unless the multiplier is 1.  It is pulled
+    back along est's orbit by `newton` on P(w) - t.  Newton stops on a noise
+    shell at a multiple root, so a result w next to a critical point c with
+    P(c) = t within `horner_error` (err) becomes c when |P'(w)(w - c)| <=
+    d (|P(w) - t| + 2 err), as P'(w)(w - c) ~ m (P(w) - P(c)) at c's
+    multiplicity m <= d.
+    """
+    orbit = [est]
+    for _ in range(preperiod):
+        orbit.append(P(orbit[-1]))
+    w = orbit.pop()
+    cycles = (cycle_through(P, w, n) for n in range(1, period + 1) if period % n == 0)
+    cyc = next((c for c in cycles if c is not None and c.contains(w, tol=1e-5)), None)
+    if cyc is None:
+        return None
+    z, crit = cyc.points[0], critical_points(P) if orbit else []
+    for seed in reversed(orbit):
+        t, z = z, newton(lambda v, t=z: (P(v) - t, P.deriv(v)), seed)
+        w = seed if z is None else z
+        c = min(crit, key=lambda c: abs(c - w))
+        err = horner_error(P, abs(c))
+        if (abs(P(c) - t) <= err
+                and abs(P.deriv(w) * (w - c)) <= P.degree * (abs(P(w) - t) + 2 * err)):
+            z = c
+        if z is None:
+            return None
+    return z, cyc
 
 
 def return_petals(taylors: Sequence[Sequence[complex]], q: int) -> Optional[tuple[int, complex]]:

@@ -365,7 +365,7 @@ def build_surgery(P: Polynomial, family: CutFamily, rho: float,
     generic equipotential points (away from the image carrots, where the
     count is the topological degree).
     """
-    legal = check_legal(P, family)
+    legal = check_legal(family)
     hard = [r for r in legal.failures() if r.check != "fictitious"]
     if hard:
         msgs = "; ".join(f"{r.check}[{r.subject}]" for r in hard)

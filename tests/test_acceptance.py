@@ -83,7 +83,7 @@ def test_criterion_4_legality(family):
     with criterion(4, "cut family is admissible and legal; -2 maps to repelling 0"):
         from polyrenorm import check_admissible, check_legal
         adm = check_admissible(CUBIC, family)
-        leg = check_legal(CUBIC, family)
+        leg = check_legal(family)
         assert adm.ok and leg.ok
         assert family.flags[0].critical_root
         terminus = [r for r in leg.rows if r.check == "terminus"][0]

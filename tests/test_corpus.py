@@ -20,8 +20,8 @@ The scenes in tests/scenes run at 64 pixels and 64 iterations:
   is evaluated there.  Its model degree is d_c = 3, so the quadratic
   candidate is refused.
 
-The landings at parabolic points (figure1's 1/3, the basilica's 1/3) sit a
-noise-level distance from the root; their digits follow the landing polish.
+Each `ray` line prints the exact landing point and the kind of its terminal
+cycle; `tests/test_rays.py` checks those points against mpmath.
 """
 
 from pathlib import Path
@@ -42,7 +42,7 @@ CANDIDATE = "error: candidate degree 2 != expected d_c 3"
 EXPECTED = {
     "figure1_64": {
         "julia": (0, "filled Julia mask: 214 pixels, 1 component(s) after closing"),
-        "ray": (0, "ray 1/3: lands at -2+1.05958609e-08j (polished)"),
+        "ray": (0, "ray 1/3: lands at -2+0j (repelling)"),
         "cuts-check": (0, "[PASS] admissible: 3 checks"),
         "avoid": (0, "[PASS] avoiding-strict-subset: 184 of 214 pixels"),
         "carrot": (0, ""),
@@ -62,7 +62,7 @@ EXPECTED = {
     },
     "rabbit": {
         "julia": (0, "filled Julia mask: 522 pixels, 1 component(s) after closing"),
-        "ray": (0, "ray 1/7: lands at -0.276337624+0.479727984j (polished)"),
+        "ray": (0, "ray 1/7: lands at -0.276337624+0.479727984j (repelling)"),
         "cuts-check": (2, "[PASS] admissible: 9 checks"),
         "avoid": (2, "[PASS] avoiding-strict-subset: 0 of 522 pixels"),
         "carrot": (1, CARROT_CROSS),
@@ -72,7 +72,7 @@ EXPECTED = {
     },
     "basilica": {
         "julia": (0, "filled Julia mask: 536 pixels, 1 component(s) after closing"),
-        "ray": (0, "ray 1/3: lands at 4.15040351e-12+7.49589907e-09j (polished)"),
+        "ray": (0, "ray 1/3: lands at 0+0j (parabolic)"),
         "cuts-check": (2, "[FAIL] admissible: 1 checks; forward-invariance cut0(1/3,2/3) failed"),
         "avoid": (2, "[PASS] avoiding-strict-subset: 0 of 536 pixels"),
         "carrot": (1, SPIRAL),
@@ -82,7 +82,7 @@ EXPECTED = {
     },
     "figure1_rho_near_one": {
         "julia": (0, "filled Julia mask: 214 pixels, 1 component(s) after closing"),
-        "ray": (0, "ray 1/3: lands at -2+1.05958609e-08j (polished)"),
+        "ray": (0, "ray 1/3: lands at -2+0j (repelling)"),
         "cuts-check": (1, SWEEP),
         "avoid": (1, SWEEP),
         "carrot": (1, SWEEP),

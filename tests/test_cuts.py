@@ -4,7 +4,7 @@ import pytest
 from polyrenorm import (Polynomial, build_family, check_admissible,
                         check_legal, classify_root, find_cycles)
 from polyrenorm.angles import Angle
-from polyrenorm.cuts import _attracting_directions, _terminal_cycle
+from polyrenorm.cuts import _attracting_directions
 from polyrenorm.poly import cycle_through, unity_order
 from polyrenorm.errors import NoColanding
 
@@ -65,12 +65,12 @@ def test_not_invariant_when_image_missing():
 
 
 def test_legal_fig1(fig1_family):
-    report = check_legal(CUBIC, fig1_family)
+    report = check_legal(fig1_family)
     assert report.ok
     terminus = [r for r in report.rows if r.check == "terminus"][0]
     assert "repelling" in terminus.detail and "multiplier 4" in terminus.detail
     # the identified terminal cycle really is the fixed point 0
-    cyc = _terminal_cycle(CUBIC, fig1_family.cuts[0])
+    cyc = fig1_family.cuts[0].ray_r.landing.cycle
     assert abs(cyc.points[0]) < 1e-9 and abs(cyc.multiplier - 4) < 1e-9
 
 
@@ -84,7 +84,7 @@ def test_illegal_periodic_nondegenerate_rabbit():
     for cut in fam.cuts:
         assert abs(cut.root - alpha) < 1e-6
     assert check_admissible(rabbit, fam).ok
-    report = check_legal(rabbit, fam)
+    report = check_legal(fam)
     assert not report.ok
     assert any(r.check == "periodic-nondegenerate" for r in report.failures())
 
@@ -98,7 +98,7 @@ def test_fictitious_flagged():
                                (Angle(1, 2), Angle(1, 2))], g0=G0)
     assert abs(fam.cuts[2].root + 3) < 1e-6
     assert fam.flags[2].fictitious
-    report = check_legal(CUBIC, fam)
+    report = check_legal(fam)
     assert any(r.check == "fictitious" and not r.ok for r in report.rows)
 
 
@@ -181,7 +181,7 @@ def test_parabolic_root_with_no_petal_in_a_wedge():
     fam = build_family(P, [(Angle(0, 1), Angle(0, 1))], g0=G0)
     cut = fam.cuts[0]
     assert cut.degenerate and abs(cut.root - 0.5) < 1e-6
-    cyc = _terminal_cycle(P, cut)
+    cyc = cut.ray_r.landing.cycle
     assert cyc.kind == "parabolic" and cyc.contains(cut.root, tol=1e-5)
     assert _attracting_directions(P, cyc, cut.root) == [pytest.approx(-1, abs=1e-12)]
     assert classify_root(P, fam, cut) == "outward-repelling"

@@ -565,3 +565,41 @@ def test_bottcher_point_against_mpmath(name):
         for theta in (Fraction(0), Fraction(1, 7), Fraction(1, 3), 0.2137):
             z, ref = bottcher_point(P, g, theta), _mp_point(P, g, theta)
             assert abs(z - ref) <= 1e-13 * abs(ref), (g, theta)
+
+
+# (polynomial, angles, coefficients of an equation the landing point solves,
+# constant term first, and a rough value picking its root)
+_LANDING_ORACLES = {
+    "figure1-critical": (CUBIC, ["1/3", "2/3"], (4, 8, 3), -2),      # P'(z) = 0
+    "figure1-parabolic": (CUBIC, ["1/4", "3/4"], (0, 3, 4, 1), -1),  # P(z) = z
+    "figure1-fixed": (CUBIC, ["0"], (0, 3, 4, 1), 0),
+    "rabbit-alpha": (RABBIT, ["1/7", "2/7", "4/7"], (RABBIT_C, -1, 1), -0.28 + 0.48j),
+    "basilica": (BASILICA, ["1/3"], (0, -2, 1), 0),
+    "z2-3/4": (Polynomial((-0.75, 0, 1)), ["1/3"], (-0.75, -1, 1), -0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_LANDING_ORACLES))
+def test_landing_points_against_mpmath_roots(name):
+    # each landing point is a root of its equation at 50 digits to 1e-12:
+    # the critical point -2, the parabolic fixed points -1, 0 and -1/2 (whose
+    # tails end on a noise shell 1e-8 to 1e-6 away) and repelling fixed points
+    import mpmath
+    P, angles, equation, rough = _LANDING_ORACLES[name]
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([mpmath.mpc(c) for c in reversed(equation)],
+                                 maxsteps=200, extraprec=200)
+        root = min(roots, key=lambda r: abs(r - rough))
+        for ray in land_rays(P, [Angle.parse(a) for a in angles]):
+            assert ray.landing.converged
+            assert abs(ray.landing.point - root) < 1e-12, (ray.angle, ray.landing.point)
+
+
+def test_conjugate_rays_land_alike():
+    # P is real, so rays 1/3 and 2/3 are complex conjugates: they land at the
+    # same point and are deepened to the same potential (they ended at
+    # 1.29692e-11 and 1.30823e-11 when the landing point was a noise-shell
+    # polish that each tail's rounding moved)
+    r13, r23 = land_rays(CUBIC, [Angle(1, 3), Angle(2, 3)])
+    assert r13.landing.point == r23.landing.point
+    assert r13.potentials[-1] == pytest.approx(r23.potentials[-1], rel=1e-9)

@@ -18,6 +18,7 @@ if TYPE_CHECKING:
     from .cuts import CutFamily
 
 RASTER_RES = 4096  # side of every lookup raster on a covering window
+STRIP_ROWS = 64  # mask rows that the closing and the component count hold at once
 
 
 def bounded_square(P: Polynomial) -> tuple[complex, float]:
@@ -422,7 +423,7 @@ def escape_analysis(P: Polynomial, grid: GridSpec, max_iter: int, *,
 
     def step(z, idx, it, buf):
         if raster is not None:
-            hit[idx[raster.lookup(z)]] = True
+            hit[idx[raster.lookup(z, buf.mod)]] = True
         np.abs(P(z, out=buf.out), out=buf.mod)
         keep = np.less_equal(buf.mod, R, out=buf.keep)  # False beyond R, at inf and at NaN
         if not keep.all():
@@ -438,7 +439,9 @@ def escape_analysis(P: Polynomial, grid: GridSpec, max_iter: int, *,
         return Mask(grid, _downsample_majority(bits) if supersample == 2 else bits)
 
     kp = esc == 0
-    return EscapeAnalysis(mask(kp), mask(kp & ~hit) if raster is not None else None,
+    if raster is not None:  # the avoiding bits, kp & ~hit, in hit's own buffer
+        np.logical_and(kp, np.logical_not(hit, out=hit), out=hit)
+    return EscapeAnalysis(mask(kp), mask(hit) if raster is not None else None,
                           esc[::supersample, ::supersample])
 
 
@@ -467,26 +470,34 @@ def erode(bits: np.ndarray, border_value: bool) -> np.ndarray:
 
 
 def count_components(bits: np.ndarray) -> int:
-    """Number of 8-connected components of a 2-D bool array.
+    """Number of 8-connected components of a 2-D bool array."""
+    return _count_strips((bits[i:i + STRIP_ROWS] for i in range(0, len(bits), STRIP_ROWS)),
+                         bits.shape[1])
 
-    A run-based two-scan count (He, Chao & Suzuki, IEEE Trans. Image
-    Process. 17(5), 2008).  The runs of each row come from the flat array
-    with one False appended to every row, so that a run's start and
-    exclusive end are flat positions k = row * (w + 1) + column.  Run a
-    touches run b of the next row when a.start <= b.end and b.start <= a.end;
-    those b form the index range [lo, hi) of two searchsorted calls.  The
-    runs are then merged by root hooking: each round hangs the larger root of
-    every edge that still joins two trees under the smallest root it meets,
-    then jumps pointers until every run points at its root.  A tree that
-    merges with none in one round is the larger end of an edge in the next,
-    so every tree merges within two rounds and the rounds are O(log runs).
+
+def _count_strips(strips, w: int) -> int:
+    """`count_components` of the array whose consecutive row strips, each w
+    wide, are `strips`: a run-based two-scan count (He, Chao & Suzuki, IEEE
+    Trans. Image Process. 17(5), 2008).  The runs of each row come from the
+    flat strip with one False appended to every row, its nonzero differences
+    alternately a run's start and exclusive end, at the flat positions
+    k = row * (w + 1) + column of the whole array.  Run a touches run b of
+    the next row when a.start <= b.end and b.start <= a.end; those b form
+    the index range [lo, hi) of two searchsorted calls.  The runs are then
+    merged by root hooking: each round hangs the larger root of every edge
+    that still joins two trees under the smallest root it meets, then jumps
+    pointers until every run points at its root.  A tree that merges with
+    none in one round is the larger end of an edge in the next, so every
+    tree merges within two rounds and the rounds are O(log runs).
     """
-    h, w = bits.shape
-    flat = np.zeros((h, w + 1), dtype=np.int8)
-    flat[:, :w] = bits
-    edge = np.diff(flat.ravel(), prepend=np.int8(0))
-    starts = np.flatnonzero(edge == 1)
-    ends = np.flatnonzero(edge == -1)
+    runs, k = [np.zeros(0, np.intp)], 0
+    for strip in strips:
+        flat = np.zeros((len(strip), w + 1), dtype=np.int8)
+        flat[:, :w] = strip
+        runs.append(np.flatnonzero(np.diff(flat.ravel(), prepend=np.int8(0))) + k)
+        k += flat.size
+    runs = np.concatenate(runs)
+    starts, ends = runs[::2], runs[1::2]
     lo = np.searchsorted(ends, starts + (w + 1), side="left")
     hi = np.searchsorted(starts, ends + (w + 1), side="right")
     touch = np.maximum(hi - lo, 0)
@@ -511,10 +522,15 @@ def count_components(bits: np.ndarray) -> int:
 def connected_components(mask: Mask) -> int:
     """Number of 8-connected components after one radius-1 closing pass (3x3
     square); thin cusps alias at finite resolution and would spuriously
-    disconnect."""
-    closed = erode(dilate(mask.bits, 1), False)
-    closed |= mask.bits
-    return count_components(closed)
+    disconnect.  The closing is taken, and counted, STRIP_ROWS rows at a
+    time, each strip's from two more rows of the mask on either side."""
+    bits, h = mask.bits, len(mask.bits)
+
+    def closed(i0):
+        i1, a = min(i0 + STRIP_ROWS, h), max(i0 - 2, 0)
+        return erode(dilate(bits[a:i1 + 2], 1), False)[i0 - a:i1 - a] | bits[i0:i1]
+
+    return _count_strips(map(closed, range(0, h, STRIP_ROWS)), bits.shape[1])
 
 
 @dataclass

@@ -326,12 +326,12 @@ def _write_figure1(run: Run) -> list[Verdict]:
     from . import grid, render
     scene, res = run.scene, run.sweep
     wedges = grid.PixelRaster(scene.grid, [run.family.walls]).layer(1)
-    img = render.render_scene_image(res.kp, res.avoiding, res.esc_steps, wedges)
+    classes = render.render_scene_image(res.kp, res.avoiding, res.esc_steps, wedges)
     for ray in run.rays:
-        render.draw_polyline(img, scene.grid, ray.points, render.COLOR_RAY)
+        render.draw_polyline(classes, scene.grid, ray.points, render.CLASS_RAY)
     for c in run.carrots:
-        render.draw_polyline(img, scene.grid, c.boundary, render.COLOR_CARROT)
-    render.write_ppm(run.path("figure1.ppm"), img)
+        render.draw_polyline(classes, scene.grid, c.boundary, render.CLASS_CARROT)
+    render.write_ppm(run.path("figure1.ppm"), classes)
     with open(run.path("summary.txt"), "w") as fh:
         fh.write("".join(_tagged(*v) + "\n" for v in run.verdicts))
     return []

@@ -206,13 +206,13 @@ class PixelRaster:
                 self._padded[a0 - i_lo:a1 - i_lo, b0 - j_lo:b1 - j_lo] & bit)
         return out
 
-    def lookup(self, z: np.ndarray) -> np.ndarray:
+    def lookup(self, z: np.ndarray, re: np.ndarray) -> np.ndarray:
         """Whether any bit is set at the points z; outside the coordinate
         box of the stored pixels, NaN included, False.
 
-        The real parts are tested on a contiguous copy, which numpy compares
-        about ten times faster than the strided `z.real`, and the imaginary
-        parts only at the points inside the box's real band.
+        The real parts are tested in `re`, float scratch a point long, which
+        numpy compares about ten times faster than the strided `z.real`, and
+        the imaginary parts only at the points inside the box's real band.
         """
         z = np.asarray(z)
         flat = z.ravel()
@@ -221,7 +221,7 @@ class PixelRaster:
         i_lo, i_hi, j_lo, j_hi = self._clip
         re_lo, re_hi = left + j_lo * px, left + (j_hi + 1) * px
         im_lo, im_hi = top - (i_hi + 1) * px, top - i_lo * px
-        re = np.ascontiguousarray(flat.real)
+        np.copyto(re, flat.real)
         band = re >= re_lo
         band &= re <= re_hi
         sel = np.flatnonzero(band)
@@ -233,6 +233,7 @@ class PixelRaster:
 
 
 POOL_AFTER = 16  # iterations each row block runs before its survivors are pooled
+BLOCK_ROWS = 32  # pixel rows a block of the sweep's head
 
 
 class StepBuffers(NamedTuple):
@@ -300,8 +301,8 @@ def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int, trap) -> Non
     """The orbit loop of `Orbits` on the pixel centers of `grid`,
     labelled by flat pixel index, for it = 1 .. max_iter.
 
-    The first POOL_AFTER iterations run on 64-row blocks, `threads` at a
-    time.  Each worker owns one set of loop buffers, one block long, and
+    The first POOL_AFTER iterations run on BLOCK_ROWS-row blocks, `threads`
+    at a time.  Each worker owns one set of loop buffers, one block long, and
     reuses it for every block it runs, so a head step allocates nothing the
     size of a block but the survivors' compaction.  The blocks' survivors
     are then pooled, in block order, into one loop that the calling thread
@@ -319,8 +320,8 @@ def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int, trap) -> Non
     keeps the trapped ones out of the pooled tail.
     """
     n = grid.resolution
-    starts = range(0, n, 64)
-    labels = np.arange(min(64, n) * n)
+    starts = range(0, n, BLOCK_ROWS)
+    labels = np.arange(min(BLOCK_ROWS, n) * n)
     # one buffer set a worker: at most `threads` blocks run at once, and
     # list.pop and list.append are atomic
     idle = [Orbits(np.empty(labels.size, dtype=complex), np.empty_like(labels))
@@ -329,7 +330,7 @@ def sweep_pixels(grid: GridSpec, max_iter: int, step, threads: int, trap) -> Non
     def block(i0):
         orbits = idle.pop()
         try:
-            i1 = min(i0 + 64, n)
+            i1 = min(i0 + BLOCK_ROWS, n)
             m = orbits.m = (i1 - i0) * n
             grid.rows_centers(i0, i1, out=orbits.z[:m].reshape(i1 - i0, n))
             np.add(labels[:m], i0 * n, out=orbits.idx[:m])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -43,3 +44,13 @@ def fig1_grid():
 @pytest.fixture(scope="session")
 def fig1_masks(fig1_family, fig1_grid):
     return escape_analysis(CUBIC, fig1_grid, 256, raster=wedge_raster(CUBIC, fig1_family))
+
+
+def traced_peak(call) -> int:
+    """The most bytes `tracemalloc` sees allocated at once while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

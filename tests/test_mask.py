@@ -11,14 +11,14 @@ from polyrenorm import (GridSpec, Mask, PixelRaster, Polynomial, build_carrots, 
                         build_surgery, compare_masks, connected_components,
                         equipotential_polyline, escape_analysis, load_mask_raw,
                         nonescaping_mask, save_mask_raw, wedge_raster)
-from polyrenorm.avoiding import (InteriorTrap, _laurent, count_components, covering_window,
-                                 dilate, erode, interior_trap)
+from polyrenorm.avoiding import (STRIP_ROWS, InteriorTrap, _laurent, count_components,
+                                 covering_window, dilate, erode, interior_trap)
 from polyrenorm.errors import GridMismatch
-from polyrenorm.grid import (POOL_AFTER, crossing_parity, distance_to_polyline, fill_polygon,
-                             sweep_pixels)
+from polyrenorm.grid import (BLOCK_ROWS, POOL_AFTER, crossing_parity, distance_to_polyline,
+                             fill_polygon, sweep_pixels)
 from polyrenorm.surgery import CRIT, U_RHO, U_RHO_D
 
-from conftest import BASILICA, CUBIC, G0, RHO, SQUARE
+from conftest import BASILICA, CUBIC, G0, RHO, SQUARE, traced_peak
 
 STRUCT8 = np.ones((3, 3), dtype=bool)
 RABBIT = Polynomial((complex(-0.12256116687665362, 0.7448617666197442), 0, 1))
@@ -205,6 +205,74 @@ def test_count_on_adversarial_masks(shape, count):
     assert count_components(bits) == count
 
 
+def _reference_count(bits):
+    """The count before the strips: the runs of the whole array from one
+    np.diff, then the same root hooking."""
+    h, w = bits.shape
+    flat = np.zeros((h, w + 1), dtype=np.int8)
+    flat[:, :w] = bits
+    edge = np.diff(flat.ravel(), prepend=np.int8(0))
+    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    lo = np.searchsorted(ends, starts + (w + 1), side="left")
+    hi = np.searchsorted(starts, ends + (w + 1), side="right")
+    touch = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(starts.size), touch)
+    b = np.arange(a.size) - np.repeat(np.cumsum(touch) - touch - lo, touch)
+    root = np.arange(starts.size)
+    while True:
+        ra, rb = root[a], root[b]
+        cross = ra != rb
+        if not cross.any():
+            return int(np.count_nonzero(root == np.arange(starts.size)))
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not (root[root] == root).all():
+            root = root[root]
+
+
+@pytest.mark.parametrize("n", [1, 2, STRIP_ROWS - 1, STRIP_ROWS, STRIP_ROWS + 1,
+                               2 * STRIP_ROWS + 1, 2 * STRIP_ROWS + 2])
+def test_strip_count_matches_whole_array_count(n):
+    # strips of STRIP_ROWS rows, the last one short or a single row, and the
+    # closing's two-row halo reaching past either end of the mask
+    rng = np.random.default_rng(n)
+    masks = [rng.random((n, n)) < p for p in (0.05, 0.3, 0.5, 0.7, 0.95)]
+    for bits in masks + [np.ones((n, n), dtype=bool), np.zeros((n, n), dtype=bool)]:
+        if n >= 16:  # the least grid resolution
+            closed = erode(dilate(bits, 1), False) | bits
+            mask = Mask(GridSpec(0j, 1.0, n), bits)
+            assert connected_components(mask) == _reference_count(closed)
+        assert count_components(bits) == _reference_count(bits)
+        assert count_components(bits[:, :37]) == _reference_count(bits[:, :37])
+    assert n < 16 or len({count_components(bits) for bits in masks}) > 2
+
+
+def test_connected_components_peak_memory(fig1_masks):
+    # the avoiding mask with each pixel a 4 x 4 block: the closing and the
+    # runs of one strip at a time, measured 0.55 bytes a pixel (one bool mask
+    # is 1)
+    bits = np.repeat(np.repeat(fig1_masks.avoiding.bits, 4, axis=0), 4, axis=1)
+    n = len(bits)
+    mask = Mask(GridSpec(complex(-1.25, 0.0), 4.5, n), bits)
+    assert n == 1024 and connected_components(mask) == 1
+    peak = traced_peak(lambda: connected_components(mask))
+    assert peak <= 0.66 * n * n, f"{peak / (n * n):.2f} bytes a pixel"
+
+
+@pytest.mark.parametrize("n, max_iter, threads, measured",
+                         [(512, 256, 1, 7.94), (512, 256, 2, 12.04), (2048, 64, 1, 4.46)])
+def test_escape_analysis_peak_memory_per_pixel(n, max_iter, threads, measured, fig1_raster):
+    # the escape steps and the kp and hit masks take 4 bytes a pixel; the
+    # rest, 20% slack on it, is one block's buffers a worker (49 bytes a
+    # pixel of the block) and a step's temporaries.  At 2048^2 a block is a
+    # 64th of the grid, so a mask-sized temporary at the end would show: the
+    # avoiding mask is built in hit's own buffer
+    grid = GridSpec(complex(-1.25, 0.0), 4.5, n)
+    peak = traced_peak(lambda: escape_analysis(CUBIC, grid, max_iter, raster=fig1_raster,
+                                               threads=threads))
+    assert peak <= (4 + 1.2 * (measured - 4)) * n * n, f"{peak / (n * n):.2f} bytes a pixel"
+
+
 def test_agreement_outside_band_is_nan_when_nothing_is_outside():
     # a checkerboard is boundary everywhere, so the band covers every pixel
     grid = GridSpec(0j, 1.0, 16)
@@ -380,9 +448,9 @@ def test_draw_polyline_matches_the_segment_loop(name):
     pts = np.array(_FILL_POLYGONS[name] + [_FILL_POLYGONS[name][0], 0j, 0j, 1e-9 + 0j])
     for grid in (_FILL_GRID, _FILL_GRID.subdivide(4)):
         n = grid.resolution
-        img, ref = np.zeros((n, n, 3), dtype=np.uint8), np.zeros((n, n, 3), dtype=np.uint8)
-        render.draw_polyline(img, grid, pts, (1, 2, 3))
-        _reference_polyline(ref, grid, pts, (1, 2, 3))
+        img, ref = np.zeros((n, n), dtype=np.uint8), np.zeros((n, n), dtype=np.uint8)
+        render.draw_polyline(img, grid, pts, render.CLASS_RAY)
+        _reference_polyline(ref, grid, pts, render.CLASS_RAY)
         assert (img == ref).all()
         assert img.any()
 
@@ -464,7 +532,7 @@ def test_raster_lookup_matches_bounds_masked_reference(fig1_family):
     special = [np.inf, -np.inf, np.nan, inside]
     pts.append(np.array([complex(a, b) for a in special for b in special]))
     z = np.concatenate(pts)
-    got = raster.lookup(z)
+    got = raster.lookup(z, np.empty(z.size))
     assert got.dtype == bool and got.shape == z.shape
     assert (got == _reference_lookup(raster, z)).all()
     assert got.any()
@@ -669,7 +737,8 @@ def fig1_raster(fig1_family):
 @pytest.mark.parametrize("max_iter", POOL_CASES)
 @pytest.mark.parametrize("threads, ss", [(1, 1), (2, 2)])
 def test_escape_analysis_pool_boundaries(max_iter, threads, ss, fig1_raster):
-    # 100 rows: one full 64-row block and one short one
+    # 100 rows: three full blocks and a short one
+    assert 100 % BLOCK_ROWS
     grid = GridSpec(complex(-1.25, 0.0), 4.5, 100)
     res = escape_analysis(CUBIC, grid, max_iter, raster=fig1_raster, threads=threads,
                           supersample=ss)
@@ -760,10 +829,12 @@ def _reference_recording(P, grid, max_iter, trap):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("trapped", [False, True])
-@pytest.mark.parametrize("name, n", [("cubic", 150), ("basilica", 64), ("square", 40)])
+@pytest.mark.parametrize("name, n", [("cubic", 150), ("basilica", 64), ("square", 40),
+                                     ("square", 20)])
 def test_buffered_sweep_matches_plain_loop(name, n, trapped, threads):
-    # 150 rows: two full 64-row blocks and a short one, with more blocks than
-    # threads, so each worker reuses its buffers; 40 rows: one short block
+    # 150 rows: full blocks and a short one, with more blocks than threads,
+    # so each worker reuses its buffers; 40 rows: one full block and a short
+    # one; 20 rows: one short block
     P = {"cubic": CUBIC, "basilica": BASILICA, "square": SQUARE}[name]
     grid = GridSpec(complex(-1.25, 0.0), 4.5, n) if P is CUBIC else GridSpec(0j, 3.5, n)
     trap = interior_trap(P, 64) if trapped else InteriorTrap()
@@ -783,7 +854,7 @@ def test_buffered_sweep_matches_plain_loop(name, n, trapped, threads):
 def test_blocks_share_outputs_under_fast_thread_switching(fig1_raster):
     # the row blocks write into the same grid-sized arrays at disjoint flat
     # indices; switching threads every microsecond must lose no write
-    grid = GridSpec(complex(-1.25, 0.0), 4.5, 320)  # five blocks, eight workers
+    grid = GridSpec(complex(-1.25, 0.0), 4.5, 320)  # ten blocks, eight workers
     one = escape_analysis(CUBIC, grid, 64, raster=fig1_raster)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -1,11 +1,12 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from polyrenorm import GridSpec, Mask
-from polyrenorm.render import (COLOR_AVOIDING, COLOR_KP_ONLY, COLOR_WEDGE, ppm_bytes,
-                               render_scene_image, write_ppm)
+from polyrenorm.render import (CLASS_CARROT, CLASS_RAY, COLOR_AVOIDING, COLOR_CARROT,
+                               COLOR_KP_ONLY, COLOR_RAY, COLOR_WEDGE, PALETTE, draw_polyline,
+                               ppm_bytes, render_scene_image, write_ppm)
+
+from conftest import traced_peak
 
 
 def _reference_image(kp, avoiding, esc_steps=None, wedge_bits=None):
@@ -44,7 +45,7 @@ def test_palette_lookup_matches_reference_compositing(seed):
     assert (esc > 40).any() and (esc <= 40).any()
     for args in [(kp, avoiding, esc, wedge), (kp, avoiding, esc), (kp, avoiding, None, wedge),
                  (kp, avoiding), (kp, kp, esc), (kp, kp)]:
-        got = render_scene_image(*args)
+        got = PALETTE[render_scene_image(*args)]
         assert got.dtype == np.uint8 and got.shape == (96, 96, 3)
         assert np.array_equal(got, _reference_image(*args))
 
@@ -55,7 +56,7 @@ def test_palette_lookup_on_strided_escape_steps():
     wide = np.repeat(np.repeat(esc, 2, axis=0), 2, axis=1)
     view = wide[::2, ::2]
     assert not view.flags.c_contiguous
-    assert np.array_equal(render_scene_image(kp, avoiding, view, wedge),
+    assert np.array_equal(PALETTE[render_scene_image(kp, avoiding, view, wedge)],
                           _reference_image(kp, avoiding, esc, wedge))
 
 
@@ -66,19 +67,47 @@ def test_write_ppm_writes_ppm_bytes(tmp_path):
         path = tmp_path / f"{name}.ppm"
         write_ppm(str(path), rgb)
         assert path.read_bytes() == ppm_bytes(rgb)
-    with pytest.raises(ValueError):
-        write_ppm(str(tmp_path / "bad.ppm"), img[:, :, :2])
-    assert not (tmp_path / "bad.ppm").exists()
+    for bad in (img[:, :, np.newaxis], img.astype(np.int64), np.full((2, 3), len(PALETTE), np.uint8)):
+        with pytest.raises(ValueError):
+            write_ppm(str(tmp_path / "bad.ppm"), bad)
+        assert not (tmp_path / "bad.ppm").exists()
+
+
+@pytest.mark.parametrize("n", [40, 97])
+def test_ppm_of_class_raster_matches_reference_compositing(n, tmp_path):
+    # the rays, then the carrots, painted over the scene's classes; n is not
+    # a multiple of the 16 rows written at a time
+    kp, avoiding, esc, wedge = _scene(n, n)
+    grid = kp.grid
+    ray = np.array([-2 + 2j, 0j, 1.5 - 1.9j, 2.2 + 0.3j])
+    carrot = np.array([-1.9 - 1.9j, 1.8 + 1.7j, -1 + 1.8j, -1.9 - 1.9j])
+    classes = render_scene_image(kp, avoiding, esc, wedge)
+    draw_polyline(classes, grid, ray, CLASS_RAY)
+    draw_polyline(classes, grid, carrot, CLASS_CARROT)
+    ref = _reference_image(kp, avoiding, esc, wedge)
+    for points, color in ((ray, COLOR_RAY), (carrot, COLOR_CARROT)):
+        drawn = np.zeros((n, n), dtype=bool)
+        draw_polyline(drawn, grid, points, True)
+        ref[drawn] = color
+    data = ppm_bytes(classes)
+    assert data == f"P6\n{n} {n}\n255\n".encode() + ref.tobytes()
+    write_ppm(str(tmp_path / "scene.ppm"), classes)
+    assert (tmp_path / "scene.ppm").read_bytes() == data
 
 
 def test_render_peak_memory_per_pixel():
-    # the RGB image itself is 3 bytes a pixel; the class index adds 1
+    # the class raster itself is 1 byte a pixel; measured 1.07 at n = 512
     n = 512
     kp, avoiding, esc, wedge = _scene(n, 11)
-    tracemalloc.start()
-    try:
-        render_scene_image(kp, avoiding, esc, wedge)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * n * n, f"{peak / (n * n):.2f} bytes a pixel"
+    peak = traced_peak(lambda: render_scene_image(kp, avoiding, esc, wedge))
+    assert peak <= 1.3 * n * n, f"{peak / (n * n):.2f} bytes a pixel"
+
+
+def test_write_ppm_peak_memory(tmp_path):
+    # one 16-row RGB chunk (3 bytes a pixel) and its classes widened to intp
+    # (8 bytes a pixel), plus the file's write buffer; measured 98 262 bytes
+    # at n = 512
+    n = 512
+    classes = render_scene_image(*_scene(n, 5))
+    peak = traced_peak(lambda: write_ppm(str(tmp_path / "big.ppm"), classes))
+    assert peak <= 1.2 * 16 * n * (3 + 8), peak

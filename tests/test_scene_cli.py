@@ -8,7 +8,7 @@ from polyrenorm import Polynomial, find_cycles, scene_from_dict
 from polyrenorm.cli import COMMANDS, main
 from polyrenorm.errors import RenormError, SceneError
 from polyrenorm.poly import MAX_CENSUS_POINTS
-from polyrenorm.render import ppm_bytes
+from polyrenorm.render import CLASS_CARROT, COLOR_CARROT, ppm_bytes
 from polyrenorm.scene import DEFAULT_RHO, DEFAULT_SEED
 
 
@@ -128,11 +128,12 @@ def test_angles_survive_serialization():
 
 
 def test_ppm_format():
-    img = np.zeros((2, 3, 3), dtype=np.uint8)
-    img[0, 0] = (1, 2, 3)
-    data = ppm_bytes(img)
+    classes = np.zeros((2, 3), dtype=np.uint8)
+    classes[0, 0] = CLASS_CARROT
+    data = ppm_bytes(classes)
     assert data.startswith(b"P6\n3 2\n255\n")
-    assert data[11:14] == bytes((1, 2, 3))
+    assert data[11:14] == bytes(COLOR_CARROT)
+    assert data[14:17] == bytes((255, 255, 255))
     assert len(data) == 11 + 18
 
 
